@@ -38,6 +38,7 @@ from .graphs import (
     strongly_connected_components,
 )
 from .invariants import bowen_franks, franks_equivalent, parry_sullivan
+from .util import NodeBudget
 
 
 class CaseworkError(ValueError):
@@ -96,7 +97,7 @@ def verify_acyclic_corollary(cat, g, max_nodes=None):
         details.append("thin instance: diagrams enumerated directly")
     else:
         bound = max(cat.objects())
-        count = len(solve_dimension_vectors(g, bound))
+        count = len(solve_dimension_vectors(g, bound, NodeBudget(max_nodes)))
         details.append(
             "additive instance: isomorphism classes counted via size vectors"
         )

@@ -346,9 +346,6 @@ class MatCategory(FiniteCategory):
     def objects(self):
         return tuple(range(self.max_dim + 1))
 
-    def _mor(self, a, b, data):
-        return Morphism(a, b, data)
-
     def hom(self, a, b):
         q = self.q
         for flat in itertools.product(range(q), repeat=a * b):

@@ -13,16 +13,22 @@ condition would need an infinite coproduct.
 Enumeration exploits a normal form: a coproduct-condition diagram is exactly a
 feasible size vector together with one isomorphism choice per non-source
 vertex (the cotuple value), so edge morphisms are `iso . injection`.
+
+Every search runs on one backtracking kernel, `_search`: vertices take values
+from their candidate pools in a fixed order, and each constraint (a naturality
+square, a supremum, an in-sum) is checked once, as soon as its last vertex has
+a value (forward checking).  Answers come out in `itertools.product(*pools)`
+order, so lists and first witnesses equal those of a product-then-filter
+search.  One budget node is one candidate tried at one vertex.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .categories import FiniteCategory, Morphism
 from .graphs import DirectedGraph, classify_vertex
-from .util import NodeBudget, frozendict, max_nodes_cap
+from .util import NodeBudget, frozendict
 
 
 class DiagramError(ValueError):
@@ -34,12 +40,6 @@ class Diagram:
     graph: DirectedGraph
     obj: frozendict
     mor: frozendict
-
-    def object_at(self, v):
-        return self.obj[v]
-
-    def morphism_at(self, edge_id):
-        return self.mor[edge_id]
 
 
 @dataclass(frozen=True)
@@ -149,10 +149,7 @@ def cotuple_at(cat, diagram, v):
 def check_coproduct_condition(cat, diagram):
     g = diagram.graph
     checks = {}
-    for v in g.sorted_vertices():
-        cls = classify_vertex(g, v)
-        if cls.is_source:
-            continue
+    for v in _non_sources(g):
         if cat.is_thin:
             contributors = {diagram.obj[e.src] for e in g.incoming(v)}
             contributors |= {diagram.obj[src] for src, _ in g.incoming_bundles(v)}
@@ -183,30 +180,68 @@ def check_coproduct_condition(cat, diagram):
     return CoproductReport(frozendict(checks))
 
 
-def solve_dimension_vectors(g, bound):
+def _search(vertices, pools, constraints, budget):
+    """Yield each assignment {vertices[i]: a value from pools[i]} that
+    satisfies every constraint, in `itertools.product(*pools)` order.  A
+    constraint is a pair (the vertices it reads, a predicate on the partial
+    assignment), checked once, at the depth that assigns the last of them.
+    Every candidate tried spends one node of `budget`."""
+    depth_of = {v: i for i, v in enumerate(vertices)}
+    checks = [[] for _ in vertices]
+    for needed, check in constraints:
+        checks[max(depth_of[v] for v in needed)].append(check)
+    assignment = {}
+
+    def extend(depth):
+        if depth == len(vertices):
+            yield dict(assignment)
+            return
+        v = vertices[depth]
+        for value in pools[depth]:
+            budget.spend()
+            assignment[v] = value
+            if all(check(assignment) for check in checks[depth]):
+                yield from extend(depth + 1)
+        assignment.pop(v, None)
+
+    return extend(0)
+
+
+def _non_sources(g):
+    return [v for v in g.sorted_vertices() if not classify_vertex(g, v).is_source]
+
+
+def solve_dimension_vectors(g, bound, budget=None):
     """All assignments v -> size in 0..bound with, at every non-source vertex,
-    size(v) = sum of size(src) over incoming edges.  Deterministic order."""
+    size(v) = sum of size(src) over incoming edges.  Deterministic order.
+    Spends `budget` (default: a fresh budget at the configured cap)."""
     if g.infinite_bundles:
         raise DiagramError("size vectors are undefined for graphs with bundles")
+    if budget is None:
+        budget = NodeBudget()
     vertices = g.sorted_vertices()
-    non_sources = [v for v in vertices if not classify_vertex(g, v).is_source]
-    solutions = []
-    for values in itertools.product(range(bound + 1), repeat=len(vertices)):
-        dims = dict(zip(vertices, values))
-        if all(
-            sum(dims[e.src] for e in g.incoming(v)) == dims[v] for v in non_sources
-        ):
-            solutions.append(dims)
-    return solutions
+    constraints = []
+    for v in vertices:
+        srcs = tuple(e.src for e in g.incoming(v))
+        if srcs:
+            in_sum = lambda dims, v=v, srcs=srcs: sum(dims[s] for s in srcs) == dims[v]
+            constraints.append(((v, *srcs), in_sum))
+    pools = [range(bound + 1)] * len(vertices)
+    return list(_search(vertices, pools, constraints, budget))
+
+
+def _pool(morphisms, budget):
+    """A candidate pool as a list, spending one node per element."""
+    pool = []
+    for f in morphisms:
+        budget.spend()
+        pool.append(f)
+    return pool
 
 
 def _iso_pool(cat, cache, n, budget):
     if n not in cache:
-        pool = []
-        for f in cat.isomorphisms(n, n):
-            budget.spend()
-            pool.append(f)
-        cache[n] = pool
+        cache[n] = _pool(cat.isomorphisms(n, n), budget)
     return cache[n]
 
 
@@ -230,13 +265,12 @@ def _assemble(cat, g, dims, iso_by_vertex):
 def enumerate_diagrams(cat, g, bound=None, max_nodes=None):
     """All diagrams of shape `g` satisfying the coproduct condition, in a
     deterministic order.  Raises SearchCapExceeded past the node budget."""
-    budget = NodeBudget(max_nodes_cap(max_nodes))
+    budget = NodeBudget(max_nodes)
     if cat.is_thin:
         vertices = g.sorted_vertices()
+        pools = [cat.objects()] * len(vertices)
         found = []
-        for values in itertools.product(cat.objects(), repeat=len(vertices)):
-            budget.spend()
-            obj = dict(zip(vertices, values))
+        for obj in _search(vertices, pools, _thin_constraints(cat, g), budget):
             diagram = _try_thin_diagram(cat, g, obj)
             if diagram is not None:
                 found.append(diagram)
@@ -244,17 +278,28 @@ def enumerate_diagrams(cat, g, bound=None, max_nodes=None):
     _require_bundle_free(cat, g)
     if bound is None:
         bound = max(cat.objects())
-    non_sources = [
-        v for v in g.sorted_vertices() if not classify_vertex(g, v).is_source
-    ]
+    non_sources = _non_sources(g)
     cache = {}
     found = []
-    for dims in solve_dimension_vectors(g, bound):
+    for dims in solve_dimension_vectors(g, bound, budget):
         pools = [_iso_pool(cat, cache, dims[v], budget) for v in non_sources]
-        for choice in itertools.product(*pools):
-            budget.spend()
-            found.append(_assemble(cat, g, dims, dict(zip(non_sources, choice))))
+        for isos in _search(non_sources, pools, (), budget):
+            found.append(_assemble(cat, g, dims, isos))
     return found
+
+
+def _thin_constraints(cat, g):
+    """The coproduct condition of a thin diagram, one constraint per
+    non-source vertex: its object is the supremum of its incoming family
+    (which also makes every edge and bundle monotone)."""
+    constraints = []
+    for v in _non_sources(g):
+        fam = {e.src for e in g.incoming(v)}
+        fam |= {src for src, _ in g.incoming_bundles(v)}
+        fam = tuple(fam)
+        is_sup = lambda obj, v=v, fam=fam: cat.supremum({obj[u] for u in fam}) == obj[v]
+        constraints.append(((v, *fam), is_sup))
+    return constraints
 
 
 def _try_thin_diagram(cat, g, obj):
@@ -275,10 +320,7 @@ def canonical_diagram(cat, g, dims):
         if diagram is None:
             raise DiagramError("assignment does not satisfy the coproduct condition")
         return diagram
-    non_sources = [
-        v for v in g.sorted_vertices() if not classify_vertex(g, v).is_source
-    ]
-    isos = {v: cat.identity(dims[v]) for v in non_sources}
+    isos = {v: cat.identity(dims[v]) for v in _non_sources(g)}
     return _assemble(cat, g, dims, isos)
 
 
@@ -287,20 +329,8 @@ def random_diagram(cat, g, dims, rng):
     random cotuple isomorphisms."""
     if cat.is_thin:
         return canonical_diagram(cat, g, dims)
-    non_sources = [
-        v for v in g.sorted_vertices() if not classify_vertex(g, v).is_source
-    ]
-    isos = {v: cat.random_isomorphism(dims[v], rng) for v in non_sources}
+    isos = {v: cat.random_isomorphism(dims[v], rng) for v in _non_sources(g)}
     return _assemble(cat, g, dims, isos)
-
-
-def _same_shape(d1, d2):
-    g1, g2 = d1.graph, d2.graph
-    return (
-        g1.vertices == g2.vertices
-        and g1.edge_set() == g2.edge_set()
-        and g1.infinite_bundles == g2.infinite_bundles
-    )
 
 
 def identity_diagram_morphism(cat, d):
@@ -322,7 +352,7 @@ def compose_diagram_morphisms(cat, second, first):
 def check_diagram_morphism(cat, src, dst, components):
     """Well-typedness plus naturality of a component family; returns a list of
     problem strings (empty means the family is a diagram morphism)."""
-    if not _same_shape(src, dst):
+    if not src.graph.labeled_eq(dst.graph):
         return ["diagrams have different shapes"]
     problems = []
     g = src.graph
@@ -337,19 +367,29 @@ def check_diagram_morphism(cat, src, dst, components):
             )
     if problems:
         return problems
-    for e in g.edges:
-        lhs = cat.compose(components[e.tgt], src.mor[e.id])
-        rhs = cat.compose(dst.mor[e.id], components[e.src])
-        if lhs != rhs:
+    for e, (_, commutes) in zip(g.edges, _naturality(cat, src, dst)):
+        if not commutes(components):
             problems.append(f"naturality fails at edge {e.id!r}")
     return problems
 
 
+def _naturality(cat, src, dst):
+    """One constraint per edge: the naturality square of the components."""
+    return [
+        (
+            (e.src, e.tgt),
+            lambda c, e=e: cat.compose(c[e.tgt], src.mor[e.id])
+            == cat.compose(dst.mor[e.id], c[e.src]),
+        )
+        for e in src.graph.edges
+    ]
+
+
 def enumerate_diagram_morphisms(cat, src, dst, max_nodes=None):
     """All diagram morphisms src -> dst, deterministically ordered.  Poset
-    instances have at most one; other instances search the product of
-    hom-sets under the node budget."""
-    if not _same_shape(src, dst):
+    instances have at most one; other instances search the hom-sets under
+    the node budget."""
+    if not src.graph.labeled_eq(dst.graph):
         raise DiagramError("diagrams have different shapes")
     g = src.graph
     vertices = g.sorted_vertices()
@@ -358,27 +398,18 @@ def enumerate_diagram_morphisms(cat, src, dst, max_nodes=None):
             components = {v: Morphism(src.obj[v], dst.obj[v]) for v in vertices}
             return [DiagramMorphism(src, dst, frozendict(components))]
         return []
-    budget = NodeBudget(max_nodes_cap(max_nodes))
-    pools = []
-    for v in vertices:
-        pool = []
-        for f in cat.hom(src.obj[v], dst.obj[v]):
-            budget.spend()
-            pool.append(f)
-        pools.append(pool)
-    found = []
-    for choice in itertools.product(*pools):
-        budget.spend()
-        components = dict(zip(vertices, choice))
-        if not check_diagram_morphism(cat, src, dst, components):
-            found.append(DiagramMorphism(src, dst, frozendict(components)))
-    return found
+    budget = NodeBudget(max_nodes)
+    pools = [_pool(cat.hom(src.obj[v], dst.obj[v]), budget) for v in vertices]
+    return [
+        DiagramMorphism(src, dst, frozendict(components))
+        for components in _search(vertices, pools, _naturality(cat, src, dst), budget)
+    ]
 
 
 def diagram_isomorphic(cat, d1, d2, max_nodes=None):
-    """A diagram isomorphism d1 -> d2 if one exists, else None.  The search
-    ranges over vertexwise isomorphisms filtered by naturality."""
-    if not _same_shape(d1, d2):
+    """The first diagram isomorphism d1 -> d2 in search order, else None.
+    The search ranges over vertexwise isomorphisms under naturality."""
+    if not d1.graph.labeled_eq(d2.graph):
         raise DiagramError("diagrams have different shapes")
     g = d1.graph
     vertices = g.sorted_vertices()
@@ -387,19 +418,12 @@ def diagram_isomorphic(cat, d1, d2, max_nodes=None):
             components = {v: cat.identity(d1.obj[v]) for v in vertices}
             return DiagramMorphism(d1, d2, frozendict(components))
         return None
-    budget = NodeBudget(max_nodes_cap(max_nodes))
+    budget = NodeBudget(max_nodes)
     pools = []
     for v in vertices:
-        pool = []
-        for f in cat.isomorphisms(d1.obj[v], d2.obj[v]):
-            budget.spend()
-            pool.append(f)
-        if not pool:
+        pools.append(_pool(cat.isomorphisms(d1.obj[v], d2.obj[v]), budget))
+        if not pools[-1]:
             return None
-        pools.append(pool)
-    for choice in itertools.product(*pools):
-        budget.spend()
-        components = dict(zip(vertices, choice))
-        if not check_diagram_morphism(cat, d1, d2, components):
-            return DiagramMorphism(d1, d2, frozendict(components))
+    for components in _search(vertices, pools, _naturality(cat, d1, d2), budget):
+        return DiagramMorphism(d1, d2, frozendict(components))
     return None

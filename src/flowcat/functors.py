@@ -42,7 +42,7 @@ from .diagrams import (
 )
 from .graphs import classify_vertex, sources
 from .moves import chain_edge, indexed_edge, indexed_vertex
-from .util import SearchCapExceeded, frozendict
+from .util import NodeBudget, SearchCapExceeded, frozendict
 
 
 class FunctorPairError(ValueError):
@@ -645,7 +645,7 @@ def _sample_pool(cat, g, rng, count, max_nodes):
     (largest and smallest total first, for nonzero coverage)."""
     if cat.is_thin:
         return enumerate_diagrams(cat, g, max_nodes=max_nodes)
-    vectors = solve_dimension_vectors(g, max(cat.objects()))
+    vectors = solve_dimension_vectors(g, max(cat.objects()), NodeBudget(max_nodes))
     vectors.sort(key=lambda d: (-sum(d.values()), sorted(d.items())))
     pool = [canonical_diagram(cat, g, vectors[0])]
     if len(vectors) > 1 and count > 1:
@@ -708,7 +708,7 @@ def _functorial_one_direction(cat, apply_obj, apply_map, pool, hom_pair_cap, sta
         if _hom_estimate(cat, d, d) > hom_pair_cap:
             continue
         try:
-            endos = enumerate_diagram_morphisms(cat, d, d)[:4]
+            endos = enumerate_diagram_morphisms(cat, d, d, state["max_nodes"])[:4]
         except SearchCapExceeded:
             continue
         for s in endos:
@@ -775,7 +775,9 @@ def _check_round_trips(cat, pair, src_pool, tgt_pool, iso_cross_checks, state):
                 round_tripped = iso.target if label == "unit" else iso.source
                 original = iso.source if label == "unit" else iso.target
                 try:
-                    witness = diagram_isomorphic(cat, original, round_tripped)
+                    witness = diagram_isomorphic(
+                        cat, original, round_tripped, state["max_nodes"]
+                    )
                 except SearchCapExceeded:
                     continue
                 if witness is None:
@@ -793,6 +795,7 @@ def _check_round_trips(cat, pair, src_pool, tgt_pool, iso_cross_checks, state):
 
 def _check_hom_bijection(cat, pair, src_pool, hom_pair_cap, state):
     details = []
+    injective_ok = bijective_ok = True
     used = 0
     skipped = 0
     candidates = [(d1, d2) for d1 in src_pool[:4] for d2 in src_pool[:4]]
@@ -809,24 +812,26 @@ def _check_hom_bijection(cat, pair, src_pool, hom_pair_cap, state):
             skipped += 1
             continue
         try:
-            src_homs = enumerate_diagram_morphisms(cat, d1, d2)
-            tgt_homs = enumerate_diagram_morphisms(cat, f1, f2)
+            src_homs = enumerate_diagram_morphisms(cat, d1, d2, state["max_nodes"])
+            tgt_homs = enumerate_diagram_morphisms(cat, f1, f2, state["max_nodes"])
         except SearchCapExceeded:
             skipped += 1
             continue
         used += 1
         images = [pair.forward_map(cat, m) for m in src_homs]
         if len(set(images)) != len(images):
+            injective_ok = False
             details.append("forward is not injective on a hom-set")
             continue
         if set(images) != set(tgt_homs):
+            bijective_ok = False
             details.append(
                 f"forward is not bijective on a hom-set: {len(images)} images "
                 f"vs {len(tgt_homs)} morphisms"
             )
     if skipped:
         details.append(f"{skipped} hom-set pairs skipped (search too large)")
-    ok = not any("not" in d for d in details)
+    ok = injective_ok and bijective_ok
     return CheckResult(
         "hom-set-bijectivity", ok, inconclusive=used == 0, details=tuple(details[:4])
     )
@@ -852,7 +857,7 @@ def verify_equivalence(
     a check with no usable samples reports inconclusive, not pass.
     """
     rng = random.Random(seed)
-    state = {"bounded": 0}
+    state = {"bounded": 0, "max_nodes": max_nodes}
     try:
         src_pool = _sample_pool(cat, pair.source, rng, samples, max_nodes)
         tgt_pool = _sample_pool(cat, pair.target, rng, samples, max_nodes)

@@ -38,15 +38,6 @@ class DirectedGraph:
     def sorted_vertices(self):
         return sorted(self.vertices)
 
-    def edge(self, edge_id):
-        for e in self.edges:
-            if e.id == edge_id:
-                return e
-        raise GraphError(f"no edge with id {edge_id!r}")
-
-    def has_vertex(self, v):
-        return v in self.vertices
-
     def incoming(self, v):
         """Edges with target v, sorted by id (canonical order for coproducts)."""
         self._require_vertex(v)
@@ -59,10 +50,6 @@ class DirectedGraph:
     def incoming_bundles(self, v):
         self._require_vertex(v)
         return tuple(sorted(b for b in self.infinite_bundles if b[1] == v))
-
-    def outgoing_bundles(self, v):
-        self._require_vertex(v)
-        return tuple(sorted(b for b in self.infinite_bundles if b[0] == v))
 
     def edge_set(self):
         """Edges as a set of (id, src, tgt) triples (order-insensitive view)."""
@@ -269,12 +256,6 @@ def component_name(comp):
 class Condensation:
     components: tuple
     quotient: DirectedGraph
-
-    def component_of(self, v):
-        for comp in self.components:
-            if v in comp:
-                return comp
-        raise GraphError(f"vertex {v!r} not in any component")
 
 
 def condensation(g):

@@ -52,16 +52,6 @@ class IntMatrix:
             )
         )
 
-    def __add__(self, other):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return IntMatrix(
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            )
-        )
-
 
 def determinant(m):
     """Exact determinant via the Bareiss fraction-free elimination."""
@@ -137,10 +127,6 @@ class SmithDecomposition:
     divisors: tuple  # full diagonal, length min(rows, cols), d_i | d_{i+1}
     operations: tuple
     diagonal: IntMatrix
-
-    @property
-    def rank(self):
-        return sum(1 for d in self.divisors if d != 0)
 
     def replay(self, m):
         """Apply the recorded operations to m; equals `diagonal` iff m was the input."""

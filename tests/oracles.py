@@ -100,3 +100,72 @@ def snf_divisors_by_gcds(rows):
         divisors.append(g // prev)
         prev = g
     return tuple(divisors)
+
+
+# -- product-then-filter diagram searches -------------------------------------------
+#
+# Each search lists the whole Cartesian product of per-vertex candidates over
+# the sorted vertices and filters it.  The category enters only through the
+# callables passed in; graphs enter as plain vertex lists and arrow triples.
+
+
+def product_size_vectors(vertices, arrows, bound):
+    """Every v -> size in 0..bound such that each vertex with incoming arrows
+    has the sum of its sources' sizes, counted with multiplicity.  `arrows`
+    holds (src, tgt) pairs."""
+    vertices = sorted(vertices)
+    targets = {t for _, t in arrows}
+    found = []
+    for values in itertools.product(range(bound + 1), repeat=len(vertices)):
+        dims = dict(zip(vertices, values))
+        if all(sum(dims[s] for s, t in arrows if t == v) == dims[v] for v in targets):
+            found.append(dims)
+    return found
+
+
+def product_thin_diagrams(vertices, arrows, elements, le):
+    """Every object assignment into a finite poset under which each arrow is
+    monotone and each arrow target is the least upper bound of the objects of
+    its arrow sources.  `arrows` holds (src, tgt) pairs, edges and bundles
+    alike."""
+    vertices = sorted(vertices)
+    targets = {t for _, t in arrows}
+    found = []
+    for values in itertools.product(elements, repeat=len(vertices)):
+        obj = dict(zip(vertices, values))
+        if not all(le(obj[s], obj[t]) for s, t in arrows):
+            continue
+        if all(
+            brute_force_supremum(elements, le, {obj[s] for s, t in arrows if t == v})
+            == obj[v]
+            for v in targets
+        ):
+            found.append(obj)
+    return found
+
+
+def _natural_families(vertices, edges, src, dst, candidates, compose):
+    vertices = sorted(vertices)
+    (src_obj, src_mor), (dst_obj, dst_mor) = src, dst
+    pools = [list(candidates(src_obj[v], dst_obj[v])) for v in vertices]
+    for choice in itertools.product(*pools):
+        c = dict(zip(vertices, choice))
+        if all(
+            compose(c[t], src_mor[i]) == compose(dst_mor[i], c[s]) for i, s, t in edges
+        ):
+            yield c
+
+
+def product_diagram_morphisms(vertices, edges, src, dst, hom, compose):
+    """Every family of components src -> dst whose naturality squares commute.
+
+    `edges` holds (id, src, tgt) triples; `src` and `dst` are (objects,
+    morphisms) pairs of dicts keyed by vertex and by edge id; `hom(a, b)`
+    lists the morphisms a -> b and `compose(g, f)` is g after f."""
+    return list(_natural_families(vertices, edges, src, dst, hom, compose))
+
+
+def product_diagram_isomorphism(vertices, edges, src, dst, isomorphisms, compose):
+    """The first natural family of vertexwise isomorphisms, or None."""
+    families = _natural_families(vertices, edges, src, dst, isomorphisms, compose)
+    return next(families, None)

@@ -1,6 +1,8 @@
 """Diagram engine: coproduct condition, enumeration, morphisms, isomorphism."""
 
+import math
 import random
+import time
 
 import pytest
 
@@ -20,7 +22,15 @@ from flowcat.diagrams import (
     solve_dimension_vectors,
 )
 from flowcat.graphs import graph
+from flowcat.sampling import random_shape_graph
 from flowcat.util import SearchCapExceeded
+
+from oracles import (
+    product_diagram_isomorphism,
+    product_diagram_morphisms,
+    product_size_vectors,
+    product_thin_diagrams,
+)
 
 CHAIN2 = chain(2)
 FINSET = FinSetSkeleton(5)
@@ -229,6 +239,15 @@ def test_enumeration_respects_cap():
         enumerate_diagrams(FinSetSkeleton(4), zoo.acyclic2(), max_nodes=10)
 
 
+def test_size_vector_phase_honours_the_cap():
+    # 5**8 candidate size vectors; the cap must stop the search at once.
+    start = time.perf_counter()
+    with pytest.raises(SearchCapExceeded) as excinfo:
+        enumerate_diagrams(MatCategory(2, 4), zoo.chain_graph(8), max_nodes=5)
+    assert time.perf_counter() - start < 1.0
+    assert any(entry.name == "solve_dimension_vectors" for entry in excinfo.traceback)
+
+
 def test_enumerate_rejects_bundles_outside_posets():
     with pytest.raises(DiagramError, match="poset"):
         enumerate_diagrams(FINSET, zoo.h_graph())
@@ -332,3 +351,106 @@ def test_diagram_isomorphic_mat_rescaling():
     ident = canonical_diagram(cat, zoo.loop1(), {"u": 1})
     assert diagram_isomorphic(cat, double, double) is not None
     assert diagram_isomorphic(cat, ident, double) is None
+
+
+# -- differential checks against the product-then-filter oracles -------------------------
+
+ORACLE_POOL_CAP = 3000
+
+
+def _shape_graphs(seed, count, bundle_prob):
+    """Seeded arbitrary shapes with 5-8 vertices, beyond the zoo."""
+    rng = random.Random(seed)
+    found = []
+    while len(found) < count:
+        g = random_shape_graph(rng, max_vertices=8, bundle_prob=bundle_prob)
+        if len(g.vertices) >= 5:
+            found.append(g)
+    return found
+
+
+def _arrows(g):
+    return [(e.src, e.tgt) for e in g.edges] + sorted(g.infinite_bundles)
+
+
+def _typed_diagram(cat, g, obj, rng):
+    """Objects as given and a random morphism on each edge; the coproduct
+    condition is not required of a morphism search's endpoints."""
+    mor = {e.id: rng.choice(list(cat.hom(obj[e.src], obj[e.tgt]))) for e in g.edges}
+    return make_diagram(cat, g, obj, mor)
+
+
+def _conjugate(cat, d, rng):
+    """d transported along random vertexwise isomorphisms: isomorphic to d."""
+    phi = {v: cat.random_isomorphism(d.obj[v], rng) for v in d.graph.sorted_vertices()}
+    mor = {
+        e.id: cat.compose(phi[e.tgt], cat.compose(d.mor[e.id], cat.inverse(phi[e.src])))
+        for e in d.graph.edges
+    }
+    return make_diagram(cat, d.graph, d.obj, mor)
+
+
+def _oracle_data(d):
+    return (dict(d.obj), dict(d.mor))
+
+
+def _diagram_pairs(cat, seed):
+    """(d1, d2) pairs on 5-8 vertex shapes with objects 1 and 2: d2 is d1,
+    a conjugate of d1 or an unrelated diagram with the same objects."""
+    rng = random.Random(seed)
+    pairs = []
+    for g in _shape_graphs(seed, 8, bundle_prob=0.0):
+        obj = {v: rng.choice((1, 2)) for v in g.sorted_vertices()}
+        d1 = _typed_diagram(cat, g, obj, rng)
+        pairs += [(d1, d1), (d1, _conjugate(cat, d1, rng)), (d1, _typed_diagram(cat, g, obj, rng))]
+    return pairs
+
+
+def test_thin_enumeration_matches_product_oracle():
+    cat = chain(3)
+    for g in _shape_graphs(31, 6, bundle_prob=0.15):
+        expected = product_thin_diagrams(g.vertices, _arrows(g), cat.objects(), cat.leq)
+        assert [dict(d.obj) for d in enumerate_diagrams(cat, g)] == expected
+
+
+def test_size_vectors_match_product_oracle():
+    for g in _shape_graphs(32, 6, bundle_prob=0.0):
+        expected = product_size_vectors(g.vertices, _arrows(g), 2)
+        assert solve_dimension_vectors(g, 2) == expected
+
+
+@pytest.mark.parametrize("cat", [FinSetSkeleton(2), MatCategory(2, 2)], ids=lambda c: c.name)
+def test_morphism_search_matches_product_oracle(cat):
+    compared = nonempty = 0
+    for d1, d2 in _diagram_pairs(cat, 33):
+        g = d1.graph
+        sizes = [cat.hom_size(d1.obj[v], d2.obj[v]) for v in g.sorted_vertices()]
+        if math.prod(sizes) > ORACLE_POOL_CAP:
+            continue
+        expected = product_diagram_morphisms(
+            g.vertices, list(g.edges), _oracle_data(d1), _oracle_data(d2), cat.hom, cat.compose
+        )
+        found = enumerate_diagram_morphisms(cat, d1, d2)
+        assert [dict(m.components) for m in found] == expected
+        compared += 1
+        nonempty += len(expected) > 1
+    assert compared >= 8 and nonempty >= 2
+
+
+@pytest.mark.parametrize("cat", [FinSetSkeleton(2), MatCategory(2, 2)], ids=lambda c: c.name)
+def test_iso_witness_is_the_product_oracle_first_hit(cat):
+    compared = isomorphic = 0
+    for d1, d2 in _diagram_pairs(cat, 34):
+        g = d1.graph
+        sizes = [len(list(cat.isomorphisms(d1.obj[v], d2.obj[v]))) for v in g.sorted_vertices()]
+        if math.prod(sizes) > ORACLE_POOL_CAP:
+            continue
+        expected = product_diagram_isomorphism(
+            g.vertices, list(g.edges), _oracle_data(d1), _oracle_data(d2),
+            cat.isomorphisms, cat.compose,
+        )
+        witness = diagram_isomorphic(cat, d1, d2)
+        assert (None if witness is None else dict(witness.components)) == expected
+        compared += 1
+        isomorphic += expected is not None
+    assert compared >= 8 and isomorphic >= 4

@@ -223,6 +223,21 @@ def test_harness_report_is_serializable():
     json.dumps(data)
 
 
+def _skipped_hom_pairs(report):
+    (check,) = [c for c in report.checks if c.name == "hom-set-bijectivity"]
+    notes = [d for d in check.details if d.endswith("hom-set pairs skipped (search too large)")]
+    return int(notes[0].split()[0]) if notes else 0
+
+
+def test_explicit_node_cap_reaches_the_hom_searches(monkeypatch):
+    monkeypatch.delenv("FLOWCAT_MAX_NODES", raising=False)
+    pair = dict(standard_verification_suite())["chain3/remove-sink"]
+    default = verify_equivalence(FINSET, pair, samples=6)
+    capped = verify_equivalence(FINSET, pair, samples=6, max_nodes=100)
+    assert capped.verdict == "pass"
+    assert _skipped_hom_pairs(capped) > _skipped_hom_pairs(default)
+
+
 def test_poset_hom_bijection_is_exhaustive():
     # For thin instances the forward functor must be a bijection on the
     # (at most one element) hom-sets of every enumerated diagram pair.
