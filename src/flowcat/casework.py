@@ -151,8 +151,8 @@ def poset_count_obstructions(cat, g):
     cohereditary = set(cohereditary_irreducible_subsets(g))
     for comp in strongly_connected_components(g):
         has_internal_edge = any(
-            e.src in comp and e.tgt in comp for e in g.edges
-        ) or any(a in comp and b in comp for a, b in g.infinite_bundles)
+            e.src in comp for v in comp for e in g.incoming(v)
+        ) or any(a in comp for v in comp for a, _ in g.incoming_bundles(v))
         if has_internal_edge and comp not in cohereditary:
             obstructions.append(
                 f"the cycle through {sorted(comp)} receives outside input"

@@ -50,7 +50,7 @@ from .moves import (
     out_split,
     remove_sink,
 )
-from .util import SearchCapExceeded
+from .util import SearchCapExceeded, max_nodes_cap
 
 OK, CHECK_FAILED, USAGE, CAPPED = 0, 1, 2, 3
 
@@ -79,6 +79,29 @@ def _require(cond, where, message):
         raise CliError(f"{where}: {message}")
 
 
+def _list_field(doc, key, where):
+    value = doc.get(key, [])
+    _require(isinstance(value, list), where, f'"{key}" must be a list')
+    return value
+
+
+def _string_fields(entry, keys, where, what):
+    """The values of `keys` in a JSON object, each required to be a string."""
+    quoted = ", ".join(f'"{k}"' for k in keys)
+    _require(
+        isinstance(entry, dict) and set(keys) <= set(entry),
+        where,
+        f"{what} must be an object with {quoted}",
+    )
+    values = tuple(entry[k] for k in keys)
+    _require(
+        all(isinstance(x, str) for x in values),
+        where,
+        f"{what}: {quoted} must be strings",
+    )
+    return values
+
+
 def graph_from_doc(doc, where, check=True):
     _require(isinstance(doc, dict), where, "graph file must be a JSON object")
     vertices = doc.get("vertices")
@@ -88,22 +111,18 @@ def graph_from_doc(doc, where, check=True):
         where,
         "vertex names must be strings",
     )
-    edges = []
-    for i, entry in enumerate(doc.get("edges", [])):
-        _require(
-            isinstance(entry, dict) and {"id", "src", "tgt"} <= set(entry),
-            where,
-            f'edge #{i} must be an object with "id", "src", "tgt"',
-        )
-        edges.append(Edge(entry["id"], entry["src"], entry["tgt"]))
-    bundles = []
-    for i, entry in enumerate(doc.get("infinite_bundles", [])):
-        _require(
-            isinstance(entry, dict) and {"src", "tgt"} <= set(entry),
-            where,
-            f'infinite bundle #{i} must be an object with "src", "tgt"',
-        )
-        bundles.append((entry["src"], entry["tgt"]))
+    names = set()
+    for v in vertices:
+        _require(v not in names, where, f"duplicate vertex {v!r}")
+        names.add(v)
+    edges = [
+        Edge(*_string_fields(entry, ("id", "src", "tgt"), where, f"edge #{i}"))
+        for i, entry in enumerate(_list_field(doc, "edges", where))
+    ]
+    bundles = [
+        _string_fields(entry, ("src", "tgt"), where, f"infinite bundle #{i}")
+        for i, entry in enumerate(_list_field(doc, "infinite_bundles", where))
+    ]
     g = DirectedGraph(
         vertices=frozenset(vertices),
         edges=tuple(edges),
@@ -534,6 +553,11 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE
+    try:
+        max_nodes_cap()  # a malformed FLOWCAT_MAX_NODES is a usage error
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE
     try:
         return args.fn(args)
     except CliError as exc:

@@ -126,18 +126,12 @@ def make_diagram(cat, g, obj, mor=None):
     return Diagram(g, frozendict(obj), frozendict(mor))
 
 
-def incoming_family(g, v):
-    """Incoming edges in canonical (edge-id sorted) order; used everywhere a
-    coproduct over t^{-1}(v) is formed, so nested coproducts line up."""
-    return g.incoming(v)
-
-
 def cotuple_at(cat, diagram, v):
     """The canonical coproduct over incoming sources at `v` and the cotuple of
     the incoming morphisms into `obj[v]`.  Returns (coproduct, cotuple); the
     coproduct may be None when the instance cannot form it."""
     g = diagram.graph
-    edges = incoming_family(g, v)
+    edges = g.incoming(v)
     family = [diagram.obj[e.src] for e in edges]
     cop = cat.coproduct(family)
     if cop is None:
@@ -249,7 +243,7 @@ def _assemble(cat, g, dims, iso_by_vertex):
     """Edge morphisms from the normal form: mor[e] = iso_at_target . injection."""
     mor = {}
     for v, iso in iso_by_vertex.items():
-        edges = incoming_family(g, v)
+        edges = g.incoming(v)
         cop = cat.coproduct([dims[e.src] for e in edges])
         if cop is None:
             raise DiagramError(

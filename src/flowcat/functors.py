@@ -35,7 +35,6 @@ from .diagrams import (
     enumerate_diagram_morphisms,
     enumerate_diagrams,
     identity_diagram_morphism,
-    incoming_family,
     make_diagram,
     random_diagram,
     solve_dimension_vectors,
@@ -124,7 +123,7 @@ class SinkRemovalPair(FunctorPair):
             )
         super().__init__(g, moves.remove_sink(g, w))
         self.w = w
-        self.attach = incoming_family(g, w)  # edges into w, canonical order
+        self.attach = g.incoming(w)  # edges into w, canonical order
 
     def forward(self, cat, d):
         obj = {v: d.obj[v] for v in self.target.vertices}
@@ -257,7 +256,7 @@ class InDelayPair(FunctorPair):
         self.vertex_delay = moves.in_delay_vertex_delays(g, spec)
 
     def _incoming_at_least(self, v, n):
-        return [e for e in incoming_family(self.source, v) if self.spec.d_edges[e.id] >= n]
+        return [e for e in self.source.incoming(v) if self.spec.d_edges[e.id] >= n]
 
     def _level_coproduct(self, cat, d, v, n):
         fam = self._incoming_at_least(v, n)
@@ -329,7 +328,7 @@ class InDelayPair(FunctorPair):
         components = {}
         for v in self.source.sorted_vertices():
             descents = {}
-            for edge in incoming_family(self.source, v):
+            for edge in self.source.incoming(v):
                 m = e.mor[edge.id]
                 delay = self.spec.d_edges[edge.id]
                 descents[(edge.id, delay)] = m
@@ -383,7 +382,7 @@ class OutSplitPair(FunctorPair):
     def _transfer(self, cat, e, v, n):
         """The canonical iso E_{(v,0)} -> E_{(v,n)} comparing the two cotuples
         over the incoming family of v."""
-        fam = incoming_family(self.source, v)
+        fam = self.source.incoming(v)
         if not fam or n == 0:
             return cat.identity(e.obj[indexed_vertex(v, n)])
         pe = self.spec.p_edges
@@ -436,18 +435,15 @@ class InSplitPair(FunctorPair):
 
     def _class_of(self, v, n):
         return [
-            e for e in incoming_family(self.source, v) if self.spec.p_edges[e.id] == n
+            e for e in self.source.incoming(v) if self.spec.p_edges[e.id] == n
         ]
-
-    def _is_source(self, v):
-        return classify_vertex(self.source, v).is_source
 
     def forward(self, cat, d):
         pv, pe = self.spec.p_vertices, self.spec.p_edges
         obj = {}
         cops = {}
         for v in self.source.sorted_vertices():
-            if self._is_source(v):
+            if classify_vertex(self.source, v).is_source:
                 obj[indexed_vertex(v, 0)] = d.obj[v]
                 continue
             for n in range(pv[v] + 1):
@@ -460,7 +456,7 @@ class InSplitPair(FunctorPair):
             cod_fam, cod_cop = cops[(edge.tgt, pe[edge.id])]
             index = {e.id: i for i, e in enumerate(cod_fam)}
             inj = cod_cop.injections[index[edge.id]]
-            if self._is_source(edge.src):
+            if classify_vertex(self.source, edge.src).is_source:
                 mor[indexed_edge(edge.id, 0)] = inj
                 continue
             for m in range(pv[edge.src] + 1):
@@ -472,7 +468,7 @@ class InSplitPair(FunctorPair):
     def forward_components(self, cat, src_image, components):
         out = {}
         for v in self.source.sorted_vertices():
-            if self._is_source(v):
+            if classify_vertex(self.source, v).is_source:
                 out[indexed_vertex(v, 0)] = components[v]
                 continue
             for n in range(self.spec.p_vertices[v] + 1):
@@ -531,7 +527,7 @@ class InSplitPair(FunctorPair):
         image = self.backward(cat, self.forward(cat, d))
         components = {}
         for v in self.source.sorted_vertices():
-            if self._is_source(v):
+            if classify_vertex(self.source, v).is_source:
                 components[v] = cat.identity(d.obj[v])
                 continue
             flat = [
@@ -548,7 +544,7 @@ class InSplitPair(FunctorPair):
         image = self.forward(cat, self.backward(cat, e))
         components = {}
         for v in self.source.sorted_vertices():
-            if self._is_source(v):
+            if classify_vertex(self.source, v).is_source:
                 components[indexed_vertex(v, 0)] = cat.identity(
                     e.obj[indexed_vertex(v, 0)]
                 )

@@ -7,11 +7,24 @@ that is the target of a bundle is an *infinite receiver*.
 
 Graphs are immutable values.  All operations are pure functions; derived
 structures use canonical names so outputs are reproducible byte for byte.
+
+Every per-vertex query (`incoming`, `outgoing`, `incoming_bundles`,
+`classify_vertex`, and through them `sources`, `sinks`, `infinite_receivers`)
+reads one adjacency index: edges in and out of each vertex sorted by id, and
+bundles in and out sorted.  It is built in one pass over the edges on the
+first query and cached on the instance (a graph never changes, so the index
+never goes stale).  Caching it on the graph rather than building it per call
+makes each query O(1) and a whole-graph pass O(V + E) at every call site,
+without an index argument threaded through moves, diagrams and functors.  It
+is a cached property, not a dataclass field, so equality, hashing and repr
+see only (vertices, edges, infinite_bundles).  The index is the only code
+that knows the canonical incoming order (edge id) and what makes a source.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 from .intmat import IntMatrix
@@ -27,6 +40,16 @@ class Edge(NamedTuple):
     tgt: str
 
 
+class _Adjacency(NamedTuple):
+    """Four dicts from a vertex to a nonempty tuple (a vertex with none is
+    absent): edges sorted by id, bundles sorted."""
+
+    edges_in: dict
+    edges_out: dict
+    bundles_in: dict
+    bundles_out: dict
+
+
 @dataclass(frozen=True)
 class DirectedGraph:
     vertices: frozenset
@@ -38,18 +61,29 @@ class DirectedGraph:
     def sorted_vertices(self):
         return sorted(self.vertices)
 
+    @cached_property
+    def _adjacency(self):
+        maps = edges_in, edges_out, bundles_in, bundles_out = {}, {}, {}, {}
+        for e in sorted(self.edges, key=lambda e: e.id):
+            edges_in.setdefault(e.tgt, []).append(e)
+            edges_out.setdefault(e.src, []).append(e)
+        for b in sorted(self.infinite_bundles):
+            bundles_in.setdefault(b[1], []).append(b)
+            bundles_out.setdefault(b[0], []).append(b)
+        return _Adjacency(*({v: tuple(xs) for v, xs in m.items()} for m in maps))
+
     def incoming(self, v):
         """Edges with target v, sorted by id (canonical order for coproducts)."""
         self._require_vertex(v)
-        return tuple(sorted((e for e in self.edges if e.tgt == v), key=lambda e: e.id))
+        return self._adjacency.edges_in.get(v, ())
 
     def outgoing(self, v):
         self._require_vertex(v)
-        return tuple(sorted((e for e in self.edges if e.src == v), key=lambda e: e.id))
+        return self._adjacency.edges_out.get(v, ())
 
     def incoming_bundles(self, v):
         self._require_vertex(v)
-        return tuple(sorted(b for b in self.infinite_bundles if b[1] == v))
+        return self._adjacency.bundles_in.get(v, ())
 
     def edge_set(self):
         """Edges as a set of (id, src, tgt) triples (order-insensitive view)."""
@@ -129,15 +163,11 @@ def classify_vertex(g, v):
     """Source = no incoming edges or bundles; sink = no outgoing; receiver of a
     bundle is an infinite receiver (hence never a source)."""
     g._require_vertex(v)
-    has_in = any(e.tgt == v for e in g.edges) or any(
-        b[1] == v for b in g.infinite_bundles
-    )
-    has_out = any(e.src == v for e in g.edges) or any(
-        b[0] == v for b in g.infinite_bundles
-    )
-    infinite = any(b[1] == v for b in g.infinite_bundles)
+    adj = g._adjacency
     return VertexClass(
-        is_source=not has_in, is_sink=not has_out, is_infinite_receiver=infinite
+        is_source=v not in adj.edges_in and v not in adj.bundles_in,
+        is_sink=v not in adj.edges_out and v not in adj.bundles_out,
+        is_infinite_receiver=v in adj.bundles_in,
     )
 
 
@@ -158,28 +188,28 @@ def infinite_receivers(g):
 # -- reachability ------------------------------------------------------------
 
 
+def _successors(g, v):
+    adj = g._adjacency
+    return {e.tgt for e in adj.edges_out.get(v, ())} | {
+        b for _, b in adj.bundles_out.get(v, ())
+    }
+
+
 def successor_map(g):
     """v -> sorted list of targets reachable by one edge or bundle from v."""
-    succ = {v: set() for v in g.vertices}
-    for e in g.edges:
-        succ[e.src].add(e.tgt)
-    for a, b in g.infinite_bundles:
-        succ[a].add(b)
-    return {v: sorted(ts) for v, ts in succ.items()}
+    return {v: sorted(_successors(g, v)) for v in g.vertices}
 
 
 def reachable_from(g, v):
     """Vertices reachable from v by a nonempty directed path (bundles count)."""
     g._require_vertex(v)
-    succ = successor_map(g)
     seen = set()
-    frontier = list(succ[v])
+    frontier = [v]
     while frontier:
-        w = frontier.pop()
-        if w in seen:
-            continue
-        seen.add(w)
-        frontier.extend(succ[w])
+        for w in _successors(g, frontier.pop()):
+            if w not in seen:
+                seen.add(w)
+                frontier.append(w)
     return frozenset(seen)
 
 
@@ -189,7 +219,10 @@ def path_exists(g, v, w):
 
 
 def is_acyclic(g):
-    return all(v not in reachable_from(g, v) for v in g.vertices)
+    """No self-loop and every strongly connected component a single vertex."""
+    return all(v not in _successors(g, v) for v in g.vertices) and len(
+        strongly_connected_components(g)
+    ) == len(g.vertices)
 
 
 # -- strongly connected structure -------------------------------------------
@@ -266,23 +299,14 @@ def condensation(g):
     bundle of g runs from X into Y.
     """
     comps = strongly_connected_components(g)
-    comp_of = {}
-    for comp in comps:
-        for v in comp:
-            comp_of[v] = comp
+    names = [component_name(c) for c in comps]
+    index = {v: i for i, comp in enumerate(comps) for v in comp}
     arrows = set()
-    for e in g.edges:
-        a, b = comp_of[e.src], comp_of[e.tgt]
-        if a != b:
-            arrows.add((component_name(a), component_name(b)))
-    for src, tgt in g.infinite_bundles:
-        a, b = comp_of[src], comp_of[tgt]
-        if a != b:
-            arrows.add((component_name(a), component_name(b)))
-    quotient = graph(
-        [component_name(c) for c in comps],
-        [(f"{a}->{b}", a, b) for a, b in sorted(arrows)],
-    )
+    for src, tgt in [*((e.src, e.tgt) for e in g.edges), *g.infinite_bundles]:
+        i, j = index[src], index[tgt]
+        if i != j:
+            arrows.add((names[i], names[j]))
+    quotient = graph(names, [(f"{a}->{b}", a, b) for a, b in sorted(arrows)])
     return Condensation(components=comps, quotient=quotient)
 
 

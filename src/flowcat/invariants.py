@@ -17,20 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import adjacency_matrix, is_irreducible, is_nontrivial
-from .intmat import (  # re-exported: public matrix API lives here
-    IntMatrix,
-    SmithDecomposition,
-    apply_operations,
-    determinant,
-    smith_normal_form,
-)
+from .intmat import IntMatrix, determinant, smith_normal_form
 
 __all__ = [
-    "IntMatrix",
-    "SmithDecomposition",
-    "apply_operations",
-    "determinant",
-    "smith_normal_form",
     "parry_sullivan",
     "BowenFranksGroup",
     "bowen_franks",

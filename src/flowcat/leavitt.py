@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .categories import MatCategory, mat_identity, mat_mul
-from .diagrams import check_coproduct_condition, cotuple_at, incoming_family
+from .diagrams import check_coproduct_condition, cotuple_at
 from .graphs import classify_vertex, infinite_receivers
 from .util import frozendict
 
@@ -95,7 +95,7 @@ def build_module_operators(cat, diagram):
         _, psi = cotuple_at(cat, diagram, v)
         phi = cat.inverse(psi)  # D_v -> coproduct of incoming sources
         row = 0
-        for e in incoming_family(g, v):
+        for e in g.incoming(v):
             dim_src = diagram.obj[e.src]
             component = phi.data[row : row + dim_src]
             row += dim_src
@@ -230,7 +230,7 @@ def check_leavitt_relations(ops):
         if classify_vertex(g, v).is_source:
             continue
         acc = zero
-        for e in incoming_family(g, v):
+        for e in g.incoming(v):
             acc = _add(
                 q, acc, _mul(q, ops.edge_maps[e.id], ops.edge_star_maps[e.id], total)
             )

@@ -10,7 +10,7 @@ reproducible exactly:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .graphs import (
     DirectedGraph,
@@ -40,8 +40,14 @@ def chain_edge(v, n):
     return "e_{" + f"{v},{n}" + "}"
 
 
-def _freeze(mapping):
-    return mapping if isinstance(mapping, frozendict) else frozendict(mapping)
+class _Spec:
+    """Base of the move-spec dataclasses: every field is a frozendict."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, frozendict):
+                object.__setattr__(self, f.name, frozendict(value))
 
 
 def _check_totality(problems, mapping, keys, what):
@@ -56,13 +62,25 @@ def _check_totality(problems, mapping, keys, what):
             problems.append(f"value for {what} {k!r} must be a nonnegative integer")
 
 
+def _check_levels(problems, g, name, on_vertices, on_edges, end):
+    """Each edge's value is at most the value of its `end` ("src" or "tgt")."""
+    for e in g.edges:
+        v = getattr(e, end)
+        if on_edges[e.id] > on_vertices[v]:
+            problems.append(
+                f"{name}({e.id})={on_edges[e.id]} exceeds {name}({v})={on_vertices[v]}"
+            )
+
+
 def _no_bundles(problems, g, move):
     if g.infinite_bundles:
         problems.append(f"{move} requires a graph without infinite bundles")
 
 
-def _finish(vertices, edges, move):
-    out = DirectedGraph(vertices=frozenset(vertices), edges=tuple(edges))
+def _finish(vertices, edges, move, bundles=frozenset()):
+    out = DirectedGraph(
+        vertices=frozenset(vertices), edges=tuple(edges), infinite_bundles=bundles
+    )
     problems = validate(out)
     if problems:
         raise MoveError(f"{move} produced an invalid graph: " + "; ".join(problems))
@@ -92,13 +110,9 @@ def remove_sink(g, w):
 
 
 @dataclass(frozen=True)
-class OutDelaySpec:
+class OutDelaySpec(_Spec):
     d_vertices: frozendict
     d_edges: frozendict
-
-    def __post_init__(self):
-        object.__setattr__(self, "d_vertices", _freeze(self.d_vertices))
-        object.__setattr__(self, "d_edges", _freeze(self.d_edges))
 
 
 def validate_out_delay(g, spec):
@@ -108,11 +122,7 @@ def validate_out_delay(g, spec):
     _check_totality(problems, spec.d_edges, (e.id for e in g.edges), "edge")
     if problems:
         return problems
-    for e in g.edges:
-        if spec.d_edges[e.id] > spec.d_vertices[e.src]:
-            problems.append(
-                f"d({e.id})={spec.d_edges[e.id]} exceeds d({e.src})={spec.d_vertices[e.src]}"
-            )
+    _check_levels(problems, g, "d", spec.d_vertices, spec.d_edges, "src")
     return problems
 
 
@@ -143,11 +153,8 @@ def out_delay(g, spec):
 
 
 @dataclass(frozen=True)
-class InDelaySpec:
+class InDelaySpec(_Spec):
     d_edges: frozendict
-
-    def __post_init__(self):
-        object.__setattr__(self, "d_edges", _freeze(self.d_edges))
 
 
 def in_delay_vertex_delays(g, spec):
@@ -195,13 +202,9 @@ def in_delay(g, spec):
 
 
 @dataclass(frozen=True)
-class OutSplitSpec:
+class OutSplitSpec(_Spec):
     p_vertices: frozendict
     p_edges: frozendict
-
-    def __post_init__(self):
-        object.__setattr__(self, "p_vertices", _freeze(self.p_vertices))
-        object.__setattr__(self, "p_edges", _freeze(self.p_edges))
 
 
 def validate_out_split(g, spec):
@@ -211,11 +214,7 @@ def validate_out_split(g, spec):
     _check_totality(problems, spec.p_edges, (e.id for e in g.edges), "edge")
     if problems:
         return problems
-    for e in g.edges:
-        if spec.p_edges[e.id] > spec.p_vertices[e.src]:
-            problems.append(
-                f"p({e.id})={spec.p_edges[e.id]} exceeds p({e.src})={spec.p_vertices[e.src]}"
-            )
+    _check_levels(problems, g, "p", spec.p_vertices, spec.p_edges, "src")
     for v in g.sorted_vertices():
         if classify_vertex(g, v).is_source and spec.p_vertices[v] != 0:
             problems.append(f"p({v})={spec.p_vertices[v]} but {v!r} is a source")
@@ -249,13 +248,9 @@ def out_split(g, spec):
 
 
 @dataclass(frozen=True)
-class InSplitSpec:
+class InSplitSpec(_Spec):
     p_vertices: frozendict
     p_edges: frozendict
-
-    def __post_init__(self):
-        object.__setattr__(self, "p_vertices", _freeze(self.p_vertices))
-        object.__setattr__(self, "p_edges", _freeze(self.p_edges))
 
 
 def validate_in_split(g, spec):
@@ -266,11 +261,7 @@ def validate_in_split(g, spec):
     _check_totality(problems, spec.p_edges, (e.id for e in g.edges), "edge")
     if problems:
         return problems
-    for e in g.edges:
-        if spec.p_edges[e.id] > spec.p_vertices[e.tgt]:
-            problems.append(
-                f"p({e.id})={spec.p_edges[e.id]} exceeds p({e.tgt})={spec.p_vertices[e.tgt]}"
-            )
+    _check_levels(problems, g, "p", spec.p_vertices, spec.p_edges, "tgt")
     for v in g.sorted_vertices():
         if classify_vertex(g, v).is_source:
             if spec.p_vertices[v] != 0:
@@ -328,55 +319,35 @@ class TruncatedMove:
         return not self.is_exact
 
 
-def add_heads_truncated(g, depth):
-    """Attach a depth-long incoming chain (v,depth) -> ... -> (v,1) -> v at
-    every source v.  Exact (and equal to g) when g has no sources."""
+def _attach_chains(g, depth, pick, move, inward):
+    """Attach a depth-long chain of new vertices (v,1)..(v,depth) at each
+    vertex v in pick(g), its edges pointing towards v when inward."""
     require_valid(g)
     if depth < 1:
         raise MoveError("depth must be >= 1")
-    srcs = sources(g)
-    if not srcs:
+    ends = pick(g)
+    if not ends:
         return TruncatedMove(graph=g, depth=depth, is_exact=True)
     vertices = list(g.vertices)
     edges = list(g.edges)
-    for v in srcs:
+    for v in ends:
         for n in range(1, depth + 1):
-            vertices.append(indexed_vertex(v, n))
-            tgt = v if n == 1 else indexed_vertex(v, n - 1)
-            edges.append(Edge(chain_edge(v, n), indexed_vertex(v, n), tgt))
-    out = DirectedGraph(
-        vertices=frozenset(vertices),
-        edges=tuple(edges),
-        infinite_bundles=g.infinite_bundles,
-    )
-    problems = validate(out)
-    if problems:
-        raise MoveError("add_heads produced an invalid graph: " + "; ".join(problems))
+            near = v if n == 1 else indexed_vertex(v, n - 1)
+            far = indexed_vertex(v, n)
+            vertices.append(far)
+            src, tgt = (far, near) if inward else (near, far)
+            edges.append(Edge(chain_edge(v, n), src, tgt))
+    out = _finish(vertices, edges, move, g.infinite_bundles)
     return TruncatedMove(graph=out, depth=depth, is_exact=False)
+
+
+def add_heads_truncated(g, depth):
+    """Attach a depth-long incoming chain (v,depth) -> ... -> (v,1) -> v at
+    every source v.  Exact (and equal to g) when g has no sources."""
+    return _attach_chains(g, depth, sources, "add_heads", inward=True)
 
 
 def add_tails_truncated(g, depth):
     """Attach a depth-long outgoing chain w -> (w,1) -> ... -> (w,depth) at
     every sink w.  Exact (and equal to g) when g has no sinks."""
-    require_valid(g)
-    if depth < 1:
-        raise MoveError("depth must be >= 1")
-    snks = sinks(g)
-    if not snks:
-        return TruncatedMove(graph=g, depth=depth, is_exact=True)
-    vertices = list(g.vertices)
-    edges = list(g.edges)
-    for w in snks:
-        for n in range(1, depth + 1):
-            vertices.append(indexed_vertex(w, n))
-            src = w if n == 1 else indexed_vertex(w, n - 1)
-            edges.append(Edge(chain_edge(w, n), src, indexed_vertex(w, n)))
-    out = DirectedGraph(
-        vertices=frozenset(vertices),
-        edges=tuple(edges),
-        infinite_bundles=g.infinite_bundles,
-    )
-    problems = validate(out)
-    if problems:
-        raise MoveError("add_tails produced an invalid graph: " + "; ".join(problems))
-    return TruncatedMove(graph=out, depth=depth, is_exact=False)
+    return _attach_chains(g, depth, sinks, "add_tails", inward=False)

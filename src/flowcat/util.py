@@ -58,11 +58,7 @@ class frozendict(Mapping):
     __slots__ = ("_items", "_hash")
 
     def __init__(self, data=()):
-        if isinstance(data, Mapping):
-            items = dict(data)
-        else:
-            items = dict(data)
-        object.__setattr__(self, "_items", items)
+        object.__setattr__(self, "_items", dict(data))
         object.__setattr__(self, "_hash", None)
 
     def __getitem__(self, key):

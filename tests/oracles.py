@@ -44,6 +44,23 @@ def closure_reachability(vertices, arrows):
     return reach
 
 
+def scan_vertex(edges, bundles, v):
+    """What a graph says about vertex v, found by scanning every edge and
+    bundle: edges in and out sorted by id, bundles in and out sorted, and
+    the (source, sink, infinite receiver) flags.  `edges` holds
+    (id, src, tgt) triples and `bundles` (src, tgt) pairs."""
+    edges_in = tuple(sorted((e for e in edges if e[2] == v), key=lambda e: e[0]))
+    edges_out = tuple(sorted((e for e in edges if e[1] == v), key=lambda e: e[0]))
+    bundles_in = tuple(sorted(b for b in bundles if b[1] == v))
+    bundles_out = tuple(sorted(b for b in bundles if b[0] == v))
+    flags = (
+        not edges_in and not bundles_in,
+        not edges_out and not bundles_out,
+        bool(bundles_in),
+    )
+    return edges_in, edges_out, bundles_in, bundles_out, flags
+
+
 def brute_force_cohereditary_irreducible(vertices, arrows):
     """All nonempty subsets X that are irreducible (every ordered pair of
     distinct members joined by a path in the whole graph) and cohereditary

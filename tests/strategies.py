@@ -5,7 +5,7 @@ from __future__ import annotations
 import hypothesis.strategies as st
 
 from flowcat.graphs import DirectedGraph, Edge
-from flowcat.invariants import IntMatrix
+from flowcat.intmat import IntMatrix
 
 
 @st.composite

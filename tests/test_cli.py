@@ -2,6 +2,9 @@
 output, DOT rendering."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -67,6 +70,72 @@ def test_missing_file_is_usage_error(capsys):
 def test_unknown_subcommand_is_usage_error(capsys):
     assert cli.main(["frobnicate"]) == 2
     capsys.readouterr()
+
+
+# -- the input boundary: malformed input exits 2 with one error line ---------------
+
+MALFORMED_GRAPHS = {
+    "mixed-edge-ids": {
+        "vertices": ["a", "b"],
+        "edges": [
+            {"id": 1, "src": "a", "tgt": "b"},
+            {"id": "x", "src": "b", "tgt": "a"},
+        ],
+    },
+    "list-source": {
+        "vertices": ["a", "b"],
+        "edges": [{"id": "e", "src": ["a"], "tgt": "b"}],
+    },
+    "duplicate-vertex": {"vertices": ["a", "a"]},
+    "edges-not-a-list": {"vertices": ["a"], "edges": {"id": "e", "src": "a", "tgt": "a"}},
+    "bundles-not-a-list": {"vertices": ["a"], "infinite_bundles": "a"},
+    "integer-bundle-endpoint": {
+        "vertices": ["a"],
+        "infinite_bundles": [{"src": "a", "tgt": 0}],
+    },
+}
+
+SUBCOMMANDS = {
+    "validate": [],
+    "render": [],
+    "invariants": [],
+    "diagrams": ["--category", "poset:chain2"],
+}
+
+
+def assert_usage_error(code, out, err):
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+@pytest.mark.parametrize("case", sorted(MALFORMED_GRAPHS))
+def test_malformed_graph_is_usage_error(tmp_path, capsys, case, command):
+    path = write_json(tmp_path / "g.json", MALFORMED_GRAPHS[case])
+    assert_usage_error(*run(capsys, [command, path, *SUBCOMMANDS[command]]))
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-5", ""])
+def test_malformed_node_cap_is_usage_error(tmp_path, capsys, monkeypatch, raw):
+    path = write_graph(tmp_path / "g.json", zoo.vw_graph())
+    monkeypatch.setenv("FLOWCAT_MAX_NODES", raw)
+    code, out, err = run(capsys, ["validate", path])
+    assert_usage_error(code, out, err)
+    assert "FLOWCAT_MAX_NODES" in err
+
+
+def test_malformed_input_gives_no_traceback_in_a_subprocess(tmp_path):
+    path = write_json(tmp_path / "g.json", MALFORMED_GRAPHS["mixed-edge-ids"])
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    for command, cap in (("render", "1000"), ("validate", "abc")):
+        env = dict(os.environ, PYTHONPATH=src, FLOWCAT_MAX_NODES=cap)
+        proc = subprocess.run(
+            [sys.executable, "-m", "flowcat.cli", command, path],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert_usage_error(proc.returncode, proc.stdout, proc.stderr)
 
 
 # -- invariants and franks ---------------------------------------------------------

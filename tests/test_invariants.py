@@ -5,14 +5,12 @@ from hypothesis import given, settings
 
 from flowcat import zoo
 from flowcat.graphs import GraphError, graph
+from flowcat.intmat import IntMatrix, determinant, smith_normal_form
 from flowcat.invariants import (
     BowenFranksGroup,
-    IntMatrix,
     bowen_franks,
-    determinant,
     franks_equivalent,
     parry_sullivan,
-    smith_normal_form,
 )
 from flowcat.moves import out_split
 from flowcat.sampling import random_irreducible_graph, random_move_spec
@@ -127,7 +125,7 @@ def test_invariants_independent_of_vertex_ordering():
     for _ in range(10):
         rng.shuffle(order)
         from flowcat.graphs import adjacency_matrix
-        from flowcat.invariants import determinant as det
+        from flowcat.intmat import determinant as det
 
         a = adjacency_matrix(g, order)
         assert det(IntMatrix.identity(a.rows) - a) == base_ps
