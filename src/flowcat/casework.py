@@ -47,15 +47,19 @@ class CaseworkError(ValueError):
 
 @dataclass(frozen=True)
 class CaseReport:
+    """`outcome` is one of confirmed, counterexample, inconclusive, open or
+    mismatch; `verdict` is the same finding as text for the reader."""
+
     case: str
     computed: dict
     expected: dict
+    outcome: str
     verdict: str
     details: tuple = field(default_factory=tuple)
 
     @property
     def ok(self):
-        return self.verdict.startswith(("confirmed", "counterexample confirmed"))
+        return self.outcome in ("confirmed", "counterexample")
 
     def to_dict(self):
         return {
@@ -110,15 +114,18 @@ def verify_acyclic_corollary(cat, g, max_nodes=None):
         f"sources: {sorted(src)}; cohereditary irreducible subsets: m = {m}"
     )
     if count == expected:
-        verdict = "confirmed"
+        outcome, verdict = "confirmed", "confirmed"
     elif not cat.is_thin and count < expected:
+        outcome = "inconclusive"
         verdict = "inconclusive — the size bound truncates the count"
     else:
+        outcome = "mismatch"
         verdict = f"mismatch: counted {count}, expected {expected}"
     return CaseReport(
         case="acyclic-count",
         computed={"diagram_count": count, "sources": len(src)},
         expected={"diagram_count": expected},
+        outcome=outcome,
         verdict=verdict,
         details=tuple(details),
     )
@@ -192,6 +199,7 @@ def verify_poset_corollary(cat, g, max_nodes=None, monotone_pair_cap=250_000):
             case="thin-count",
             computed={"diagram_count": count, "m": m},
             expected={"diagram_count": expected},
+            outcome="inconclusive",
             verdict=(
                 "inconclusive — outside the counting hypothesis: "
                 + obstructions[0]
@@ -232,8 +240,9 @@ def verify_poset_corollary(cat, g, max_nodes=None, monotone_pair_cap=250_000):
                 f"restriction to representatives is an order isomorphism "
                 f"(checked {pairs_checked} ordered pairs both ways)"
             )
+    outcome = "mismatch"
     if count == expected and bijective and monotone_ok:
-        verdict = "confirmed"
+        outcome, verdict = "confirmed", "confirmed"
     elif count != expected:
         verdict = f"mismatch: counted {count}, expected {expected}"
     elif not bijective:
@@ -244,6 +253,7 @@ def verify_poset_corollary(cat, g, max_nodes=None, monotone_pair_cap=250_000):
         case="thin-count",
         computed={"diagram_count": count, "m": m},
         expected={"diagram_count": expected},
+        outcome=outcome,
         verdict=verdict,
         details=tuple(details),
     )
@@ -280,22 +290,27 @@ def desingularisation_counterexample(cat, max_nodes=None):
         "categories separate",
     ]
     if plus_count != p * p:
+        outcome = "mismatch"
         verdict = f"mismatch: counted {plus_count}, expected {p * p}"
     elif p == 1:
+        outcome = "inconclusive"
         verdict = (
             "inconclusive — a one-element order cannot separate the two categories"
         )
     elif plus_count != arrow_count:
+        outcome = "counterexample"
         verdict = (
             "counterexample confirmed: categories not equivalent "
             f"({plus_count} objects against {arrow_count})"
         )
     else:
+        outcome = "inconclusive"
         verdict = "inconclusive — the counts agree for this order"
     return CaseReport(
         case="desingularisation",
         computed=computed,
         expected=expected,
+        outcome=outcome,
         verdict=verdict,
         details=tuple(details),
     )
@@ -333,13 +348,15 @@ def cuntz_splice_report(cat=None, max_nodes=None):
         "hence whether their diagram categories are equivalent, is not settled "
         "by these invariants",
     ]
-    verdict = "open question — not decided by this tool"
+    outcome, verdict = "open", "open question — not decided by this tool"
     if list(ps) != expected["parry_sullivan"] or list(bf) != expected["bowen_franks"]:
+        outcome = "mismatch"
         verdict = f"mismatch: invariants changed: PS {ps}, BF {bf}"
     return CaseReport(
         case="cuntz-splice",
         computed=computed,
         expected=expected,
+        outcome=outcome,
         verdict=verdict,
         details=tuple(details),
     )

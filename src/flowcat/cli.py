@@ -79,6 +79,10 @@ def _require(cond, where, message):
         raise CliError(f"{where}: {message}")
 
 
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _list_field(doc, key, where):
     value = doc.get(key, [])
     _require(isinstance(value, list), where, f'"{key}" must be a list')
@@ -252,23 +256,31 @@ def _load_poset_file(path):
     doc = _load_json(path)
     _require(isinstance(doc, dict), path, "poset file must be a JSON object")
     elements = doc.get("elements")
-    _require(isinstance(elements, list), path, '"elements" must be a list')
+    _require(
+        isinstance(elements, list) and all(isinstance(x, str) for x in elements),
+        path,
+        '"elements" must be a list of strings',
+    )
     le = doc.get("le", [])
     _require(
         isinstance(le, list)
-        and all(isinstance(p, list) and len(p) == 2 for p in le),
+        and all(
+            isinstance(p, list) and len(p) == 2 and all(isinstance(x, str) for x in p)
+            for p in le
+        ),
         path,
-        '"le" must be a list of [lower, upper] pairs',
+        '"le" must be a list of [lower, upper] pairs of strings',
     )
     name = doc.get("name", path)
+    _require(isinstance(name, str), path, '"name" must be a string')
     return PosetCategory(elements, [tuple(p) for p in le], name=name)
 
 
 def load_category(spec):
     try:
         return parse_category_spec(spec, poset_loader=_load_poset_file)
-    except CategoryError as exc:
-        raise CliError(f"bad category spec {spec!r}: {exc}") from exc
+    except CategoryError as exc:  # already names the spec
+        raise CliError(str(exc)) from exc
 
 
 def render_dot(g):
@@ -376,7 +388,7 @@ def cmd_verify(args):
     cat = load_category(args.category)
     try:
         pair = make_pair(move, g, payload)
-    except FunctorPairError as exc:
+    except (FunctorPairError, MoveError, GraphError) as exc:
         raise CliError(str(exc)) from exc
     report = verify_equivalence(cat, pair, samples=args.samples, seed=args.seed)
     _emit(report.to_dict())
@@ -391,7 +403,7 @@ def cmd_lpa_check(args):
     dims = doc.get("dims")
     _require(
         isinstance(dims, dict)
-        and all(isinstance(n, int) and n >= 0 for n in dims.values()),
+        and all(_is_int(n) and n >= 0 for n in dims.values()),
         where,
         '"dims" must map vertices to nonnegative integers',
     )
@@ -410,15 +422,16 @@ def cmd_lpa_check(args):
     mor = {}
     for e in sorted(g.edges, key=lambda e: e.id):
         _require(e.id in maps, where, f'"maps" is missing edge {e.id!r}')
-        rows = maps[e.id]
+        rows, n_rows, n_cols = maps[e.id], dims[e.tgt], dims[e.src]
         _require(
             isinstance(rows, list)
+            and len(rows) == n_rows
             and all(
-                isinstance(r, list) and all(isinstance(x, int) for x in r)
+                isinstance(r, list) and len(r) == n_cols and all(map(_is_int, r))
                 for r in rows
             ),
             where,
-            f"matrix for edge {e.id!r} must be a list of integer rows",
+            f"matrix for edge {e.id!r} must be {n_rows} integer rows of length {n_cols}",
         )
         data = tuple(tuple(x % q for x in r) for r in rows)
         mor[e.id] = Morphism(dims[e.src], dims[e.tgt], data)
@@ -471,8 +484,7 @@ def cmd_report(args):
         _emit(report.to_dict())
     else:
         print(report.render())
-    acceptable = report.ok or report.verdict.startswith(("open question", "inconclusive"))
-    return OK if acceptable else CHECK_FAILED
+    return CHECK_FAILED if report.outcome == "mismatch" else OK
 
 
 def cmd_render(args):

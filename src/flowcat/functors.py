@@ -14,6 +14,12 @@ the forward functor is bijective on hom-sets.
 Coproducts over incoming edges are always formed in edge-id-sorted order, and
 nested coproducts are flattened in the same order, so that object equalities
 between composite functor images hold on the nose in the three instances.
+
+Each functor sends the object at a vertex u of its target shape to the
+coproduct of the objects at a family F(u) of vertices of its source shape (a
+one-vertex family makes a copy).  Such a functor acts on a morphism by the
+coproduct of its components over the same family, so each pair only lists its
+two family tables and `FunctorPair` derives both morphism actions from them.
 """
 
 from __future__ import annotations
@@ -55,34 +61,61 @@ def _cop(cat, family, where):
     return cop
 
 
+def _cop_map(cat, maps, where):
+    """The coproduct of a family of maps f_i : X_i -> Y_i: the cotuple of
+    inj_i . f_i from the coproduct of the X_i to the coproduct of the Y_i.
+    A one-map family gives the map itself, as the generic formula does."""
+    if len(maps) == 1:
+        return maps[0]
+    dom = _cop(cat, (f.dom for f in maps), where)
+    cod = _cop(cat, (f.cod for f in maps), where)
+    legs = [cat.compose(inj, f) for f, inj in zip(maps, cod.injections)]
+    return cat.cotuple(dom, legs)
+
+
 def _mk(cat, g, obj, mor):
     return make_diagram(cat, g, obj, None if cat.is_thin else mor)
 
 
+def _copies(g, levels):
+    """Family table sending each copy (v, n), n <= levels[v], to (v,)."""
+    return {
+        indexed_vertex(v, n): (v,)
+        for v in g.sorted_vertices()
+        for n in range(levels[v] + 1)
+    }
+
+
+def _level_zero(g):
+    """Family table sending each vertex v to ((v, 0),)."""
+    return {v: (indexed_vertex(v, 0),) for v in g.sorted_vertices()}
+
+
 class FunctorPair(ABC):
-    """An executable adjoint equivalence between Dgm(source) and Dgm(target)."""
+    """An executable adjoint equivalence between Dgm(source) and Dgm(target).
+
+    `forward_families[u]` lists the source vertices whose objects' coproduct
+    is the forward image at the target vertex u; `backward_families` does the
+    same the other way.  The component of `forward_map(m)` at u is then the
+    coproduct of the components of m over that family: the one map between
+    the two coproducts that commutes with the injections.
+    """
 
     move = ""
 
-    def __init__(self, source, target):
+    def __init__(self, source, target, forward_families, backward_families):
         self.source = source
         self.target = target
+        self.forward_families = forward_families
+        self.backward_families = backward_families
 
     @abstractmethod
     def forward(self, cat, d):
         """Image in Dgm(target) of a diagram of shape `source`."""
 
     @abstractmethod
-    def forward_components(self, cat, src_image, components):
-        """Components of the forward image of a diagram morphism."""
-
-    @abstractmethod
     def backward(self, cat, e):
         """Image in Dgm(source) of a diagram of shape `target`."""
-
-    @abstractmethod
-    def backward_components(self, cat, src_image, components):
-        ...
 
     @abstractmethod
     def unit(self, cat, d):
@@ -93,15 +126,17 @@ class FunctorPair(ABC):
         """Natural isomorphism component  forward(backward(e)) -> e."""
 
     def forward_map(self, cat, m):
-        src = self.forward(cat, m.source)
-        dst = self.forward(cat, m.target)
-        components = self.forward_components(cat, m.source, m.components)
-        return DiagramMorphism(src, dst, frozendict(components))
+        return self._map(cat, m, self.forward, self.forward_families)
 
     def backward_map(self, cat, m):
-        src = self.backward(cat, m.source)
-        dst = self.backward(cat, m.target)
-        components = self.backward_components(cat, m.source, m.components)
+        return self._map(cat, m, self.backward, self.backward_families)
+
+    def _map(self, cat, m, apply, families):
+        src, dst = apply(cat, m.source), apply(cat, m.target)
+        components = {
+            u: _cop_map(cat, [m.components[x] for x in family], u)
+            for u, family in families.items()
+        }
         return DiagramMorphism(src, dst, frozendict(components))
 
 
@@ -121,44 +156,26 @@ class SinkRemovalPair(FunctorPair):
                 f"sink {w!r} receives an infinite bundle; the reattachment "
                 "coproduct would be infinite"
             )
-        super().__init__(g, moves.remove_sink(g, w))
+        target = moves.remove_sink(g, w)
+        attach = g.incoming(w)  # edges into w, canonical order
+        kept = {v: (v,) for v in target.sorted_vertices()}
+        super().__init__(g, target, kept, {**kept, w: tuple(f.src for f in attach)})
         self.w = w
-        self.attach = g.incoming(w)  # edges into w, canonical order
+        self.attach = attach
 
     def forward(self, cat, d):
         obj = {v: d.obj[v] for v in self.target.vertices}
         mor = {e.id: d.mor[e.id] for e in self.target.edges}
         return _mk(cat, self.target, obj, mor)
 
-    def forward_components(self, cat, src_image, components):
-        return {v: components[v] for v in self.target.vertices}
-
-    def _attach_coproduct(self, cat, e):
-        return _cop(cat, (e.obj[f.src] for f in self.attach), self.w)
-
     def backward(self, cat, e):
-        cop = self._attach_coproduct(cat, e)
+        cop = _cop(cat, (e.obj[f.src] for f in self.attach), self.w)
         obj = dict(e.obj)
         obj[self.w] = cop.apex
         mor = dict(e.mor)
         for f, inj in zip(self.attach, cop.injections):
             mor[f.id] = inj
         return _mk(cat, self.source, obj, mor)
-
-    def backward_components(self, cat, src_image, components):
-        cop_src = self._attach_coproduct(cat, src_image)
-        dst_cop = _cop(
-            cat,
-            (components[f.src].cod for f in self.attach),
-            self.w,
-        )
-        legs = [
-            cat.compose(inj, components[f.src])
-            for f, inj in zip(self.attach, dst_cop.injections)
-        ]
-        out = dict(components)
-        out[self.w] = cat.cotuple(cop_src, legs)
-        return out
 
     def unit(self, cat, d):
         image = self.backward(cat, self.forward(cat, d))
@@ -183,7 +200,8 @@ class OutDelayPair(FunctorPair):
     move = "out_delay"
 
     def __init__(self, g, spec):
-        super().__init__(g, moves.out_delay(g, spec))
+        target = moves.out_delay(g, spec)  # validates the spec first
+        super().__init__(g, target, _copies(g, spec.d_vertices), _level_zero(g))
         self.spec = spec
 
     def forward(self, cat, d):
@@ -199,13 +217,6 @@ class OutDelayPair(FunctorPair):
             mor[e.id] = d.mor[e.id]
         return _mk(cat, self.target, obj, mor)
 
-    def forward_components(self, cat, src_image, components):
-        out = {}
-        for v in self.source.sorted_vertices():
-            for n in range(self.spec.d_vertices[v] + 1):
-                out[indexed_vertex(v, n)] = components[v]
-        return out
-
     def backward(self, cat, e):
         obj = {v: e.obj[indexed_vertex(v, 0)] for v in self.source.vertices}
         mor = {}
@@ -215,9 +226,6 @@ class OutDelayPair(FunctorPair):
                 m = cat.compose(e.mor[chain_edge(edge.src, n)], m)
             mor[edge.id] = cat.compose(e.mor[edge.id], m)
         return _mk(cat, self.source, obj, mor)
-
-    def backward_components(self, cat, src_image, components):
-        return {v: components[indexed_vertex(v, 0)] for v in self.source.vertices}
 
     def unit(self, cat, d):
         image = self.backward(cat, self.forward(cat, d))
@@ -251,23 +259,29 @@ class InDelayPair(FunctorPair):
                 "in-delay equivalence requires a source-free graph; sources: "
                 f"{sorted(map(repr, sources(g)))}"
             )
-        super().__init__(g, moves.in_delay(g, spec))
+        target = moves.in_delay(g, spec)  # validates the spec first
+        vertex_delay = moves.in_delay_vertex_delays(g, spec)
+        levels = {
+            indexed_vertex(v, n): tuple(
+                e.src for e in g.incoming(v) if spec.d_edges[e.id] >= n
+            )
+            for v in g.sorted_vertices()
+            for n in range(vertex_delay[v] + 1)
+        }
+        super().__init__(g, target, levels, _level_zero(g))
         self.spec = spec
-        self.vertex_delay = moves.in_delay_vertex_delays(g, spec)
+        self.vertex_delay = vertex_delay
 
     def _incoming_at_least(self, v, n):
         return [e for e in self.source.incoming(v) if self.spec.d_edges[e.id] >= n]
-
-    def _level_coproduct(self, cat, d, v, n):
-        fam = self._incoming_at_least(v, n)
-        return fam, _cop(cat, (d.obj[e.src] for e in fam), indexed_vertex(v, n))
 
     def forward(self, cat, d):
         obj = {}
         cops = {}
         for v in self.source.sorted_vertices():
             for n in range(self.vertex_delay[v] + 1):
-                fam, cop = self._level_coproduct(cat, d, v, n)
+                fam = self._incoming_at_least(v, n)
+                cop = _cop(cat, (d.obj[e.src] for e in fam), indexed_vertex(v, n))
                 obj[indexed_vertex(v, n)] = cop.apex
                 cops[(v, n)] = (fam, cop)
         mor = {}
@@ -287,21 +301,6 @@ class InDelayPair(FunctorPair):
             mor[edge.id] = cat.cotuple(dom_cop, legs)
         return _mk(cat, self.target, obj, mor)
 
-    def forward_components(self, cat, src_image, components):
-        out = {}
-        for v in self.source.sorted_vertices():
-            for n in range(self.vertex_delay[v] + 1):
-                fam, cop = self._level_coproduct(cat, src_image, v, n)
-                dst_cop = _cop(
-                    cat, (components[e.src].cod for e in fam), indexed_vertex(v, n)
-                )
-                legs = [
-                    cat.compose(inj, components[e.src])
-                    for e, inj in zip(fam, dst_cop.injections)
-                ]
-                out[indexed_vertex(v, n)] = cat.cotuple(cop, legs)
-        return out
-
     def backward(self, cat, e):
         obj = {v: e.obj[indexed_vertex(v, 0)] for v in self.source.vertices}
         mor = {}
@@ -311,9 +310,6 @@ class InDelayPair(FunctorPair):
                 m = cat.compose(e.mor[chain_edge(edge.tgt, n)], m)
             mor[edge.id] = m
         return _mk(cat, self.source, obj, mor)
-
-    def backward_components(self, cat, src_image, components):
-        return {v: components[indexed_vertex(v, 0)] for v in self.source.vertices}
 
     def unit(self, cat, d):
         image = self.backward(cat, self.forward(cat, d))
@@ -357,7 +353,8 @@ class OutSplitPair(FunctorPair):
     move = "out_split"
 
     def __init__(self, g, spec):
-        super().__init__(g, moves.out_split(g, spec))
+        target = moves.out_split(g, spec)  # validates the spec first
+        super().__init__(g, target, _copies(g, spec.p_vertices), _level_zero(g))
         self.spec = spec
 
     def forward(self, cat, d):
@@ -371,13 +368,6 @@ class OutSplitPair(FunctorPair):
             for n in range(pv[edge.tgt] + 1):
                 mor[indexed_edge(edge.id, n)] = d.mor[edge.id]
         return _mk(cat, self.target, obj, mor)
-
-    def forward_components(self, cat, src_image, components):
-        out = {}
-        for v in self.source.sorted_vertices():
-            for n in range(self.spec.p_vertices[v] + 1):
-                out[indexed_vertex(v, n)] = components[v]
-        return out
 
     def _transfer(self, cat, e, v, n):
         """The canonical iso E_{(v,0)} -> E_{(v,n)} comparing the two cotuples
@@ -403,9 +393,6 @@ class OutSplitPair(FunctorPair):
             mor[edge.id] = cat.compose(e.mor[indexed_edge(edge.id, 0)], transfer)
         return _mk(cat, self.source, obj, mor)
 
-    def backward_components(self, cat, src_image, components):
-        return {v: components[indexed_vertex(v, 0)] for v in self.source.vertices}
-
     def unit(self, cat, d):
         image = self.backward(cat, self.forward(cat, d))
         components = {v: cat.identity(d.obj[v]) for v in self.source.vertices}
@@ -430,7 +417,19 @@ class InSplitPair(FunctorPair):
     move = "in_split"
 
     def __init__(self, g, spec):
-        super().__init__(g, moves.in_split(g, spec))
+        target = moves.in_split(g, spec)  # validates the spec first
+        classes, levels = {}, {}
+        for v in g.sorted_vertices():
+            vertex_levels = range(spec.p_vertices[v] + 1)
+            levels[v] = tuple(indexed_vertex(v, n) for n in vertex_levels)
+            if classify_vertex(g, v).is_source:
+                classes[indexed_vertex(v, 0)] = (v,)
+                continue
+            for n in vertex_levels:
+                classes[indexed_vertex(v, n)] = tuple(
+                    e.src for e in g.incoming(v) if spec.p_edges[e.id] == n
+                )
+        super().__init__(g, target, classes, levels)
         self.spec = spec
 
     def _class_of(self, v, n):
@@ -465,37 +464,12 @@ class InSplitPair(FunctorPair):
                 mor[indexed_edge(edge.id, m)] = cat.cotuple(dom_cop, legs)
         return _mk(cat, self.target, obj, mor)
 
-    def forward_components(self, cat, src_image, components):
-        out = {}
-        for v in self.source.sorted_vertices():
-            if classify_vertex(self.source, v).is_source:
-                out[indexed_vertex(v, 0)] = components[v]
-                continue
-            for n in range(self.spec.p_vertices[v] + 1):
-                fam = self._class_of(v, n)
-                cop = _cop(
-                    cat, (src_image.obj[e.src] for e in fam), indexed_vertex(v, n)
-                )
-                dst_cop = _cop(
-                    cat, (components[e.src].cod for e in fam), indexed_vertex(v, n)
-                )
-                legs = [
-                    cat.compose(inj, components[e.src])
-                    for e, inj in zip(fam, dst_cop.injections)
-                ]
-                out[indexed_vertex(v, n)] = cat.cotuple(cop, legs)
-        return out
-
-    def _vertex_coproduct(self, cat, e, v):
-        levels = range(self.spec.p_vertices[v] + 1)
-        return _cop(cat, (e.obj[indexed_vertex(v, n)] for n in levels), v)
-
     def backward(self, cat, e):
         pv, pe = self.spec.p_vertices, self.spec.p_edges
         obj = {}
         cops = {}
-        for v in self.source.sorted_vertices():
-            cop = self._vertex_coproduct(cat, e, v)
+        for v, levels in self.backward_families.items():
+            cop = _cop(cat, (e.obj[u] for u in levels), v)
             obj[v] = cop.apex
             cops[v] = cop
         mor = {}
@@ -507,21 +481,6 @@ class InSplitPair(FunctorPair):
             ]
             mor[edge.id] = cat.cotuple(cops[edge.src], legs)
         return _mk(cat, self.source, obj, mor)
-
-    def backward_components(self, cat, src_image, components):
-        out = {}
-        for v in self.source.sorted_vertices():
-            cop = self._vertex_coproduct(cat, src_image, v)
-            levels = range(self.spec.p_vertices[v] + 1)
-            dst_cop = _cop(
-                cat, (components[indexed_vertex(v, n)].cod for n in levels), v
-            )
-            legs = [
-                cat.compose(inj, components[indexed_vertex(v, n)])
-                for n, inj in zip(levels, dst_cop.injections)
-            ]
-            out[v] = cat.cotuple(cop, legs)
-        return out
 
     def unit(self, cat, d):
         image = self.backward(cat, self.forward(cat, d))

@@ -219,3 +219,21 @@ def test_reports_render_and_serialise():
         assert "verdict:" in text
         d = report.to_dict()
         assert set(d) == {"case", "computed", "expected", "verdict", "details"}
+
+
+@pytest.mark.parametrize(
+    "build,outcome",
+    [
+        (lambda: verify_acyclic_corollary(chain(2), zoo.acyclic2()), "confirmed"),
+        (lambda: verify_acyclic_corollary(FinSetSkeleton(1), zoo.chain_graph(3)), "confirmed"),
+        (lambda: verify_poset_corollary(PosetCategory("ab", []), zoo.acyclic2()), "inconclusive"),
+        (lambda: desingularisation_counterexample(chain(2)), "counterexample"),
+        (lambda: desingularisation_counterexample(chain(1)), "inconclusive"),
+        (cuntz_splice_report, "open"),
+    ],
+)
+def test_outcome_is_set_with_the_verdict(build, outcome):
+    report = build()
+    assert report.outcome == outcome
+    assert report.ok == (outcome in ("confirmed", "counterexample"))
+    assert "outcome" not in report.to_dict()

@@ -1,12 +1,18 @@
 """End-to-end tests of the command line: file formats, exit codes, canonical
 output, DOT rendering."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from unittest import mock
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import HealthCheck, example, given, settings
 
 from flowcat import cli, zoo
 from flowcat.graphs import graph
@@ -290,6 +296,33 @@ def test_bad_category_spec(tmp_path, capsys):
     assert "bad category spec" in err
 
 
+@pytest.mark.parametrize("spec", ["mat:x:2", "mat:4:2", "finset:-1", "poset:chain0", "bogus"])
+def test_bad_category_spec_is_named_once(tmp_path, capsys, spec):
+    gp = write_graph(tmp_path / "g.json", zoo.loop2())
+    code, out, err = run(capsys, ["diagrams", gp, "--category", spec])
+    assert_usage_error(code, out, err)
+    assert err.startswith(f"error: bad category spec {spec!r}")
+    assert err.count("bad category spec") == 1
+
+
+POSET_FILES = {
+    "nested-element": {"elements": ["a", ["b"]], "le": []},
+    "integer-element": {"elements": ["a", 1], "le": []},
+    "nested-le-entry": {"elements": ["a", "b"], "le": [["a", ["b"]]]},
+    "name-not-a-string": {"elements": ["a"], "name": ["p"]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(POSET_FILES))
+@pytest.mark.parametrize("command", ["diagrams", "report"])
+def test_malformed_poset_file_is_usage_error(tmp_path, capsys, case, command):
+    gp = write_graph(tmp_path / "g.json", zoo.acyclic2())
+    poset = write_json(tmp_path / "p.json", POSET_FILES[case])
+    argv = [command, gp] if command == "diagrams" else [command, "acyclic", gp]
+    code, out, err = run(capsys, [*argv, "--category", f"poset:{poset}"])
+    assert_usage_error(code, out, err)
+
+
 # -- verify ----------------------------------------------------------------------------
 
 
@@ -391,6 +424,25 @@ def test_lpa_check_rejects_missing_map(tmp_path, capsys):
     assert "missing edge" in err
 
 
+@pytest.mark.parametrize("matrix", [[[1, 2]], [[1], [0]], [[True]], [1]])
+def test_lpa_check_rejects_a_matrix_of_the_wrong_shape(tmp_path, capsys, matrix):
+    gp = write_graph(tmp_path / "g.json", graph("ab", [("e", "a", "b"), ("f", "b", "a")]))
+    dg = write_json(
+        tmp_path / "d.json", {"dims": {"a": 1, "b": 1}, "maps": {"e": matrix, "f": [[1]]}}
+    )
+    code, out, err = run(capsys, ["lpa-check", gp, "--field", "2", "--diagram", dg])
+    assert_usage_error(code, out, err)
+    assert "1 integer rows of length 1" in err
+
+
+def test_lpa_check_rejects_boolean_dims(tmp_path, capsys):
+    gp = write_graph(tmp_path / "g.json", zoo.loop1())
+    dg = write_json(tmp_path / "d.json", {"dims": {"u": True}, "maps": {"l": [[1]]}})
+    code, out, err = run(capsys, ["lpa-check", gp, "--field", "2", "--diagram", dg])
+    assert_usage_error(code, out, err)
+    assert '"dims"' in err
+
+
 # -- report -----------------------------------------------------------------------------
 
 
@@ -434,6 +486,16 @@ def test_report_poset_outside_hypothesis_is_inconclusive(tmp_path, capsys):
     assert code == 0
     assert doc["verdict"].startswith("inconclusive — outside the counting hypothesis")
     assert doc["computed"]["diagram_count"] == 2
+
+
+def test_report_exit_code_reads_the_outcome_not_the_text(capsys, monkeypatch):
+    from flowcat.casework import CaseReport
+
+    report = CaseReport("cuntz-splice", {}, {}, "mismatch", "open question — text only")
+    monkeypatch.setattr(cli, "cuntz_splice_report", lambda cat: report)
+    code, out, _ = run(capsys, ["report", "cuntz"])
+    assert code == 1
+    assert "verdict: open question — text only" in out
 
 
 def test_report_requires_graph_when_case_needs_one(capsys):
@@ -485,3 +547,172 @@ def test_output_is_deterministic(tmp_path, capsys):
     assert out1 == out2
     parsed = json.loads(out1)
     assert list(parsed) == sorted(parsed)
+
+
+# -- fuzzing the input boundary ------------------------------------------------------
+
+NAMES = ["a", "b", "c"]
+EDGE_IDS = ["e", "f", "g"]
+ELEMENTS = ["x", "y", "z"]
+
+junk = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 3) | st.sampled_from(["", "a", "x"]),
+    lambda inner: st.lists(inner, max_size=2)
+    | st.dictionaries(st.sampled_from(["a", "e", "id", "src"]), inner, max_size=2),
+    max_leaves=4,
+)
+
+
+def maybe(strategy):
+    """Mostly the well-formed value, sometimes any other JSON value."""
+    return st.one_of(strategy, strategy, junk)
+
+
+names = st.sampled_from(NAMES)
+edge_docs = st.fixed_dictionaries(
+    {"id": maybe(st.sampled_from(EDGE_IDS))},
+    optional={"src": maybe(names), "tgt": maybe(names)},
+)
+graph_docs = st.fixed_dictionaries(
+    {"vertices": maybe(st.lists(names, min_size=1, max_size=3, unique=True))},
+    optional={
+        "edges": maybe(st.lists(maybe(edge_docs), max_size=3)),
+        "infinite_bundles": maybe(st.lists(
+            maybe(st.fixed_dictionaries({"src": maybe(names), "tgt": maybe(names)})),
+            max_size=1,
+        )),
+    },
+)
+level_maps = maybe(st.dictionaries(
+    st.sampled_from(NAMES + EDGE_IDS + ["q"]), maybe(st.integers(-1, 2)), max_size=6
+))
+move_docs = st.fixed_dictionaries(
+    {"move": maybe(st.sampled_from([
+        "remove_sink", "out_delay", "in_delay", "out_split", "in_split",
+        "add_heads", "add_tails",
+    ]))},
+    optional={
+        "vertex": maybe(names),
+        "depth": maybe(st.integers(-1, 2)),
+        "d": level_maps,
+        "p": level_maps,
+    },
+)
+poset_docs = st.fixed_dictionaries(
+    {"elements": maybe(st.lists(maybe(st.sampled_from(ELEMENTS)), max_size=3))},
+    optional={
+        "le": maybe(st.lists(maybe(st.lists(
+            maybe(st.sampled_from(ELEMENTS)), min_size=2, max_size=2
+        )), max_size=3)),
+        "name": maybe(st.just("p")),
+    },
+)
+lpa_docs = st.fixed_dictionaries(
+    {"dims": maybe(st.dictionaries(names, maybe(st.integers(0, 2)), max_size=3))},
+    optional={"maps": maybe(st.dictionaries(
+        st.sampled_from(EDGE_IDS),
+        maybe(st.lists(maybe(st.lists(maybe(st.integers(0, 3)), max_size=2)), max_size=2)),
+        max_size=3,
+    ))},
+)
+categories = st.sampled_from([
+    "poset:chain2", "poset:{p}", "finset:2", "mat:2:1", "mat:3:2",
+    "mat:x:2", "mat:4:2", "finset:-1", "poset:chain0", "poset:", "bogus",
+])
+
+# subcommands whose exit 1 can report a failed check; the others have none
+CHECKING = {"validate", "verify", "lpa-check", "report"}
+
+
+@st.composite
+def cli_cases(draw):
+    """(argv, files): argv names each file by a {key} placeholder."""
+    files = {"g": draw(graph_docs)}
+    command = draw(st.sampled_from([
+        "validate", "render", "invariants", "franks", "move", "diagrams",
+        "verify", "lpa-check", "report",
+    ]))
+    category = draw(categories)
+    if "{p}" in category:
+        files["p"] = draw(poset_docs)
+    if command in ("validate", "render", "invariants"):
+        argv = [command, "{g}"]
+    elif command == "franks":
+        files["h"] = draw(graph_docs)
+        argv = [command, "{g}", "{h}"]
+    elif command in ("move", "verify"):
+        files["m"] = draw(move_docs)
+        argv = [command, "{g}", "{m}"]
+        if command == "verify":
+            argv += ["--category", category, "--samples", "2"]
+    elif command == "diagrams":
+        argv = [command, "{g}", "--category", category, "--list"]
+    elif command == "lpa-check":
+        files["d"] = draw(lpa_docs)
+        field = draw(st.sampled_from(["2", "3", "4", "0"]))
+        argv = [command, "{g}", "--field", field, "--diagram", "{d}"]
+    else:
+        case = draw(st.sampled_from(["acyclic", "poset", "desing", "cuntz"]))
+        argv = [command, case, "{g}", "--category", category, "--json"]
+    return argv, files
+
+
+ONE_VERTEX = {"vertices": ["a"]}
+TWO_CYCLE = {
+    "vertices": ["a", "b"],
+    "edges": [{"id": "e", "src": "a", "tgt": "b"}, {"id": "f", "src": "b", "tgt": "a"}],
+}
+
+
+def lpa_case(matrix):
+    """lpa-check on a 2-cycle with 1x1 dims and `matrix` on edge e."""
+    diagram = {"dims": {"a": 1, "b": 1}, "maps": {"e": matrix, "f": [[1]]}}
+    argv = ["lpa-check", "{g}", "--field", "2", "--diagram", "{d}"]
+    return argv, {"g": TWO_CYCLE, "d": diagram}
+
+
+def poset_case(*argv):
+    """A poset file with a list among its elements."""
+    poset = {"name": "p", "elements": ["a", ["b"]], "le": []}
+    return [*argv, "--category", "poset:{p}"], {"g": ONE_VERTEX, "p": poset}
+
+
+def verify_case(move):
+    """verify on one vertex with the move spec `move`."""
+    argv = ["verify", "{g}", "{m}", "--category", "poset:chain2"]
+    return argv, {"g": ONE_VERTEX, "m": move}
+
+
+@given(case=cli_cases())
+@example(case=lpa_case([[1, 2]]))
+@example(case=lpa_case([[1], [0]]))
+@example(case=poset_case("diagrams", "{g}"))
+@example(case=poset_case("report", "acyclic", "{g}"))
+@example(case=verify_case({"move": "out_split", "p": {}}))
+@example(case=verify_case({"move": "remove_sink", "vertex": "b"}))
+@example(case=verify_case({"move": "remove_sink", "vertex": "a"}))
+@settings(
+    max_examples=120,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+def test_cli_boundary_never_raises(case):
+    # exit 0-3 only, no exception out of main, nothing on stdout for a usage
+    # error, and exit 1 only from a subcommand that runs a check
+    argv, files = case
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for key, doc in files.items():
+            paths[key] = os.path.join(tmp, f"{key}.json")
+            with open(paths[key], "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+        argv = [a.format(**paths) for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.dict(os.environ, {"FLOWCAT_MAX_NODES": "400"}), \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    assert code in (0, 1, 2, 3), (argv, files, err.getvalue())
+    if code == 2:
+        assert out.getvalue() == "", (argv, files)
+    if code == 1:
+        assert argv[0] in CHECKING, (argv, files, out.getvalue())

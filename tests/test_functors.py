@@ -1,18 +1,24 @@
 """Functor pairs: frozen images, round trips, harness verdicts, controls."""
 
+import random
+
 import pytest
 
 from flowcat import moves, zoo
 from flowcat.categories import FinSetSkeleton, MatCategory, chain
 from flowcat.diagrams import (
+    DiagramError,
     canonical_diagram,
     check_coproduct_condition,
+    compose_diagram_morphisms,
+    enumerate_diagram_morphisms,
     enumerate_diagrams,
     make_diagram,
 )
 from flowcat.functors import (
     CorruptedPair,
     FunctorPairError,
+    _sample_pool,
     make_pair,
     standard_verification_suite,
     verify_equivalence,
@@ -259,3 +265,42 @@ def test_suite_covers_all_five_moves():
         "out_split",
         "in_split",
     }
+
+
+# -- naturality of unit and counit in the morphism -------------------------------------
+
+
+def _pooled_morphisms(cat, g, seed):
+    """Up to 3 morphisms between each ordered pair of 3 pooled diagrams."""
+    pool = _sample_pool(cat, g, random.Random(seed), 3, 20000)
+    for d1 in pool:
+        for d2 in pool:
+            yield from enumerate_diagram_morphisms(cat, d1, d2, 20000)[:3]
+
+
+@pytest.mark.parametrize("cat", [chain(3), FinSetSkeleton(3), MatCategory(2, 2)],
+                         ids=lambda c: c.name)
+def test_unit_and_counit_are_natural_in_the_morphism(cat):
+    # eta_{d2} . m == GF(m) . eta_{d1}  and  m . eps_{e1} == eps_{e2} . FG(m):
+    # this composes forward_map with backward_map, which no harness check does
+    squares = 0
+    for label, pair in standard_verification_suite():
+        for m in _pooled_morphisms(cat, pair.source, 1):
+            try:
+                round_trip = pair.backward_map(cat, pair.forward_map(cat, m))
+                left = compose_diagram_morphisms(cat, round_trip, pair.unit(cat, m.source))
+                right = compose_diagram_morphisms(cat, pair.unit(cat, m.target), m)
+            except DiagramError:  # an image leaves the size bound
+                continue
+            assert left == right, (label, "unit")
+            squares += 1
+        for m in _pooled_morphisms(cat, pair.target, 2):
+            try:
+                round_trip = pair.forward_map(cat, pair.backward_map(cat, m))
+                left = compose_diagram_morphisms(cat, pair.counit(cat, m.target), round_trip)
+                right = compose_diagram_morphisms(cat, m, pair.counit(cat, m.source))
+            except DiagramError:
+                continue
+            assert left == right, (label, "counit")
+            squares += 1
+    assert squares >= 100
