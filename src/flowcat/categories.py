@@ -48,7 +48,8 @@ class FiniteCategory(ABC):
 
     @abstractmethod
     def hom(self, a, b):
-        """Iterable of all morphisms a -> b, in deterministic order."""
+        """Iterable of all morphisms a -> b, in increasing `data` (diagram
+        morphism searches sort their answers into this order)."""
 
     @abstractmethod
     def identity(self, a):
@@ -77,7 +78,7 @@ class FiniteCategory(ABC):
 
     @abstractmethod
     def isomorphisms(self, a, b):
-        """Iterable of all isomorphisms a -> b."""
+        """Iterable of all isomorphisms a -> b, in `hom` order."""
 
     @abstractmethod
     def hom_size(self, a, b):
@@ -330,6 +331,29 @@ def mat_inverse(q, data, n):
     return tuple(tuple(row[n:]) for row in a)
 
 
+def _independent_rows(q, n, rows=(), span=None):
+    """Every n-tuple of linearly independent rows in F_q^n extending `rows`
+    (whose span is `span`), in lexicographic order: the invertible n x n
+    matrices in the order `itertools.product` lists all of them."""
+    if len(rows) == n:
+        yield rows
+        return
+    span = span or {(0,) * n}
+    last = len(rows) == n - 1
+    for row in itertools.product(range(q), repeat=n):
+        if row in span:
+            continue
+        if last:
+            yield rows + (row,)
+            continue
+        wider = {
+            tuple((x + c * y) % q for x, y in zip(s, row))
+            for s in span
+            for c in range(q)
+        }
+        yield from _independent_rows(q, n, rows + (row,), wider)
+
+
 class MatCategory(FiniteCategory):
     """Objects are dimensions 0..max_dim; a morphism a -> b is a b x a matrix
     over F_q (column-vector convention, so compose(g, f) = g . f)."""
@@ -342,6 +366,7 @@ class MatCategory(FiniteCategory):
         self.q = q
         self.max_dim = max_dim
         self.name = f"mat:{q}:{max_dim}"
+        self._general_linear = {}
 
     def objects(self):
         return tuple(range(self.max_dim + 1))
@@ -400,9 +425,20 @@ class MatCategory(FiniteCategory):
         return Morphism(cop.apex, y, data)
 
     def isomorphisms(self, a, b):
+        """GL_a(F_q) in `hom` order, built once and kept when listed whole."""
         if a != b:
             return []
-        return (f for f in self.hom(a, a) if mat_invertible(self.q, f.data, a))
+        if a in self._general_linear:
+            return self._general_linear[a]
+        return self._list_general_linear(a)
+
+    def _list_general_linear(self, n):
+        found = []
+        for rows in _independent_rows(self.q, n):
+            f = Morphism(n, n, rows)
+            found.append(f)
+            yield f
+        self._general_linear[n] = tuple(found)
 
     def random_isomorphism(self, a, rng):
         while True:

@@ -360,6 +360,8 @@ def cmd_franks(args):
 
 
 def cmd_diagrams(args):
+    if args.bound is not None and args.bound < 0:
+        raise CliError(f"--bound must be nonnegative, got {args.bound}")
     g = load_graph(args.graph)
     cat = load_category(args.category)
     try:
@@ -383,6 +385,8 @@ def cmd_diagrams(args):
 
 
 def cmd_verify(args):
+    if args.samples < 1:
+        raise CliError(f"--samples must be at least 1, got {args.samples}")
     g = load_graph(args.graph)
     move, payload = parse_move_doc(_load_json(args.spec), g, args.spec)
     cat = load_category(args.category)

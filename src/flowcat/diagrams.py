@@ -14,21 +14,41 @@ Enumeration exploits a normal form: a coproduct-condition diagram is exactly a
 feasible size vector together with one isomorphism choice per non-source
 vertex (the cotuple value), so edge morphisms are `iso . injection`.
 
-Every search runs on one backtracking kernel, `_search`: vertices take values
-from their candidate pools in a fixed order, and each constraint (a naturality
-square, a supremum, an in-sum) is checked once, as soon as its last vertex has
-a value (forward checking).  Answers come out in `itertools.product(*pools)`
-order, so lists and first witnesses equal those of a product-then-filter
-search.  One budget node is one candidate tried at one vertex.
+Every search runs on one backtracking kernel, `_search`, that branches only
+where the coproduct condition leaves a choice.  A non-source vertex whose
+value follows from its in-neighbours is derived: in a thin diagram as the
+supremum of its incoming family, in a size vector as the in-sum, and in a
+morphism search as c[v] = [dst.mor[e] . c[e.src]]_e . psi^-1, where psi is
+the cotuple at v in the source diagram, when psi is an isomorphism.  The
+kernel branches on the sources, on the vertices whose cotuple is not an
+isomorphism (corrupted diagrams have them) and on a greedy feedback vertex set
+of the rest, because a cycle of derivable vertices needs one value to start
+from.  It derives every other vertex in topological order, as soon as the
+vertices it reads have values.  A derivation implies the constraints of its
+vertex, so only the constraints of branching vertices are checked (a
+naturality square into one, the equation at a feedback vertex), each as soon
+as its vertices have values.  Search time so follows the pools of the
+branching vertices and the answers, not the vertex names.
+
+Whole lists (size vectors, thin diagrams, diagram morphisms) are sorted into
+`itertools.product(*pools)` order over the sorted vertices, the order of a
+product-then-filter search; the isomorphism search returns its first witness
+in branching order.  One budget node is one candidate tried at a branching
+vertex or one element put into a candidate pool; a derived value costs none.
+A search past the cap raises SearchCapExceeded naming its phase and vertex.
+The plan of a search (which vertices branch, what follows each) is cached on
+the shape, and the inverted cotuples on the source diagram.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
+from typing import NamedTuple
 
 from .categories import FiniteCategory, Morphism
 from .graphs import DirectedGraph, classify_vertex
-from .util import NodeBudget, frozendict
+from .util import NodeBudget, SearchCapExceeded, cached_on, frozendict
 
 
 class DiagramError(ValueError):
@@ -174,31 +194,100 @@ def check_coproduct_condition(cat, diagram):
     return CoproductReport(frozendict(checks))
 
 
-def _search(vertices, pools, constraints, budget):
-    """Yield each assignment {vertices[i]: a value from pools[i]} that
-    satisfies every constraint, in `itertools.product(*pools)` order.  A
-    constraint is a pair (the vertices it reads, a predicate on the partial
-    assignment), checked once, at the depth that assigns the last of them.
-    Every candidate tried spends one node of `budget`."""
-    depth_of = {v: i for i, v in enumerate(vertices)}
-    checks = [[] for _ in vertices]
-    for needed, check in constraints:
-        checks[max(depth_of[v] for v in needed)].append(check)
+class _Plan(NamedTuple):
+    vertices: tuple
+    branch: tuple
+    steps: tuple
+
+
+def _plan(vertices, reads, needs):
+    """The order of a search over `vertices`.
+
+    `reads` maps each derivable vertex to the vertices its derivation reads;
+    `needs[k]` lists the vertices constraint k reads, the first being the
+    vertex it belongs to.  The search branches on each vertex without a
+    derivation in turn, and derives every other vertex as soon as the
+    vertices it reads have values.  When neither is possible, it branches
+    on the pending vertex that the most pending vertices read: the vertices
+    branched on this way form a greedy feedback vertex set.  After the value
+    at depth i, `steps[i]` derives v for each (v, None) and checks constraint
+    k for each (None, k), as soon as its vertices have values; a derivation
+    implies the constraints of its vertex, so those are dropped."""
+    free = [v for v in vertices if v not in reads]
+    pending = [v for v in vertices if v in reads]
+    unchecked = list(range(len(needs)))
+    known, branch, steps = set(), [], []
+    while free or pending:
+        if free:
+            b = free.pop(0)
+        else:
+            b = max(pending, key=lambda v: sum(v in reads[u] for u in pending))
+            pending.remove(b)
+        branch.append(b)
+        known.add(b)
+        step = []
+        while True:
+            ready = [k for k in unchecked if known.issuperset(needs[k])]
+            step += [(None, k) for k in ready]
+            unchecked = [k for k in unchecked if k not in ready]
+            u = next((u for u in pending if known.issuperset(reads[u])), None)
+            if u is None:
+                break
+            pending.remove(u)
+            known.add(u)
+            step.append((u, None))
+            unchecked = [k for k in unchecked if needs[k][0] != u]
+        steps.append(tuple(step))
+    return _Plan(tuple(vertices), tuple(branch), tuple(steps))
+
+
+def _search(plan, pools, derive, checks, budget, phase):
+    """Yield each assignment of `plan.vertices`, keyed in that order, that
+    satisfies every constraint.
+
+    The vertex at depth i of `plan.branch` takes each value of `pools[i]` in
+    turn; each derived vertex v takes the value `derive[v]` computes from the
+    assignment, or the branch is rejected when it returns None; constraint k
+    holds when `checks[k]` is true of the assignment.  Answers come out in
+    `itertools.product(*pools)` order over the branching vertices, which is
+    not the product order over all vertices: a caller that returns a whole
+    list sorts it (`_in_product_order`).  Every candidate tried at a
+    branching vertex spends one node of `budget`; a derived value costs none.
+    Past the cap, the SearchCapExceeded names `phase` and the vertex."""
+    vertices, branch, steps = plan
     assignment = {}
 
     def extend(depth):
-        if depth == len(vertices):
-            yield dict(assignment)
+        if depth == len(branch):
+            yield {v: assignment[v] for v in vertices}
             return
-        v = vertices[depth]
-        for value in pools[depth]:
-            budget.spend()
-            assignment[v] = value
-            if all(check(assignment) for check in checks[depth]):
-                yield from extend(depth + 1)
-        assignment.pop(v, None)
+        v = branch[depth]
+        try:
+            for value in pools[depth]:
+                budget.spend()
+                assignment[v] = value
+                for u, k in steps[depth]:
+                    if u is None:
+                        if not checks[k](assignment):
+                            break
+                    else:
+                        derived = derive[u](assignment)
+                        if derived is None:
+                            break
+                        assignment[u] = derived
+                else:
+                    yield from extend(depth + 1)
+        except SearchCapExceeded as exc:
+            exc.locate(phase, v)
+            raise
 
     return extend(0)
+
+
+def _in_product_order(answers, vertices, rank):
+    """Answers sorted into `itertools.product(*pools)` order over `vertices`,
+    where `rank` maps a value to its place in its vertex's pool."""
+    return sorted(answers, key=lambda a: [rank(a[v]) for v in vertices])
 
 
 def _non_sources(g):
@@ -207,36 +296,57 @@ def _non_sources(g):
 
 def solve_dimension_vectors(g, bound, budget=None):
     """All assignments v -> size in 0..bound with, at every non-source vertex,
-    size(v) = sum of size(src) over incoming edges.  Deterministic order.
-    Spends `budget` (default: a fresh budget at the configured cap)."""
+    size(v) = sum of size(src) over incoming edges, in product order over the
+    sorted vertices.  Spends `budget` (default: a fresh budget at the
+    configured cap)."""
     if g.infinite_bundles:
         raise DiagramError("size vectors are undefined for graphs with bundles")
     if budget is None:
         budget = NodeBudget()
+
+    def in_sum(sizes):
+        total = sum(sizes)
+        return total if total <= bound else None
+
+    pool = range(bound + 1)
+    return _family_search(g, "size vectors", _in_families(g), in_sum, pool, int, budget)
+
+
+def _in_families(g):
+    """Each non-source vertex -> the sources of its incoming edges, with
+    multiplicity and in edge-id order, then those of its incoming bundles."""
+    return {
+        v: tuple(e.src for e in g.incoming(v)) + tuple(b[0] for b in g.incoming_bundles(v))
+        for v in _non_sources(g)
+    }
+
+
+def _family_search(g, phase, families, value, pool, rank, budget):
+    """Every assignment of values from `pool` to the vertices of `g` under
+    which each vertex v of `families` has value(the values of its family),
+    in product order over the sorted vertices (`rank` places a value in the
+    pool).  Each such vertex is derived, unless it must branch to break a
+    cycle; then that equation is its constraint."""
     vertices = g.sorted_vertices()
-    constraints = []
-    for v in vertices:
-        srcs = tuple(e.src for e in g.incoming(v))
-        if srcs:
-            in_sum = lambda dims, v=v, srcs=srcs: sum(dims[s] for s in srcs) == dims[v]
-            constraints.append(((v, *srcs), in_sum))
-    pools = [range(bound + 1)] * len(vertices)
-    return list(_search(vertices, pools, constraints, budget))
+    needs = [(v, *family) for v, family in families.items()]
+    plan = cached_on(g, phase, lambda: _plan(vertices, families, needs))
+    derive = {v: lambda a, f=f: value([a[u] for u in f]) for v, f in families.items()}
+    checks = [lambda a, v=v, f=f: f(a) == a[v] for v, f in derive.items()]
+    found = _search(plan, [pool] * len(plan.branch), derive, checks, budget, phase)
+    return _in_product_order(found, vertices, rank)
 
 
-def _pool(morphisms, budget):
+def _pool(morphisms, budget, vertex):
     """A candidate pool as a list, spending one node per element."""
     pool = []
-    for f in morphisms:
-        budget.spend()
-        pool.append(f)
+    try:
+        for f in morphisms:
+            budget.spend()
+            pool.append(f)
+    except SearchCapExceeded as exc:
+        exc.locate("pool", vertex)
+        raise
     return pool
-
-
-def _iso_pool(cat, cache, n, budget):
-    if n not in cache:
-        cache[n] = _pool(cat.isomorphisms(n, n), budget)
-    return cache[n]
 
 
 def _assemble(cat, g, dims, iso_by_vertex):
@@ -261,57 +371,47 @@ def enumerate_diagrams(cat, g, bound=None, max_nodes=None):
     deterministic order.  Raises SearchCapExceeded past the node budget."""
     budget = NodeBudget(max_nodes)
     if cat.is_thin:
-        vertices = g.sorted_vertices()
-        pools = [cat.objects()] * len(vertices)
-        found = []
-        for obj in _search(vertices, pools, _thin_constraints(cat, g), budget):
-            diagram = _try_thin_diagram(cat, g, obj)
-            if diagram is not None:
-                found.append(diagram)
-        return found
+        return _thin_diagrams(cat, g, budget)
     _require_bundle_free(cat, g)
     if bound is None:
         bound = max(cat.objects())
     non_sources = _non_sources(g)
+    plan = _plan(non_sources, {}, ())
     cache = {}
     found = []
     for dims in solve_dimension_vectors(g, bound, budget):
-        pools = [_iso_pool(cat, cache, dims[v], budget) for v in non_sources]
-        for isos in _search(non_sources, pools, (), budget):
+        pools = []
+        for v in non_sources:
+            if dims[v] not in cache:
+                cache[dims[v]] = _pool(cat.isomorphisms(dims[v], dims[v]), budget, v)
+            pools.append(cache[dims[v]])
+        for isos in _search(plan, pools, {}, (), budget, "cotuples"):
             found.append(_assemble(cat, g, dims, isos))
     return found
 
 
-def _thin_constraints(cat, g):
-    """The coproduct condition of a thin diagram, one constraint per
-    non-source vertex: its object is the supremum of its incoming family
-    (which also makes every edge and bundle monotone)."""
-    constraints = []
-    for v in _non_sources(g):
-        fam = {e.src for e in g.incoming(v)}
-        fam |= {src for src, _ in g.incoming_bundles(v)}
-        fam = tuple(fam)
-        is_sup = lambda obj, v=v, fam=fam: cat.supremum({obj[u] for u in fam}) == obj[v]
-        constraints.append(((v, *fam), is_sup))
-    return constraints
-
-
-def _try_thin_diagram(cat, g, obj):
-    try:
-        diagram = make_diagram(cat, g, obj)
-    except DiagramError:
-        return None
-    if check_coproduct_condition(cat, diagram).ok:
-        return diagram
-    return None
+def _thin_diagrams(cat, g, budget):
+    """The coproduct condition of a thin diagram: each non-source vertex's
+    object is the supremum of its incoming family (which also makes every
+    edge and bundle monotone)."""
+    objects = cat.objects()
+    rank = {x: i for i, x in enumerate(objects)}.get
+    found = _family_search(
+        g, "thin", _in_families(g), lambda xs: cat.supremum(set(xs)), objects, rank, budget
+    )
+    return [make_diagram(cat, g, obj) for obj in found]
 
 
 def canonical_diagram(cat, g, dims):
     """The diagram for a feasible size vector with every cotuple the identity
     (edge morphisms are the canonical injections)."""
     if cat.is_thin:
-        diagram = _try_thin_diagram(cat, g, dims)
-        if diagram is None:
+        try:
+            diagram = make_diagram(cat, g, dims)
+            ok = check_coproduct_condition(cat, diagram).ok
+        except DiagramError:
+            ok = False
+        if not ok:
             raise DiagramError("assignment does not satisfy the coproduct condition")
         return diagram
     isos = {v: cat.identity(dims[v]) for v in _non_sources(g)}
@@ -368,10 +468,11 @@ def check_diagram_morphism(cat, src, dst, components):
 
 
 def _naturality(cat, src, dst):
-    """One constraint per edge: the naturality square of the components."""
+    """One constraint per edge, belonging to its target: the naturality
+    square of the components."""
     return [
         (
-            (e.src, e.tgt),
+            (e.tgt, e.src),
             lambda c, e=e: cat.compose(c[e.tgt], src.mor[e.id])
             == cat.compose(dst.mor[e.id], c[e.src]),
         )
@@ -379,10 +480,56 @@ def _naturality(cat, src, dst):
     ]
 
 
+def _morphism_plan(cat, src):
+    """The plan of a morphism or isomorphism search out of `src`, and
+    (coproduct, psi^-1) at each vertex whose cotuple psi in `src` is an
+    isomorphism.  Naturality at the edges into such a vertex v says
+    c[v] . psi = [dst.mor[e] . c[e.src]]_e, so c[v] is derived.  The
+    inverses are cached on `src` per category, the plan on the shape per
+    set of derived vertices."""
+
+    def invert():
+        inverses = {}
+        for v in _non_sources(g):
+            cop, psi = cotuple_at(cat, src, v)
+            if cop is not None and cat.is_iso(psi):
+                inverses[v] = (cop, cat.inverse(psi))
+        return inverses
+
+    def plan():
+        reads = {v: tuple(e.src for e in g.incoming(v)) for v in inverses}
+        needs = [(e.tgt, e.src) for e in g.edges]
+        return _plan(g.sorted_vertices(), reads, needs)
+
+    g = src.graph
+    inverses = cached_on(src, cat, invert)
+    return cached_on(g, frozenset(inverses), plan), inverses
+
+
+def _derivations(cat, src, dst, inverses, iso):
+    """At each vertex v of `inverses`, c[v] = [dst.mor[e] . c[e.src]]_e . psi^-1,
+    rejected when `iso` and it is not an isomorphism."""
+
+    def derivation(edges, cop, psi_inv):
+        def derive(c):
+            legs = [cat.compose(dst.mor[e.id], c[e.src]) for e in edges]
+            f = cat.compose(cat.cotuple(cop, legs), psi_inv)
+            return f if not iso or cat.is_iso(f) else None
+
+        return derive
+
+    g = src.graph
+    return {
+        v: derivation(g.incoming(v), cop, psi_inv)
+        for v, (cop, psi_inv) in inverses.items()
+    }
+
+
 def enumerate_diagram_morphisms(cat, src, dst, max_nodes=None):
-    """All diagram morphisms src -> dst, deterministically ordered.  Poset
-    instances have at most one; other instances search the hom-sets under
-    the node budget."""
+    """All diagram morphisms src -> dst, in product order over the sorted
+    vertices (`hom` lists each hom-set in increasing `data`).  Poset
+    instances have at most one; other instances search the hom-sets of the
+    branching vertices under the node budget and derive the rest."""
     if not src.graph.labeled_eq(dst.graph):
         raise DiagramError("diagrams have different shapes")
     g = src.graph
@@ -393,16 +540,21 @@ def enumerate_diagram_morphisms(cat, src, dst, max_nodes=None):
             return [DiagramMorphism(src, dst, frozendict(components))]
         return []
     budget = NodeBudget(max_nodes)
-    pools = [_pool(cat.hom(src.obj[v], dst.obj[v]), budget) for v in vertices]
+    plan, inverses = _morphism_plan(cat, src)
+    pools = [_pool(cat.hom(src.obj[v], dst.obj[v]), budget, v) for v in plan.branch]
+    derive = _derivations(cat, src, dst, inverses, iso=False)
+    checks = [check for _, check in _naturality(cat, src, dst)]
+    found = _search(plan, pools, derive, checks, budget, "hom search")
     return [
         DiagramMorphism(src, dst, frozendict(components))
-        for components in _search(vertices, pools, _naturality(cat, src, dst), budget)
+        for components in _in_product_order(found, vertices, attrgetter("data"))
     ]
 
 
 def diagram_isomorphic(cat, d1, d2, max_nodes=None):
     """The first diagram isomorphism d1 -> d2 in search order, else None.
-    The search ranges over vertexwise isomorphisms under naturality."""
+    The search ranges over vertexwise isomorphisms under naturality; at a
+    derived vertex the derived component must be an isomorphism."""
     if not d1.graph.labeled_eq(d2.graph):
         raise DiagramError("diagrams have different shapes")
     g = d1.graph
@@ -412,12 +564,14 @@ def diagram_isomorphic(cat, d1, d2, max_nodes=None):
             components = {v: cat.identity(d1.obj[v]) for v in vertices}
             return DiagramMorphism(d1, d2, frozendict(components))
         return None
+    pairs = {v: (d1.obj[v], d2.obj[v]) for v in vertices}
+    if any(next(iter(cat.isomorphisms(a, b)), None) is None for a, b in pairs.values()):
+        return None
     budget = NodeBudget(max_nodes)
-    pools = []
-    for v in vertices:
-        pools.append(_pool(cat.isomorphisms(d1.obj[v], d2.obj[v]), budget))
-        if not pools[-1]:
-            return None
-    for components in _search(vertices, pools, _naturality(cat, d1, d2), budget):
+    plan, inverses = _morphism_plan(cat, d1)
+    pools = [_pool(cat.isomorphisms(*pairs[v]), budget, v) for v in plan.branch]
+    derive = _derivations(cat, d1, d2, inverses, iso=True)
+    checks = [check for _, check in _naturality(cat, d1, d2)]
+    for components in _search(plan, pools, derive, checks, budget, "iso search"):
         return DiagramMorphism(d1, d2, frozendict(components))
     return None

@@ -24,6 +24,7 @@ two family tables and `FunctorPair` derives both morphism actions from them.
 
 from __future__ import annotations
 
+import itertools
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -47,7 +48,7 @@ from .diagrams import (
 )
 from .graphs import classify_vertex, sources
 from .moves import chain_edge, indexed_edge, indexed_vertex
-from .util import NodeBudget, SearchCapExceeded, frozendict
+from .util import NodeBudget, SearchCapExceeded, cached_on, frozendict
 
 
 class FunctorPairError(ValueError):
@@ -132,7 +133,10 @@ class FunctorPair(ABC):
         return self._map(cat, m, self.backward, self.backward_families)
 
     def _map(self, cat, m, apply, families):
-        src, dst = apply(cat, m.source), apply(cat, m.target)
+        src, dst = (
+            cached_on(d, (apply, cat), lambda d=d: apply(cat, d))
+            for d in (m.source, m.target)
+        )
         components = {
             u: _cop_map(cat, [m.components[x] for x in family], u)
             for u, family in families.items()
@@ -753,11 +757,14 @@ def _check_hom_bijection(cat, pair, src_pool, hom_pair_cap, state):
     injective_ok = bijective_ok = True
     used = 0
     skipped = 0
-    candidates = [(d1, d2) for d1 in src_pool[:4] for d2 in src_pool[:4]]
-    for d1, d2 in candidates:
+    images = []
+    for d in src_pool[:4]:
         try:
-            f1, f2 = pair.forward(cat, d1), pair.forward(cat, d2)
+            images.append((d, pair.forward(cat, d)))
         except DiagramError:
+            images.append((d, None))
+    for (d1, f1), (d2, f2) in itertools.product(images, repeat=2):
+        if f1 is None or f2 is None:
             state["bounded"] += 1
             continue
         if (
@@ -821,7 +828,9 @@ def verify_equivalence(
             "sampling",
             ok=True,
             inconclusive=True,
-            details=(f"sampling exceeded the node budget ({exc.cap})",),
+            details=(
+                f"sampling exceeded the node budget ({exc.cap}) in the {exc.phase} phase",
+            ),
         )
         return EquivalenceReport(
             pair.move, cat.name, seed, 0, 0, 0, (note,)

@@ -11,12 +11,28 @@ MAX_NODES_ENV = "FLOWCAT_MAX_NODES"
 
 
 class SearchCapExceeded(RuntimeError):
-    """Raised when an enumeration would visit more nodes than the configured cap."""
+    """Raised when an enumeration would visit more nodes than the configured cap.
+
+    `phase` names the search that ran out ("pool", "hom search", "iso search",
+    "thin", "size vectors" or "cotuples") and `vertex` the vertex it was
+    filling; both stay None until the search that spent the last node sets
+    them.
+    """
 
     def __init__(self, visited, cap):
-        super().__init__(f"search cap exceeded: visited {visited} nodes, cap {cap}")
+        super().__init__(visited, cap)
         self.visited = visited
         self.cap = cap
+        self.phase = self.vertex = None
+
+    def locate(self, phase, vertex):
+        """Record where the cap was hit, unless an inner search already did."""
+        if self.phase is None:
+            self.phase, self.vertex = phase, vertex
+
+    def __str__(self):
+        where = f" in the {self.phase} phase at vertex {self.vertex!r}" if self.phase else ""
+        return f"search cap exceeded{where}: visited {self.visited} nodes, cap {self.cap}"
 
 
 def max_nodes_cap(override=None):
@@ -46,6 +62,16 @@ class NodeBudget:
         self.visited += n
         if self.visited > self.cap:
             raise SearchCapExceeded(self.visited, self.cap)
+
+
+def cached_on(owner, key, build):
+    """`build()`, computed once per immutable `owner` (a graph or a diagram)
+    and `key`.  It is kept in the instance dict, beside the dataclass
+    fields, so equality, hashing and repr are unchanged."""
+    memo = vars(owner).setdefault("_memo", {})
+    if key not in memo:
+        memo[key] = build()
+    return memo[key]
 
 
 class frozendict(Mapping):

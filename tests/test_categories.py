@@ -217,6 +217,24 @@ def test_general_linear_group_orders():
     assert sum(1 for _ in MatCategory(2, 3).isomorphisms(3, 3)) == 168
 
 
+@pytest.mark.parametrize("q", [2, 3])
+def test_mat_isomorphisms_are_the_invertible_homs_in_hom_order(q):
+    c = MatCategory(q, 3)
+    for n in range(4):
+        filtered = [f for f in c.hom(n, n) if mat_invertible(q, f.data, n)]
+        assert list(c.isomorphisms(n, n)) == filtered
+        cached = c.isomorphisms(n, n)
+        assert list(cached) == filtered and c.isomorphisms(n, n) is cached
+    assert list(c.isomorphisms(1, 2)) == []
+
+
+def test_mat_isomorphisms_cut_short_are_not_cached():
+    c = MatCategory(2, 3)
+    first = next(iter(c.isomorphisms(3, 3)))
+    assert list(c.isomorphisms(3, 3))[0] == first
+    assert len(c.isomorphisms(3, 3)) == 168
+
+
 def test_mat_inverse_round_trip():
     c = MatCategory(3, 2)
     for f in c.isomorphisms(2, 2):

@@ -286,7 +286,10 @@ def test_diagrams_exit_3_on_cap(tmp_path, capsys, monkeypatch):
     gp = write_graph(tmp_path / "g.json", zoo.acyclic2())
     code, _, err = run(capsys, ["diagrams", gp, "--category", "finset:3"])
     assert code == 3
-    assert "search cap exceeded" in err
+    assert err == (
+        "error: search cap exceeded in the size vectors phase at vertex 'b': "
+        "visited 3 nodes, cap 2\n"
+    )
 
 
 def test_bad_category_spec(tmp_path, capsys):
@@ -366,6 +369,24 @@ def test_verify_inconclusive_exits_1(tmp_path, capsys, monkeypatch):
     code, doc, _ = run_json(capsys, ["verify", gp, spec, "--category", "mat:2:2"])
     assert code == 1
     assert doc["verdict"] == "inconclusive"
+
+
+@pytest.mark.parametrize("category", ["finset:2", "poset:chain2"])
+@pytest.mark.parametrize("samples", ["0", "-2"])
+def test_verify_rejects_fewer_than_one_sample(tmp_path, capsys, category, samples):
+    gp = write_graph(tmp_path / "g.json", graph("ab", [("x", "a", "b")]))
+    spec = write_json(tmp_path / "m.json", {"move": "remove_sink", "vertex": "b"})
+    argv = ["verify", gp, spec, "--category", category, "--samples", samples]
+    assert_usage_error(*run(capsys, argv))
+
+
+@pytest.mark.parametrize("category", ["finset:2", "poset:chain2"])
+def test_diagrams_rejects_a_negative_bound(tmp_path, capsys, category):
+    gp = write_graph(tmp_path / "g.json", graph("ab", [("x", "a", "b")]))
+    argv = ["diagrams", gp, "--category", category, "--bound", "-1"]
+    assert_usage_error(*run(capsys, argv))
+    code, doc, _ = run_json(capsys, ["diagrams", gp, "--category", category, "--bound", "0"])
+    assert code == 0 and doc["count"] >= 1
 
 
 # -- lpa-check ----------------------------------------------------------------------

@@ -21,7 +21,7 @@ from flowcat.diagrams import (
     random_diagram,
     solve_dimension_vectors,
 )
-from flowcat.graphs import graph
+from flowcat.graphs import graph, is_acyclic
 from flowcat.sampling import random_shape_graph
 from flowcat.util import SearchCapExceeded
 
@@ -240,12 +240,36 @@ def test_enumeration_respects_cap():
 
 
 def test_size_vector_phase_honours_the_cap():
-    # 5**8 candidate size vectors; the cap must stop the search at once.
+    # 5**8 candidate size vectors (every vertex is a source, so every vertex
+    # branches); the cap must stop the search at once.
     start = time.perf_counter()
     with pytest.raises(SearchCapExceeded) as excinfo:
-        enumerate_diagrams(MatCategory(2, 4), zoo.chain_graph(8), max_nodes=5)
+        enumerate_diagrams(MatCategory(2, 4), zoo.edgeless(8), max_nodes=5)
     assert time.perf_counter() - start < 1.0
-    assert any(entry.name == "solve_dimension_vectors" for entry in excinfo.traceback)
+    assert excinfo.value.phase == "size vectors"
+    assert excinfo.value.vertex in zoo.edgeless(8).vertices
+    assert "in the size vectors phase at vertex" in str(excinfo.value)
+
+
+def _capped(search):
+    with pytest.raises(SearchCapExceeded) as excinfo:
+        search()
+    return excinfo.value.phase, excinfo.value.vertex
+
+
+def test_cap_names_the_phase_and_the_vertex():
+    swap = make_diagram(FINSET, zoo.loop1(), {"u": 2}, {"l": Morphism(2, 2, (1, 0))})
+    ident = canonical_diagram(FINSET, zoo.loop1(), {"u": 2})
+    big = canonical_diagram(MAT23, zoo.loop1(), {"u": 3})
+    # hom(3, 3) holds 512 matrices over F_2, hom(2, 2) 4 maps, S_2 2 permutations
+    assert _capped(lambda: enumerate_diagram_morphisms(MAT23, big, big, 10)) == ("pool", "u")
+    assert _capped(lambda: enumerate_diagram_morphisms(FINSET, swap, swap, 5)) == ("hom search", "u")
+    assert _capped(lambda: diagram_isomorphic(FINSET, ident, swap, 3)) == ("iso search", "u")
+    assert _capped(lambda: enumerate_diagrams(chain(3), zoo.edgeless(3), max_nodes=4)) == ("thin", "v3")
+    # size vectors of the loop: 4 nodes; then S_0, S_1, S_2 pools and choices
+    assert _capped(lambda: enumerate_diagrams(FinSetSkeleton(3), zoo.loop1(), max_nodes=11)) == (
+        "cotuples", "u",
+    )
 
 
 def test_enumerate_rejects_bundles_outside_posets():
@@ -454,3 +478,126 @@ def test_iso_witness_is_the_product_oracle_first_hit(cat):
         compared += 1
         isomorphic += expected is not None
     assert compared >= 8 and isomorphic >= 4
+
+
+# -- derived vertices: differential checks beyond the zoo ---------------------------------
+#
+# The searches branch only on sources, on vertices whose cotuple in the source
+# diagram is not an isomorphism and on a feedback vertex set; every other
+# vertex is derived.  These shapes have cycles, coproduct-condition diagrams
+# (so most vertices are derived) and corrupted ones (so some are not).
+
+
+def _cyclic_shapes(seed, count):
+    """Seeded shapes of 4-7 vertices with a cycle, each with its nonzero size
+    vectors at bound 2."""
+    rng = random.Random(seed)
+    found = []
+    while len(found) < count:
+        g = random_shape_graph(rng, max_vertices=7, edge_prob=0.2, bundle_prob=0.0)
+        vectors = [d for d in solve_dimension_vectors(g, 2) if any(d.values())]
+        if len(g.vertices) >= 4 and not is_acyclic(g) and vectors:
+            found.append((g, vectors))
+    return found
+
+
+def _interleaved_cycle(n):
+    """A directed n-cycle whose vertex names interleave its two halves
+    (v00, v03, v01, v04, v02 for n = 5), so no edge joins two names that
+    are adjacent in sorted order."""
+    names = [f"v{(i % 2) * ((n + 1) // 2) + i // 2:02d}" for i in range(n)]
+    return graph(names, [(f"e{i}", names[i], names[(i + 1) % n]) for i in range(n)])
+
+
+def _corrupted(cat, d, rng):
+    """d with one edge morphism replaced by the first morphism of its
+    hom-set (zero or constant), chosen so that the cotuple at its target is
+    no longer an isomorphism; d itself when no edge can be broken."""
+    edges = sorted(d.graph.edges)
+    rng.shuffle(edges)
+    for e in edges:
+        mor = dict(d.mor)
+        mor[e.id] = next(iter(cat.hom(d.obj[e.src], d.obj[e.tgt])))
+        broken = make_diagram(cat, d.graph, d.obj, mor)
+        if not check_coproduct_condition(cat, broken).ok:
+            return broken
+    return d
+
+
+def _derived_pairs(cat, shapes, seed):
+    """(d1, d2) pairs of same-object diagrams on `shapes`: d1 satisfies the
+    coproduct condition or is corrupted at one edge; d2 is d1, a conjugate
+    of d1, or an unrelated diagram, possibly corrupted."""
+    rng = random.Random(seed)
+    pairs = []
+    for g, vectors in shapes:
+        dims = rng.choice(vectors)
+        d1 = random_diagram(cat, g, dims, rng)
+        bad = _corrupted(cat, d1, rng)
+        other = random_diagram(cat, g, dims, rng)
+        pairs += [(d1, d1), (d1, _conjugate(cat, d1, rng)), (d1, other)]
+        pairs += [(bad, bad), (bad, _conjugate(cat, bad, rng)), (bad, d1), (d1, _corrupted(cat, other, rng))]
+    return pairs
+
+
+def _compare_with_oracles(cat, pairs):
+    """Morphism lists in product order and the iso witness against the
+    product oracles; returns (pairs compared, pairs with an isomorphism)."""
+    compared = isomorphic = 0
+    for d1, d2 in pairs:
+        g = d1.graph
+        sizes = [cat.hom_size(d1.obj[v], d2.obj[v]) for v in g.sorted_vertices()]
+        if math.prod(sizes) > ORACLE_POOL_CAP:
+            continue
+        data = (list(g.edges), _oracle_data(d1), _oracle_data(d2))
+        expected = product_diagram_morphisms(g.vertices, *data, cat.hom, cat.compose)
+        found = enumerate_diagram_morphisms(cat, d1, d2)
+        assert [dict(m.components) for m in found] == expected
+        isos = product_diagram_morphisms(g.vertices, *data, cat.isomorphisms, cat.compose)
+        witness = diagram_isomorphic(cat, d1, d2)
+        assert (witness is None) == (not isos)
+        if witness is not None:
+            assert dict(witness.components) in isos
+        compared += 1
+        isomorphic += bool(isos)
+    return compared, isomorphic
+
+
+@pytest.mark.parametrize("cat", [FinSetSkeleton(3), MAT23], ids=lambda c: c.name)
+def test_searches_on_cyclic_shapes_match_product_oracles(cat):
+    pairs = _derived_pairs(cat, _cyclic_shapes(41, 10), 42)
+    assert any(not check_coproduct_condition(cat, d1).ok for d1, _ in pairs)
+    compared, isomorphic = _compare_with_oracles(cat, pairs)
+    assert compared >= 40 and isomorphic >= 20
+
+
+@pytest.mark.parametrize("cat, n, size", [(FinSetSkeleton(3), 5, 2), (MatCategory(3, 2), 6, 1)],
+                         ids=["finset:3", "mat:3:2"])
+def test_searches_on_interleaved_cycles_match_product_oracles(cat, n, size):
+    g = _interleaved_cycle(n)
+    shapes = [(g, [{v: size for v in g.vertices}])] * 4
+    compared, isomorphic = _compare_with_oracles(cat, _derived_pairs(cat, shapes, 43))
+    assert compared == 28 and isomorphic >= 8
+
+
+def test_thin_and_size_vectors_on_interleaved_cycles_match_product_oracles():
+    cat = chain(3)
+    for n in (5, 8):
+        g = _interleaved_cycle(n)
+        chorded = graph(g.vertices, [*g.edges, ("x", "v00", "v02"), ("y", "v03", "v03")])
+        for shape in (g, chorded):
+            arrows = _arrows(shape)
+            assert [dict(d.obj) for d in enumerate_diagrams(cat, shape)] == product_thin_diagrams(
+                shape.vertices, arrows, cat.objects(), cat.leq
+            )
+            assert solve_dimension_vectors(shape, 2) == product_size_vectors(shape.vertices, arrows, 2)
+
+
+def test_thin_enumeration_of_an_interleaved_cycle_is_fast():
+    # in sorted-name order no edge of this cycle closes before half the
+    # vertices are assigned; derived vertices make the names irrelevant
+    g = _interleaved_cycle(20)
+    start = time.perf_counter()
+    found = enumerate_diagrams(chain(3), g)
+    assert time.perf_counter() - start < 0.5
+    assert [set(d.obj.values()) for d in found] == [{0}, {1}, {2}]

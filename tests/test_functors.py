@@ -1,6 +1,10 @@
 """Functor pairs: frozen images, round trips, harness verdicts, controls."""
 
+import hashlib
+import json
 import random
+import runpy
+from pathlib import Path
 
 import pytest
 
@@ -239,9 +243,23 @@ def test_explicit_node_cap_reaches_the_hom_searches(monkeypatch):
     monkeypatch.delenv("FLOWCAT_MAX_NODES", raising=False)
     pair = dict(standard_verification_suite())["chain3/remove-sink"]
     default = verify_equivalence(FINSET, pair, samples=6)
-    capped = verify_equivalence(FINSET, pair, samples=6, max_nodes=100)
+    # the searches branch only where a component is not forced, so the
+    # largest one here needs 32 nodes; a cap of 20 must make some skip
+    capped = verify_equivalence(FINSET, pair, samples=6, max_nodes=20)
     assert capped.verdict == "pass"
     assert _skipped_hom_pairs(capped) > _skipped_hom_pairs(default)
+
+
+@pytest.mark.parametrize("cat, phase", [(FINSET, "size vectors"), (chain(3), "thin")],
+                         ids=["finset:4", "chain3"])
+def test_sampling_note_names_the_phase_that_ran_out(monkeypatch, cat, phase):
+    monkeypatch.delenv("FLOWCAT_MAX_NODES", raising=False)
+    pair = dict(standard_verification_suite())["chain3/remove-sink"]
+    report = verify_equivalence(cat, pair, samples=6, max_nodes=2)
+    assert report.verdict == "inconclusive"
+    assert report.checks[0].details == (
+        f"sampling exceeded the node budget (2) in the {phase} phase",
+    )
 
 
 def test_poset_hom_bijection_is_exhaustive():
@@ -304,3 +322,26 @@ def test_unit_and_counit_are_natural_in_the_morphism(cat):
             assert left == right, (label, "counit")
             squares += 1
     assert squares >= 100
+
+
+# -- golden harness reports -----------------------------------------------------------------
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_suite_reports_match_the_golden_digests(tmp_path, monkeypatch, capsys):
+    # the standard suite and its corrupted controls over finset:4 and mat:2:3,
+    # as scripts/run_equivalence_suite.py writes them: every report dict must
+    # stay byte-identical to the committed digests
+    monkeypatch.delenv("FLOWCAT_MAX_NODES", raising=False)
+    golden = json.loads((ROOT / "tests" / "harness_golden.json").read_text())["reports"]
+    script = runpy.run_path(str(ROOT / "scripts" / "run_equivalence_suite.py"))
+    out = tmp_path / "reports.json"
+    argv = ["--category", "finset:4", "--category", "mat:2:3", "--include-corrupted"]
+    assert script["main"]([*argv, "--json", str(out)]) == 0
+    capsys.readouterr()
+    found = []
+    for r in json.loads(out.read_text()):
+        digest = hashlib.sha256(json.dumps(r, sort_keys=True).encode()).hexdigest()
+        found.append([r["category"], r["move"], digest])
+    assert found == golden
