@@ -11,23 +11,36 @@ sampled diagrams, that both functors preserve the coproduct condition, that
 they are functorial, that unit and counit are natural isomorphisms, and that
 the forward functor is bijective on hom-sets.
 
+The paper's claim is that these equivalences need nothing but coproducts.
+Here that claim is executable: each pair is a table of paths, and one
+interpreter (`FunctorPair`) builds every image from it.
+
+* The object at a vertex u of the image shape is the coproduct of the
+  objects at a family F(u) of vertices of the other shape (a one-vertex
+  family makes a copy).
+* The map of an edge u -> u' is a cotuple: leg i is inj_j . d(path), where
+  the path runs in the other shape from member i of F(u) to member j of
+  F(u'), and d(path) composes its edge maps (the empty path is an identity).
+* The unit at v is the inverse of the cotuple of d(path) over the leaves of
+  GF(v), the counit at u the cotuple of e(path) over the leaves of FG(u),
+  each path running from its leaf to v or u.
+* A morphism goes to the coproduct of its components over each family.
+
+The one exception is the out-split's backward functor and counit, which go
+through the inverse of a cotuple (`OutSplitPair._transfer`) and so are
+written out by hand.
+
 Coproducts over incoming edges are always formed in edge-id-sorted order, and
 nested coproducts are flattened in the same order, so that object equalities
 between composite functor images hold on the nose in the three instances.
-
-Each functor sends the object at a vertex u of its target shape to the
-coproduct of the objects at a family F(u) of vertices of its source shape (a
-one-vertex family makes a copy).  Such a functor acts on a morphism by the
-coproduct of its components over the same family, so each pair only lists its
-two family tables and `FunctorPair` derives both morphism actions from them.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import moves
 from .diagrams import (
@@ -37,7 +50,6 @@ from .diagrams import (
     check_coproduct_condition,
     check_diagram_morphism,
     compose_diagram_morphisms,
-    cotuple_at,
     diagram_isomorphic,
     enumerate_diagram_morphisms,
     enumerate_diagrams,
@@ -46,7 +58,7 @@ from .diagrams import (
     random_diagram,
     solve_dimension_vectors,
 )
-from .graphs import classify_vertex, sources
+from .graphs import sources
 from .moves import chain_edge, indexed_edge, indexed_vertex
 from .util import NodeBudget, SearchCapExceeded, cached_on, frozendict
 
@@ -74,8 +86,92 @@ def _cop_map(cat, maps, where):
     return cat.cotuple(dom, legs)
 
 
-def _mk(cat, g, obj, mor):
-    return make_diagram(cat, g, obj, None if cat.is_thin else mor)
+def _walk(cat, d, x, path):
+    """d(path): the composite of the maps of `d` along `path` (edge ids, in
+    order) from the vertex x; the identity at x for the empty path."""
+    if not path:
+        return cat.identity(d.obj[x])
+    f = d.mor[path[0]]
+    for edge_id in path[1:]:
+        f = cat.compose(d.mor[edge_id], f)
+    return f
+
+
+def _cotuple(cat, d, leaves, where):
+    """The cotuple of d(path) over the (leaf, path) pairs; one leaf gives its
+    d(path) itself, as the cotuple over a one-object coproduct does."""
+    maps = [_walk(cat, d, x, path) for x, path in leaves]
+    if len(maps) == 1:
+        return maps[0]
+    return cat.cotuple(_cop(cat, (d.obj[x] for x, _ in leaves), where), maps)
+
+
+class _Table(NamedTuple):
+    """One functor as a table of paths.  `families[u]` lists the vertices
+    whose objects' coproduct is the object at u.  `legs[e]` gives one
+    (j, path) per member of `families[e.src]`: the leg inj_j . d(path) of
+    the edge's cotuple, the path running from that member to member j of
+    `families[e.tgt]`."""
+
+    families: dict
+    legs: dict
+
+
+def _apply(cat, d, table, shape):
+    """The image of `d` under the functor of `table`: a diagram of `shape`.
+    A one-member family is a copy, with no coproduct and no injection."""
+    cops = {
+        u: _cop(cat, (d.obj[x] for x in family), u)
+        for u, family in table.families.items()
+        if len(family) > 1
+    }
+    obj = {
+        u: cops[u].apex if u in cops else d.obj[family[0]]
+        for u, family in table.families.items()
+    }
+    if cat.is_thin:  # make_diagram derives the edge maps from the order
+        return make_diagram(cat, shape, obj)
+    mor = {}
+    for e in shape.edges:
+        cod = cops.get(e.tgt)
+        legs = []
+        for x, (j, path) in zip(table.families[e.src], table.legs[e.id]):
+            if cod is None:
+                legs.append(_walk(cat, d, x, path))
+            elif path:
+                legs.append(cat.compose(cod.injections[j], _walk(cat, d, x, path)))
+            else:
+                legs.append(cod.injections[j])
+        mor[e.id] = cat.cotuple(cops[e.src], legs) if e.src in cops else legs[0]
+    return make_diagram(cat, shape, obj, mor)
+
+
+def _leaves(outer, inner, paths):
+    """(leaf, path) per leaf of the composite image at each vertex v: the
+    members of the `inner` families over the `outer` family of v, in order,
+    each with its path from `paths[v]`."""
+    if paths is None:
+        return None
+    members = inner.families
+    return {
+        v: tuple(zip([x for u in fam for x in members[u]], paths[v], strict=True))
+        for v, fam in outer.families.items()
+    }
+
+
+def _copy_edges(edges):
+    """Legs of edges that copy the map of the edge of the same id."""
+    return {e.id: ((0, (e.id,)),) for e in edges}
+
+
+def _identities(vertices):
+    """Unit or counit paths of vertices that are their own only leaf."""
+    return {v: ((),) for v in vertices}
+
+
+def _chain(v, levels):
+    """The chain edges e_{v,n} for n in `levels`, in order."""
+    return tuple(chain_edge(v, n) for n in levels)
 
 
 def _copies(g, levels):
@@ -92,54 +188,67 @@ def _level_zero(g):
     return {v: (indexed_vertex(v, 0),) for v in g.sorted_vertices()}
 
 
-class FunctorPair(ABC):
-    """An executable adjoint equivalence between Dgm(source) and Dgm(target).
+class FunctorPair:
+    """An executable adjoint equivalence between Dgm(source) and Dgm(target),
+    interpreted from two `_Table`s and the leaf paths of unit and counit.
 
-    `forward_families[u]` lists the source vertices whose objects' coproduct
-    is the forward image at the target vertex u; `backward_families` does the
-    same the other way.  The component of `forward_map(m)` at u is then the
-    coproduct of the components of m over that family: the one map between
-    the two coproducts that commutes with the injections.
+    `forward_table` goes from Dgm(source) to Dgm(target), `backward_table`
+    back.  `unit_leaves[v]` pairs each leaf of backward(forward(d)) at a
+    source vertex v with a path in `source` from the leaf to v, and
+    `counit_leaves[u]` each leaf of forward(backward(e)) at a target vertex
+    u with a path in `target` from the leaf to u.
     """
 
     move = ""
 
-    def __init__(self, source, target, forward_families, backward_families):
+    def __init__(self, source, target, forward, backward, unit_paths, counit_paths):
         self.source = source
         self.target = target
-        self.forward_families = forward_families
-        self.backward_families = backward_families
+        self.forward_table = forward
+        self.backward_table = backward
+        self.unit_leaves = _leaves(backward, forward, unit_paths)
+        self.counit_leaves = _leaves(forward, backward, counit_paths)
 
-    @abstractmethod
     def forward(self, cat, d):
         """Image in Dgm(target) of a diagram of shape `source`."""
+        return _apply(cat, d, self.forward_table, self.target)
 
-    @abstractmethod
     def backward(self, cat, e):
         """Image in Dgm(source) of a diagram of shape `target`."""
+        return _apply(cat, e, self.backward_table, self.source)
 
-    @abstractmethod
     def unit(self, cat, d):
         """Natural isomorphism component  d -> backward(forward(d))."""
+        image = self.backward(cat, self.forward(cat, d))
+        components = {}
+        for v, leaves in self.unit_leaves.items():
+            f = _cotuple(cat, d, leaves, v)
+            # a lone empty path gives an identity, its own inverse
+            components[v] = f if leaves == ((v, ()),) else cat.inverse(f)
+        return DiagramMorphism(d, image, frozendict(components))
 
-    @abstractmethod
     def counit(self, cat, e):
         """Natural isomorphism component  forward(backward(e)) -> e."""
+        image = self.forward(cat, self.backward(cat, e))
+        components = {
+            u: _cotuple(cat, e, leaves, u) for u, leaves in self.counit_leaves.items()
+        }
+        return DiagramMorphism(image, e, frozendict(components))
 
     def forward_map(self, cat, m):
-        return self._map(cat, m, self.forward, self.forward_families)
+        return self._map(cat, m, self.forward, self.forward_table)
 
     def backward_map(self, cat, m):
-        return self._map(cat, m, self.backward, self.backward_families)
+        return self._map(cat, m, self.backward, self.backward_table)
 
-    def _map(self, cat, m, apply, families):
+    def _map(self, cat, m, apply, table):
         src, dst = (
             cached_on(d, (apply, cat), lambda d=d: apply(cat, d))
             for d in (m.source, m.target)
         )
         components = {
             u: _cop_map(cat, [m.components[x] for x in family], u)
-            for u, family in families.items()
+            for u, family in table.families.items()
         }
         return DiagramMorphism(src, dst, frozendict(components))
 
@@ -163,35 +272,13 @@ class SinkRemovalPair(FunctorPair):
         target = moves.remove_sink(g, w)
         attach = g.incoming(w)  # edges into w, canonical order
         kept = {v: (v,) for v in target.sorted_vertices()}
-        super().__init__(g, target, kept, {**kept, w: tuple(f.src for f in attach)})
+        legs = _copy_edges(target.edges)
+        back = {**legs, **{f.id: ((j, ()),) for j, f in enumerate(attach)}}
+        families = {**kept, w: tuple(f.src for f in attach)}
+        unit = {**_identities(kept), w: tuple((f.id,) for f in attach)}
+        forward, backward = _Table(kept, legs), _Table(families, back)
+        super().__init__(g, target, forward, backward, unit, _identities(kept))
         self.w = w
-        self.attach = attach
-
-    def forward(self, cat, d):
-        obj = {v: d.obj[v] for v in self.target.vertices}
-        mor = {e.id: d.mor[e.id] for e in self.target.edges}
-        return _mk(cat, self.target, obj, mor)
-
-    def backward(self, cat, e):
-        cop = _cop(cat, (e.obj[f.src] for f in self.attach), self.w)
-        obj = dict(e.obj)
-        obj[self.w] = cop.apex
-        mor = dict(e.mor)
-        for f, inj in zip(self.attach, cop.injections):
-            mor[f.id] = inj
-        return _mk(cat, self.source, obj, mor)
-
-    def unit(self, cat, d):
-        image = self.backward(cat, self.forward(cat, d))
-        components = {v: cat.identity(d.obj[v]) for v in self.target.vertices}
-        _, psi = cotuple_at(cat, d, self.w)
-        components[self.w] = cat.inverse(psi)
-        return DiagramMorphism(d, image, frozendict(components))
-
-    def counit(self, cat, e):
-        image = self.forward(cat, self.backward(cat, e))
-        components = {v: cat.identity(e.obj[v]) for v in self.target.vertices}
-        return DiagramMorphism(image, e, frozendict(components))
 
 
 # -- out-delay ---------------------------------------------------------------------
@@ -205,47 +292,19 @@ class OutDelayPair(FunctorPair):
 
     def __init__(self, g, spec):
         target = moves.out_delay(g, spec)  # validates the spec first
-        super().__init__(g, target, _copies(g, spec.d_vertices), _level_zero(g))
-        self.spec = spec
-
-    def forward(self, cat, d):
-        dv = self.spec.d_vertices
-        obj = {}
-        mor = {}
-        for v in self.source.sorted_vertices():
+        dv, de = spec.d_vertices, spec.d_edges
+        legs, counit = _copy_edges(g.edges), {}
+        for v in g.sorted_vertices():
             for n in range(dv[v] + 1):
-                obj[indexed_vertex(v, n)] = d.obj[v]
-            for n in range(1, dv[v] + 1):
-                mor[chain_edge(v, n)] = cat.identity(d.obj[v])
-        for e in self.source.edges:
-            mor[e.id] = d.mor[e.id]
-        return _mk(cat, self.target, obj, mor)
-
-    def backward(self, cat, e):
-        obj = {v: e.obj[indexed_vertex(v, 0)] for v in self.source.vertices}
-        mor = {}
-        for edge in self.source.edges:
-            m = cat.identity(e.obj[indexed_vertex(edge.src, 0)])
-            for n in range(1, self.spec.d_edges[edge.id] + 1):
-                m = cat.compose(e.mor[chain_edge(edge.src, n)], m)
-            mor[edge.id] = cat.compose(e.mor[edge.id], m)
-        return _mk(cat, self.source, obj, mor)
-
-    def unit(self, cat, d):
-        image = self.backward(cat, self.forward(cat, d))
-        components = {v: cat.identity(d.obj[v]) for v in self.source.vertices}
-        return DiagramMorphism(d, image, frozendict(components))
-
-    def counit(self, cat, e):
-        image = self.forward(cat, self.backward(cat, e))
-        components = {}
-        for v in self.source.sorted_vertices():
-            m = cat.identity(e.obj[indexed_vertex(v, 0)])
-            components[indexed_vertex(v, 0)] = m
-            for n in range(1, self.spec.d_vertices[v] + 1):
-                m = cat.compose(e.mor[chain_edge(v, n)], m)
-                components[indexed_vertex(v, n)] = m
-        return DiagramMorphism(image, e, frozendict(components))
+                counit[indexed_vertex(v, n)] = (_chain(v, range(1, n + 1)),)
+                if n:
+                    legs[chain_edge(v, n)] = ((0, ()),)
+        back = {}
+        for e in g.edges:
+            back[e.id] = ((0, (*_chain(e.src, range(1, de[e.id] + 1)), e.id)),)
+        forward, backward = _Table(_copies(g, dv), legs), _Table(_level_zero(g), back)
+        super().__init__(g, target, forward, backward, _identities(g.vertices), counit)
+        self.spec = spec
 
 
 # -- in-delay ---------------------------------------------------------------------
@@ -264,87 +323,29 @@ class InDelayPair(FunctorPair):
                 f"{sorted(map(repr, sources(g)))}"
             )
         target = moves.in_delay(g, spec)  # validates the spec first
-        vertex_delay = moves.in_delay_vertex_delays(g, spec)
-        levels = {
-            indexed_vertex(v, n): tuple(
-                e.src for e in g.incoming(v) if spec.d_edges[e.id] >= n
-            )
-            for v in g.sorted_vertices()
-            for n in range(vertex_delay[v] + 1)
+        de = spec.d_edges
+        levels = {  # (v, n) -> the edges into v delayed by at least n
+            (v, n): [f for f in g.incoming(v) if de[f.id] >= n]
+            for v, top in moves.in_delay_vertex_delays(g, spec).items()
+            for n in range(top + 1)
         }
-        super().__init__(g, target, levels, _level_zero(g))
+        families, legs, back, counit = {}, {}, {}, {}
+        for (v, n), fam in levels.items():
+            families[indexed_vertex(v, n)] = tuple(f.src for f in fam)
+            counit[indexed_vertex(v, n)] = tuple(
+                (f.id, *_chain(v, range(de[f.id], n, -1))) for f in fam
+            )
+            if n:
+                below = levels[v, n - 1]
+                legs[chain_edge(v, n)] = tuple((below.index(f), ()) for f in fam)
+        for e in g.edges:
+            j = levels[e.tgt, de[e.id]].index(e)
+            legs[e.id] = tuple((j, (f.id,)) for f in g.incoming(e.src))
+            back[e.id] = ((0, (e.id, *_chain(e.tgt, range(de[e.id], 0, -1)))),)
+        unit = {v: tuple((f.id,) for f in g.incoming(v)) for v in g.vertices}
+        forward, backward = _Table(families, legs), _Table(_level_zero(g), back)
+        super().__init__(g, target, forward, backward, unit, counit)
         self.spec = spec
-        self.vertex_delay = vertex_delay
-
-    def _incoming_at_least(self, v, n):
-        return [e for e in self.source.incoming(v) if self.spec.d_edges[e.id] >= n]
-
-    def forward(self, cat, d):
-        obj = {}
-        cops = {}
-        for v in self.source.sorted_vertices():
-            for n in range(self.vertex_delay[v] + 1):
-                fam = self._incoming_at_least(v, n)
-                cop = _cop(cat, (d.obj[e.src] for e in fam), indexed_vertex(v, n))
-                obj[indexed_vertex(v, n)] = cop.apex
-                cops[(v, n)] = (fam, cop)
-        mor = {}
-        for v in self.source.sorted_vertices():
-            for n in range(1, self.vertex_delay[v] + 1):
-                fam, cop = cops[(v, n)]
-                below_fam, below = cops[(v, n - 1)]
-                index = {e.id: i for i, e in enumerate(below_fam)}
-                legs = [below.injections[index[e.id]] for e in fam]
-                mor[chain_edge(v, n)] = cat.cotuple(cop, legs)
-        for edge in self.source.edges:
-            dom_fam, dom_cop = cops[(edge.src, 0)]
-            cod_fam, cod_cop = cops[(edge.tgt, self.spec.d_edges[edge.id])]
-            index = {e.id: i for i, e in enumerate(cod_fam)}
-            inj = cod_cop.injections[index[edge.id]]
-            legs = [cat.compose(inj, d.mor[f.id]) for f in dom_fam]
-            mor[edge.id] = cat.cotuple(dom_cop, legs)
-        return _mk(cat, self.target, obj, mor)
-
-    def backward(self, cat, e):
-        obj = {v: e.obj[indexed_vertex(v, 0)] for v in self.source.vertices}
-        mor = {}
-        for edge in self.source.edges:
-            m = e.mor[edge.id]
-            for n in range(self.spec.d_edges[edge.id], 0, -1):
-                m = cat.compose(e.mor[chain_edge(edge.tgt, n)], m)
-            mor[edge.id] = m
-        return _mk(cat, self.source, obj, mor)
-
-    def unit(self, cat, d):
-        image = self.backward(cat, self.forward(cat, d))
-        components = {}
-        for v in self.source.sorted_vertices():
-            _, psi = cotuple_at(cat, d, v)
-            components[v] = cat.inverse(psi)
-        return DiagramMorphism(d, image, frozendict(components))
-
-    def counit(self, cat, e):
-        image = self.forward(cat, self.backward(cat, e))
-        components = {}
-        for v in self.source.sorted_vertices():
-            descents = {}
-            for edge in self.source.incoming(v):
-                m = e.mor[edge.id]
-                delay = self.spec.d_edges[edge.id]
-                descents[(edge.id, delay)] = m
-                for n in range(delay - 1, -1, -1):
-                    m = cat.compose(e.mor[chain_edge(v, n + 1)], m)
-                    descents[(edge.id, n)] = m
-            for n in range(self.vertex_delay[v] + 1):
-                fam = self._incoming_at_least(v, n)
-                cop = _cop(
-                    cat,
-                    (e.obj[indexed_vertex(f.src, 0)] for f in fam),
-                    indexed_vertex(v, n),
-                )
-                legs = [descents[(f.id, n)] for f in fam]
-                components[indexed_vertex(v, n)] = cat.cotuple(cop, legs)
-        return DiagramMorphism(image, e, frozendict(components))
 
 
 # -- out-split ---------------------------------------------------------------------
@@ -352,26 +353,29 @@ class InDelayPair(FunctorPair):
 
 class OutSplitPair(FunctorPair):
     """Dgm(G) = Dgm(G_os): split copies of a vertex carry the same object, a
-    split edge copy carries the original edge morphism."""
+    split edge copy carries the original edge morphism.  Going back, an edge
+    leaving a split copy (v, n) goes through the canonical iso from (v, 0),
+    the inverse of a cotuple, so `backward` and `counit` are written out."""
 
     move = "out_split"
 
     def __init__(self, g, spec):
         target = moves.out_split(g, spec)  # validates the spec first
-        super().__init__(g, target, _copies(g, spec.p_vertices), _level_zero(g))
+        pv = spec.p_vertices
+        legs = {
+            indexed_edge(e.id, n): ((0, (e.id,)),)
+            for e in g.edges
+            for n in range(pv[e.tgt] + 1)
+        }
+        super().__init__(
+            g,
+            target,
+            _Table(_copies(g, pv), legs),
+            _Table(_level_zero(g), None),
+            _identities(g.vertices),
+            None,
+        )
         self.spec = spec
-
-    def forward(self, cat, d):
-        pv, pe = self.spec.p_vertices, self.spec.p_edges
-        obj = {}
-        for v in self.source.sorted_vertices():
-            for n in range(pv[v] + 1):
-                obj[indexed_vertex(v, n)] = d.obj[v]
-        mor = {}
-        for edge in self.source.edges:
-            for n in range(pv[edge.tgt] + 1):
-                mor[indexed_edge(edge.id, n)] = d.mor[edge.id]
-        return _mk(cat, self.target, obj, mor)
 
     def _transfer(self, cat, e, v, n):
         """The canonical iso E_{(v,0)} -> E_{(v,n)} comparing the two cotuples
@@ -395,12 +399,7 @@ class OutSplitPair(FunctorPair):
         for edge in self.source.edges:
             transfer = self._transfer(cat, e, edge.src, self.spec.p_edges[edge.id])
             mor[edge.id] = cat.compose(e.mor[indexed_edge(edge.id, 0)], transfer)
-        return _mk(cat, self.source, obj, mor)
-
-    def unit(self, cat, d):
-        image = self.backward(cat, self.forward(cat, d))
-        components = {v: cat.identity(d.obj[v]) for v in self.source.vertices}
-        return DiagramMorphism(d, image, frozendict(components))
+        return make_diagram(cat, self.source, obj, None if cat.is_thin else mor)
 
     def counit(self, cat, e):
         image = self.forward(cat, self.backward(cat, e))
@@ -422,106 +421,32 @@ class InSplitPair(FunctorPair):
 
     def __init__(self, g, spec):
         target = moves.in_split(g, spec)  # validates the spec first
-        classes, levels = {}, {}
-        for v in g.sorted_vertices():
-            vertex_levels = range(spec.p_vertices[v] + 1)
-            levels[v] = tuple(indexed_vertex(v, n) for n in vertex_levels)
-            if classify_vertex(g, v).is_source:
-                classes[indexed_vertex(v, 0)] = (v,)
-                continue
-            for n in vertex_levels:
-                classes[indexed_vertex(v, n)] = tuple(
-                    e.src for e in g.incoming(v) if spec.p_edges[e.id] == n
-                )
-        super().__init__(g, target, classes, levels)
+        pv, pe = spec.p_vertices, spec.p_edges
+        levels = {v: range(pv[v] + 1) for v in g.sorted_vertices()}
+        classes, splits, unit = {}, {}, {}
+        for v, ns in levels.items():
+            splits[v] = tuple(indexed_vertex(v, n) for n in ns)
+            for n in ns:  # (member, path to v) per edge into v of class n
+                fam = [(f.src, (f.id,)) for f in g.incoming(v) if pe[f.id] == n]
+                classes[v, n] = fam or [(v, ())]  # a source is its own class
+            unit[v] = tuple(p for n in ns for _, p in classes[v, n])
+        families, legs, back, counit = {}, {}, {}, {}
+        for (v, n), fam in classes.items():
+            families[indexed_vertex(v, n)] = tuple(x for x, _ in fam)
+            counit[indexed_vertex(v, n)] = tuple(
+                tuple(indexed_edge(f, m) for f in path)
+                for x, path in fam
+                for m in levels[x]
+            )
+        for e in g.edges:
+            j = [p for _, p in classes[e.tgt, pe[e.id]]].index((e.id,))
+            copies = [indexed_edge(e.id, m) for m in levels[e.src]]
+            back[e.id] = tuple((pe[e.id], (copy,)) for copy in copies)
+            for m, copy in enumerate(copies):
+                legs[copy] = tuple((j, p) for _, p in classes[e.src, m])
+        forward, backward = _Table(families, legs), _Table(splits, back)
+        super().__init__(g, target, forward, backward, unit, counit)
         self.spec = spec
-
-    def _class_of(self, v, n):
-        return [
-            e for e in self.source.incoming(v) if self.spec.p_edges[e.id] == n
-        ]
-
-    def forward(self, cat, d):
-        pv, pe = self.spec.p_vertices, self.spec.p_edges
-        obj = {}
-        cops = {}
-        for v in self.source.sorted_vertices():
-            if classify_vertex(self.source, v).is_source:
-                obj[indexed_vertex(v, 0)] = d.obj[v]
-                continue
-            for n in range(pv[v] + 1):
-                fam = self._class_of(v, n)
-                cop = _cop(cat, (d.obj[e.src] for e in fam), indexed_vertex(v, n))
-                obj[indexed_vertex(v, n)] = cop.apex
-                cops[(v, n)] = (fam, cop)
-        mor = {}
-        for edge in self.source.edges:
-            cod_fam, cod_cop = cops[(edge.tgt, pe[edge.id])]
-            index = {e.id: i for i, e in enumerate(cod_fam)}
-            inj = cod_cop.injections[index[edge.id]]
-            if classify_vertex(self.source, edge.src).is_source:
-                mor[indexed_edge(edge.id, 0)] = inj
-                continue
-            for m in range(pv[edge.src] + 1):
-                dom_fam, dom_cop = cops[(edge.src, m)]
-                legs = [cat.compose(inj, d.mor[f.id]) for f in dom_fam]
-                mor[indexed_edge(edge.id, m)] = cat.cotuple(dom_cop, legs)
-        return _mk(cat, self.target, obj, mor)
-
-    def backward(self, cat, e):
-        pv, pe = self.spec.p_vertices, self.spec.p_edges
-        obj = {}
-        cops = {}
-        for v, levels in self.backward_families.items():
-            cop = _cop(cat, (e.obj[u] for u in levels), v)
-            obj[v] = cop.apex
-            cops[v] = cop
-        mor = {}
-        for edge in self.source.edges:
-            inj = cops[edge.tgt].injections[pe[edge.id]]
-            legs = [
-                cat.compose(inj, e.mor[indexed_edge(edge.id, n)])
-                for n in range(pv[edge.src] + 1)
-            ]
-            mor[edge.id] = cat.cotuple(cops[edge.src], legs)
-        return _mk(cat, self.source, obj, mor)
-
-    def unit(self, cat, d):
-        image = self.backward(cat, self.forward(cat, d))
-        components = {}
-        for v in self.source.sorted_vertices():
-            if classify_vertex(self.source, v).is_source:
-                components[v] = cat.identity(d.obj[v])
-                continue
-            flat = [
-                e
-                for n in range(self.spec.p_vertices[v] + 1)
-                for e in self._class_of(v, n)
-            ]
-            cop = _cop(cat, (d.obj[e.src] for e in flat), v)
-            reordered = cat.cotuple(cop, [d.mor[e.id] for e in flat])
-            components[v] = cat.inverse(reordered)
-        return DiagramMorphism(d, image, frozendict(components))
-
-    def counit(self, cat, e):
-        image = self.forward(cat, self.backward(cat, e))
-        components = {}
-        for v in self.source.sorted_vertices():
-            if classify_vertex(self.source, v).is_source:
-                components[indexed_vertex(v, 0)] = cat.identity(
-                    e.obj[indexed_vertex(v, 0)]
-                )
-                continue
-            for n in range(self.spec.p_vertices[v] + 1):
-                legs = []
-                family = []
-                for f in self._class_of(v, n):
-                    for m in range(self.spec.p_vertices[f.src] + 1):
-                        family.append(e.obj[indexed_vertex(f.src, m)])
-                        legs.append(e.mor[indexed_edge(f.id, m)])
-                cop = _cop(cat, family, indexed_vertex(v, n))
-                components[indexed_vertex(v, n)] = cat.cotuple(cop, legs)
-        return DiagramMorphism(image, e, frozendict(components))
 
 
 _PAIRS = {
@@ -780,15 +705,15 @@ def _check_hom_bijection(cat, pair, src_pool, hom_pair_cap, state):
             skipped += 1
             continue
         used += 1
-        images = [pair.forward_map(cat, m) for m in src_homs]
-        if len(set(images)) != len(images):
+        mapped = [pair.forward_map(cat, m) for m in src_homs]
+        if len(set(mapped)) != len(mapped):
             injective_ok = False
             details.append("forward is not injective on a hom-set")
             continue
-        if set(images) != set(tgt_homs):
+        if set(mapped) != set(tgt_homs):
             bijective_ok = False
             details.append(
-                f"forward is not bijective on a hom-set: {len(images)} images "
+                f"forward is not bijective on a hom-set: {len(mapped)} images "
                 f"vs {len(tgt_homs)} morphisms"
             )
     if skipped:

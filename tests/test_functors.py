@@ -27,6 +27,14 @@ from flowcat.functors import (
     standard_verification_suite,
     verify_equivalence,
 )
+from flowcat.graphs import sources
+from functor_samples import (
+    all_pairs,
+    image_digests,
+    pooled_morphisms,
+    random_graphs,
+    random_pairs,
+)
 
 MAT = MatCategory(2, 3)
 FINSET = FinSetSkeleton(4)
@@ -296,32 +304,127 @@ def _pooled_morphisms(cat, g, seed):
             yield from enumerate_diagram_morphisms(cat, d1, d2, 20000)[:3]
 
 
+def _natural_squares(cat, label, pair, source_morphisms, target_morphisms):
+    """Assert eta_{d2} . m == GF(m) . eta_{d1} for each morphism m of the
+    source shape and m . eps_{e1} == eps_{e2} . FG(m) for each of the target
+    shape; returns how many squares were checked."""
+    squares = 0
+    for m in source_morphisms:
+        try:
+            round_trip = pair.backward_map(cat, pair.forward_map(cat, m))
+            left = compose_diagram_morphisms(cat, round_trip, pair.unit(cat, m.source))
+            right = compose_diagram_morphisms(cat, pair.unit(cat, m.target), m)
+        except DiagramError:  # an image leaves the size bound
+            continue
+        assert left == right, (label, "unit")
+        squares += 1
+    for m in target_morphisms:
+        try:
+            round_trip = pair.forward_map(cat, pair.backward_map(cat, m))
+            left = compose_diagram_morphisms(cat, pair.counit(cat, m.target), round_trip)
+            right = compose_diagram_morphisms(cat, m, pair.counit(cat, m.source))
+        except DiagramError:
+            continue
+        assert left == right, (label, "counit")
+        squares += 1
+    return squares
+
+
 @pytest.mark.parametrize("cat", [chain(3), FinSetSkeleton(3), MatCategory(2, 2)],
                          ids=lambda c: c.name)
 def test_unit_and_counit_are_natural_in_the_morphism(cat):
-    # eta_{d2} . m == GF(m) . eta_{d1}  and  m . eps_{e1} == eps_{e2} . FG(m):
     # this composes forward_map with backward_map, which no harness check does
-    squares = 0
-    for label, pair in standard_verification_suite():
-        for m in _pooled_morphisms(cat, pair.source, 1):
-            try:
-                round_trip = pair.backward_map(cat, pair.forward_map(cat, m))
-                left = compose_diagram_morphisms(cat, round_trip, pair.unit(cat, m.source))
-                right = compose_diagram_morphisms(cat, pair.unit(cat, m.target), m)
-            except DiagramError:  # an image leaves the size bound
-                continue
-            assert left == right, (label, "unit")
-            squares += 1
-        for m in _pooled_morphisms(cat, pair.target, 2):
-            try:
-                round_trip = pair.forward_map(cat, pair.backward_map(cat, m))
-                left = compose_diagram_morphisms(cat, pair.counit(cat, m.target), round_trip)
-                right = compose_diagram_morphisms(cat, m, pair.counit(cat, m.source))
-            except DiagramError:
-                continue
-            assert left == right, (label, "counit")
-            squares += 1
+    squares = sum(
+        _natural_squares(
+            cat,
+            label,
+            pair,
+            _pooled_morphisms(cat, pair.source, 1),
+            _pooled_morphisms(cat, pair.target, 2),
+        )
+        for label, pair in standard_verification_suite()
+    )
     assert squares >= 100
+
+
+# -- pairs beyond the zoo ----------------------------------------------------------------
+
+RANDOM_PAIRS = random_pairs(3)
+
+
+def test_random_pairs_cover_every_move_on_varied_shapes():
+    assert {pair.move for _, pair in RANDOM_PAIRS} == {
+        "remove_sink",
+        "out_delay",
+        "in_delay",
+        "out_split",
+        "in_split",
+    }
+    graphs = [g for _, g in random_graphs(3)]
+    assert any(sources(g) and g.edges for g in graphs)
+    assert any(not g.incoming(v) and not g.outgoing(v) for g in graphs for v in g.vertices)
+
+
+@pytest.mark.parametrize("cat", [chain(3), FinSetSkeleton(3), MatCategory(2, 2)],
+                         ids=lambda c: c.name)
+def test_random_pairs_pass_the_harness_and_are_natural(cat):
+    squares = 0
+    for label, pair in RANDOM_PAIRS:
+        report = verify_equivalence(cat, pair, samples=3, seed=1)
+        assert report.verdict == "pass", (label, report.to_dict())
+        rng = random.Random(5)
+        source_pool = _sample_pool(cat, pair.source, rng, 3, 20000)[:3]
+        target_pool = _sample_pool(cat, pair.target, rng, 3, 20000)[:3]
+        squares += _natural_squares(
+            cat,
+            label,
+            pair,
+            pooled_morphisms(cat, source_pool),
+            pooled_morphisms(cat, target_pool),
+        )
+    assert squares >= 200
+
+
+def _runs(g, path, start, end):
+    """Whether `path`, a sequence of edge ids, is a walk in g from start to end."""
+    edges = {e.id: e for e in g.edges}
+    at = start
+    for edge_id in path:
+        if edge_id not in edges or edges[edge_id].src != at:
+            return False
+        at = edges[edge_id].tgt
+    return at == end
+
+
+def test_path_tables_are_walks_between_the_right_members():
+    # a wrong path can leave every image unchanged: in a thin category, or
+    # where all paths between two members give the same map
+    wrong = []
+    for label, pair in all_pairs():
+        directions = (
+            (pair.forward_table, pair.source, pair.target),
+            (pair.backward_table, pair.target, pair.source),
+        )
+        for table, domain, shape in directions:
+            assert set(table.families) == set(shape.vertices), label
+            if table.legs is None:  # the out-split's backward is written out
+                assert pair.move == "out_split" and table is pair.backward_table
+                continue
+            assert set(table.legs) == {e.id for e in shape.edges}, label
+            for e in shape.edges:
+                members, targets = table.families[e.src], table.families[e.tgt]
+                assert len(table.legs[e.id]) == len(members), (label, e.id)
+                for x, (j, path) in zip(members, table.legs[e.id]):
+                    if not _runs(domain, path, x, targets[j]):
+                        wrong.append((label, e.id, x, path))
+        for leaves, g in ((pair.unit_leaves, pair.source), (pair.counit_leaves, pair.target)):
+            if leaves is None:  # the out-split's counit is written out
+                assert pair.move == "out_split" and g is pair.target
+                continue
+            assert set(leaves) == set(g.vertices), label
+            for v, pairs in leaves.items():
+                wrong += [(label, v, x, path) for x, path in pairs if not _runs(g, path, x, v)]
+    assert not wrong
 
 
 # -- golden harness reports -----------------------------------------------------------------
@@ -345,3 +448,11 @@ def test_suite_reports_match_the_golden_digests(tmp_path, monkeypatch, capsys):
         digest = hashlib.sha256(json.dumps(r, sort_keys=True).encode()).hexdigest()
         found.append([r["category"], r["move"], digest])
     assert found == golden
+
+
+def test_direct_images_match_the_golden_digests():
+    # forward, backward, unit, counit, forward_map and backward_map of the
+    # suite and the random pairs, pinned when each pair still had its own
+    # hand-written image code (see tests/functor_samples.py)
+    golden = json.loads((ROOT / "tests" / "images_golden.json").read_text())["digests"]
+    assert image_digests() == golden
