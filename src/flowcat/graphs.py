@@ -369,9 +369,9 @@ def plus_construction(g):
 # -- adjacency ----------------------------------------------------------------
 
 
-def adjacency_matrix(g, ordering=None):
-    """Vertex-ordered edge-count matrix: entry (i, j) counts edges from
-    ordering[i] to ordering[j].  Undefined for graphs with infinite bundles."""
+def matrix_positions(g, ordering=None):
+    """{vertex: row and column index} for a matrix of g in `ordering`
+    (default: sorted).  Undefined for graphs with infinite bundles."""
     if g.infinite_bundles:
         raise GraphError("adjacency matrix is undefined for graphs with bundles")
     if ordering is None:
@@ -379,9 +379,14 @@ def adjacency_matrix(g, ordering=None):
     ordering = list(ordering)
     if sorted(ordering) != g.sorted_vertices():
         raise GraphError("ordering must be a permutation of the vertex set")
-    pos = {v: i for i, v in enumerate(ordering)}
-    n = len(ordering)
-    rows = [[0] * n for _ in range(n)]
+    return {v: i for i, v in enumerate(ordering)}
+
+
+def adjacency_matrix(g, ordering=None):
+    """Vertex-ordered edge-count matrix: entry (i, j) counts edges from
+    ordering[i] to ordering[j].  Undefined for graphs with infinite bundles."""
+    pos = matrix_positions(g, ordering)
+    rows = [[0] * len(pos) for _ in pos]
     for e in g.edges:
         rows[pos[e.src]][pos[e.tgt]] += 1
     return IntMatrix.from_rows(rows)

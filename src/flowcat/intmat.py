@@ -1,13 +1,31 @@
-"""Exact integer matrices: Bareiss determinants and Smith normal form.
+"""Exact integer matrices: determinant and Smith normal form.
 
 Everything here is arbitrary-precision integer arithmetic; no floats ever.
-The Smith normal form records the unimodular row/column operations it
-performs, so the decomposition can be replayed against the input as a witness.
+Both `determinant` and `smith_normal_form` start with one elimination,
+`_unit_reduce`, which pivots only on entries +-1 and brings the matrix to
+`I_t (+) S` by recorded unimodular row and column operations; S is the Schur
+complement that has no unit entry left.  One fraction-free Bareiss pass on S
+then gives its rank r and a nonzero r x r minor N (N = |det S| when S is
+square and nonsingular).
+
+The Smith form of S is computed modulo N, so its entries stay below N.  This
+is exact because coker(S) (x) Z/N is the sum of the Z/gcd(d_i, N) over S's
+divisors d_i, and d_1 ... d_r divides every r x r minor, so d_i | N for
+i <= r; the divisors past the rank are 0 (Cohen, *A Course in Computational
+Algebraic Number Theory*, Alg. 2.4.14).
+
+What the witness certifies: replaying `SmithDecomposition.operations` on the
+input reproduces `reduced = I_t (+) S` exactly, so the input and `reduced`
+present the same cokernel.  S's divisors are not replayed: when S is square
+and nonsingular their product is checked against N at run time, and the
+tests compare them with independent oracles.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import chain
 
 
 @dataclass(frozen=True)
@@ -15,8 +33,10 @@ class IntMatrix:
     entries: tuple
 
     def __post_init__(self):
-        if any(len(row) != len(self.entries[0]) for row in self.entries):
+        if len(set(map(len, self.entries))) > 1:
             raise ValueError("matrix rows have unequal lengths")
+        if set(map(type, chain.from_iterable(self.entries))) <= {int}:
+            return
         for row in self.entries:
             for x in row:
                 if not isinstance(x, int) or isinstance(x, bool):
@@ -53,33 +73,7 @@ class IntMatrix:
         )
 
 
-def determinant(m):
-    """Exact determinant via the Bareiss fraction-free elimination."""
-    if m.rows != m.cols:
-        raise ValueError("determinant requires a square matrix")
-    n = m.rows
-    if n == 0:
-        return 1
-    a = [list(row) for row in m.entries]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                # Bareiss guarantees this division is exact.
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-# -- Smith normal form --------------------------------------------------------
+# -- the shared elimination ----------------------------------------------------
 #
 # Operations are encoded as tuples so they serialize to JSON directly:
 #   ("rswap", i, j)        swap rows i and j
@@ -87,8 +81,8 @@ def determinant(m):
 #   ("radd", dst, src, c)  row[dst] += c * row[src]
 #   ("cadd", dst, src, c)  col[dst] += c * col[src]
 #   ("rneg", i)            negate row i
-# All are unimodular (determinant +-1), so the diagonal they produce presents
-# the same cokernel as the input.
+# All are unimodular (determinant +-1): swaps and negations flip the sign of a
+# determinant, additions keep it.
 
 
 def apply_operations(m, ops):
@@ -122,110 +116,211 @@ def apply_operations(m, ops):
     return IntMatrix.from_rows(a)
 
 
+def _unit_reduce(a, ops):
+    """Eliminate on +-1 pivots in place until none is left; returns t.
+
+    Afterwards `a` is I_t (+) S, and `ops` holds the operations that took the
+    input there.  Rows and columns before the pivot are already zero, so
+    clearing the pivot row by column operations changes only that row."""
+    nrows = len(a)
+    ncols = len(a[0]) if a else 0
+    t = 0
+    while t < nrows and t < ncols:
+        pivot = next(
+            ((i, j) for i in range(t, nrows) for j in range(t, ncols) if a[i][j] in (1, -1)),
+            None,
+        )
+        if pivot is None:
+            break
+        i, j = pivot
+        if i != t:
+            a[t], a[i] = a[i], a[t]
+            ops.append(("rswap", t, i))
+        if j != t:
+            for row in a:
+                row[t], row[j] = row[j], row[t]
+            ops.append(("cswap", t, j))
+        prow = a[t]
+        if prow[t] == -1:
+            prow = a[t] = [-x for x in prow]
+            ops.append(("rneg", t))
+        rest = [(k, x) for k in range(t + 1, ncols) if (x := prow[k])]
+        for i in range(t + 1, nrows):
+            row = a[i]
+            c = row[t]
+            if c:
+                row[t] = 0
+                for k, x in rest:
+                    row[k] -= c * x
+                ops.append(("radd", i, t, -c))
+        for k, x in rest:
+            prow[k] = 0
+            ops.append(("cadd", k, t, -x))
+        t += 1
+    return t
+
+
+def _bareiss(s):
+    """Fraction-free elimination of s in place, pivoting on the smallest
+    nonzero entry.  Returns (r, minor): the rank of s and a nonzero r x r
+    minor, signed so that it is det s when s is square of full rank (1 when
+    r = 0)."""
+    nrows = len(s)
+    ncols = len(s[0]) if s else 0
+    sign = prev = 1
+    for k in range(min(nrows, ncols)):
+        pivot = min(
+            ((abs(x), i, j) for i in range(k, nrows) for j in range(k, ncols) if (x := s[i][j])),
+            default=None,
+        )
+        if pivot is None:
+            return k, sign * prev
+        _, i, j = pivot
+        if i != k:
+            s[k], s[i] = s[i], s[k]
+            sign = -sign
+        if j != k:
+            for row in s:
+                row[k], row[j] = row[j], row[k]
+            sign = -sign
+        prow = s[k]
+        p = prow[k]
+        for i in range(k + 1, nrows):
+            row = s[i]
+            c = row[k]
+            for j in range(k + 1, ncols):
+                # Bareiss guarantees this division is exact.
+                row[j] = (row[j] * p - c * prow[j]) // prev
+        prev = p
+    return min(nrows, ncols), sign * prev
+
+
+def determinant(m):
+    """Exact determinant: unit pivots, then Bareiss on what they leave."""
+    if m.rows != m.cols:
+        raise ValueError("determinant requires a square matrix")
+    a = [list(row) for row in m.entries]
+    ops = []
+    t = _unit_reduce(a, ops)
+    rank, minor = _bareiss([row[t:] for row in a[t:]])
+    if rank < m.rows - t:
+        return 0
+    flips = sum(1 for op in ops if op[0] in ("rswap", "cswap", "rneg"))
+    return -minor if flips % 2 else minor
+
+
+# -- Smith normal form --------------------------------------------------------
+
+
 @dataclass(frozen=True)
 class SmithDecomposition:
-    divisors: tuple  # full diagonal, length min(rows, cols), d_i | d_{i+1}
+    divisors: tuple  # all min(rows, cols) of them, d_i | d_{i+1}
     operations: tuple
-    diagonal: IntMatrix
+    reduced: IntMatrix  # I_t (+) S, what the operations make of the input
 
     def replay(self, m):
-        """Apply the recorded operations to m; equals `diagonal` iff m was the input."""
+        """Apply the recorded operations to m; equals `reduced` iff m was the input."""
         return apply_operations(m, self.operations)
 
 
 def smith_normal_form(m):
-    """Diagonalize m by unimodular row/column operations.
+    """Smith divisors of m, with the unit-pivot operation log as a witness.
 
-    Returns a SmithDecomposition whose divisors satisfy d_1 | d_2 | ... and are
-    nonnegative, with the operation log as a replayable witness.
-    """
+    The divisors are nonnegative and satisfy d_1 | d_2 | ...: t ones for the
+    unit pivots, then the divisors of the remainder S, then zeros."""
     a = [list(row) for row in m.entries]
-    nrows = len(a)
-    ncols = len(a[0]) if a else 0
     ops = []
+    t = _unit_reduce(a, ops)
+    reduced = IntMatrix(tuple(map(tuple, a)))
+    divisors = (1,) * t + _schur_divisors([row[t:] for row in a[t:]])
+    return SmithDecomposition(divisors=divisors, operations=tuple(ops), reduced=reduced)
 
-    def rswap(i, j):
-        if i != j:
-            a[i], a[j] = a[j], a[i]
-            ops.append(("rswap", i, j))
 
-    def cswap(i, j):
-        if i != j:
-            for row in a:
-                row[i], row[j] = row[j], row[i]
-            ops.append(("cswap", i, j))
+def _schur_divisors(s):
+    """Smith divisors of s, computed modulo a nonzero maximal minor N."""
+    size = min(len(s), len(s[0]) if s else 0)
+    rank, minor = _bareiss([row[:] for row in s])
+    if rank == 0:
+        return (0,) * size
+    n = abs(minor)
+    factors = _divisor_chain(_diagonal_mod(s, n))
+    if rank == len(s) == len(s[0]) and math.prod(factors) != n:
+        raise ArithmeticError(f"Smith divisors {factors} do not multiply to |det| = {n}")
+    return tuple(factors[:rank]) + (0,) * (size - rank)
 
-    def radd(dst, src, c):
-        if c:
-            for jj in range(ncols):
-                a[dst][jj] += c * a[src][jj]
-            ops.append(("radd", dst, src, c))
 
-    def cadd(dst, src, c):
-        if c:
-            for ii in range(nrows):
-                a[ii][dst] += c * a[ii][src]
-            ops.append(("cadd", dst, src, c))
+def _diagonal_mod(s, n):
+    """Diagonalize s over Z/n by unimodular row and column operations, with
+    every entry kept in [0, n); returns gcd(pivot, n) for each diagonal place.
 
-    def rneg(i):
-        for jj in range(ncols):
-            a[i][jj] = -a[i][jj]
-        ops.append(("rneg", i))
-
-    limit = min(nrows, ncols)
-    t = 0
-    while t < limit:
-        # Choose the nonzero entry of smallest magnitude as the pivot.
-        pivot = None
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                if a[i][j] != 0 and (
-                    pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])
-                ):
-                    pivot = (i, j)
+    Reducing an entry modulo n adds a multiple of a column of n*I, so the
+    quotient Z^rows / (s Z^cols + n Z^rows) = coker(s) (x) Z/n never changes.
+    Each place is cleared by xgcd 2x2 steps, which replace the pivot by a
+    proper divisor of it; a pivot that divides the entry takes the plain
+    subtraction step instead, which leaves it alone, so the loop ends."""
+    b = [[x % n for x in row] for row in s]
+    nrows, ncols = len(b), len(b[0])
+    size = min(nrows, ncols)
+    diagonal = []
+    for k in range(size):
+        pivot = next(
+            ((i, j) for i in range(k, nrows) for j in range(k, ncols) if b[i][j]), None
+        )
         if pivot is None:
-            break  # remaining submatrix is zero
-        rswap(t, pivot[0])
-        cswap(t, pivot[1])
+            return diagonal + [n] * (size - k)  # gcd(0, n)
+        i, j = pivot
+        b[k], b[i] = b[i], b[k]
+        for row in b:
+            row[k], row[j] = row[j], row[k]
+        while True:
+            for i in range(k + 1, nrows):
+                if b[i][k]:
+                    b[k], b[i] = _combine(b[k], b[i], k, n)
+            pk = b[k]
+            for j in range(k + 1, ncols):
+                if pk[j]:
+                    col_k = [row[k] for row in b]
+                    col_j = [row[j] for row in b]
+                    col_k, col_j = _combine(col_k, col_j, k, n)
+                    for row, x, y in zip(b, col_k, col_j):
+                        row[k], row[j] = x, y
+            if not any(b[i][k] for i in range(k + 1, nrows)):
+                break
+        diagonal.append(math.gcd(b[k][k], n))
+    return diagonal
 
-        dirty = True
-        while dirty:
-            dirty = False
-            # Clear column t below the pivot.
-            for i in range(t + 1, nrows):
-                if a[i][t] != 0:
-                    q = a[i][t] // a[t][t]
-                    radd(i, t, -q)
-                    if a[i][t] != 0:
-                        # Nonzero remainder: it is strictly smaller, promote it.
-                        rswap(t, i)
-                        dirty = True
-            # Clear row t right of the pivot.
-            for j in range(t + 1, ncols):
-                if a[t][j] != 0:
-                    q = a[t][j] // a[t][t]
-                    cadd(j, t, -q)
-                    if a[t][j] != 0:
-                        cswap(t, j)
-                        dirty = True
-            if dirty:
-                continue
-            # Pivot must divide every remaining entry for the divisor chain.
-            stop = False
-            for i in range(t + 1, nrows):
-                for j in range(t + 1, ncols):
-                    if a[i][j] % a[t][t] != 0:
-                        radd(t, i, 1)
-                        dirty = True
-                        stop = True
-                        break
-                if stop:
-                    break
-        if a[t][t] < 0:
-            rneg(t)
-        t += 1
 
-    divisors = tuple(a[i][i] for i in range(limit))
-    return SmithDecomposition(
-        divisors=divisors, operations=tuple(ops), diagonal=IntMatrix.from_rows(a)
+def _combine(u, v, k, n):
+    """Unimodular 2x2 combination of the vectors u, v (mod n) that makes
+    v[k] zero and u[k] the gcd of the two."""
+    a, c = u[k], v[k]
+    if c % a == 0:
+        f = c // a
+        return u, [(r - f * s) % n for s, r in zip(u, v)]
+    g, x, y = _xgcd(a, c)
+    p, q = a // g, c // g
+    return (
+        [(x * s + y * r) % n for s, r in zip(u, v)],
+        [(p * r - q * s) % n for s, r in zip(u, v)],
     )
+
+
+def _xgcd(a, b):
+    """(g, x, y) with g = gcd(a, b) = x * a + y * b, for a, b > 0."""
+    x0, x1, y0, y1 = 1, 0, 0, 1
+    while b:
+        q, a, b = a // b, b, a % b
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return a, x0, y0
+
+
+def _divisor_chain(diagonal):
+    """The invariant factors of the sum of the Z/e over `diagonal`, in
+    divisibility order, by replacing each pair with (gcd, lcm)."""
+    e = list(diagonal)
+    for i in range(len(e)):
+        for j in range(i + 1, len(e)):
+            g = math.gcd(e[i], e[j])
+            e[i], e[j] = g, e[i] * e[j] // g
+    return e

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import adjacency_matrix, is_irreducible, is_nontrivial
+from .graphs import is_irreducible, is_nontrivial, matrix_positions
 from .intmat import IntMatrix, determinant, smith_normal_form
 
 __all__ = [
@@ -29,8 +29,14 @@ __all__ = [
 
 
 def _ps_matrix(g, ordering=None):
-    a = adjacency_matrix(g, ordering)
-    return IntMatrix.identity(a.rows) - a
+    """I - A, built in one pass over the edges."""
+    pos = matrix_positions(g, ordering)
+    rows = [[0] * len(pos) for _ in pos]
+    for i, row in enumerate(rows):
+        row[i] = 1
+    for e in g.edges:
+        rows[pos[e.src]][pos[e.tgt]] -= 1
+    return IntMatrix(tuple(map(tuple, rows)))
 
 
 def parry_sullivan(g):

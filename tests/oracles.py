@@ -186,3 +186,121 @@ def product_diagram_isomorphism(vertices, edges, src, dst, isomorphisms, compose
     """The first natural family of vertexwise isomorphisms, or None."""
     families = _natural_families(vertices, edges, src, dst, isomorphisms, compose)
     return next(families, None)
+
+
+# -- the Euclid-swap Smith normal form and the Bareiss determinant ------------------
+#
+# The package's exact integer algebra before it pivoted on units and took the
+# Smith form modulo a minor, kept here as the reference for differential
+# tests.  The loops are unchanged; they take plain rows and return values
+# instead of recording an operation log.  The Smith form's entries are never
+# reduced, so it slows down sharply past about 12 dense vertices.
+
+
+def euclid_snf_divisors(rows):
+    """Smith divisors by repeated smallest-entry pivoting and Euclid swaps."""
+    a = [list(row) for row in rows]
+    nrows = len(a)
+    ncols = len(a[0]) if a else 0
+
+    def rswap(i, j):
+        if i != j:
+            a[i], a[j] = a[j], a[i]
+
+    def cswap(i, j):
+        if i != j:
+            for row in a:
+                row[i], row[j] = row[j], row[i]
+
+    def radd(dst, src, c):
+        if c:
+            for jj in range(ncols):
+                a[dst][jj] += c * a[src][jj]
+
+    def cadd(dst, src, c):
+        if c:
+            for ii in range(nrows):
+                a[ii][dst] += c * a[ii][src]
+
+    def rneg(i):
+        for jj in range(ncols):
+            a[i][jj] = -a[i][jj]
+
+    limit = min(nrows, ncols)
+    t = 0
+    while t < limit:
+        # Choose the nonzero entry of smallest magnitude as the pivot.
+        pivot = None
+        for i in range(t, nrows):
+            for j in range(t, ncols):
+                if a[i][j] != 0 and (
+                    pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])
+                ):
+                    pivot = (i, j)
+        if pivot is None:
+            break  # remaining submatrix is zero
+        rswap(t, pivot[0])
+        cswap(t, pivot[1])
+
+        dirty = True
+        while dirty:
+            dirty = False
+            # Clear column t below the pivot.
+            for i in range(t + 1, nrows):
+                if a[i][t] != 0:
+                    q = a[i][t] // a[t][t]
+                    radd(i, t, -q)
+                    if a[i][t] != 0:
+                        # Nonzero remainder: it is strictly smaller, promote it.
+                        rswap(t, i)
+                        dirty = True
+            # Clear row t right of the pivot.
+            for j in range(t + 1, ncols):
+                if a[t][j] != 0:
+                    q = a[t][j] // a[t][t]
+                    cadd(j, t, -q)
+                    if a[t][j] != 0:
+                        cswap(t, j)
+                        dirty = True
+            if dirty:
+                continue
+            # Pivot must divide every remaining entry for the divisor chain.
+            stop = False
+            for i in range(t + 1, nrows):
+                for j in range(t + 1, ncols):
+                    if a[i][j] % a[t][t] != 0:
+                        radd(t, i, 1)
+                        dirty = True
+                        stop = True
+                        break
+                if stop:
+                    break
+        if a[t][t] < 0:
+            rneg(t)
+        t += 1
+
+    return tuple(a[i][i] for i in range(limit))
+
+
+def bareiss_determinant(rows):
+    """Determinant by Bareiss fraction-free elimination with row swaps only."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    a = [list(row) for row in rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                # Bareiss guarantees this division is exact.
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]

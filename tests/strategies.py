@@ -1,4 +1,4 @@
-"""Hypothesis strategies shared by the property tests."""
+"""Hypothesis strategies and seeded generators shared by the tests."""
 
 from __future__ import annotations
 
@@ -32,3 +32,18 @@ def int_matrices(draw, max_rows=5, max_cols=None, lo=-4, hi=4, square=False):
     c = r if square else draw(st.integers(1, max_cols or max_rows))
     rows = [[draw(st.integers(lo, hi)) for _ in range(c)] for _ in range(r)]
     return IntMatrix.from_rows(rows)
+
+
+def dense_graph(rng, n):
+    """A cycle v0 -> v1 -> ... -> v0 plus, on each ordered pair with
+    probability 0.2, 1-3 parallel edges: I - A is dense with no zero row, and
+    its Smith form grows large coefficients unless entries are reduced."""
+    width = len(str(n - 1))
+    vs = [f"v{i:0{width}d}" for i in range(n)]
+    pairs = [(vs[i], vs[(i + 1) % n]) for i in range(n)]
+    for a in vs:
+        for b in vs:
+            if rng.random() < 0.2:
+                pairs.extend([(a, b)] * rng.randint(1, 3))
+    edges = tuple(Edge(f"e{k}", a, b) for k, (a, b) in enumerate(pairs))
+    return DirectedGraph(vertices=frozenset(vs), edges=edges)

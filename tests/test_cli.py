@@ -4,7 +4,9 @@ output, DOT rendering."""
 import contextlib
 import io
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -17,6 +19,8 @@ from hypothesis import HealthCheck, example, given, settings
 from flowcat import cli, zoo
 from flowcat.graphs import graph
 from flowcat.moves import InDelaySpec, in_delay
+
+from strategies import dense_graph
 
 
 def write_json(path, doc):
@@ -158,6 +162,15 @@ def test_invariants_loop2(tmp_path, capsys):
         "nontrivial": True,
         "cohereditary_irreducible_count": 1,
     }
+
+
+def test_invariants_on_64_dense_vertices(tmp_path, capsys):
+    g = dense_graph(random.Random(64), 64)
+    path = write_graph(tmp_path / "g.json", g)
+    code, doc, _ = run_json(capsys, ["invariants", path])
+    assert code == 0
+    assert doc["bf"]["free_rank"] == 0
+    assert math.prod(doc["bf"]["torsion"]) == abs(doc["ps"]) > 0
 
 
 def test_invariants_rejects_bundles(tmp_path, capsys):

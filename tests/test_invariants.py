@@ -1,13 +1,18 @@
+import math
 import random
+import runpy
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
-from flowcat import zoo
+from flowcat import intmat, zoo
 from flowcat.graphs import GraphError, graph
 from flowcat.intmat import IntMatrix, determinant, smith_normal_form
 from flowcat.invariants import (
     BowenFranksGroup,
+    _ps_matrix,
     bowen_franks,
     franks_equivalent,
     parry_sullivan,
@@ -16,8 +21,15 @@ from flowcat.moves import out_split
 from flowcat.sampling import random_irreducible_graph, random_move_spec
 from flowcat import moves as mv
 
-from oracles import cofactor_determinant, snf_divisors_by_gcds
-from strategies import int_matrices
+from oracles import (
+    bareiss_determinant,
+    cofactor_determinant,
+    euclid_snf_divisors,
+    snf_divisors_by_gcds,
+)
+from strategies import dense_graph, int_matrices
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 # -- determinant ---------------------------------------------------------------
@@ -46,6 +58,14 @@ def test_determinant_rejects_nonsquare():
 @settings(max_examples=150)
 def test_determinant_matches_cofactor_oracle(m):
     assert determinant(m) == cofactor_determinant([list(r) for r in m.entries])
+
+
+def test_int_matrix_rejects_non_integer_entries():
+    for bad in (True, 2.0, "3"):
+        with pytest.raises(TypeError):
+            IntMatrix(((1, bad), (0, 1)))
+    with pytest.raises(ValueError):
+        IntMatrix(((1, 2), (3,)))
 
 
 # -- Smith normal form -----------------------------------------------------------
@@ -80,26 +100,123 @@ def test_snf_matches_determinantal_divisor_oracle():
 @settings(max_examples=120)
 def test_snf_witness_and_chain(m):
     snf = smith_normal_form(m)
-    # Witness: replaying the recorded unimodular operations reproduces the diagonal.
-    assert snf.replay(m) == snf.diagonal
-    # Diagonal shape: nonnegative, divisibility chain, off-diagonal zero.
+    rows = [list(r) for r in m.entries]
+    # Witness: replaying the recorded unimodular operations reproduces I_t (+) S,
+    # and S has no unit entry left to pivot on.
+    reduced = snf.replay(m)
+    assert reduced == snf.reduced
+    a = [list(r) for r in reduced.entries]
+    t = 0
+    while t < min(m.rows, m.cols) and a[t][t] == 1:
+        assert all(a[t][j] == 0 for j in range(m.cols) if j != t)
+        assert all(a[i][t] == 0 for i in range(m.rows) if i != t)
+        t += 1
+    assert all(abs(x) != 1 for row in a[t:] for x in row[t:])
+    # Divisors: the determinantal-divisor oracle on the input and on I_t (+) S.
     divisors = snf.divisors
+    assert divisors == snf_divisors_by_gcds(rows) == snf_divisors_by_gcds(a)
     assert all(d >= 0 for d in divisors)
-    for a, b in zip(divisors, divisors[1:]):
-        if a != 0:
-            assert b % a == 0
+    for x, y in zip(divisors, divisors[1:]):
+        if x != 0:
+            assert y % x == 0
         else:
-            assert b == 0
-    for i, row in enumerate(snf.diagonal.entries):
-        for j, x in enumerate(row):
-            if i != j:
-                assert x == 0
+            assert y == 0
     if m.rows == m.cols:
         det = determinant(m)
         prod = 1
         for d in divisors:
             prod *= d
         assert prod == abs(det)
+
+
+def test_snf_checks_the_divisor_product(monkeypatch):
+    # When the remainder S is square and nonsingular, its divisors must
+    # multiply to |det S|; a wrong modular result is refused, not returned.
+    rows = [[2, 3], [4, 8]]  # no unit entry, so S is the whole matrix; det = 4
+    assert smith_normal_form(IntMatrix.from_rows(rows)).divisors == (1, 4)
+    monkeypatch.setattr(intmat, "_divisor_chain", lambda diagonal: [1, 2])
+    with pytest.raises(ArithmeticError):
+        smith_normal_form(IntMatrix.from_rows(rows))
+
+
+def _ps_rows(g):
+    return [list(r) for r in _ps_matrix(g).entries]
+
+
+def test_exact_algebra_matches_the_previous_implementation():
+    # The Euclid-swap Smith form and the row-pivoting Bareiss determinant that
+    # the unit-pivot elimination replaced: equal divisors and determinants on
+    # the invariance trials (each graph and its four move images) and on dense
+    # graphs.  The old Smith form does not finish on some dense graphs from
+    # n = 13 on, so the dense ones stop at 12.
+    rng = random.Random(20261018)
+    matrices = []
+    for _ in range(200):
+        g = random_irreducible_graph(rng, max_vertices=6)
+        matrices.append(_ps_rows(g))
+        for name in ("out_delay", "in_delay", "out_split", "in_split"):
+            image = getattr(mv, name)(g, random_move_spec(rng, g, name))
+            matrices.append(_ps_rows(image))
+    for n in range(6, 13):
+        matrices += [_ps_rows(dense_graph(rng, n)) for _ in range(8)]
+    assert len(matrices) >= 1000
+    for rows in matrices:
+        m = IntMatrix.from_rows(rows)
+        assert smith_normal_form(m).divisors == euclid_snf_divisors(rows), rows
+        assert determinant(m) == bareiss_determinant(rows), rows
+
+
+def _dense_cases():
+    rng = random.Random(64)
+    for n in (16, 24, 32, 48, 64):
+        g = dense_graph(rng, n)
+        yield n, g
+        # a disjoint cycle adds an eigenvalue 1: PS = 0 and one more Z
+        cycle = [f"w{i}" for i in range(n // 4)]
+        yield n, graph(
+            list(g.vertices) + cycle,
+            [(e.id, e.src, e.tgt) for e in g.edges]
+            + [(f"c{i}", v, cycle[(i + 1) % len(cycle)]) for i, v in enumerate(cycle)],
+        )
+
+
+@pytest.mark.parametrize("n, g", list(_dense_cases()))
+def test_bowen_franks_scales_to_64_vertices(n, g):
+    start = time.perf_counter()
+    bf = bowen_franks(g)
+    elapsed = time.perf_counter() - start
+    ps = parry_sullivan(g)
+    if ps != 0:
+        assert bf.free_rank == 0
+        assert math.prod(bf.torsion) == abs(ps)
+    else:
+        assert bf.free_rank >= 1
+    for x, y in zip(bf.torsion, bf.torsion[1:]):
+        assert y % x == 0
+    assert elapsed < 1.0, f"bowen_franks took {elapsed:.2f} s on {len(g.vertices)} vertices"
+
+
+def test_smith_form_agrees_with_sympy():
+    # dev-only oracle: sympy is not a dependency of the package
+    pytest.importorskip("sympy")
+    from sympy import ZZ, Matrix
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    rng = random.Random(7)
+    cases = [_ps_rows(dense_graph(rng, n)) for n in (16, 24, 32)]
+    cases += [_ps_rows(g) for _, g in list(_dense_cases())[2:4]]
+    cases += [[[rng.randint(-6, 6) for _ in range(7)] for _ in range(5)] for _ in range(20)]
+    for rows in cases:
+        d = sympy_snf(Matrix(rows), domain=ZZ)
+        expected = sorted((abs(int(d[i, i])) for i in range(min(d.shape))),
+                          key=lambda x: (x == 0, x))
+        assert list(smith_normal_form(IntMatrix.from_rows(rows)).divisors) == expected
+
+
+def test_move_invariance_sweep_runs_clean_at_24_vertices(capsys):
+    script = runpy.run_path(str(ROOT / "scripts" / "run_move_invariance.py"))
+    assert script["main"](["--max-vertices", "24", "--trials", "20"]) == 0
+    assert "all invariants preserved" in capsys.readouterr().out
 
 
 # -- Parry-Sullivan ---------------------------------------------------------------
@@ -114,6 +231,13 @@ def test_parry_sullivan_values():
 def test_parry_sullivan_rejects_bundles():
     with pytest.raises(GraphError):
         parry_sullivan(zoo.h_graph())
+
+
+def test_bowen_franks_rejects_bundles_and_a_bad_ordering():
+    with pytest.raises(GraphError, match="bundles"):
+        bowen_franks(zoo.h_graph())
+    with pytest.raises(GraphError, match="permutation"):
+        bowen_franks(zoo.vw_graph(), ["v"])
 
 
 def test_invariants_independent_of_vertex_ordering():
