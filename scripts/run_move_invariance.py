@@ -16,7 +16,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 
-from flowcat.invariants import bowen_franks, parry_sullivan
+from flowcat.invariants import flow_invariants
 from flowcat.moves import in_delay, in_split, out_delay, out_split
 from flowcat.sampling import random_irreducible_graph, random_move_spec
 
@@ -45,13 +45,13 @@ def run_sweep(config):
         g = random_irreducible_graph(
             rng, max_vertices=config.max_vertices, max_entry=config.max_entry
         )
-        ps, bf = parry_sullivan(g), bowen_franks(g)
+        ps, bf = flow_invariants(g)
         ps_seen[ps] += 1
         bf_seen[bf.describe()] += 1
         for name, apply_move in sorted(MOVES.items()):
             spec = random_move_spec(rng, g, name)
             h = apply_move(g, spec)
-            ps_after, bf_after = parry_sullivan(h), bowen_franks(h)
+            ps_after, bf_after = flow_invariants(h)
             if ps_after != ps or bf_after != bf:
                 print(
                     f"trial {trial}: {name} changed an invariant\n"

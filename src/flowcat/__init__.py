@@ -63,7 +63,7 @@ from .graphs import (
     plus_construction,
 )
 from .intmat import IntMatrix, determinant, smith_normal_form
-from .invariants import bowen_franks, franks_equivalent, parry_sullivan
+from .invariants import bowen_franks, flow_invariants, franks_equivalent, parry_sullivan
 from .leavitt import (
     LeavittError,
     build_module_operators,
@@ -126,6 +126,7 @@ __all__ = [
     "determinant",
     "diamond",
     "enumerate_diagrams",
+    "flow_invariants",
     "franks_equivalent",
     "graph",
     "in_delay",

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from operator import mul
 
 
 class CategoryError(ValueError):
@@ -287,11 +288,17 @@ def mat_identity(n):
 
 
 def mat_mul(q, g, f, inner, cols):
-    """Product of g (rows x inner) and f (inner x cols) mod q."""
-    return tuple(
-        tuple(sum(g[i][k] * f[k][j] for k in range(inner)) % q for j in range(cols))
-        for i in range(len(g))
-    )
+    """Product of g (rows x inner) and f (inner x cols) mod q, as a tuple of
+    row tuples.
+
+    f's columns are read once, and each entry is the dot product of a row of
+    g with a column of f.  `inner` and `cols` give the shape when a side has
+    no entries: with inner = 0 every entry is 0, and with cols = 0 every row
+    is empty.  Zeros are multiplied like any other entry, so the cost is
+    rows x inner x cols whatever the matrices hold.
+    """
+    columns = tuple(zip(*f)) if inner else ((),) * cols
+    return tuple(tuple(sum(map(mul, row, col)) % q for col in columns) for row in g)
 
 
 def mat_invertible(q, data, n):

@@ -29,7 +29,7 @@ from .graphs import (
     is_nontrivial,
     validate,
 )
-from .invariants import bowen_franks, franks_equivalent, parry_sullivan
+from .invariants import flow_invariants, franks_equivalent
 from .leavitt import (
     LeavittError,
     build_module_operators,
@@ -315,9 +315,9 @@ def cmd_validate(args):
 def cmd_invariants(args):
     g = load_graph(args.graph)
     try:
-        bf = bowen_franks(g)
+        ps, bf = flow_invariants(g)
         doc = {
-            "ps": parry_sullivan(g),
+            "ps": ps,
             "bf": {"free_rank": bf.free_rank, "torsion": list(bf.torsion)},
             "irreducible": is_irreducible(g),
             "nontrivial": is_nontrivial(g),

@@ -205,6 +205,11 @@ def determinant(m):
     rank, minor = _bareiss([row[t:] for row in a[t:]])
     if rank < m.rows - t:
         return 0
+    return _signed(minor, ops)
+
+
+def _signed(minor, ops):
+    """minor times the determinant (+-1) of the logged operations."""
     flips = sum(1 for op in ops if op[0] in ("rswap", "cswap", "rneg"))
     return -minor if flips % 2 else minor
 
@@ -217,36 +222,48 @@ class SmithDecomposition:
     divisors: tuple  # all min(rows, cols) of them, d_i | d_{i+1}
     operations: tuple
     reduced: IntMatrix  # I_t (+) S, what the operations make of the input
+    schur_minor: int  # S's signed maximal minor from Bareiss: det S when S is square of full rank
 
     def replay(self, m):
         """Apply the recorded operations to m; equals `reduced` iff m was the input."""
         return apply_operations(m, self.operations)
+
+    def determinant(self):
+        """det of the square input, equal to `determinant(input)`: 0 when a
+        divisor is 0, else the sign of the log times det S."""
+        if self.reduced.rows != self.reduced.cols:
+            raise ValueError("determinant requires a square matrix")
+        return 0 if 0 in self.divisors else _signed(self.schur_minor, self.operations)
 
 
 def smith_normal_form(m):
     """Smith divisors of m, with the unit-pivot operation log as a witness.
 
     The divisors are nonnegative and satisfy d_1 | d_2 | ...: t ones for the
-    unit pivots, then the divisors of the remainder S, then zeros."""
+    unit pivots, then the divisors of the remainder S, then zeros.  The same
+    pass gives the determinant of a square input (`determinant()`)."""
     a = [list(row) for row in m.entries]
     ops = []
     t = _unit_reduce(a, ops)
     reduced = IntMatrix(tuple(map(tuple, a)))
-    divisors = (1,) * t + _schur_divisors([row[t:] for row in a[t:]])
-    return SmithDecomposition(divisors=divisors, operations=tuple(ops), reduced=reduced)
+    divisors, minor = _schur_divisors([row[t:] for row in a[t:]])
+    return SmithDecomposition(
+        divisors=(1,) * t + divisors, operations=tuple(ops), reduced=reduced, schur_minor=minor
+    )
 
 
 def _schur_divisors(s):
-    """Smith divisors of s, computed modulo a nonzero maximal minor N."""
+    """(divisors, minor): the Smith divisors of s, computed modulo a nonzero
+    maximal minor N, and N signed as `_bareiss` gives it."""
     size = min(len(s), len(s[0]) if s else 0)
     rank, minor = _bareiss([row[:] for row in s])
     if rank == 0:
-        return (0,) * size
+        return (0,) * size, minor
     n = abs(minor)
     factors = _divisor_chain(_diagonal_mod(s, n))
     if rank == len(s) == len(s[0]) and math.prod(factors) != n:
         raise ArithmeticError(f"Smith divisors {factors} do not multiply to |det| = {n}")
-    return tuple(factors[:rank]) + (0,) * (size - rank)
+    return tuple(factors[:rank]) + (0,) * (size - rank), minor
 
 
 def _diagonal_mod(s, n):

@@ -23,6 +23,7 @@ __all__ = [
     "parry_sullivan",
     "BowenFranksGroup",
     "bowen_franks",
+    "flow_invariants",
     "FranksVerdict",
     "franks_equivalent",
 ]
@@ -62,7 +63,16 @@ class BowenFranksGroup:
 
 def bowen_franks(g, ordering=None):
     """Cokernel of I - A as a BowenFranksGroup, via Smith normal form."""
-    snf = smith_normal_form(_ps_matrix(g, ordering))
+    return _cokernel(smith_normal_form(_ps_matrix(g, ordering)))
+
+
+def flow_invariants(g):
+    """(parry_sullivan(g), bowen_franks(g)) from one Smith normal form of I - A."""
+    snf = smith_normal_form(_ps_matrix(g))
+    return snf.determinant(), _cokernel(snf)
+
+
+def _cokernel(snf):
     free_rank = sum(1 for d in snf.divisors if d == 0)
     torsion = tuple(d for d in snf.divisors if d > 1)
     return BowenFranksGroup(free_rank=free_rank, torsion=torsion)
@@ -92,12 +102,11 @@ def franks_equivalent(g, h):
             return FranksVerdict(
                 "out_of_scope", f"{name} graph is trivial (permutation adjacency)"
             )
-    ps_g, ps_h = parry_sullivan(g), parry_sullivan(h)
+    (ps_g, bf_g), (ps_h, bf_h) = flow_invariants(g), flow_invariants(h)
     if ps_g != ps_h:
         return FranksVerdict(
             "not_equivalent", f"Parry-Sullivan numbers differ: {ps_g} != {ps_h}"
         )
-    bf_g, bf_h = bowen_franks(g), bowen_franks(h)
     if bf_g != bf_h:
         return FranksVerdict(
             "not_equivalent",

@@ -37,18 +37,19 @@ class LpaOperators:
     edge_star_maps: frozendict  # e -> A_e*
 
 
-def _zero(total):
-    return [[0] * total for _ in range(total)]
+def _zero(rows, cols):
+    return ((0,) * cols,) * rows
 
 
-def _freeze(rows):
-    return tuple(tuple(r) for r in rows)
-
-
-def _place(acc, row_off, col_off, data):
-    for i, row in enumerate(data):
-        for j, x in enumerate(row):
-            acc[row_off + i][col_off + j] = x
+def _blocks(rows, cols, placed):
+    """rows x cols matrix holding each (row_off, col_off, data) of `placed`
+    and 0 elsewhere; each row is spliced together from tuple slices."""
+    acc = list(_zero(rows, cols))
+    for row_off, col_off, data in placed:
+        for i, row in enumerate(data, row_off):
+            old = acc[i]
+            acc[i] = old[:col_off] + tuple(row) + old[col_off + len(row) :]
+    return tuple(acc)
 
 
 def build_module_operators(cat, diagram):
@@ -74,19 +75,16 @@ def build_module_operators(cat, diagram):
         offset += diagram.obj[v]
     total = offset
 
-    projections = {}
-    for v in order:
-        off, dim = blocks[v]
-        acc = _zero(total)
-        for i in range(dim):
-            acc[off + i][off + i] = 1
-        projections[v] = _freeze(acc)
-
-    edge_maps = {}
-    for e in g.edges:
-        acc = _zero(total)
-        _place(acc, blocks[e.tgt][0], blocks[e.src][0], diagram.mor[e.id].data)
-        edge_maps[e.id] = _freeze(acc)
+    projections = {
+        v: _blocks(total, total, [(off, off, mat_identity(dim))])
+        for v, (off, dim) in blocks.items()
+    }
+    edge_maps = {
+        e.id: _blocks(
+            total, total, [(blocks[e.tgt][0], blocks[e.src][0], diagram.mor[e.id].data)]
+        )
+        for e in g.edges
+    }
 
     edge_star_maps = {}
     for v in order:
@@ -99,9 +97,9 @@ def build_module_operators(cat, diagram):
             dim_src = diagram.obj[e.src]
             component = phi.data[row : row + dim_src]
             row += dim_src
-            acc = _zero(total)
-            _place(acc, blocks[e.src][0], blocks[v][0], component)
-            edge_star_maps[e.id] = _freeze(acc)
+            edge_star_maps[e.id] = _blocks(
+                total, total, [(blocks[e.src][0], blocks[v][0], component)]
+            )
 
     return LpaOperators(
         q=cat.q,
@@ -118,10 +116,9 @@ def _mul(q, a, b, total):
     return mat_mul(q, a, b, total, total)
 
 
-def _add(q, a, b):
-    return tuple(
-        tuple((x + y) % q for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
-    )
+def _sum(q, mats):
+    """Entrywise sum mod q of equal-shape matrices, added row by row."""
+    return tuple(tuple(sum(col) % q for col in zip(*rows)) for rows in zip(*mats))
 
 
 @dataclass(frozen=True)
@@ -158,12 +155,13 @@ class LeavittReport:
 def check_leavitt_relations(ops):
     """Verify the five defining relations on the assembled operators."""
     q, total, g = ops.q, ops.total_dim, ops.graph
-    zero = _freeze(_zero(total))
+    order = g.sorted_vertices()
+    zero = _zero(total, total)
     checks = []
 
     failures = []
-    for u in g.sorted_vertices():
-        for v in g.sorted_vertices():
+    for u in order:
+        for v in order:
             prod = _mul(q, ops.projections[u], ops.projections[v], total)
             expected = ops.projections[v] if u == v else zero
             if prod != expected:
@@ -226,14 +224,16 @@ def check_leavitt_relations(ops):
     )
 
     failures = []
-    for v in g.sorted_vertices():
+    for v in order:
         if classify_vertex(g, v).is_source:
             continue
-        acc = zero
-        for e in g.incoming(v):
-            acc = _add(
-                q, acc, _mul(q, ops.edge_maps[e.id], ops.edge_star_maps[e.id], total)
-            )
+        acc = _sum(
+            q,
+            [
+                _mul(q, ops.edge_maps[e.id], ops.edge_star_maps[e.id], total)
+                for e in g.incoming(v)
+            ],
+        )
         if acc != ops.projections[v]:
             failures.append(f"sum over t^-1({v})")
     checks.append(
@@ -250,11 +250,8 @@ def check_leavitt_relations(ops):
 
 def check_unital_action(ops):
     """The vertex projections must sum to the identity of the module."""
-    total = ops.total_dim
-    acc = _freeze(_zero(total))
-    for v in ops.graph.sorted_vertices():
-        acc = _add(ops.q, acc, ops.projections[v])
-    ok = acc == mat_identity(total)
+    acc = _sum(ops.q, [ops.projections[v] for v in ops.graph.sorted_vertices()])
+    ok = acc == mat_identity(ops.total_dim)
     return RelationCheck(
         "unital-sum",
         "sum of P_v over all vertices = identity",
@@ -266,14 +263,14 @@ def check_unital_action(ops):
 def module_map(ops_dom, ops_cod, components):
     """Block-diagonal matrix of a diagram morphism between the underlying
     diagrams, as a map of modules."""
-    total_rows = ops_cod.total_dim
-    total_cols = ops_dom.total_dim
-    acc = [[0] * total_cols for _ in range(total_rows)]
-    for v in ops_dom.graph.sorted_vertices():
-        row_off = ops_cod.vertex_blocks[v][0]
-        col_off = ops_dom.vertex_blocks[v][0]
-        _place(acc, row_off, col_off, components[v].data)
-    return _freeze(acc)
+    return _blocks(
+        ops_cod.total_dim,
+        ops_dom.total_dim,
+        [
+            (ops_cod.vertex_blocks[v][0], ops_dom.vertex_blocks[v][0], components[v].data)
+            for v in ops_dom.graph.sorted_vertices()
+        ],
+    )
 
 
 def intertwining_failures(ops_dom, ops_cod, matrix):

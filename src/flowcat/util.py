@@ -104,6 +104,8 @@ class frozendict(Mapping):
         return self._hash
 
     def __eq__(self, other):
+        if isinstance(other, frozendict):
+            return self is other or self._items == other._items
         if isinstance(other, Mapping):
             return dict(self._items) == dict(other)
         return NotImplemented

@@ -304,3 +304,21 @@ def bareiss_determinant(rows):
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+# -- matrices over a prime field ---------------------------------------------------
+
+
+def naive_mat_mul(q, g, f, inner, cols):
+    """Product of g (rows x inner) and f (inner x cols) mod q by the textbook
+    triple loop over (i, j, k)."""
+    out = []
+    for i in range(len(g)):
+        row = []
+        for j in range(cols):
+            s = 0
+            for k in range(inner):
+                s += g[i][k] * f[k][j]
+            row.append(s % q)
+        out.append(tuple(row))
+    return tuple(out)

@@ -20,7 +20,7 @@ from flowcat.categories import (
     parse_category_spec,
 )
 
-from oracles import brute_force_supremum
+from oracles import brute_force_supremum, naive_mat_mul
 
 
 # -- posets ----------------------------------------------------------------------
@@ -185,6 +185,26 @@ def test_mat_helpers():
     assert mat_invertible(3, ((1, 1), (1, 2)), 2)
     inv = mat_inverse(3, ((1, 1), (1, 2)), 2)
     assert mat_mul(3, inv, ((1, 1), (1, 2)), 2, 2) == mat_identity(2)
+
+
+def _random_matrix(rng, rows, cols, lo, hi):
+    return tuple(tuple(rng.randint(lo, hi) for _ in range(cols)) for _ in range(rows))
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_mat_mul_matches_the_triple_loop_oracle(q):
+    # Every shape with rows, inner and cols in 0..4 (so each may be 0), plus
+    # larger random shapes; entries in 0..q-1 and, unreduced, in -2q..2q.
+    rng = random.Random(f"mat-mul-{q}")
+    shapes = list(itertools.product(range(5), repeat=3))
+    shapes += [tuple(rng.randint(0, 12) for _ in range(3)) for _ in range(40)]
+    for rows, inner, cols in shapes:
+        for lo, hi in ((0, q - 1), (-2 * q, 2 * q)):
+            g = _random_matrix(rng, rows, inner, lo, hi)
+            f = _random_matrix(rng, inner, cols, lo, hi)
+            got = mat_mul(q, g, f, inner, cols)
+            assert got == naive_mat_mul(q, g, f, inner, cols), (q, rows, inner, cols)
+            assert len(got) == rows and all(len(r) == cols for r in got)
 
 
 def test_mat_requires_small_prime():

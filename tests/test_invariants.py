@@ -14,6 +14,7 @@ from flowcat.invariants import (
     BowenFranksGroup,
     _ps_matrix,
     bowen_franks,
+    flow_invariants,
     franks_equivalent,
     parry_sullivan,
 )
@@ -57,7 +58,9 @@ def test_determinant_rejects_nonsquare():
 @given(int_matrices(max_rows=5, square=True))
 @settings(max_examples=150)
 def test_determinant_matches_cofactor_oracle(m):
-    assert determinant(m) == cofactor_determinant([list(r) for r in m.entries])
+    expected = cofactor_determinant([list(r) for r in m.entries])
+    assert determinant(m) == expected
+    assert smith_normal_form(m).determinant() == expected
 
 
 def test_int_matrix_rejects_non_integer_entries():
@@ -127,6 +130,47 @@ def test_snf_witness_and_chain(m):
         for d in divisors:
             prod *= d
         assert prod == abs(det)
+
+
+def test_snf_determinant_of_empty_and_nonsquare_input():
+    assert smith_normal_form(IntMatrix(())).determinant() == 1
+    with pytest.raises(ValueError):
+        smith_normal_form(IntMatrix.from_rows([[2, 4, 6]])).determinant()
+
+
+def _count_unit_reduce(monkeypatch):
+    calls = []
+    real = intmat._unit_reduce
+
+    def counted(a, ops):
+        calls.append(len(a))
+        return real(a, ops)
+
+    monkeypatch.setattr(intmat, "_unit_reduce", counted)
+    return calls
+
+
+def test_flow_invariants_eliminate_once_per_graph(monkeypatch):
+    # One Smith form gives PS and BF; they equal the separate calls on the
+    # invariance trials, dense graphs and a graph with PS = 0.
+    rng = random.Random(20261019)
+    graphs = [random_irreducible_graph(rng, max_vertices=6) for _ in range(150)]
+    graphs += [dense_graph(rng, n) for n in (8, 16, 32)]
+    graphs += [g for _, g in list(_dense_cases())[1:2]] + [zoo.loop2(), zoo.cuntz_h()]
+    expected = [(parry_sullivan(g), bowen_franks(g)) for g in graphs]
+    calls = _count_unit_reduce(monkeypatch)
+    for g, want in zip(graphs, expected):
+        calls.clear()
+        assert flow_invariants(g) == want, g
+        assert calls == [len(g.vertices)]
+    assert any(ps == 0 for ps, _ in expected)
+
+
+def test_franks_comparison_eliminates_once_per_graph(monkeypatch):
+    calls = _count_unit_reduce(monkeypatch)
+    verdict = franks_equivalent(zoo.loop2(), zoo.cuntz_h())
+    assert verdict.kind == "not_equivalent"
+    assert calls == [1, 3]
 
 
 def test_snf_checks_the_divisor_product(monkeypatch):

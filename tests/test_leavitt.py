@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from flowcat import zoo
+from flowcat import leavitt, zoo
 from flowcat.categories import MatCategory, Morphism
 from flowcat.diagrams import (
     Diagram,
@@ -30,6 +30,8 @@ from flowcat.leavitt import (
     module_map,
 )
 from flowcat.util import frozendict
+
+from oracles import naive_mat_mul
 
 
 def unit_matrix(total, ones):
@@ -164,6 +166,40 @@ def test_corrupted_projection_breaks_unital_sum():
         projections=ops.projections.set("a", unit_matrix(6, set())),
     )
     assert not check_unital_action(bad).ok
+
+
+def _reports(ops):
+    return check_leavitt_relations(ops).to_dict(), check_unital_action(ops)
+
+
+def test_36_dim_module_reports_match_the_oracle_product(monkeypatch):
+    # A 12-chain over mat:2:8 with every dimension 3: 36 x 36 operators.  The
+    # reports, clean and with one corrupted projection, are the same when
+    # every product is the triple-loop oracle (memoised, since the two runs
+    # share most products).
+    cat = MatCategory(2, 8)
+    g = zoo.chain_graph(12)
+    ops = build_module_operators(cat, canonical_diagram(cat, g, {v: 3 for v in g.vertices}))
+    assert ops.total_dim == 36
+    p = [list(r) for r in ops.projections["a7"]]
+    p[0][35] = 1  # outside every block
+    bad = dataclasses.replace(ops, projections=ops.projections.set("a7", tuple(map(tuple, p))))
+    cases = (ops, bad)
+    got = [_reports(x) for x in cases]
+
+    memo = {}
+
+    def oracle(q, lhs, rhs, inner, cols):
+        key = (q, lhs, rhs, inner, cols)
+        if key not in memo:
+            memo[key] = naive_mat_mul(q, lhs, rhs, inner, cols)
+        return memo[key]
+
+    monkeypatch.setattr(leavitt, "mat_mul", oracle)
+    assert got == [_reports(x) for x in cases]
+    failing = [{c["name"] for c in report["checks"] if not c["ok"]} for report, _ in got]
+    assert failing == [set(), {"orthogonal-idempotents", "ck1", "ck2"}]
+    assert [unital.ok for _, unital in got] == [True, False]
 
 
 # -- property sweep over small graphs and both fields --------------------------
