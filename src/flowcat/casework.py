@@ -40,6 +40,10 @@ from .graphs import (
 from .invariants import bowen_franks, franks_equivalent, parry_sullivan
 from .util import NodeBudget
 
+# The poset report checks monotonicity both ways on at most this many ordered
+# pairs of diagrams, and says so when it stops early.
+MONOTONE_PAIR_CAP = 250_000
+
 
 class CaseworkError(ValueError):
     """The case inputs are outside what the report can check."""
@@ -167,7 +171,7 @@ def poset_count_obstructions(cat, g):
     return tuple(obstructions)
 
 
-def verify_poset_corollary(cat, g, max_nodes=None, monotone_pair_cap=250_000):
+def verify_poset_corollary(cat, g, max_nodes=None):
     """Count thin diagrams against |P| ** m and certify that restriction to
     the subset representatives is a two-sided monotone bijection onto P ** m.
 
@@ -220,7 +224,7 @@ def verify_poset_corollary(cat, g, max_nodes=None, monotone_pair_cap=250_000):
     pairs_checked = 0
     if bijective:
         for i, j in itertools.product(range(count), repeat=2):
-            if pairs_checked >= monotone_pair_cap:
+            if pairs_checked >= MONOTONE_PAIR_CAP:
                 details.append(
                     f"monotonicity sampled on the first {pairs_checked} ordered pairs"
                 )

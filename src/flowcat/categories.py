@@ -16,6 +16,8 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from operator import mul
 
+from .util import cached_on
+
 
 class CategoryError(ValueError):
     """Ill-typed composition, malformed instance data, or unusable input."""
@@ -88,6 +90,30 @@ class FiniteCategory(ABC):
     def _check_composable(self, g, f):
         if f.cod != g.dom:
             raise CategoryError(f"cannot compose: {f.cod!r} != {g.dom!r}")
+
+
+def _block_coproduct(cat, family, bound, block):
+    """The coproduct of a family of sizes in a category whose objects are
+    sizes: the apex is their sum, or None past `bound`, and the injection of
+    a member n at offset `at` has data `block(n, at, apex)`.  It is canonical
+    per family, so it is built once and kept on `cat`."""
+    family = tuple(family)
+    if not family:
+        raise CategoryError("coproduct of an empty family is not supported")
+
+    def build():
+        apex = sum(family)
+        if apex > bound:
+            return None
+        offsets = itertools.accumulate(family, initial=0)
+        return Coproduct(
+            apex=apex,
+            injections=tuple(
+                Morphism(n, apex, block(n, at, apex)) for n, at in zip(family, offsets)
+            ),
+        )
+
+    return cached_on(cat, ("coproduct", family), build)
 
 
 # -- posets ---------------------------------------------------------------------
@@ -238,18 +264,9 @@ class FinSetSkeleton(FiniteCategory):
         return Morphism(f.cod, f.dom, tuple(inv))
 
     def coproduct(self, family):
-        family = list(family)
-        if not family:
-            raise CategoryError("coproduct of an empty family is not supported")
-        apex = sum(family)
-        if apex > self.max_size:
-            return None
-        injections = []
-        offset = 0
-        for n in family:
-            injections.append(Morphism(n, apex, tuple(range(offset, offset + n))))
-            offset += n
-        return Coproduct(apex=apex, injections=tuple(injections))
+        return _block_coproduct(
+            self, family, self.max_size, lambda n, at, apex: tuple(range(at, at + n))
+        )
 
     def cotuple(self, cop, legs):
         legs = list(legs)
@@ -285,6 +302,11 @@ _SMALL_PRIMES = {2, 3, 5, 7}
 
 def mat_identity(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+
+
+def mat_block(n, at, rows):
+    """The rows x n matrix whose rows at..at+n-1 are the n x n identity."""
+    return tuple(tuple(1 if i == at + j else 0 for j in range(n)) for i in range(rows))
 
 
 def mat_mul(q, g, f, inner, cols):
@@ -401,22 +423,7 @@ class MatCategory(FiniteCategory):
         return Morphism(f.cod, f.dom, mat_inverse(self.q, f.data, f.dom))
 
     def coproduct(self, family):
-        family = list(family)
-        if not family:
-            raise CategoryError("coproduct of an empty family is not supported")
-        apex = sum(family)
-        if apex > self.max_dim:
-            return None
-        injections = []
-        offset = 0
-        for n in family:
-            data = tuple(
-                tuple(1 if i == offset + j else 0 for j in range(n))
-                for i in range(apex)
-            )
-            injections.append(Morphism(n, apex, data))
-            offset += n
-        return Coproduct(apex=apex, injections=tuple(injections))
+        return _block_coproduct(self, family, self.max_dim, mat_block)
 
     def cotuple(self, cop, legs):
         legs = list(legs)

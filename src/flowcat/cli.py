@@ -172,7 +172,7 @@ def _split_graph_map(g, mapping, where):
     on_vertices, on_edges = {}, {}
     for key, value in mapping.items():
         _require(
-            isinstance(value, int) and value >= 0,
+            _is_int(value) and value >= 0,
             where,
             f"value for {key!r} must be a nonnegative integer",
         )
@@ -212,9 +212,7 @@ def parse_move_doc(doc, g, where):
     if move in ("add_heads", "add_tails"):
         depth = doc.get("depth")
         _require(
-            isinstance(depth, int) and depth >= 1,
-            where,
-            '"depth" must be a positive integer',
+            _is_int(depth) and depth >= 1, where, '"depth" must be a positive integer'
         )
         return move, depth
     key = "d" if move.endswith("delay") else "p"

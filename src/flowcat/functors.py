@@ -26,9 +26,10 @@ interpreter (`FunctorPair`) builds every image from it.
   each path running from its leaf to v or u.
 * A morphism goes to the coproduct of its components over each family.
 
-The one exception is the out-split's backward functor and counit, which go
-through the inverse of a cotuple (`OutSplitPair._transfer`) and so are
-written out by hand.
+No functor inverts a map.  The only inverse is the unit's, and it is where
+the coproduct condition is used: at each vertex v that is not its own only
+leaf, d satisfies the condition at v exactly when the cotuple of d(path)
+over the leaves of GF(v) is an isomorphism.
 
 Coproducts over incoming edges are always formed in edge-id-sorted order, and
 nested coproducts are flattened in the same order, so that object equalities
@@ -150,8 +151,6 @@ def _leaves(outer, inner, paths):
     """(leaf, path) per leaf of the composite image at each vertex v: the
     members of the `inner` families over the `outer` family of v, in order,
     each with its path from `paths[v]`."""
-    if paths is None:
-        return None
     members = inner.families
     return {
         v: tuple(zip([x for u in fam for x in members[u]], paths[v], strict=True))
@@ -192,16 +191,17 @@ class FunctorPair:
     """An executable adjoint equivalence between Dgm(source) and Dgm(target),
     interpreted from two `_Table`s and the leaf paths of unit and counit.
 
-    `forward_table` goes from Dgm(source) to Dgm(target), `backward_table`
-    back.  `unit_leaves[v]` pairs each leaf of backward(forward(d)) at a
-    source vertex v with a path in `source` from the leaf to v, and
-    `counit_leaves[u]` each leaf of forward(backward(e)) at a target vertex
-    u with a path in `target` from the leaf to u.
+    `move` names the move.  The table `forward` goes from Dgm(source) to
+    Dgm(target), `backward` back.  `unit_paths[v]` gives, per leaf of
+    backward(forward(d)) at a source vertex v, a path in `source` from the
+    leaf to v, and `counit_paths[u]`, per leaf of forward(backward(e)) at a
+    target vertex u, a path in `target` from the leaf to u.
     """
 
-    move = ""
-
-    def __init__(self, source, target, forward, backward, unit_paths, counit_paths):
+    def __init__(
+        self, move, source, target, forward, backward, unit_paths, counit_paths
+    ):
+        self.move = move
         self.source = source
         self.target = target
         self.forward_table = forward
@@ -256,205 +256,166 @@ class FunctorPair:
 # -- sink removal ---------------------------------------------------------------
 
 
-class SinkRemovalPair(FunctorPair):
+def remove_sink_pair(g, w):
     """Dgm(G) = Dgm(G - w) for a sink w that is not a source: the vertex
     object at w is determined (up to canonical iso) as the coproduct of the
     objects at the sources of its incoming edges."""
-
-    move = "remove_sink"
-
-    def __init__(self, g, w):
-        if g.incoming_bundles(w):
-            raise FunctorPairError(
-                f"sink {w!r} receives an infinite bundle; the reattachment "
-                "coproduct would be infinite"
-            )
-        target = moves.remove_sink(g, w)
-        attach = g.incoming(w)  # edges into w, canonical order
-        kept = {v: (v,) for v in target.sorted_vertices()}
-        legs = _copy_edges(target.edges)
-        back = {**legs, **{f.id: ((j, ()),) for j, f in enumerate(attach)}}
-        families = {**kept, w: tuple(f.src for f in attach)}
-        unit = {**_identities(kept), w: tuple((f.id,) for f in attach)}
-        forward, backward = _Table(kept, legs), _Table(families, back)
-        super().__init__(g, target, forward, backward, unit, _identities(kept))
-        self.w = w
+    if g.incoming_bundles(w):
+        raise FunctorPairError(
+            f"sink {w!r} receives an infinite bundle; the reattachment "
+            "coproduct would be infinite"
+        )
+    target = moves.remove_sink(g, w)
+    attach = g.incoming(w)  # edges into w, canonical order
+    kept = {v: (v,) for v in target.sorted_vertices()}
+    legs = _copy_edges(target.edges)
+    back = {**legs, **{f.id: ((j, ()),) for j, f in enumerate(attach)}}
+    families = {**kept, w: tuple(f.src for f in attach)}
+    identities = _identities(kept)
+    unit = {**identities, w: tuple((f.id,) for f in attach)}
+    forward, backward = _Table(kept, legs), _Table(families, back)
+    return FunctorPair("remove_sink", g, target, forward, backward, unit, identities)
 
 
 # -- out-delay ---------------------------------------------------------------------
 
 
-class OutDelayPair(FunctorPair):
+def out_delay_pair(g, spec):
     """Dgm(G) = Dgm(G_od): delayed vertices copy their object along identity
     chain maps; original edges keep their morphism."""
-
-    move = "out_delay"
-
-    def __init__(self, g, spec):
-        target = moves.out_delay(g, spec)  # validates the spec first
-        dv, de = spec.d_vertices, spec.d_edges
-        legs, counit = _copy_edges(g.edges), {}
-        for v in g.sorted_vertices():
-            for n in range(dv[v] + 1):
-                counit[indexed_vertex(v, n)] = (_chain(v, range(1, n + 1)),)
-                if n:
-                    legs[chain_edge(v, n)] = ((0, ()),)
-        back = {}
-        for e in g.edges:
-            back[e.id] = ((0, (*_chain(e.src, range(1, de[e.id] + 1)), e.id)),)
-        forward, backward = _Table(_copies(g, dv), legs), _Table(_level_zero(g), back)
-        super().__init__(g, target, forward, backward, _identities(g.vertices), counit)
-        self.spec = spec
+    target = moves.out_delay(g, spec)  # validates the spec first
+    dv, de = spec.d_vertices, spec.d_edges
+    legs, counit = _copy_edges(g.edges), {}
+    for v in g.sorted_vertices():
+        for n in range(dv[v] + 1):
+            counit[indexed_vertex(v, n)] = (_chain(v, range(1, n + 1)),)
+            if n:
+                legs[chain_edge(v, n)] = ((0, ()),)
+    back = {}
+    for e in g.edges:
+        back[e.id] = ((0, (*_chain(e.src, range(1, de[e.id] + 1)), e.id)),)
+    forward, backward = _Table(_copies(g, dv), legs), _Table(_level_zero(g), back)
+    return FunctorPair(
+        "out_delay", g, target, forward, backward, _identities(g.vertices), counit
+    )
 
 
 # -- in-delay ---------------------------------------------------------------------
 
 
-class InDelayPair(FunctorPair):
+def in_delay_pair(g, spec):
     """Dgm(G) = Dgm(G_id) for source-free G: the object at (v, n) is the
     coproduct of the incoming sources whose edge delay is at least n."""
-
-    move = "in_delay"
-
-    def __init__(self, g, spec):
-        if sources(g):
-            raise FunctorPairError(
-                "in-delay equivalence requires a source-free graph; sources: "
-                f"{sorted(map(repr, sources(g)))}"
-            )
-        target = moves.in_delay(g, spec)  # validates the spec first
-        de = spec.d_edges
-        levels = {  # (v, n) -> the edges into v delayed by at least n
-            (v, n): [f for f in g.incoming(v) if de[f.id] >= n]
-            for v, top in moves.in_delay_vertex_delays(g, spec).items()
-            for n in range(top + 1)
-        }
-        families, legs, back, counit = {}, {}, {}, {}
-        for (v, n), fam in levels.items():
-            families[indexed_vertex(v, n)] = tuple(f.src for f in fam)
-            counit[indexed_vertex(v, n)] = tuple(
-                (f.id, *_chain(v, range(de[f.id], n, -1))) for f in fam
-            )
-            if n:
-                below = levels[v, n - 1]
-                legs[chain_edge(v, n)] = tuple((below.index(f), ()) for f in fam)
-        for e in g.edges:
-            j = levels[e.tgt, de[e.id]].index(e)
-            legs[e.id] = tuple((j, (f.id,)) for f in g.incoming(e.src))
-            back[e.id] = ((0, (e.id, *_chain(e.tgt, range(de[e.id], 0, -1)))),)
-        unit = {v: tuple((f.id,) for f in g.incoming(v)) for v in g.vertices}
-        forward, backward = _Table(families, legs), _Table(_level_zero(g), back)
-        super().__init__(g, target, forward, backward, unit, counit)
-        self.spec = spec
+    if sources(g):
+        raise FunctorPairError(
+            "in-delay equivalence requires a source-free graph; sources: "
+            f"{sorted(map(repr, sources(g)))}"
+        )
+    target = moves.in_delay(g, spec)  # validates the spec first
+    de = spec.d_edges
+    levels = {  # (v, n) -> the edges into v delayed by at least n
+        (v, n): [f for f in g.incoming(v) if de[f.id] >= n]
+        for v, top in moves.in_delay_vertex_delays(g, spec).items()
+        for n in range(top + 1)
+    }
+    families, legs, back, counit = {}, {}, {}, {}
+    for (v, n), fam in levels.items():
+        families[indexed_vertex(v, n)] = tuple(f.src for f in fam)
+        counit[indexed_vertex(v, n)] = tuple(
+            (f.id, *_chain(v, range(de[f.id], n, -1))) for f in fam
+        )
+        if n:
+            below = levels[v, n - 1]
+            legs[chain_edge(v, n)] = tuple((below.index(f), ()) for f in fam)
+    for e in g.edges:
+        j = levels[e.tgt, de[e.id]].index(e)
+        legs[e.id] = tuple((j, (f.id,)) for f in g.incoming(e.src))
+        back[e.id] = ((0, (e.id, *_chain(e.tgt, range(de[e.id], 0, -1)))),)
+    unit = {v: tuple((f.id,) for f in g.incoming(v)) for v in g.vertices}
+    forward, backward = _Table(families, legs), _Table(_level_zero(g), back)
+    return FunctorPair("in_delay", g, target, forward, backward, unit, counit)
 
 
 # -- out-split ---------------------------------------------------------------------
 
 
-class OutSplitPair(FunctorPair):
+def out_split_pair(g, spec):
     """Dgm(G) = Dgm(G_os): split copies of a vertex carry the same object, a
-    split edge copy carries the original edge morphism.  Going back, an edge
-    leaving a split copy (v, n) goes through the canonical iso from (v, 0),
-    the inverse of a cotuple, so `backward` and `counit` are written out."""
+    split edge copy carries the original edge morphism.  Going back, the
+    object at v is the coproduct of the objects at the levels (s(f), p(f))
+    that the edges f into v leave from; a source keeps its object at (v, 0)."""
+    target = moves.out_split(g, spec)  # validates the spec first
+    pv, pe = spec.p_vertices, spec.p_edges
 
-    move = "out_split"
+    def into(v, level=None):
+        """Per edge f into v, the path (f,) in G, or ((f, level),) in G_os
+        when a level is given; the empty path alone at a source, which is its
+        own only leaf."""
+        paths = [
+            (f.id if level is None else indexed_edge(f.id, level),)
+            for f in g.incoming(v)
+        ]
+        return tuple(paths) or ((),)
 
-    def __init__(self, g, spec):
-        target = moves.out_split(g, spec)  # validates the spec first
-        pv = spec.p_vertices
-        legs = {
-            indexed_edge(e.id, n): ((0, (e.id,)),)
-            for e in g.edges
-            for n in range(pv[e.tgt] + 1)
-        }
-        super().__init__(
-            g,
-            target,
-            _Table(_copies(g, pv), legs),
-            _Table(_level_zero(g), None),
-            _identities(g.vertices),
-            None,
-        )
-        self.spec = spec
-
-    def _transfer(self, cat, e, v, n):
-        """The canonical iso E_{(v,0)} -> E_{(v,n)} comparing the two cotuples
-        over the incoming family of v."""
-        fam = self.source.incoming(v)
-        if not fam or n == 0:
-            return cat.identity(e.obj[indexed_vertex(v, n)])
-        pe = self.spec.p_edges
-        cop = _cop(
-            cat,
-            (e.obj[indexed_vertex(f.src, pe[f.id])] for f in fam),
-            indexed_vertex(v, n),
-        )
-        at_zero = cat.cotuple(cop, [e.mor[indexed_edge(f.id, 0)] for f in fam])
-        at_n = cat.cotuple(cop, [e.mor[indexed_edge(f.id, n)] for f in fam])
-        return cat.compose(at_n, cat.inverse(at_zero))
-
-    def backward(self, cat, e):
-        obj = {v: e.obj[indexed_vertex(v, 0)] for v in self.source.vertices}
-        mor = {}
-        for edge in self.source.edges:
-            transfer = self._transfer(cat, e, edge.src, self.spec.p_edges[edge.id])
-            mor[edge.id] = cat.compose(e.mor[indexed_edge(edge.id, 0)], transfer)
-        return make_diagram(cat, self.source, obj, None if cat.is_thin else mor)
-
-    def counit(self, cat, e):
-        image = self.forward(cat, self.backward(cat, e))
-        components = {}
-        for v in self.source.sorted_vertices():
-            for n in range(self.spec.p_vertices[v] + 1):
-                components[indexed_vertex(v, n)] = self._transfer(cat, e, v, n)
-        return DiagramMorphism(image, e, frozendict(components))
+    legs = {
+        indexed_edge(e.id, n): ((0, (e.id,)),)
+        for e in g.edges
+        for n in range(pv[e.tgt] + 1)
+    }
+    families, back, unit, counit = {}, {}, {}, {}
+    for v in g.sorted_vertices():
+        arrivals = [indexed_vertex(f.src, pe[f.id]) for f in g.incoming(v)]
+        families[v] = tuple(arrivals) or (indexed_vertex(v, 0),)
+        unit[v] = into(v)
+        for n in range(pv[v] + 1):
+            counit[indexed_vertex(v, n)] = into(v, n)
+    for e in g.edges:
+        j = g.incoming(e.tgt).index(e)
+        back[e.id] = tuple((j, path) for path in into(e.src, pe[e.id]))
+    forward, backward = _Table(_copies(g, pv), legs), _Table(families, back)
+    return FunctorPair("out_split", g, target, forward, backward, unit, counit)
 
 
 # -- in-split ---------------------------------------------------------------------
 
 
-class InSplitPair(FunctorPair):
+def in_split_pair(g, spec):
     """Dgm(G) = Dgm(G_is): the object at (v, n) is the coproduct of the
     incoming sources in class n; at a source vertex it is the object itself."""
-
-    move = "in_split"
-
-    def __init__(self, g, spec):
-        target = moves.in_split(g, spec)  # validates the spec first
-        pv, pe = spec.p_vertices, spec.p_edges
-        levels = {v: range(pv[v] + 1) for v in g.sorted_vertices()}
-        classes, splits, unit = {}, {}, {}
-        for v, ns in levels.items():
-            splits[v] = tuple(indexed_vertex(v, n) for n in ns)
-            for n in ns:  # (member, path to v) per edge into v of class n
-                fam = [(f.src, (f.id,)) for f in g.incoming(v) if pe[f.id] == n]
-                classes[v, n] = fam or [(v, ())]  # a source is its own class
-            unit[v] = tuple(p for n in ns for _, p in classes[v, n])
-        families, legs, back, counit = {}, {}, {}, {}
-        for (v, n), fam in classes.items():
-            families[indexed_vertex(v, n)] = tuple(x for x, _ in fam)
-            counit[indexed_vertex(v, n)] = tuple(
-                tuple(indexed_edge(f, m) for f in path)
-                for x, path in fam
-                for m in levels[x]
-            )
-        for e in g.edges:
-            j = [p for _, p in classes[e.tgt, pe[e.id]]].index((e.id,))
-            copies = [indexed_edge(e.id, m) for m in levels[e.src]]
-            back[e.id] = tuple((pe[e.id], (copy,)) for copy in copies)
-            for m, copy in enumerate(copies):
-                legs[copy] = tuple((j, p) for _, p in classes[e.src, m])
-        forward, backward = _Table(families, legs), _Table(splits, back)
-        super().__init__(g, target, forward, backward, unit, counit)
-        self.spec = spec
+    target = moves.in_split(g, spec)  # validates the spec first
+    pv, pe = spec.p_vertices, spec.p_edges
+    levels = {v: range(pv[v] + 1) for v in g.sorted_vertices()}
+    classes, splits, unit = {}, {}, {}
+    for v, ns in levels.items():
+        splits[v] = tuple(indexed_vertex(v, n) for n in ns)
+        for n in ns:  # (member, path to v) per edge into v of class n
+            fam = [(f.src, (f.id,)) for f in g.incoming(v) if pe[f.id] == n]
+            classes[v, n] = fam or [(v, ())]  # a source is its own class
+        unit[v] = tuple(p for n in ns for _, p in classes[v, n])
+    families, legs, back, counit = {}, {}, {}, {}
+    for (v, n), fam in classes.items():
+        families[indexed_vertex(v, n)] = tuple(x for x, _ in fam)
+        counit[indexed_vertex(v, n)] = tuple(
+            tuple(indexed_edge(f, m) for f in path)
+            for x, path in fam
+            for m in levels[x]
+        )
+    for e in g.edges:
+        j = [p for _, p in classes[e.tgt, pe[e.id]]].index((e.id,))
+        copies = [indexed_edge(e.id, m) for m in levels[e.src]]
+        back[e.id] = tuple((pe[e.id], (copy,)) for copy in copies)
+        for m, copy in enumerate(copies):
+            legs[copy] = tuple((j, p) for _, p in classes[e.src, m])
+    forward, backward = _Table(families, legs), _Table(splits, back)
+    return FunctorPair("in_split", g, target, forward, backward, unit, counit)
 
 
 _PAIRS = {
-    "remove_sink": SinkRemovalPair,
-    "out_delay": OutDelayPair,
-    "in_delay": InDelayPair,
-    "out_split": OutSplitPair,
-    "in_split": InSplitPair,
+    "remove_sink": remove_sink_pair,
+    "out_delay": out_delay_pair,
+    "in_delay": in_delay_pair,
+    "out_split": out_split_pair,
+    "in_split": in_split_pair,
 }
 
 
@@ -470,6 +431,13 @@ def make_pair(move, g, data):
 
 
 # -- verification harness --------------------------------------------------------
+
+
+# The harness skips a hom-set pair whose product of per-vertex hom-set sizes
+# exceeds HOM_PAIR_CAP, and runs the independent isomorphism search on the
+# first ISO_CROSS_CHECKS unit and counit samples.
+HOM_PAIR_CAP = 20000
+ISO_CROSS_CHECKS = 3
 
 
 @dataclass(frozen=True)
@@ -576,7 +544,7 @@ def _check_condition_preserved(cat, pair, src_pool, tgt_pool, state):
     )
 
 
-def _functorial_one_direction(cat, apply_obj, apply_map, pool, hom_pair_cap, state):
+def _functorial_one_direction(cat, apply_obj, apply_map, pool, state):
     problems = []
     used = 0
     for d in pool[:4]:
@@ -589,7 +557,7 @@ def _functorial_one_direction(cat, apply_obj, apply_map, pool, hom_pair_cap, sta
         used += 1
         if ident_image != expected:
             problems.append("image of an identity is not the identity")
-        if _hom_estimate(cat, d, d) > hom_pair_cap:
+        if _hom_estimate(cat, d, d) > HOM_PAIR_CAP:
             continue
         try:
             endos = enumerate_diagram_morphisms(cat, d, d, state["max_nodes"])[:4]
@@ -608,12 +576,12 @@ def _functorial_one_direction(cat, apply_obj, apply_map, pool, hom_pair_cap, sta
     return problems, used
 
 
-def _check_functorial(cat, pair, src_pool, tgt_pool, hom_pair_cap, state):
+def _check_functorial(cat, pair, src_pool, tgt_pool, state):
     fwd_problems, fwd_used = _functorial_one_direction(
-        cat, pair.forward, pair.forward_map, src_pool, hom_pair_cap, state
+        cat, pair.forward, pair.forward_map, src_pool, state
     )
     bwd_problems, bwd_used = _functorial_one_direction(
-        cat, pair.backward, pair.backward_map, tgt_pool, hom_pair_cap, state
+        cat, pair.backward, pair.backward_map, tgt_pool, state
     )
     details = [f"forward: {p}" for p in fwd_problems[:3]]
     details += [f"backward: {p}" for p in bwd_problems[:3]]
@@ -625,14 +593,14 @@ def _check_functorial(cat, pair, src_pool, tgt_pool, hom_pair_cap, state):
     )
 
 
-def _check_round_trips(cat, pair, src_pool, tgt_pool, iso_cross_checks, state):
+def _check_round_trips(cat, pair, src_pool, tgt_pool, state):
     details = []
     used = 0
     for label, build, pool in (
         ("unit", pair.unit, src_pool),
         ("counit", pair.counit, tgt_pool),
     ):
-        crosses = iso_cross_checks
+        crosses = ISO_CROSS_CHECKS
         for d in pool:
             try:
                 iso = build(cat, d)
@@ -677,7 +645,7 @@ def _check_round_trips(cat, pair, src_pool, tgt_pool, iso_cross_checks, state):
     )
 
 
-def _check_hom_bijection(cat, pair, src_pool, hom_pair_cap, state):
+def _check_hom_bijection(cat, pair, src_pool, state):
     details = []
     injective_ok = bijective_ok = True
     used = 0
@@ -693,8 +661,8 @@ def _check_hom_bijection(cat, pair, src_pool, hom_pair_cap, state):
             state["bounded"] += 1
             continue
         if (
-            _hom_estimate(cat, d1, d2) > hom_pair_cap
-            or _hom_estimate(cat, f1, f2) > hom_pair_cap
+            _hom_estimate(cat, d1, d2) > HOM_PAIR_CAP
+            or _hom_estimate(cat, f1, f2) > HOM_PAIR_CAP
         ):
             skipped += 1
             continue
@@ -724,16 +692,7 @@ def _check_hom_bijection(cat, pair, src_pool, hom_pair_cap, state):
     )
 
 
-def verify_equivalence(
-    cat,
-    pair,
-    *,
-    samples=8,
-    seed=20260815,
-    max_nodes=None,
-    hom_pair_cap=20000,
-    iso_cross_checks=3,
-):
+def verify_equivalence(cat, pair, *, samples=8, seed=20260815, max_nodes=None):
     """Run the four-part verification of a functor pair over sampled diagrams.
 
     Checks: (1) both functors preserve the coproduct condition, (2) they
@@ -762,9 +721,9 @@ def verify_equivalence(
         )
     checks = (
         _check_condition_preserved(cat, pair, src_pool, tgt_pool, state),
-        _check_functorial(cat, pair, src_pool, tgt_pool, hom_pair_cap, state),
-        _check_round_trips(cat, pair, src_pool, tgt_pool, iso_cross_checks, state),
-        _check_hom_bijection(cat, pair, src_pool, hom_pair_cap, state),
+        _check_functorial(cat, pair, src_pool, tgt_pool, state),
+        _check_round_trips(cat, pair, src_pool, tgt_pool, state),
+        _check_hom_bijection(cat, pair, src_pool, state),
     )
     return EquivalenceReport(
         move=pair.move,

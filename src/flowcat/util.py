@@ -65,9 +65,11 @@ class NodeBudget:
 
 
 def cached_on(owner, key, build):
-    """`build()`, computed once per immutable `owner` (a graph or a diagram)
-    and `key`.  It is kept in the instance dict, beside the dataclass
-    fields, so equality, hashing and repr are unchanged."""
+    """`build()`, computed once per `owner` and `key`.  An owner is a graph or
+    a diagram, immutable values whose dataclass fields are untouched (the
+    memo sits beside them in the instance dict, so equality, hashing and
+    repr are unchanged), or a category, whose canonical coproducts are
+    kept this way."""
     memo = vars(owner).setdefault("_memo", {})
     if key not in memo:
         memo[key] = build()

@@ -1,12 +1,13 @@
 """Seeded functor pairs beyond the zoo, and digests of their direct images.
 
-`random_pairs` builds all five pairs on small random shapes: move specs come
-from `sampling.random_move_spec`, sink removal takes the first sink that is
-not a source.  `image_digests` hashes every direct image (`forward`,
-`backward`, `unit`, `counit`, `forward_map`, `backward_map`) of the standard
-suite and of those pairs on a few pooled diagrams and morphisms, one digest
-per (pair, category).  `tests/images_golden.json` holds the digests; running
-this file prints them in that file's format:
+`random_pairs` builds all five pairs on small random shapes (`random_moves`
+lists the moves): move specs come from `sampling.random_move_spec`, sink
+removal takes the first sink that is not a source.  `image_digests` hashes
+every direct image (`forward`, `backward`, `unit`, `counit`, `forward_map`,
+`backward_map`) of the standard suite and of those pairs on a few pooled
+diagrams and morphisms, one digest per (pair, category).
+`tests/images_golden.json` holds the digests; running this file prints them
+in that file's format:
 
     PYTHONPATH=src python tests/functor_samples.py > tests/images_golden.json
 """
@@ -50,22 +51,30 @@ def random_graphs(seed, shapes=6, irreducible=3):
     return graphs
 
 
-def random_pairs(seed, shapes=6, irreducible=3):
-    """(label, pair) for every pair the random graphs admit: the four spec
-    moves through `random_move_spec` (in-delay only on source-free graphs)
-    and sink removal at the first sink that is not a source."""
+def random_moves(seed, shapes=6, irreducible=3):
+    """(label, move, graph, data) for the random graphs: the four spec moves
+    with specs from `random_move_spec`, and sink removal at the first sink
+    that is not a source, where there is one."""
     rng = random.Random(seed)
-    pairs = []
+    out = []
     for name, g in random_graphs(seed, shapes, irreducible):
         for move in SPEC_MOVES:
-            try:
-                pair = make_pair(move, g, random_move_spec(rng, g, move))
-            except FunctorPairError:
-                continue
-            pairs.append((f"{name}/{move}", pair))
+            out.append((f"{name}/{move}", move, g, random_move_spec(rng, g, move)))
         sink = next((w for w in sinks(g) if not classify_vertex(g, w).is_source), None)
         if sink is not None:
-            pairs.append((f"{name}/remove_sink", make_pair("remove_sink", g, sink)))
+            out.append((f"{name}/remove_sink", "remove_sink", g, sink))
+    return out
+
+
+def random_pairs(seed, shapes=6, irreducible=3):
+    """(label, pair) for every random move that admits a pair (in-delay only
+    does on source-free graphs)."""
+    pairs = []
+    for label, move, g, data in random_moves(seed, shapes, irreducible):
+        try:
+            pairs.append((label, make_pair(move, g, data)))
+        except FunctorPairError:
+            continue
     return pairs
 
 

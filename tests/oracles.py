@@ -2,7 +2,10 @@
 
 Everything here is deliberately naive (cofactor expansions, brute-force subset
 filters, transitive-closure reachability) and shares no code with the package,
-so agreement is meaningful evidence.
+so agreement is meaningful evidence.  The one exception is the out-split's
+backward functor and counit as they were written out by hand before every
+functor became a table of paths: they take a category and a diagram and call
+only the category's own operations.
 """
 
 from __future__ import annotations
@@ -322,3 +325,49 @@ def naive_mat_mul(q, g, f, inner, cols):
             row.append(s % q)
         out.append(tuple(row))
     return tuple(out)
+
+
+# -- the out-split's backward functor, written out -----------------------------------
+
+
+def _copy(name, n):
+    """The name of copy n of a vertex or an edge in a split graph."""
+    return f"({name},{n})"
+
+
+def out_split_transfer(cat, g, p_edges, e, v, n):
+    """The iso E(v,0) -> E(v,n) of a diagram E on the out-split of g: the
+    cotuple of the copies (f, n) of the edges f into v after the inverse of
+    the cotuple of their copies (f, 0); an identity at a source or at n = 0."""
+    fam = g.incoming(v)
+    if not fam or n == 0:
+        return cat.identity(e.obj[_copy(v, n)])
+    cop = cat.coproduct([e.obj[_copy(f.src, p_edges[f.id])] for f in fam])
+    at_zero = cat.cotuple(cop, [e.mor[_copy(f.id, 0)] for f in fam])
+    at_n = cat.cotuple(cop, [e.mor[_copy(f.id, n)] for f in fam])
+    return cat.compose(at_n, cat.inverse(at_zero))
+
+
+def out_split_backward(cat, g, spec, e):
+    """(objects, edge maps) of the backward image of E: E(v,0) at v, and at an
+    edge the map of its copy (edge, 0) after the transfer from (s(edge), 0)
+    to the level p(edge) it leaves from."""
+    pe = spec.p_edges
+    obj = {v: e.obj[_copy(v, 0)] for v in g.vertices}
+    mor = {
+        edge.id: cat.compose(
+            e.mor[_copy(edge.id, 0)],
+            out_split_transfer(cat, g, pe, e, edge.src, pe[edge.id]),
+        )
+        for edge in g.edges
+    }
+    return obj, mor
+
+
+def out_split_counit(cat, g, spec, e):
+    """The counit components at each copy (v, n): the transfer from (v, 0)."""
+    return {
+        _copy(v, n): out_split_transfer(cat, g, spec.p_edges, e, v, n)
+        for v in g.vertices
+        for n in range(spec.p_vertices[v] + 1)
+    }

@@ -7,9 +7,12 @@ import json
 import math
 import os
 import random
+import runpy
+import shlex
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 from unittest import mock
 
 import hypothesis.strategies as st
@@ -230,6 +233,38 @@ def test_move_rejects_unknown_keys(tmp_path, capsys):
     code, _, err = run(capsys, ["move", gp, spec])
     assert code == 2
     assert "matches no vertex or edge" in err
+
+
+BOOLEAN_MOVE_FILES = {  # JSON true is not the integer 1
+    "heads-depth": (
+        {"move": "add_heads", "depth": True},
+        '"depth" must be a positive integer',
+    ),
+    "tails-depth": (
+        {"move": "add_tails", "depth": True},
+        '"depth" must be a positive integer',
+    ),
+    "split-level": (
+        {"move": "out_split", "p": {"v": 0, "w": True, "e": 0, "f": 1, "g": 0}},
+        "value for 'w' must be a nonnegative integer",
+    ),
+    "delay": (
+        {"move": "in_delay", "d": {"e": True, "f": 0, "g": 2}},
+        "value for 'e' must be a nonnegative integer",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["move", "verify"])
+@pytest.mark.parametrize("case", sorted(BOOLEAN_MOVE_FILES))
+def test_move_file_rejects_booleans(tmp_path, capsys, case, command):
+    doc, message = BOOLEAN_MOVE_FILES[case]
+    gp = write_graph(tmp_path / "g.json", zoo.vw_graph())
+    spec = write_json(tmp_path / "m.json", doc)
+    extra = ["--category", "finset:2"] if command == "verify" else []
+    code, out, err = run(capsys, [command, gp, spec, *extra])
+    assert (code, out) == (2, "")
+    assert err == f"error: {spec}: {message}\n"
 
 
 def test_move_out_delay_splits_mixed_map(tmp_path, capsys):
@@ -581,6 +616,26 @@ def test_output_is_deterministic(tmp_path, capsys):
     assert out1 == out2
     parsed = json.loads(out1)
     assert list(parsed) == sorted(parsed)
+
+
+# -- sample files ---------------------------------------------------------------------
+
+
+def test_exported_sample_demos_run(tmp_path, capsys):
+    # every command line the export script prints runs on the files it wrote
+    scripts = Path(__file__).resolve().parent.parent / "scripts"
+    export = runpy.run_path(str(scripts / "export_sample_graphs.py"))["main"]
+    assert export(["--out-dir", str(tmp_path)]) == 0
+    printed = capsys.readouterr().out
+    demos = [shlex.split(x) for x in printed.splitlines() if x.startswith("  ")]
+    assert all(argv[0] == "flowcat" for argv in demos)
+    assert [
+        "flowcat", "verify", f"{tmp_path}/vw.json", f"{tmp_path}/vw_out_split.json",
+        "--category", "mat:2:3",
+    ] in demos
+    for argv in demos:
+        code, _, err = run(capsys, argv[1:])
+        assert code == 0, (argv, err)
 
 
 # -- fuzzing the input boundary ------------------------------------------------------

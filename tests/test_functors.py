@@ -12,8 +12,10 @@ from flowcat import moves, zoo
 from flowcat.categories import FinSetSkeleton, MatCategory, chain
 from flowcat.diagrams import (
     DiagramError,
+    DiagramMorphism,
     canonical_diagram,
     check_coproduct_condition,
+    check_diagram_morphism,
     compose_diagram_morphisms,
     enumerate_diagram_morphisms,
     enumerate_diagrams,
@@ -28,13 +30,17 @@ from flowcat.functors import (
     verify_equivalence,
 )
 from flowcat.graphs import sources
+from flowcat.moves import indexed_edge, indexed_vertex
+from flowcat.util import frozendict
 from functor_samples import (
     all_pairs,
     image_digests,
     pooled_morphisms,
     random_graphs,
+    random_moves,
     random_pairs,
 )
+from oracles import out_split_backward, out_split_counit
 
 MAT = MatCategory(2, 3)
 FINSET = FinSetSkeleton(4)
@@ -407,9 +413,6 @@ def test_path_tables_are_walks_between_the_right_members():
         )
         for table, domain, shape in directions:
             assert set(table.families) == set(shape.vertices), label
-            if table.legs is None:  # the out-split's backward is written out
-                assert pair.move == "out_split" and table is pair.backward_table
-                continue
             assert set(table.legs) == {e.id for e in shape.edges}, label
             for e in shape.edges:
                 members, targets = table.families[e.src], table.families[e.tgt]
@@ -418,13 +421,64 @@ def test_path_tables_are_walks_between_the_right_members():
                     if not _runs(domain, path, x, targets[j]):
                         wrong.append((label, e.id, x, path))
         for leaves, g in ((pair.unit_leaves, pair.source), (pair.counit_leaves, pair.target)):
-            if leaves is None:  # the out-split's counit is written out
-                assert pair.move == "out_split" and g is pair.target
-                continue
             assert set(leaves) == set(g.vertices), label
             for v, pairs in leaves.items():
                 wrong += [(label, v, x, path) for x, path in pairs if not _runs(g, path, x, v)]
     assert not wrong
+
+
+# -- out-split against its written-out backward functor -------------------------------
+
+OUT_SPLITS = [
+    ("vw", zoo.vw_graph(), zoo.vw_out_split_spec()),
+    ("loop2", zoo.loop2(), zoo.loop2_out_split_spec()),
+    ("loop-exit", zoo.loop_and_exit(), zoo.loop_and_exit_out_split_spec()),
+    *((label, g, spec) for label, move, g, spec in random_moves(3)
+      if move == "out_split"),
+]
+
+
+def _to_level_zero(cat, g, spec, e, v):
+    """[E((f, 0))]_f over the edges f into v, from the coproduct of the
+    objects at the levels they leave from to E(v, 0); the identity at a
+    source."""
+    fam = g.incoming(v)
+    if not fam:
+        return cat.identity(e.obj[indexed_vertex(v, 0)])
+    at = [e.obj[indexed_vertex(f.src, spec.p_edges[f.id])] for f in fam]
+    return cat.cotuple(cat.coproduct(at), [e.mor[indexed_edge(f.id, 0)] for f in fam])
+
+
+@pytest.mark.parametrize(
+    "cat", [FinSetSkeleton(3), MatCategory(2, 2), MatCategory(2, 3), chain(3)],
+    ids=lambda c: c.name,
+)
+def test_out_split_backward_is_the_written_out_one_up_to_iso(cat):
+    # the backward image takes the coproduct over the edges into v where the
+    # written-out functor took E(v, 0); c compares the two, and the counits
+    # must agree through it
+    compared = 0
+    for label, g, spec in OUT_SPLITS:
+        pair = make_pair("out_split", g, spec)
+        for e in _sample_pool(cat, pair.target, random.Random(4), 6, 20000):
+            image = pair.backward(cat, e)
+            obj, mor = out_split_backward(cat, g, spec, e)
+            reference = make_diagram(cat, g, obj, None if cat.is_thin else mor)
+            c = {v: _to_level_zero(cat, g, spec, e, v) for v in g.vertices}
+            assert not check_diagram_morphism(cat, image, reference, c), label
+            assert all(cat.is_iso(f) for f in c.values()), label
+            to_reference = DiagramMorphism(image, reference, frozendict(c))
+            counit = DiagramMorphism(
+                pair.forward(cat, reference),
+                e,
+                frozendict(out_split_counit(cat, g, spec, e)),
+            )
+            through_c = compose_diagram_morphisms(
+                cat, counit, pair.forward_map(cat, to_reference)
+            )
+            assert pair.counit(cat, e) == through_c, label
+            compared += 1
+    assert compared >= 50
 
 
 # -- golden harness reports -----------------------------------------------------------------
