@@ -323,41 +323,43 @@ def mat_mul(q, g, f, inner, cols):
     return tuple(tuple(sum(map(mul, row, col)) % q for col in columns) for row in g)
 
 
+def mat_row_reduce(q, rows, ncols):
+    """Gauss-Jordan elimination mod q (q prime) that pivots only in the
+    first `ncols` columns, so an augmented block such as [A | I] rides
+    along.  Returns the reduced rows that hold a pivot, each scaled to a 1
+    there, and their pivot columns, in order."""
+    a = [[x % q for x in row] for row in rows]
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        for i in range(r, len(a)):
+            if a[i][col]:
+                break
+        else:
+            continue
+        prow, a[i] = a[i], a[r]
+        if prow[col] != 1:
+            inv = pow(prow[col], q - 2, q)
+            prow = [(x * inv) % q for x in prow]
+        a[r] = prow
+        for i, row in enumerate(a):
+            factor = row[col]
+            if factor and i != r:
+                a[i] = [(x - factor * y) % q for x, y in zip(row, prow)]
+        pivots.append(col)
+    return a[: len(pivots)], pivots
+
+
 def mat_invertible(q, data, n):
-    if n == 0:
-        return True
-    a = [[x % q for x in row] for row in data]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col]), None)
-        if piv is None:
-            return False
-        a[col], a[piv] = a[piv], a[col]
-        inv = pow(a[col][col], q - 2, q)
-        a[col] = [(x * inv) % q for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                factor = a[r][col]
-                a[r] = [(x - factor * y) % q for x, y in zip(a[r], a[col])]
-    return True
+    return len(mat_row_reduce(q, data, n)[1]) == n
 
 
 def mat_inverse(q, data, n):
-    if n == 0:
-        return ()
-    a = [[x % q for x in row] + [1 if i == j else 0 for j in range(n)]
-         for i, row in enumerate(data)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col]), None)
-        if piv is None:
-            raise CategoryError("matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        inv = pow(a[col][col], q - 2, q)
-        a[col] = [(x * inv) % q for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                factor = a[r][col]
-                a[r] = [(x - factor * y) % q for x, y in zip(a[r], a[col])]
-    return tuple(tuple(row[n:]) for row in a)
+    augmented = [(*row, *e) for row, e in zip(data, mat_identity(n))]
+    rows, pivots = mat_row_reduce(q, augmented, n)
+    if len(pivots) < n:
+        raise CategoryError("matrix is singular")
+    return tuple(tuple(row[n:]) for row in rows)
 
 
 def _independent_rows(q, n, rows=(), span=None):

@@ -30,20 +30,24 @@ naturality square into one, the equation at a feedback vertex), each as soon
 as its vertices have values.  Search time so follows the pools of the
 branching vertices and the answers, not the vertex names.
 
-Whole lists (size vectors, thin diagrams, diagram morphisms) are sorted into
-`itertools.product(*pools)` order over the sorted vertices, the order of a
-product-then-filter search; the isomorphism search returns its first witness
-in branching order.  One budget node is one candidate tried at a branching
-vertex or one element put into a candidate pool; a derived value costs none.
-A search past the cap raises SearchCapExceeded naming its phase and vertex.
-The plan of a search (which vertices branch, what follows each) is cached on
-the shape, and the inverted cotuples on the source diagram.
+One generator, `diagram_morphisms`, serves both the morphism and the
+isomorphism search and yields in branching order, so a caller that needs a
+few answers reads only those.  Whole lists (size vectors, thin diagrams,
+`enumerate_diagram_morphisms`) are sorted into `itertools.product(*pools)`
+order over the sorted vertices, the order of a product-then-filter search;
+`diagram_isomorphic` is the generator's first isomorphism.
+
+One budget node is one candidate tried at a branching vertex or one element
+put into a candidate pool; a derived value costs none.  A search past the
+cap raises SearchCapExceeded naming its phase and vertex.  The plan of a
+search (which vertices branch, what follows each) is cached on the shape,
+and the inverted cotuples on the source diagram.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import eq
 from typing import NamedTuple
 
 from .categories import FiniteCategory, Morphism
@@ -251,9 +255,9 @@ def _search(plan, pools, derive, checks, budget, phase):
     holds when `checks[k]` is true of the assignment.  Answers come out in
     `itertools.product(*pools)` order over the branching vertices, which is
     not the product order over all vertices: a caller that returns a whole
-    list sorts it (`_in_product_order`).  Every candidate tried at a
-    branching vertex spends one node of `budget`; a derived value costs none.
-    Past the cap, the SearchCapExceeded names `phase` and the vertex."""
+    list sorts it.  Every candidate tried at a branching vertex spends one
+    node of `budget`; a derived value costs none.  Past the cap, the
+    SearchCapExceeded names `phase` and the vertex."""
     vertices, branch, steps = plan
     assignment = {}
 
@@ -282,12 +286,6 @@ def _search(plan, pools, derive, checks, budget, phase):
             raise
 
     return extend(0)
-
-
-def _in_product_order(answers, vertices, rank):
-    """Answers sorted into `itertools.product(*pools)` order over `vertices`,
-    where `rank` maps a value to its place in its vertex's pool."""
-    return sorted(answers, key=lambda a: [rank(a[v]) for v in vertices])
 
 
 def _non_sources(g):
@@ -333,7 +331,7 @@ def _family_search(g, phase, families, value, pool, rank, budget):
     derive = {v: lambda a, f=f: value([a[u] for u in f]) for v, f in families.items()}
     checks = [lambda a, v=v, f=f: f(a) == a[v] for v, f in derive.items()]
     found = _search(plan, [pool] * len(plan.branch), derive, checks, budget, phase)
-    return _in_product_order(found, vertices, rank)
+    return sorted(found, key=lambda a: [rank(a[v]) for v in vertices])
 
 
 def _pool(morphisms, budget, vertex):
@@ -368,13 +366,20 @@ def _assemble(cat, g, dims, iso_by_vertex):
 
 def enumerate_diagrams(cat, g, bound=None, max_nodes=None):
     """All diagrams of shape `g` satisfying the coproduct condition, in a
-    deterministic order.  Raises SearchCapExceeded past the node budget."""
+    deterministic order, with every object at most `bound` (default and
+    upper limit: the largest object; thin instances ignore it).  Raises
+    SearchCapExceeded past the node budget."""
     budget = NodeBudget(max_nodes)
     if cat.is_thin:
         return _thin_diagrams(cat, g, budget)
     _require_bundle_free(cat, g)
+    top = max(cat.objects())
     if bound is None:
-        bound = max(cat.objects())
+        bound = top
+    elif bound > top:
+        raise DiagramError(
+            f"bound {bound} exceeds the largest object {top} of {cat.name}"
+        )
     non_sources = _non_sources(g)
     plan = _plan(non_sources, {}, ())
     cache = {}
@@ -525,53 +530,43 @@ def _derivations(cat, src, dst, inverses, iso):
     }
 
 
-def enumerate_diagram_morphisms(cat, src, dst, max_nodes=None):
-    """All diagram morphisms src -> dst, in product order over the sorted
-    vertices (`hom` lists each hom-set in increasing `data`).  Poset
-    instances have at most one; other instances search the hom-sets of the
-    branching vertices under the node budget and derive the rest."""
+def diagram_morphisms(cat, src, dst, max_nodes=None, iso=False):
+    """Yield each diagram morphism src -> dst, or with `iso` each diagram
+    isomorphism, in branching order; the one body of both searches.  Poset
+    instances yield at most one.  Other instances search the hom-sets (with
+    `iso`, the isomorphisms) of the branching vertices under the node budget
+    and derive the rest; with `iso` a derived component must be an
+    isomorphism."""
     if not src.graph.labeled_eq(dst.graph):
         raise DiagramError("diagrams have different shapes")
-    g = src.graph
-    vertices = g.sorted_vertices()
+    pairs = {v: (src.obj[v], dst.obj[v]) for v in src.graph.sorted_vertices()}
     if cat.is_thin:
-        if all(cat.leq(src.obj[v], dst.obj[v]) for v in vertices):
-            components = {v: Morphism(src.obj[v], dst.obj[v]) for v in vertices}
-            return [DiagramMorphism(src, dst, frozendict(components))]
-        return []
+        holds = eq if iso else cat.leq
+        if all(holds(a, b) for a, b in pairs.values()):
+            components = {v: Morphism(a, b) for v, (a, b) in pairs.items()}
+            yield DiagramMorphism(src, dst, frozendict(components))
+        return
+    candidates = cat.isomorphisms if iso else cat.hom
+    if iso and any(next(iter(candidates(a, b)), None) is None for a, b in pairs.values()):
+        return
     budget = NodeBudget(max_nodes)
     plan, inverses = _morphism_plan(cat, src)
-    pools = [_pool(cat.hom(src.obj[v], dst.obj[v]), budget, v) for v in plan.branch]
-    derive = _derivations(cat, src, dst, inverses, iso=False)
+    pools = [_pool(candidates(*pairs[v]), budget, v) for v in plan.branch]
+    derive = _derivations(cat, src, dst, inverses, iso)
     checks = [check for _, check in _naturality(cat, src, dst)]
-    found = _search(plan, pools, derive, checks, budget, "hom search")
-    return [
-        DiagramMorphism(src, dst, frozendict(components))
-        for components in _in_product_order(found, vertices, attrgetter("data"))
-    ]
+    phase = "iso search" if iso else "hom search"
+    for components in _search(plan, pools, derive, checks, budget, phase):
+        yield DiagramMorphism(src, dst, frozendict(components))
+
+
+def enumerate_diagram_morphisms(cat, src, dst, max_nodes=None):
+    """All diagram morphisms src -> dst, in product order over the sorted
+    vertices (`hom` lists each hom-set in increasing `data`)."""
+    vertices = src.graph.sorted_vertices()
+    found = diagram_morphisms(cat, src, dst, max_nodes)
+    return sorted(found, key=lambda m: [m.components[v].data for v in vertices])
 
 
 def diagram_isomorphic(cat, d1, d2, max_nodes=None):
-    """The first diagram isomorphism d1 -> d2 in search order, else None.
-    The search ranges over vertexwise isomorphisms under naturality; at a
-    derived vertex the derived component must be an isomorphism."""
-    if not d1.graph.labeled_eq(d2.graph):
-        raise DiagramError("diagrams have different shapes")
-    g = d1.graph
-    vertices = g.sorted_vertices()
-    if cat.is_thin:
-        if all(d1.obj[v] == d2.obj[v] for v in vertices):
-            components = {v: cat.identity(d1.obj[v]) for v in vertices}
-            return DiagramMorphism(d1, d2, frozendict(components))
-        return None
-    pairs = {v: (d1.obj[v], d2.obj[v]) for v in vertices}
-    if any(next(iter(cat.isomorphisms(a, b)), None) is None for a, b in pairs.values()):
-        return None
-    budget = NodeBudget(max_nodes)
-    plan, inverses = _morphism_plan(cat, d1)
-    pools = [_pool(cat.isomorphisms(*pairs[v]), budget, v) for v in plan.branch]
-    derive = _derivations(cat, d1, d2, inverses, iso=True)
-    checks = [check for _, check in _naturality(cat, d1, d2)]
-    for components in _search(plan, pools, derive, checks, budget, "iso search"):
-        return DiagramMorphism(d1, d2, frozendict(components))
-    return None
+    """The first diagram isomorphism d1 -> d2 in branching order, else None."""
+    return next(diagram_morphisms(cat, d1, d2, max_nodes, iso=True), None)

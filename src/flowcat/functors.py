@@ -52,6 +52,7 @@ from .diagrams import (
     check_diagram_morphism,
     compose_diagram_morphisms,
     diagram_isomorphic,
+    diagram_morphisms,
     enumerate_diagram_morphisms,
     enumerate_diagrams,
     identity_diagram_morphism,
@@ -210,12 +211,18 @@ class FunctorPair:
         self.counit_leaves = _leaves(forward, backward, counit_paths)
 
     def forward(self, cat, d):
-        """Image in Dgm(target) of a diagram of shape `source`."""
-        return _apply(cat, d, self.forward_table, self.target)
+        """Image in Dgm(target) of a diagram of shape `source`, built once
+        per diagram and category."""
+        return cached_on(
+            d, (self.forward, cat), lambda: _apply(cat, d, self.forward_table, self.target)
+        )
 
     def backward(self, cat, e):
-        """Image in Dgm(source) of a diagram of shape `target`."""
-        return _apply(cat, e, self.backward_table, self.source)
+        """Image in Dgm(source) of a diagram of shape `target`, built once
+        per diagram and category."""
+        return cached_on(
+            e, (self.backward, cat), lambda: _apply(cat, e, self.backward_table, self.source)
+        )
 
     def unit(self, cat, d):
         """Natural isomorphism component  d -> backward(forward(d))."""
@@ -242,10 +249,7 @@ class FunctorPair:
         return self._map(cat, m, self.backward, self.backward_table)
 
     def _map(self, cat, m, apply, table):
-        src, dst = (
-            cached_on(d, (apply, cat), lambda d=d: apply(cat, d))
-            for d in (m.source, m.target)
-        )
+        src, dst = apply(cat, m.source), apply(cat, m.target)
         components = {
             u: _cop_map(cat, [m.components[x] for x in family], u)
             for u, family in table.families.items()
@@ -560,7 +564,8 @@ def _functorial_one_direction(cat, apply_obj, apply_map, pool, state):
         if _hom_estimate(cat, d, d) > HOM_PAIR_CAP:
             continue
         try:
-            endos = enumerate_diagram_morphisms(cat, d, d, state["max_nodes"])[:4]
+            search = diagram_morphisms(cat, d, d, state["max_nodes"])
+            endos = list(itertools.islice(search, 4))
         except SearchCapExceeded:
             continue
         for s in endos:
@@ -759,27 +764,16 @@ def _broken_variant(cat, image):
         return None
     for edge in sorted(g.edges):
         f = image.mor[edge.id]
-        for bad in _non_iso_replacements(cat, f):
-            mor = dict(image.mor)
-            mor[edge.id] = bad
-            candidate = make_diagram(cat, g, dict(image.obj), mor)
-            if not check_coproduct_condition(cat, candidate).ok:
-                return candidate
+        # the first morphism in `hom` order: the zero matrix, the constant-0 map
+        bad = next(iter(cat.hom(f.dom, f.cod)), f)
+        if bad == f:
+            continue
+        mor = dict(image.mor)
+        mor[edge.id] = bad
+        candidate = make_diagram(cat, g, dict(image.obj), mor)
+        if not check_coproduct_condition(cat, candidate).ok:
+            return candidate
     return None
-
-
-def _non_iso_replacements(cat, f):
-    from .categories import FinSetSkeleton, MatCategory
-
-    if isinstance(cat, MatCategory):
-        zero = tuple(tuple(0 for _ in range(f.dom)) for _ in range(f.cod))
-        if zero != f.data:
-            yield type(f)(f.dom, f.cod, zero)
-    elif isinstance(cat, FinSetSkeleton):
-        if f.cod > 0:
-            constant = tuple(0 for _ in range(f.dom))
-            if constant != f.data:
-                yield type(f)(f.dom, f.cod, constant)
 
 
 class CorruptedPair:

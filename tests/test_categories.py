@@ -17,10 +17,11 @@ from flowcat.categories import (
     mat_inverse,
     mat_invertible,
     mat_mul,
+    mat_row_reduce,
     parse_category_spec,
 )
 
-from oracles import brute_force_supremum, naive_mat_mul
+from oracles import brute_force_supremum, cofactor_determinant, naive_mat_mul
 
 
 # -- posets ----------------------------------------------------------------------
@@ -185,6 +186,44 @@ def test_mat_helpers():
     assert mat_invertible(3, ((1, 1), (1, 2)), 2)
     inv = mat_inverse(3, ((1, 1), (1, 2)), 2)
     assert mat_mul(3, inv, ((1, 1), (1, 2)), 2, 2) == mat_identity(2)
+
+
+def _square_matrices(q):
+    """Every 2x2 and 3x3 matrix over F_q, then seeded 4x4 and 5x5 ones."""
+    for n in (2, 3):
+        for flat in itertools.product(range(q), repeat=n * n):
+            yield n, tuple(flat[i * n : (i + 1) * n] for i in range(n))
+    rng = random.Random(f"gauss-jordan-{q}")
+    for n in (4, 5):
+        for _ in range(300):
+            yield n, _random_matrix(rng, n, n, 0, q - 1)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_gauss_jordan_matches_the_cofactor_determinant(q):
+    invertible = 0
+    for n, a in _square_matrices(q):
+        expected = cofactor_determinant(a) % q != 0
+        assert mat_invertible(q, a, n) is expected
+        if expected:
+            invertible += 1
+            inverse = mat_inverse(q, a, n)
+            assert naive_mat_mul(q, a, inverse, n, n) == mat_identity(n)
+        else:
+            with pytest.raises(CategoryError):
+                mat_inverse(q, a, n)
+    assert invertible > 100
+
+
+def test_row_reduce_keeps_an_augmented_block_and_names_the_pivots():
+    # pivots only in the first three columns; the fourth rides along, and
+    # a row left with entries only there is dropped
+    rows, pivots = mat_row_reduce(3, ((1, 2, 0, 1), (2, 2, 0, 0), (0, 1, 1, 2)), 3)
+    assert pivots == [0, 1, 2] and [row[:3] for row in rows] == list(map(list, mat_identity(3)))
+    rows, pivots = mat_row_reduce(3, ((1, 2, 0, 1), (2, 4, 0, 0), (0, 0, 1, 2)), 3)
+    assert pivots == [0, 2]
+    assert rows == [[1, 2, 0, 1], [0, 0, 1, 2]]
+    assert mat_row_reduce(2, (), 0) == ([], [])
 
 
 def _random_matrix(rng, rows, cols, lo, hi):

@@ -12,6 +12,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -435,6 +436,19 @@ def test_diagrams_rejects_a_negative_bound(tmp_path, capsys, category):
     assert_usage_error(*run(capsys, argv))
     code, doc, _ = run_json(capsys, ["diagrams", gp, "--category", category, "--bound", "0"])
     assert code == 0 and doc["count"] >= 1
+
+
+@pytest.mark.parametrize("category, top, bound", [("mat:3:3", 3, 9), ("mat:2:1", 1, 4), ("finset:2", 2, 3)])
+def test_diagrams_rejects_a_bound_above_the_largest_object(tmp_path, capsys, category, top, bound):
+    gp = write_graph(tmp_path / "g.json", graph("ab", [("x", "a", "b")]))
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["diagrams", gp, "--category", category, "--bound", str(bound)])
+    assert time.perf_counter() - start < 1
+    assert_usage_error(code, out, err)
+    assert err == f"error: bound {bound} exceeds the largest object {top} of {category}\n"
+    _, default, _ = run_json(capsys, ["diagrams", gp, "--category", category])
+    _, at_top, _ = run_json(capsys, ["diagrams", gp, "--category", category, "--bound", str(top)])
+    assert at_top == default
 
 
 # -- lpa-check ----------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Diagram engine: coproduct condition, enumeration, morphisms, isomorphism."""
 
+import itertools
 import math
 import random
 import time
@@ -15,6 +16,7 @@ from flowcat.diagrams import (
     check_diagram_morphism,
     cotuple_at,
     diagram_isomorphic,
+    diagram_morphisms,
     enumerate_diagram_morphisms,
     enumerate_diagrams,
     make_diagram,
@@ -601,3 +603,49 @@ def test_thin_enumeration_of_an_interleaved_cycle_is_fast():
     found = enumerate_diagrams(chain(3), g)
     assert time.perf_counter() - start < 0.5
     assert [set(d.obj.values()) for d in found] == [{0}, {1}, {2}]
+
+
+# -- one generator behind both searches -------------------------------------------------
+
+
+def _generator_pairs(cat):
+    """The seeded pool pairs above: thin diagrams on random shapes over a
+    poset; otherwise typed pairs on 5-8 vertex shapes and coproduct-condition
+    or corrupted pairs on cyclic shapes."""
+    if cat.is_thin:
+        pairs = []
+        for g in _shape_graphs(35, 4, bundle_prob=0.15):
+            pairs += itertools.product(enumerate_diagrams(cat, g)[:4], repeat=2)
+        return pairs
+    return _diagram_pairs(cat, 36) + _derived_pairs(cat, _cyclic_shapes(41, 6), 42)
+
+
+@pytest.mark.parametrize(
+    "cat", [chain(3), FinSetSkeleton(3), MatCategory(2, 2), MatCategory(3, 2)], ids=lambda c: c.name
+)
+def test_generator_yields_the_listed_morphisms_and_the_iso_witness(cat):
+    compared, sizes = 0, set()
+    for d1, d2 in _generator_pairs(cat):
+        try:
+            listed = enumerate_diagram_morphisms(cat, d1, d2, 3000)
+        except SearchCapExceeded:
+            continue
+        found = list(diagram_morphisms(cat, d1, d2, 3000))
+        assert len(set(found)) == len(found)
+        assert set(found) == set(listed)
+        assert diagram_isomorphic(cat, d1, d2) == next(diagram_morphisms(cat, d1, d2, iso=True), None)
+        compared += 1
+        sizes.add(min(len(found), 2))
+    # a thin hom-set has at most one element; a Mat one always holds zero
+    assert compared >= 30 and sizes >= ({0, 1} if cat.is_thin else {1, 2})
+
+
+def test_generator_reads_only_what_it_is_asked_for():
+    # 512 endomorphisms (one free 3x3 matrix at the source, the rest
+    # derived): listing them all passes a cap of 600 nodes, four do not
+    g = zoo.chain_graph(3)
+    d = canonical_diagram(MAT23, g, {v: 3 for v in g.vertices})
+    with pytest.raises(SearchCapExceeded):
+        enumerate_diagram_morphisms(MAT23, d, d, 600)
+    first = list(itertools.islice(diagram_morphisms(MAT23, d, d, 600), 4))
+    assert len(first) == len(set(first)) == 4

@@ -235,6 +235,27 @@ def test_corrupted_control_reports_when_it_is_vacuous():
         assert any(pair.can_corrupt(CHAIN2, d) for d in pool) is expected
 
 
+@pytest.mark.parametrize("cat", [CHAIN2, FINSET, MAT], ids=lambda c: c.name)
+def test_images_are_built_once_and_controls_stay_broken(cat):
+    corrupted = 0
+    for _, pair in FAST_SUITE:
+        rng = random.Random(3)
+        control = CorruptedPair(pair)
+        for apply, shape in ((pair.forward, pair.source), (pair.backward, pair.target)):
+            for d in _sample_pool(cat, shape, rng, 3, 20000):
+                try:
+                    image = apply(cat, d)
+                except DiagramError:
+                    continue
+                assert apply(cat, d) is image
+                if apply == pair.forward and control.can_corrupt(cat, d):
+                    broken = control.forward(cat, d)
+                    assert not check_coproduct_condition(cat, broken).ok
+                    assert pair.forward(cat, d) is image
+                    corrupted += 1
+    assert corrupted >= 6
+
+
 def test_harness_report_is_serializable():
     label, pair = FAST_SUITE[0]
     report = verify_equivalence(CHAIN2, pair, samples=3, seed=2)
