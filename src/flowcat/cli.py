@@ -480,7 +480,7 @@ def cmd_report(args):
             report = desingularisation_counterexample(cat or load_category("poset:chain2"))
         else:
             report = cuntz_splice_report(cat)
-    except CaseworkError as exc:
+    except (CaseworkError, DiagramError) as exc:
         raise CliError(str(exc)) from exc
     if args.json:
         _emit(report.to_dict())

@@ -7,6 +7,16 @@ inverted incoming cotuple.  `check_leavitt_relations` verifies the five
 defining relations and `check_unital_action` the unital sum; both hold exactly
 when the diagram satisfies the coproduct condition.
 
+An operator on M is kept as its blocks over the vertex partition (the D_v in
+sorted vertex order, at the offsets of `vertex_blocks`): a frozendict
+(row vertex, column vertex) -> dim(row) x dim(column) tuple of rows.  A block
+with no nonzero entry (the empty block of a 0-dim vertex too) is never stored,
+so `{}` is the zero operator and two operators are the same matrix exactly
+when their dicts are equal.  Products
+multiply blocks through `mat_mul` where the inner vertices match and add the
+results mod q.  The checks compute every product and compare it with the
+expected operator; no product is assumed from the block shapes.
+
 Graphs with infinite receivers are rejected: their extended vertices would
 carry zero blocks only after a plus construction, which the caller should
 apply first.
@@ -14,6 +24,7 @@ apply first.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .categories import MatCategory, mat_identity, mat_mul
@@ -32,24 +43,31 @@ class LpaOperators:
     graph: object
     total_dim: int
     vertex_blocks: frozendict  # v -> (offset, dim)
-    projections: frozendict  # v -> P_v, total x total
+    projections: frozendict  # v -> P_v, as blocks
     edge_maps: frozendict  # e -> A_e
     edge_star_maps: frozendict  # e -> A_e*
 
 
-def _zero(rows, cols):
-    return ((0,) * cols,) * rows
+def _nonzero(blocks):
+    """The blocks of `blocks` ((u, v) -> rows) that hold a nonzero entry."""
+    return {key: rows for key, rows in blocks.items() if any(map(any, rows))}
 
 
-def _blocks(rows, cols, placed):
-    """rows x cols matrix holding each (row_off, col_off, data) of `placed`
-    and 0 elsewhere; each row is spliced together from tuple slices."""
-    acc = list(_zero(rows, cols))
-    for row_off, col_off, data in placed:
-        for i, row in enumerate(data, row_off):
-            old = acc[i]
-            acc[i] = old[:col_off] + tuple(row) + old[col_off + len(row) :]
-    return tuple(acc)
+def _operator(blocks):
+    """The stored operator of `blocks`: its nonzero blocks as tuples of rows."""
+    return frozendict((key, tuple(map(tuple, rows))) for key, rows in _nonzero(blocks).items())
+
+
+def split_matrix(matrix, row_blocks, col_blocks):
+    """The blocks of a dense matrix (a tuple of rows) over the row and column
+    partitions, each a mapping v -> (offset, dim)."""
+    return _operator(
+        {
+            (u, v): tuple(tuple(row[c : c + m]) for row in matrix[r : r + n])
+            for u, (r, n) in row_blocks.items()
+            for v, (c, m) in col_blocks.items()
+        }
+    )
 
 
 def build_module_operators(cat, diagram):
@@ -73,52 +91,64 @@ def build_module_operators(cat, diagram):
     for v in order:
         blocks[v] = (offset, diagram.obj[v])
         offset += diagram.obj[v]
-    total = offset
-
-    projections = {
-        v: _blocks(total, total, [(off, off, mat_identity(dim))])
-        for v, (off, dim) in blocks.items()
-    }
-    edge_maps = {
-        e.id: _blocks(
-            total, total, [(blocks[e.tgt][0], blocks[e.src][0], diagram.mor[e.id].data)]
-        )
-        for e in g.edges
-    }
 
     edge_star_maps = {}
     for v in order:
         if classify_vertex(g, v).is_source:
             continue
         _, psi = cotuple_at(cat, diagram, v)
-        phi = cat.inverse(psi)  # D_v -> coproduct of incoming sources
+        phi = cat.inverse(psi).data  # D_v -> coproduct of incoming sources
         row = 0
         for e in g.incoming(v):
             dim_src = diagram.obj[e.src]
-            component = phi.data[row : row + dim_src]
+            edge_star_maps[e.id] = _operator({(e.src, v): phi[row : row + dim_src]})
             row += dim_src
-            edge_star_maps[e.id] = _blocks(
-                total, total, [(blocks[e.src][0], blocks[v][0], component)]
-            )
 
     return LpaOperators(
         q=cat.q,
         graph=g,
-        total_dim=total,
+        total_dim=offset,
         vertex_blocks=frozendict(blocks),
-        projections=frozendict(projections),
-        edge_maps=frozendict(edge_maps),
+        projections=frozendict(
+            (v, _operator({(v, v): mat_identity(diagram.obj[v])})) for v in order
+        ),
+        edge_maps=frozendict(
+            (e.id, _operator({(e.tgt, e.src): diagram.mor[e.id].data})) for e in g.edges
+        ),
         edge_star_maps=frozendict(edge_star_maps),
     )
 
 
-def _mul(q, a, b, total):
-    return mat_mul(q, a, b, total, total)
+def _add(q, operators):
+    """The entrywise sum mod q of operators, as a plain dict."""
+    terms = {}
+    for op in operators:
+        for key, block in op.items():
+            terms.setdefault(key, []).append(block)
+    return _nonzero(
+        {
+            key: tuple(tuple(sum(col) % q for col in zip(*rows)) for rows in zip(*blocks))
+            for key, blocks in terms.items()
+        }
+    )
 
 
-def _sum(q, mats):
-    """Entrywise sum mod q of equal-shape matrices, added row by row."""
-    return tuple(tuple(sum(col) % q for col in zip(*rows)) for rows in zip(*mats))
+def _mul(q, a, b):
+    """The product a b: each block (u, w) of a times each block (w, v) of b,
+    summed mod q per (u, v)."""
+    products = [
+        {(u, v): mat_mul(q, left, right, len(right), len(right[0]))}
+        for (u, w), left in a.items()
+        for (x, v), right in b.items()
+        if w == x
+    ]
+    # a lone product is already reduced mod q
+    return _nonzero(products[0]) if len(products) == 1 else _add(q, products)
+
+
+def _plain(operators):
+    """name -> operator as a plain dict, the form `_mul` and `_add` read fastest."""
+    return {name: dict(op) for name, op in operators.items()}
 
 
 @dataclass(frozen=True)
@@ -152,106 +182,83 @@ class LeavittReport:
         }
 
 
+def _relation(name, description, failures):
+    return RelationCheck(name, description, not failures, tuple(failures[:4]))
+
+
 def check_leavitt_relations(ops):
     """Verify the five defining relations on the assembled operators."""
-    q, total, g = ops.q, ops.total_dim, ops.graph
+    q, g = ops.q, ops.graph
+    p, a, star = map(_plain, (ops.projections, ops.edge_maps, ops.edge_star_maps))
     order = g.sorted_vertices()
-    zero = _zero(total, total)
-    checks = []
-
-    failures = []
-    for u in order:
-        for v in order:
-            prod = _mul(q, ops.projections[u], ops.projections[v], total)
-            expected = ops.projections[v] if u == v else zero
-            if prod != expected:
-                failures.append(f"P_{u} P_{v}")
-    checks.append(
-        RelationCheck(
-            "orthogonal-idempotents",
-            "(1) P_u P_v = delta_{u,v} P_v",
-            not failures,
-            tuple(failures[:4]),
+    zero = {}
+    return LeavittReport(
+        (
+            _relation(
+                "orthogonal-idempotents",
+                "(1) P_u P_v = delta_{u,v} P_v",
+                [
+                    f"P_{u} P_{v}"
+                    for u in order
+                    for v in order
+                    if _mul(q, p[u], p[v]) != (p[v] if u == v else zero)
+                ],
+            ),
+            _relation(
+                "edge-supports",
+                "(2) P_t(e) A_e = A_e = A_e P_s(e)",
+                [
+                    name
+                    for e in g.edges
+                    for name, prod in (
+                        (f"P_{e.tgt} A_{e.id}", _mul(q, p[e.tgt], a[e.id])),
+                        (f"A_{e.id} P_{e.src}", _mul(q, a[e.id], p[e.src])),
+                    )
+                    if prod != a[e.id]
+                ],
+            ),
+            _relation(
+                "ghost-supports",
+                "(3) P_s(e) A_e* = A_e* = A_e* P_t(e)",
+                [
+                    name
+                    for e in g.edges
+                    for name, prod in (
+                        (f"P_{e.src} A*_{e.id}", _mul(q, p[e.src], star[e.id])),
+                        (f"A*_{e.id} P_{e.tgt}", _mul(q, star[e.id], p[e.tgt])),
+                    )
+                    if prod != star[e.id]
+                ],
+            ),
+            _relation(
+                "ck1",
+                "(4) A_e* A_f = delta_{e,f} P_s(e)",
+                [
+                    f"A*_{e.id} A_{f.id}"
+                    for e in g.edges
+                    for f in g.edges
+                    if _mul(q, star[e.id], a[f.id]) != (p[e.src] if e.id == f.id else zero)
+                ],
+            ),
+            _relation(
+                "ck2",
+                "(5) sum of A_e A_e* over t^-1(v) = P_v at every non-source",
+                [
+                    f"sum over t^-1({v})"
+                    for v in order
+                    if not classify_vertex(g, v).is_source
+                    and _add(q, [_mul(q, a[e.id], star[e.id]) for e in g.incoming(v)])
+                    != p[v]
+                ],
+            ),
         )
     )
-
-    failures = []
-    for e in g.edges:
-        a = ops.edge_maps[e.id]
-        if _mul(q, ops.projections[e.tgt], a, total) != a:
-            failures.append(f"P_{e.tgt} A_{e.id}")
-        if _mul(q, a, ops.projections[e.src], total) != a:
-            failures.append(f"A_{e.id} P_{e.src}")
-    checks.append(
-        RelationCheck(
-            "edge-supports",
-            "(2) P_t(e) A_e = A_e = A_e P_s(e)",
-            not failures,
-            tuple(failures[:4]),
-        )
-    )
-
-    failures = []
-    for e in g.edges:
-        star = ops.edge_star_maps[e.id]
-        if _mul(q, ops.projections[e.src], star, total) != star:
-            failures.append(f"P_{e.src} A*_{e.id}")
-        if _mul(q, star, ops.projections[e.tgt], total) != star:
-            failures.append(f"A*_{e.id} P_{e.tgt}")
-    checks.append(
-        RelationCheck(
-            "ghost-supports",
-            "(3) P_s(e) A_e* = A_e* = A_e* P_t(e)",
-            not failures,
-            tuple(failures[:4]),
-        )
-    )
-
-    failures = []
-    for e in g.edges:
-        for f in g.edges:
-            prod = _mul(q, ops.edge_star_maps[e.id], ops.edge_maps[f.id], total)
-            expected = ops.projections[e.src] if e.id == f.id else zero
-            if prod != expected:
-                failures.append(f"A*_{e.id} A_{f.id}")
-    checks.append(
-        RelationCheck(
-            "ck1",
-            "(4) A_e* A_f = delta_{e,f} P_s(e)",
-            not failures,
-            tuple(failures[:4]),
-        )
-    )
-
-    failures = []
-    for v in order:
-        if classify_vertex(g, v).is_source:
-            continue
-        acc = _sum(
-            q,
-            [
-                _mul(q, ops.edge_maps[e.id], ops.edge_star_maps[e.id], total)
-                for e in g.incoming(v)
-            ],
-        )
-        if acc != ops.projections[v]:
-            failures.append(f"sum over t^-1({v})")
-    checks.append(
-        RelationCheck(
-            "ck2",
-            "(5) sum of A_e A_e* over t^-1(v) = P_v at every non-source",
-            not failures,
-            tuple(failures[:4]),
-        )
-    )
-
-    return LeavittReport(tuple(checks))
 
 
 def check_unital_action(ops):
     """The vertex projections must sum to the identity of the module."""
-    acc = _sum(ops.q, [ops.projections[v] for v in ops.graph.sorted_vertices()])
-    ok = acc == mat_identity(ops.total_dim)
+    identity = {(v, v): mat_identity(n) for v, (_, n) in ops.vertex_blocks.items()}
+    ok = _add(ops.q, _plain(ops.projections).values()) == _nonzero(identity)
     return RelationCheck(
         "unital-sum",
         "sum of P_v over all vertices = identity",
@@ -261,38 +268,28 @@ def check_unital_action(ops):
 
 
 def module_map(ops_dom, ops_cod, components):
-    """Block-diagonal matrix of a diagram morphism between the underlying
-    diagrams, as a map of modules."""
-    return _blocks(
-        ops_cod.total_dim,
-        ops_dom.total_dim,
-        [
-            (ops_cod.vertex_blocks[v][0], ops_dom.vertex_blocks[v][0], components[v].data)
-            for v in ops_dom.graph.sorted_vertices()
-        ],
-    )
+    """The block-diagonal operator of a diagram morphism between the
+    underlying diagrams, as a map of modules."""
+    return _operator({(v, v): components[v].data for v in ops_dom.graph.sorted_vertices()})
 
 
 def intertwining_failures(ops_dom, ops_cod, matrix):
-    """Generators on which `matrix` fails to commute (empty means it
-    intertwines the whole action)."""
-    q = ops_dom.q
-    failures = []
+    """Generators on which `matrix` (an operator from `module_map`, or a dense
+    tuple of rows) fails to commute; empty means it intertwines the whole
+    action."""
+    if not isinstance(matrix, Mapping):
+        matrix = split_matrix(matrix, ops_cod.vertex_blocks, ops_dom.vertex_blocks)
+    q, g = ops_dom.q, ops_dom.graph
 
-    def _check(name, lhs_op, rhs_op):
-        lhs = mat_mul(q, matrix, lhs_op, ops_dom.total_dim, ops_dom.total_dim)
-        rhs = mat_mul(q, rhs_op, matrix, ops_cod.total_dim, ops_dom.total_dim)
-        if lhs != rhs:
-            failures.append(name)
+    def generators(ops):
+        for v in g.sorted_vertices():
+            yield f"P_{v}", ops.projections[v]
+        for e in g.edges:
+            yield f"A_{e.id}", ops.edge_maps[e.id]
+            yield f"A*_{e.id}", ops.edge_star_maps[e.id]
 
-    g = ops_dom.graph
-    for v in g.sorted_vertices():
-        _check(f"P_{v}", ops_dom.projections[v], ops_cod.projections[v])
-    for e in g.edges:
-        _check(f"A_{e.id}", ops_dom.edge_maps[e.id], ops_cod.edge_maps[e.id])
-        _check(
-            f"A*_{e.id}",
-            ops_dom.edge_star_maps[e.id],
-            ops_cod.edge_star_maps[e.id],
-        )
-    return failures
+    return [
+        name
+        for (name, dom_op), (_, cod_op) in zip(generators(ops_dom), generators(ops_cod))
+        if _mul(q, matrix, dom_op) != _mul(q, cod_op, matrix)
+    ]

@@ -2,10 +2,11 @@
 
 Everything here is deliberately naive (cofactor expansions, brute-force subset
 filters, transitive-closure reachability) and shares no code with the package,
-so agreement is meaningful evidence.  The one exception is the out-split's
-backward functor and counit as they were written out by hand before every
-functor became a table of paths: they take a category and a diagram and call
-only the category's own operations.
+so agreement is meaningful evidence.  Two exceptions take a category and a
+diagram and call only the category's own operations: the out-split's backward
+functor and counit as they were written out by hand before every functor
+became a table of paths, and the Leavitt module operators assembled as dense
+total x total matrices, as they were before they became block-sparse.
 """
 
 from __future__ import annotations
@@ -325,6 +326,148 @@ def naive_mat_mul(q, g, f, inner, cols):
             row.append(s % q)
         out.append(tuple(row))
     return tuple(out)
+
+
+def row_combination_mat_mul(q, g, f, cols):
+    """Product of g and f mod q, each row of the result the sum of g[i][k]
+    times row k of f over the nonzero g[i][k] (every entry of g is read)."""
+    out = []
+    for row in g:
+        acc = [0] * cols
+        for k, a in enumerate(row if any(row) else ()):
+            if a:
+                acc = [x + a * y for x, y in zip(acc, f[k])]
+        out.append(tuple(x % q for x in acc))
+    return tuple(out)
+
+
+# -- Leavitt module operators as dense matrices ------------------------------------
+
+
+def dense_blocks(rows, cols, placed):
+    """rows x cols matrix holding each (row_off, col_off, data) of `placed`
+    and 0 elsewhere."""
+    acc = [[0] * cols for _ in range(rows)]
+    for row_off, col_off, data in placed:
+        for i, row in enumerate(data, row_off):
+            acc[i][col_off : col_off + len(row)] = row
+    return tuple(map(tuple, acc))
+
+
+def dense(operator, row_ops, col_ops=None):
+    """The dense matrix of a block operator ((u, v) -> block) over the vertex
+    blocks of `row_ops` and `col_ops` (default: the same operators)."""
+    col_ops = col_ops or row_ops
+    rows, cols = row_ops.vertex_blocks, col_ops.vertex_blocks
+    return dense_blocks(
+        row_ops.total_dim,
+        col_ops.total_dim,
+        [(rows[u][0], cols[v][0], block) for (u, v), block in operator.items()],
+    )
+
+
+def dense_module_operators(cat, diagram):
+    """(total, projections, edge_maps, edge_star_maps) of a coproduct-condition
+    diagram over Mat(F_q), each operator a dense total x total matrix: P_v is
+    the identity on v's rows, A_e holds D_e at (t(e), s(e)), and A_e* holds
+    the rows of the inverted incoming cotuple that belong to e."""
+    g = diagram.graph
+    offsets, total = {}, 0
+    for v in g.sorted_vertices():
+        offsets[v] = total
+        total += diagram.obj[v]
+
+    def place(at_row, at_col, data):
+        return dense_blocks(total, total, [(offsets[at_row], offsets[at_col], data)])
+
+    projections = {
+        v: place(v, v, [[int(i == j) for j in range(n)] for i in range(n)])
+        for v, n in diagram.obj.items()
+    }
+    edge_maps = {e.id: place(e.tgt, e.src, diagram.mor[e.id].data) for e in g.edges}
+    edge_star_maps = {}
+    for v in g.sorted_vertices():
+        edges = g.incoming(v)
+        if not edges:
+            continue
+        cop = cat.coproduct([diagram.obj[e.src] for e in edges])
+        phi = cat.inverse(cat.cotuple(cop, [diagram.mor[e.id] for e in edges])).data
+        row = 0
+        for e in edges:
+            dim = diagram.obj[e.src]
+            edge_star_maps[e.id] = place(e.src, v, phi[row : row + dim])
+            row += dim
+    return total, projections, edge_maps, edge_star_maps
+
+
+def dense_leavitt_reports(q, g, total, projections, edge_maps, edge_star_maps):
+    """The relation report and the unital-sum check of dense operators, as the
+    dicts `LeavittReport.to_dict()` and `dataclasses.asdict(RelationCheck)`
+    give, every product a dense total x total matrix."""
+
+    def mul(a, b):
+        return row_combination_mat_mul(q, a, b, total)
+
+    def add(mats):
+        return tuple(tuple(sum(c) % q for c in zip(*rows)) for rows in zip(*mats))
+
+    zero = tuple((0,) * total for _ in range(total))
+    order = g.sorted_vertices()
+    p, a, star = projections, edge_maps, edge_star_maps
+    found = {
+        "orthogonal-idempotents": [
+            f"P_{u} P_{v}"
+            for u in order
+            for v in order
+            if mul(p[u], p[v]) != (p[v] if u == v else zero)
+        ],
+        "edge-supports": [],
+        "ghost-supports": [],
+        "ck1": [
+            f"A*_{e.id} A_{f.id}"
+            for e in g.edges
+            for f in g.edges
+            if mul(star[e.id], a[f.id]) != (p[e.src] if e.id == f.id else zero)
+        ],
+        "ck2": [
+            f"sum over t^-1({v})"
+            for v in order
+            if g.incoming(v)
+            and add([mul(a[e.id], star[e.id]) for e in g.incoming(v)]) != p[v]
+        ],
+    }
+    for e in g.edges:
+        for check, name, left, right, want in (
+            ("edge-supports", f"P_{e.tgt} A_{e.id}", p[e.tgt], a[e.id], a[e.id]),
+            ("edge-supports", f"A_{e.id} P_{e.src}", a[e.id], p[e.src], a[e.id]),
+            ("ghost-supports", f"P_{e.src} A*_{e.id}", p[e.src], star[e.id], star[e.id]),
+            ("ghost-supports", f"A*_{e.id} P_{e.tgt}", star[e.id], p[e.tgt], star[e.id]),
+        ):
+            if mul(left, right) != want:
+                found[check].append(name)
+    descriptions = {
+        "orthogonal-idempotents": "(1) P_u P_v = delta_{u,v} P_v",
+        "edge-supports": "(2) P_t(e) A_e = A_e = A_e P_s(e)",
+        "ghost-supports": "(3) P_s(e) A_e* = A_e* = A_e* P_t(e)",
+        "ck1": "(4) A_e* A_f = delta_{e,f} P_s(e)",
+        "ck2": "(5) sum of A_e A_e* over t^-1(v) = P_v at every non-source",
+    }
+    checks = [
+        {"name": n, "description": d, "ok": not found[n], "failures": found[n][:4]}
+        for n, d in descriptions.items()
+    ]
+    unital = add([p[v] for v in order]) == dense_blocks(
+        total, total, [(i, i, ((1,),)) for i in range(total)]
+    )
+    return (
+        {"ok": all(c["ok"] for c in checks), "checks": checks},
+        {
+            "name": "unital-sum",
+            "description": "sum of P_v over all vertices = identity",
+            "ok": unital,
+            "failures": () if unital else ("sum of projections",),
+        },
+    )
 
 
 # -- the out-split's backward functor, written out -----------------------------------

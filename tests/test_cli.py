@@ -581,6 +581,16 @@ def test_report_exit_code_reads_the_outcome_not_the_text(capsys, monkeypatch):
     assert "verdict: open question — text only" in out
 
 
+@pytest.mark.parametrize("category", ["finset:3", "mat:2:2"])
+def test_report_acyclic_on_a_bundle_is_usage_error(tmp_path, capsys, category):
+    # the additive count needs size vectors, which a bundle leaves undefined
+    gp = write_graph(tmp_path / "g.json", zoo.h_graph())
+    code, out, err = run(capsys, ["report", "acyclic", gp, "--category", category, "--json"])
+    assert code == 2
+    assert out == ""
+    assert err == "error: size vectors are undefined for graphs with bundles\n"
+
+
 def test_report_requires_graph_when_case_needs_one(capsys):
     code, _, err = run(capsys, ["report", "poset"])
     assert code == 2
@@ -766,6 +776,8 @@ TWO_CYCLE = {
     "edges": [{"id": "e", "src": "a", "tgt": "b"}, {"id": "f", "src": "b", "tgt": "a"}],
 }
 
+H_GRAPH = cli.graph_to_doc(zoo.h_graph())
+
 
 def lpa_case(matrix):
     """lpa-check on a 2-cycle with 1x1 dims and `matrix` on edge e."""
@@ -791,6 +803,8 @@ def verify_case(move):
 @example(case=lpa_case([[1], [0]]))
 @example(case=poset_case("diagrams", "{g}"))
 @example(case=poset_case("report", "acyclic", "{g}"))
+@example(case=(["report", "acyclic", "{g}", "--category", "finset:2", "--json"], {"g": H_GRAPH}))
+@example(case=(["report", "acyclic", "{g}", "--category", "mat:3:2", "--json"], {"g": H_GRAPH}))
 @example(case=verify_case({"move": "out_split", "p": {}}))
 @example(case=verify_case({"move": "remove_sink", "vertex": "b"}))
 @example(case=verify_case({"move": "remove_sink", "vertex": "a"}))

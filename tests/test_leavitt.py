@@ -2,11 +2,16 @@
 
 Frozen matrices below are derived by hand from the block layout: vertices in
 sorted order, incoming families in edge-id order, canonical cotuples the
-identity.
+identity.  Operators are kept as blocks over the vertex partition; `dense`
+views one as a total x total matrix and `blocks` splits a dense matrix back.
 """
 
 import dataclasses
+import json
 import random
+import statistics
+import time
+from pathlib import Path
 
 import pytest
 
@@ -20,7 +25,7 @@ from flowcat.diagrams import (
     random_diagram,
     solve_dimension_vectors,
 )
-from flowcat.graphs import graph
+from flowcat.graphs import graph, reachable_from, strongly_connected_components
 from flowcat.leavitt import (
     LeavittError,
     build_module_operators,
@@ -28,10 +33,13 @@ from flowcat.leavitt import (
     check_unital_action,
     intertwining_failures,
     module_map,
+    split_matrix,
 )
+from flowcat.sampling import random_acyclic_graph, random_shape_graph
 from flowcat.util import frozendict
 
-from oracles import naive_mat_mul
+from lpa_samples import run_case
+from oracles import dense, dense_leavitt_reports, dense_module_operators, naive_mat_mul
 
 
 def unit_matrix(total, ones):
@@ -40,6 +48,11 @@ def unit_matrix(total, ones):
         tuple(1 if (i, j) in ones else 0 for j in range(total))
         for i in range(total)
     )
+
+
+def blocks(ops, matrix):
+    """The block operator of a dense total x total matrix over `ops`."""
+    return split_matrix(matrix, ops.vertex_blocks, ops.vertex_blocks)
 
 
 def build(q, g, dims, max_dim=6):
@@ -55,9 +68,10 @@ def test_loop1_rank_one_module():
     _, _, ops = build(2, zoo.loop1(), {"u": 1})
     assert ops.total_dim == 1
     assert dict(ops.vertex_blocks) == {"u": (0, 1)}
-    assert ops.projections["u"] == ((1,),)
-    assert ops.edge_maps["l"] == ((1,),)
-    assert ops.edge_star_maps["l"] == ((1,),)
+    assert ops.projections["u"] == {("u", "u"): ((1,),)}
+    assert dense(ops.projections["u"], ops) == ((1,),)
+    assert dense(ops.edge_maps["l"], ops) == ((1,),)
+    assert dense(ops.edge_star_maps["l"], ops) == ((1,),)
     assert check_leavitt_relations(ops).ok
     assert check_unital_action(ops).ok
 
@@ -66,13 +80,16 @@ def test_acyclic2_block_layout():
     _, _, ops = build(2, zoo.acyclic2(), {"a": 1, "b": 2, "c": 3})
     assert ops.total_dim == 6
     assert dict(ops.vertex_blocks) == {"a": (0, 1), "b": (1, 2), "c": (3, 3)}
-    assert ops.projections["a"] == unit_matrix(6, {(0, 0)})
-    assert ops.projections["b"] == unit_matrix(6, {(1, 1), (2, 2)})
-    assert ops.projections["c"] == unit_matrix(6, {(3, 3), (4, 4), (5, 5)})
-    assert ops.edge_maps["e1"] == unit_matrix(6, {(3, 0)})
-    assert ops.edge_maps["e2"] == unit_matrix(6, {(4, 1), (5, 2)})
-    assert ops.edge_star_maps["e1"] == unit_matrix(6, {(0, 3)})
-    assert ops.edge_star_maps["e2"] == unit_matrix(6, {(1, 4), (2, 5)})
+    assert dense(ops.projections["a"], ops) == unit_matrix(6, {(0, 0)})
+    assert dense(ops.projections["b"], ops) == unit_matrix(6, {(1, 1), (2, 2)})
+    assert dense(ops.projections["c"], ops) == unit_matrix(6, {(3, 3), (4, 4), (5, 5)})
+    assert dense(ops.edge_maps["e1"], ops) == unit_matrix(6, {(3, 0)})
+    assert dense(ops.edge_maps["e2"], ops) == unit_matrix(6, {(4, 1), (5, 2)})
+    assert dense(ops.edge_star_maps["e1"], ops) == unit_matrix(6, {(0, 3)})
+    assert dense(ops.edge_star_maps["e2"], ops) == unit_matrix(6, {(1, 4), (2, 5)})
+    # one nonzero block each, at (row vertex, column vertex)
+    assert ops.edge_maps["e2"] == {("c", "b"): ((0, 0), (1, 0), (0, 1))}
+    assert ops.edge_star_maps["e2"] == {("b", "c"): ((0, 1, 0), (0, 0, 1))}
     report = check_leavitt_relations(ops)
     assert report.ok, report.to_dict()
     assert check_unital_action(ops).ok
@@ -82,15 +99,16 @@ def test_loop_and_exit_ghost_rows():
     _, _, ops = build(2, zoo.loop_and_exit(), {"u": 1, "w": 2})
     assert ops.total_dim == 3
     # incoming family at w is (m, m2); the ghosts pick complementary rows.
-    assert ops.edge_star_maps["m"] == unit_matrix(3, {(0, 1)})
-    assert ops.edge_star_maps["m2"] == unit_matrix(3, {(0, 2)})
+    assert dense(ops.edge_star_maps["m"], ops) == unit_matrix(3, {(0, 1)})
+    assert dense(ops.edge_star_maps["m2"], ops) == unit_matrix(3, {(0, 2)})
     assert check_leavitt_relations(ops).ok
 
 
 def test_zero_diagram_gives_zero_module():
     _, _, ops = build(2, zoo.vw_graph(), {"v": 0, "w": 0})
     assert ops.total_dim == 0
-    assert ops.projections["v"] == ()
+    assert ops.projections["v"] == {}
+    assert dense(ops.projections["v"], ops) == ()
     report = check_leavitt_relations(ops)
     assert report.ok
     assert check_unital_action(ops).ok
@@ -146,7 +164,7 @@ def test_rejects_condition_violation():
 def test_corrupted_ghost_map_fails_ck_relations():
     _, _, ops = build(2, zoo.loop1(), {"u": 1})
     bad = dataclasses.replace(
-        ops, edge_star_maps=frozendict({"l": ((0,),)})
+        ops, edge_star_maps=frozendict({"l": blocks(ops, ((0,),))})
     )
     report = check_leavitt_relations(bad)
     assert not report.ok
@@ -163,7 +181,7 @@ def test_corrupted_projection_breaks_unital_sum():
     _, _, ops = build(2, zoo.acyclic2(), {"a": 1, "b": 2, "c": 3})
     bad = dataclasses.replace(
         ops,
-        projections=ops.projections.set("a", unit_matrix(6, set())),
+        projections=ops.projections.set("a", blocks(ops, unit_matrix(6, set()))),
     )
     assert not check_unital_action(bad).ok
 
@@ -181,9 +199,10 @@ def test_36_dim_module_reports_match_the_oracle_product(monkeypatch):
     g = zoo.chain_graph(12)
     ops = build_module_operators(cat, canonical_diagram(cat, g, {v: 3 for v in g.vertices}))
     assert ops.total_dim == 36
-    p = [list(r) for r in ops.projections["a7"]]
+    p = [list(r) for r in dense(ops.projections["a7"], ops)]
     p[0][35] = 1  # outside every block
-    bad = dataclasses.replace(ops, projections=ops.projections.set("a7", tuple(map(tuple, p))))
+    bad = dataclasses.replace(ops, projections=ops.projections.set("a7", blocks(ops, p)))
+    assert bad.projections["a7"][("a1", "a9")] == ((0, 0, 1), (0, 0, 0), (0, 0, 0))
     cases = (ops, bad)
     got = [_reports(x) for x in cases]
 
@@ -200,6 +219,172 @@ def test_36_dim_module_reports_match_the_oracle_product(monkeypatch):
     failing = [{c["name"] for c in report["checks"] if not c["ok"]} for report, _ in got]
     assert failing == [set(), {"orthogonal-idempotents", "ck1", "ck2"}]
     assert [unital.ok for _, unital in got] == [True, False]
+
+
+# -- block-sparse against the dense oracle ------------------------------------
+
+
+def feasible_dims(g, rng, top=2):
+    """A size vector with the coproduct condition's in-sums: a closed simple
+    cycle (each vertex fed only by its cycle predecessor) that reaches no
+    other cycle gets one random size 0..top, any other cycle 0, a vertex
+    that reaches a cycle 0, another source a random size 0..top, and every
+    other vertex its in-sum."""
+    comps = [
+        c
+        for c in strongly_connected_components(g)
+        if len(c) > 1 or any(e.src == e.tgt for v in c for e in g.incoming(v))
+    ]
+    cyclic = set().union(*comps)
+    dims = {}
+    for comp in comps:
+        v = min(comp)
+        closed = all(len(g.incoming(u)) == 1 and g.incoming(u)[0].src in comp for u in comp)
+        free = closed and not (reachable_from(g, v) & (cyclic - comp))
+        dims.update(dict.fromkeys(comp, rng.randint(0, top) if free else 0))
+    for v in g.sorted_vertices():
+        if v not in cyclic and reachable_from(g, v) & cyclic:
+            dims[v] = 0
+        elif not g.incoming(v):
+            dims[v] = rng.randint(0, top)
+
+    def dim(v):
+        if v not in dims:
+            dims[v] = sum(dim(e.src) for e in g.incoming(v))
+        return dims[v]
+
+    return {v: dim(v) for v in g.sorted_vertices()}
+
+
+def random_shapes(rng, count):
+    """(label, graph, dims): 12-30-vertex bundle-free shapes, acyclic and
+    arbitrary in turn, whose size vector has a total of 8-40 (the dense
+    oracle's cost grows with the cube of the total)."""
+    out = []
+    while len(out) < count:
+        if len(out) % 2:
+            g = random_shape_graph(rng, max_vertices=30, edge_prob=0.04, bundle_prob=0)
+        else:
+            g = random_acyclic_graph(rng, max_vertices=30, edge_prob=0.06)
+        dims = feasible_dims(g, rng)
+        if len(g.vertices) >= 12 and 8 <= sum(dims.values()) <= 40:
+            out.append((f"shape{len(out)}", g, dims))
+    return out
+
+
+def dense_views(ops):
+    """Each operator family of `ops` as dense total x total matrices."""
+    return [
+        {name: dense(op, ops) for name, op in family.items()}
+        for family in (ops.projections, ops.edge_maps, ops.edge_star_maps)
+    ]
+
+
+def corrupt(ops, rng, outside):
+    """`ops` with one entry of one nonzero operator changed: an entry of a
+    stored block raised by 1 mod q, or, when `outside`, an entry of a block
+    the operator does not hold set to 1."""
+    fields = ("projections", "edge_maps", "edge_star_maps")
+    field, name = rng.choice(
+        [(f, name) for f in fields for name, op in getattr(ops, f).items() if op]
+    )
+    op = getattr(ops, field)[name]
+    parts = [v for v in ops.graph.sorted_vertices() if ops.vertex_blocks[v][1]]
+    while True:
+        key = (rng.choice(parts), rng.choice(parts)) if outside else rng.choice(sorted(op))
+        if (key in op) != outside:
+            break
+    (row, rows), (col, cols) = (ops.vertex_blocks[v] for v in key)
+    i, j = row + rng.randrange(rows), col + rng.randrange(cols)
+    m = [list(r) for r in dense(op, ops)]
+    m[i][j] = 1 if outside else (m[i][j] + 1) % ops.q
+    return dataclasses.replace(ops, **{field: getattr(ops, field).set(name, blocks(ops, m))})
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_block_sparse_reports_match_the_dense_oracle(q):
+    # The operators, viewed densely, are the dense construction's, and the
+    # reports of the relations and of the unital sum equal the dense
+    # oracle's, clean and with one entry changed inside or outside a block.
+    rng = random.Random(f"dense-oracle-{q}")
+    cases = [
+        ("chain12", zoo.chain_graph(12), {f"a{i}": 3 for i in range(1, 13)}),
+        ("loop-exit", zoo.loop_and_exit(), {"u": 2, "w": 4}),
+        ("cycle-sink", zoo.cycle_with_sink(), {"a": 2, "b": 2, "s": 2}),
+    ] + random_shapes(rng, 4)
+    for label, g, dims in cases:
+        cat = MatCategory(q, max(dims.values()))
+        d = random_diagram(cat, g, dims, rng)
+        ops = build_module_operators(cat, d)
+        total, *dense_ops = dense_module_operators(cat, d)
+        assert (ops.total_dim, dense_views(ops)) == (total, dense_ops), label
+        for variant in (ops, corrupt(ops, rng, False), corrupt(ops, rng, True)):
+            got = (
+                check_leavitt_relations(variant).to_dict(),
+                dataclasses.asdict(check_unital_action(variant)),
+            )
+            assert got == dense_leavitt_reports(q, g, total, *dense_views(variant)), label
+            assert (got[0]["ok"] and got[1]["ok"]) == (variant is ops), label
+
+
+# -- scale ---------------------------------------------------------------------
+
+
+def grown_graph(rng, n, n_sources):
+    """An acyclic graph on n vertices: each vertex after the first
+    `n_sources` has an edge from a random earlier vertex and, with
+    probability 0.3, a second from a random source."""
+    vs = [f"v{i:02d}" for i in range(n)]
+    edges = []
+    for i in range(n_sources, n):
+        edges.append((f"e{len(edges)}", vs[rng.randrange(i)], vs[i]))
+        if rng.random() < 0.3:
+            edges.append((f"e{len(edges)}", vs[rng.randrange(n_sources)], vs[i]))
+    return graph(vs, edges)
+
+
+def median_check_seconds(cat, d, repeats=5):
+    """The total dimension, and the median over `repeats` of the seconds to
+    build the operators and run both checks (each run must pass)."""
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        ops = build_module_operators(cat, d)
+        assert check_leavitt_relations(ops).ok and check_unital_action(ops).ok
+        times.append(time.perf_counter() - start)
+    return ops.total_dim, statistics.median(times)
+
+
+def test_50_dim_check_is_fast():
+    rng = random.Random("scale-50")
+    g = zoo.chain_graph(25)
+    cat = MatCategory(2, 2)
+    total, seconds = median_check_seconds(cat, random_diagram(cat, g, dict.fromkeys(g.vertices, 2), rng))
+    assert total == 50
+    assert seconds < 0.05
+
+
+def test_60_vertex_module_of_200_dims_is_fast():
+    rng = random.Random("scale-60")
+    g = grown_graph(rng, 60, 10)
+    dims = {f"v{i:02d}": rng.randint(2, 4) for i in range(10)}
+    for v in g.sorted_vertices():
+        dims.setdefault(v, sum(dims[e.src] for e in g.incoming(v)))
+    cat = MatCategory(3, max(dims.values()))
+    total, seconds = median_check_seconds(cat, random_diagram(cat, g, dims, rng))
+    assert total >= 200
+    assert seconds < 1.0
+
+
+# -- lpa-check bytes -------------------------------------------------------------
+
+
+def test_lpa_check_output_matches_the_golden_bytes():
+    golden = json.loads((Path(__file__).parent / "lpa_golden.json").read_text())["cases"]
+    assert len(golden) >= 20
+    for case in golden:
+        got = run_case(case["field"], case["graph"], case["diagram"])
+        assert got == (case["exit"], case["stdout"], case["stderr"]), case["name"]
 
 
 # -- property sweep over small graphs and both fields --------------------------
