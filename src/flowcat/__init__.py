@@ -86,7 +86,7 @@ from .moves import (
     out_split,
     remove_sink,
 )
-from .util import SearchCapExceeded
+from .util import FlowcatError, SearchCapExceeded
 
 __version__ = "0.1.0"
 
@@ -99,6 +99,7 @@ __all__ = [
     "DiagramError",
     "DirectedGraph",
     "FinSetSkeleton",
+    "FlowcatError",
     "GraphError",
     "InDelaySpec",
     "InSplitSpec",

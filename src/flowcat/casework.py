@@ -38,14 +38,14 @@ from .graphs import (
     strongly_connected_components,
 )
 from .invariants import bowen_franks, franks_equivalent, parry_sullivan
-from .util import NodeBudget
+from .util import FlowcatError, NodeBudget
 
 # The poset report checks monotonicity both ways on at most this many ordered
 # pairs of diagrams, and says so when it stops early.
 MONOTONE_PAIR_CAP = 250_000
 
 
-class CaseworkError(ValueError):
+class CaseworkError(FlowcatError):
     """The case inputs are outside what the report can check."""
 
 

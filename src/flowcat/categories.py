@@ -16,10 +16,10 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from operator import mul
 
-from .util import cached_on
+from .util import FlowcatError, cached_on
 
 
-class CategoryError(ValueError):
+class CategoryError(FlowcatError):
     """Ill-typed composition, malformed instance data, or unusable input."""
 
 
@@ -491,5 +491,7 @@ def parse_category_spec(spec, poset_loader=None):
         if kind == "mat" and len(parts) == 3:
             return MatCategory(int(parts[1]), int(parts[2]))
     except ValueError as exc:
+        if isinstance(exc, FlowcatError) and not isinstance(exc, CategoryError):
+            raise  # the loader's own error, which names its file
         raise CategoryError(f"bad category spec {spec!r}: {exc}") from exc
     raise CategoryError(f"bad category spec {spec!r}")

@@ -2,6 +2,11 @@
 
 Exit codes: 0 success, 1 a verification or validation check failed, 2 usage or
 parse errors, 3 a search exceeded its node budget (FLOWCAT_MAX_NODES).
+
+Rejected input has one boundary: every library error and `CliError` derive
+from `util.FlowcatError`, which `main` prints as one `error:` line, exit 2.
+Only `lpa-check` catches its own: `LeavittError` is reported as JSON
+`{"ok": false, ...}` with exit 1, and `DiagramError` names the diagram file.
 """
 
 from __future__ import annotations
@@ -11,19 +16,17 @@ import json
 import sys
 
 from .casework import (
-    CaseworkError,
     cuntz_splice_report,
     desingularisation_counterexample,
     verify_acyclic_corollary,
     verify_poset_corollary,
 )
-from .categories import CategoryError, MatCategory, Morphism, PosetCategory, parse_category_spec
+from .categories import MatCategory, Morphism, PosetCategory, parse_category_spec
 from .diagrams import DiagramError, enumerate_diagrams, make_diagram
-from .functors import FunctorPairError, make_pair, verify_equivalence
+from .functors import make_pair, verify_equivalence
 from .graphs import (
     DirectedGraph,
     Edge,
-    GraphError,
     cohereditary_irreducible_subsets,
     is_irreducible,
     is_nontrivial,
@@ -39,7 +42,6 @@ from .leavitt import (
 from .moves import (
     InDelaySpec,
     InSplitSpec,
-    MoveError,
     OutDelaySpec,
     OutSplitSpec,
     add_heads_truncated,
@@ -50,15 +52,13 @@ from .moves import (
     out_split,
     remove_sink,
 )
-from .util import SearchCapExceeded, max_nodes_cap
+from .util import FlowcatError, SearchCapExceeded, max_nodes_cap
 
 OK, CHECK_FAILED, USAGE, CAPPED = 0, 1, 2, 3
 
 
-class CliError(Exception):
-    def __init__(self, message, code=USAGE):
-        super().__init__(message)
-        self.code = code
+class CliError(FlowcatError):
+    """A malformed input file, document field or option."""
 
 
 # -- file formats ---------------------------------------------------------------
@@ -275,10 +275,7 @@ def _load_poset_file(path):
 
 
 def load_category(spec):
-    try:
-        return parse_category_spec(spec, poset_loader=_load_poset_file)
-    except CategoryError as exc:  # already names the spec
-        raise CliError(str(exc)) from exc
+    return parse_category_spec(spec, poset_loader=_load_poset_file)
 
 
 def render_dot(g):
@@ -312,19 +309,16 @@ def cmd_validate(args):
 
 def cmd_invariants(args):
     g = load_graph(args.graph)
-    try:
-        ps, bf = flow_invariants(g)
-        doc = {
-            "ps": ps,
-            "bf": {"free_rank": bf.free_rank, "torsion": list(bf.torsion)},
-            "irreducible": is_irreducible(g),
-            "nontrivial": is_nontrivial(g),
-            "cohereditary_irreducible_count": len(
-                cohereditary_irreducible_subsets(g)
-            ),
-        }
-    except GraphError as exc:
-        raise CliError(str(exc)) from exc
+    ps, bf = flow_invariants(g)
+    doc = {
+        "ps": ps,
+        "bf": {"free_rank": bf.free_rank, "torsion": list(bf.torsion)},
+        "irreducible": is_irreducible(g),
+        "nontrivial": is_nontrivial(g),
+        "cohereditary_irreducible_count": len(
+            cohereditary_irreducible_subsets(g)
+        ),
+    }
     _emit(doc)
     return OK
 
@@ -332,10 +326,7 @@ def cmd_invariants(args):
 def cmd_move(args):
     g = load_graph(args.graph)
     move, payload = parse_move_doc(_load_json(args.spec), g, args.spec)
-    try:
-        moved, truncation = _apply_move(g, move, payload)
-    except (MoveError, GraphError) as exc:
-        raise CliError(str(exc)) from exc
+    moved, truncation = _apply_move(g, move, payload)
     if truncation is not None and not truncation.is_exact:
         print(
             f"note: {move} at depth {truncation.depth} is a finite "
@@ -349,10 +340,7 @@ def cmd_move(args):
 def cmd_franks(args):
     g = load_graph(args.graph)
     h = load_graph(args.other)
-    try:
-        verdict = franks_equivalent(g, h)
-    except GraphError as exc:
-        raise CliError(str(exc)) from exc
+    verdict = franks_equivalent(g, h)
     _emit({"verdict": verdict.kind, "reason": verdict.reason})
     return OK
 
@@ -362,10 +350,7 @@ def cmd_diagrams(args):
         raise CliError(f"--bound must be nonnegative, got {args.bound}")
     g = load_graph(args.graph)
     cat = load_category(args.category)
-    try:
-        found = list(enumerate_diagrams(cat, g, bound=args.bound))
-    except DiagramError as exc:
-        raise CliError(str(exc)) from exc
+    found = list(enumerate_diagrams(cat, g, bound=args.bound))
     doc = {"count": len(found)}
     if args.list:
         doc["diagrams"] = [
@@ -388,10 +373,7 @@ def cmd_verify(args):
     g = load_graph(args.graph)
     move, payload = parse_move_doc(_load_json(args.spec), g, args.spec)
     cat = load_category(args.category)
-    try:
-        pair = make_pair(move, g, payload)
-    except (FunctorPairError, MoveError, GraphError) as exc:
-        raise CliError(str(exc)) from exc
+    pair = make_pair(move, g, payload)
     report = verify_equivalence(cat, pair, samples=args.samples, seed=args.seed)
     _emit(report.to_dict())
     return OK if report.verdict == "pass" else CHECK_FAILED
@@ -417,10 +399,7 @@ def cmd_lpa_check(args):
         _require(v in dims, where, f'"dims" is missing vertex {v!r}')
         incoming_sum = sum(dims.get(e.src, 0) for e in g.incoming(v))
         bound = max(bound, dims[v], incoming_sum)
-    try:
-        cat = MatCategory(q, bound)
-    except CategoryError as exc:
-        raise CliError(str(exc)) from exc
+    cat = MatCategory(q, bound)
     mor = {}
     for e in sorted(g.edges, key=lambda e: e.id):
         _require(e.id in maps, where, f'"maps" is missing edge {e.id!r}')
@@ -464,24 +443,15 @@ def cmd_lpa_check(args):
 
 
 def cmd_report(args):
-    cat = load_category(args.category) if args.category else None
-    try:
-        if args.case == "acyclic":
-            _require(args.graph, "report acyclic", "a graph file is required")
-            report = verify_acyclic_corollary(
-                cat or load_category("poset:chain2"), load_graph(args.graph)
-            )
-        elif args.case == "poset":
-            _require(args.graph, "report poset", "a graph file is required")
-            report = verify_poset_corollary(
-                cat or load_category("poset:chain2"), load_graph(args.graph)
-            )
-        elif args.case == "desing":
-            report = desingularisation_counterexample(cat or load_category("poset:chain2"))
-        else:
-            report = cuntz_splice_report(cat)
-    except (CaseworkError, DiagramError) as exc:
-        raise CliError(str(exc)) from exc
+    cat = load_category(args.category or "poset:chain2")
+    if args.case in ("acyclic", "poset"):
+        _require(args.graph, f"report {args.case}", "a graph file is required")
+        check = verify_acyclic_corollary if args.case == "acyclic" else verify_poset_corollary
+        report = check(cat, load_graph(args.graph))
+    elif args.case == "desing":
+        report = desingularisation_counterexample(cat)
+    else:
+        report = cuntz_splice_report(cat)
     if args.json:
         _emit(report.to_dict())
     else:
@@ -568,15 +538,11 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE
     try:
-        max_nodes_cap()  # a malformed FLOWCAT_MAX_NODES is a usage error
-    except ValueError as exc:
+        max_nodes_cap()  # a malformed FLOWCAT_MAX_NODES is rejected input too
+        return args.fn(args)
+    except FlowcatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
-    try:
-        return args.fn(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
     except SearchCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CAPPED

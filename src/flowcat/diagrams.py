@@ -52,10 +52,10 @@ from typing import NamedTuple
 
 from .categories import FiniteCategory, Morphism
 from .graphs import DirectedGraph, classify_vertex
-from .util import NodeBudget, SearchCapExceeded, cached_on, frozendict
+from .util import FlowcatError, NodeBudget, SearchCapExceeded, cached_on, frozendict
 
 
-class DiagramError(ValueError):
+class DiagramError(FlowcatError):
     """Ill-typed diagram data or unsupported graph/category combination."""
 
 

@@ -62,10 +62,10 @@ from .diagrams import (
 )
 from .graphs import sources
 from .moves import chain_edge, indexed_edge, indexed_vertex
-from .util import NodeBudget, SearchCapExceeded, cached_on, frozendict
+from .util import FlowcatError, NodeBudget, SearchCapExceeded, cached_on, frozendict
 
 
-class FunctorPairError(ValueError):
+class FunctorPairError(FlowcatError):
     """The move instance does not admit the equivalence construction."""
 
 

@@ -28,9 +28,10 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .intmat import IntMatrix
+from .util import FlowcatError
 
 
-class GraphError(ValueError):
+class GraphError(FlowcatError):
     """A graph value or an argument referring into one is malformed."""
 
 

@@ -30,10 +30,10 @@ from dataclasses import dataclass
 from .categories import MatCategory, mat_identity, mat_mul
 from .diagrams import check_coproduct_condition, cotuple_at
 from .graphs import classify_vertex, infinite_receivers
-from .util import frozendict
+from .util import FlowcatError, frozendict
 
 
-class LeavittError(ValueError):
+class LeavittError(FlowcatError):
     """The graph/diagram combination does not support the construction."""
 
 

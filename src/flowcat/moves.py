@@ -21,10 +21,10 @@ from .graphs import (
     sources,
     validate,
 )
-from .util import frozendict
+from .util import FlowcatError, frozendict
 
 
-class MoveError(ValueError):
+class MoveError(FlowcatError):
     """A move precondition or spec invariant is violated."""
 
 

@@ -1,4 +1,5 @@
-"""Small shared helpers: immutable mappings, deterministic iteration, search caps."""
+"""Small shared helpers: the input-error base class, immutable mappings,
+deterministic iteration, search caps."""
 
 from __future__ import annotations
 
@@ -8,6 +9,10 @@ from collections.abc import Mapping
 
 DEFAULT_MAX_NODES = 10**6
 MAX_NODES_ENV = "FLOWCAT_MAX_NODES"
+
+
+class FlowcatError(ValueError):
+    """Rejected input; the base of every flowcat error class (CLI exit 2)."""
 
 
 class SearchCapExceeded(RuntimeError):
@@ -45,9 +50,9 @@ def max_nodes_cap(override=None):
     try:
         value = int(raw)
     except ValueError as exc:
-        raise ValueError(f"{MAX_NODES_ENV} must be an integer, got {raw!r}") from exc
+        raise FlowcatError(f"{MAX_NODES_ENV} must be an integer, got {raw!r}") from exc
     if value <= 0:
-        raise ValueError(f"{MAX_NODES_ENV} must be positive, got {value}")
+        raise FlowcatError(f"{MAX_NODES_ENV} must be positive, got {value}")
     return value
 
 

@@ -21,9 +21,16 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 
 from flowcat import cli, zoo
-from flowcat.graphs import graph
-from flowcat.moves import InDelaySpec, in_delay
+from flowcat.casework import CaseworkError
+from flowcat.categories import CategoryError
+from flowcat.diagrams import DiagramError
+from flowcat.functors import FunctorPairError
+from flowcat.graphs import GraphError, graph
+from flowcat.leavitt import LeavittError
+from flowcat.moves import InDelaySpec, MoveError, in_delay
+from flowcat.util import FlowcatError
 
+from cli_error_samples import BUNDLE_SINK, COMMANDS, run_case
 from strategies import dense_graph
 
 
@@ -138,6 +145,77 @@ def test_malformed_node_cap_is_usage_error(tmp_path, capsys, monkeypatch, raw):
     code, out, err = run(capsys, ["validate", path])
     assert_usage_error(code, out, err)
     assert "FLOWCAT_MAX_NODES" in err
+
+
+ERROR_CLASSES = (
+    CaseworkError, CategoryError, cli.CliError, DiagramError, FunctorPairError,
+    GraphError, LeavittError, MoveError,
+)
+LOOP1 = cli.graph_to_doc(zoo.loop1())
+
+# (argv, the name in `cli` of a library call that argv reaches)
+LIBRARY_CALLS = [
+    (["validate", "{g}"], "validate"),
+    (["render", "{g}"], "validate"),
+    (["invariants", "{g}"], "flow_invariants"),
+    (["franks", "{g}", "{g}"], "franks_equivalent"),
+    (["move", "{g}", "{m}"], "remove_sink"),
+    (["diagrams", "{g}", "--category", "poset:chain2"], "parse_category_spec"),
+    (["diagrams", "{g}", "--category", "poset:chain2"], "enumerate_diagrams"),
+    (["verify", "{g}", "{v}", "--category", "poset:chain2"], "make_pair"),
+    (["verify", "{g}", "{v}", "--category", "poset:chain2"], "verify_equivalence"),
+    (["lpa-check", "{g}", "--field", "2", "--diagram", "{d}"], "check_leavitt_relations"),
+    (["lpa-check", "{g}", "--field", "2", "--diagram", "{d}"], "check_unital_action"),
+    (["report", "acyclic", "{g}"], "verify_acyclic_corollary"),
+    (["report", "poset", "{g}"], "verify_poset_corollary"),
+    (["report", "desing"], "desingularisation_counterexample"),
+    (["report", "cuntz"], "cuntz_splice_report"),
+]
+
+
+def test_every_flowcat_error_class_is_exercised():
+    assert set(FlowcatError.__subclasses__()) == set(ERROR_CLASSES)
+    assert {argv[0] for argv, _ in LIBRARY_CALLS} == set(COMMANDS)
+
+
+@pytest.mark.parametrize("error", ERROR_CLASSES, ids=lambda c: c.__name__)
+@pytest.mark.parametrize("argv, target", LIBRARY_CALLS, ids=lambda x: x if isinstance(x, str) else x[0])
+def test_a_library_error_from_any_subcommand_exits_2(tmp_path, capsys, monkeypatch,
+                                                     argv, target, error):
+    # main maps every FlowcatError to one line and exit 2, whichever call raised it
+    paths = {
+        "g": write_json(tmp_path / "g.json", LOOP1),
+        "m": write_json(tmp_path / "m.json", {"move": "remove_sink", "vertex": "u"}),
+        "v": write_json(tmp_path / "v.json", {"move": "out_delay", "d": {"u": 1, "l": 0}}),
+        "d": write_json(tmp_path / "d.json", {"dims": {"u": 1}, "maps": {"l": [[1]]}}),
+    }
+
+    def fail(*args, **kwargs):
+        raise error(f"injected {error.__name__} from {target}")
+
+    monkeypatch.setattr(cli, target, fail)
+    code, out, err = run(capsys, [a.format(**paths) for a in argv])
+    assert (code, out, err) == (2, "", f"error: injected {error.__name__} from {target}\n")
+
+
+def rejection_golden():
+    return json.loads((Path(__file__).parent / "cli_errors_golden.json").read_text())["cases"]
+
+
+def test_rejected_input_matches_the_golden_bytes():
+    for case in rejection_golden():
+        got = run_case(case["argv"], case["files"], case["env"])
+        assert got == (case["exit"], case["stdout"], case["stderr"]), case["name"]
+
+
+def test_rejection_golden_covers_every_subcommand_and_error_class():
+    golden = rejection_golden()
+    assert {case["argv"][0] for case in golden} == set(COMMANDS)
+    raised = {name for case in golden for name in case["raised"]}
+    assert {cls.__name__ for cls in ERROR_CLASSES} <= raised
+    stderr = "".join(case["stderr"] for case in golden)
+    for what in ("FLOWCAT_MAX_NODES", "No such file or directory", "Expecting value"):
+        assert what in stderr
 
 
 def test_malformed_input_gives_no_traceback_in_a_subprocess(tmp_path):
@@ -418,6 +496,20 @@ def test_verify_inconclusive_exits_1(tmp_path, capsys, monkeypatch):
     code, doc, _ = run_json(capsys, ["verify", gp, spec, "--category", "mat:2:2"])
     assert code == 1
     assert doc["verdict"] == "inconclusive"
+
+
+BUNDLE_SINK_DOC = cli.graph_to_doc(BUNDLE_SINK)  # a bundle a => b and an edge a -> c
+REMOVE_C = {"move": "remove_sink", "vertex": "c"}
+
+
+@pytest.mark.parametrize("category", ["finset:2", "mat:2:2"])
+def test_verify_remove_sink_beside_a_bundle_is_usage_error(tmp_path, capsys, category):
+    # the harness needs size vectors, which the bundle a => b leaves undefined
+    gp = write_json(tmp_path / "g.json", BUNDLE_SINK_DOC)
+    spec = write_json(tmp_path / "rs.json", REMOVE_C)
+    code, out, err = run(capsys, ["verify", gp, spec, "--category", category])
+    assert (code, out) == (2, "")
+    assert err == "error: size vectors are undefined for graphs with bundles\n"
 
 
 @pytest.mark.parametrize("category", ["finset:2", "poset:chain2"])
@@ -808,6 +900,8 @@ def verify_case(move):
 @example(case=verify_case({"move": "out_split", "p": {}}))
 @example(case=verify_case({"move": "remove_sink", "vertex": "b"}))
 @example(case=verify_case({"move": "remove_sink", "vertex": "a"}))
+@example(case=(["verify", "{g}", "{m}", "--category", "finset:2"], {"g": BUNDLE_SINK_DOC, "m": REMOVE_C}))
+@example(case=(["verify", "{g}", "{m}", "--category", "mat:2:2"], {"g": BUNDLE_SINK_DOC, "m": REMOVE_C}))
 @settings(
     max_examples=120,
     deadline=None,
