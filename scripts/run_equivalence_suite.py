@@ -19,7 +19,7 @@ import random
 import sys
 import time
 
-from flowcat.cli import load_category
+from flowcat.cli import USAGE, load_category
 from flowcat.diagrams import (
     canonical_diagram,
     enumerate_diagrams,
@@ -31,6 +31,7 @@ from flowcat.functors import (
     standard_verification_suite,
     verify_equivalence,
 )
+from flowcat.util import FlowcatError
 
 DEFAULT_CATEGORIES = ("poset:chain2", "finset:4", "mat:2:3")
 
@@ -68,12 +69,15 @@ def main(argv=None):
     parser.add_argument("--json", metavar="PATH", help="dump all reports as a JSON list")
     args = parser.parse_args(argv)
 
-    specs = args.categories or list(DEFAULT_CATEGORIES)
+    try:
+        cats = [load_category(spec) for spec in args.categories or DEFAULT_CATEGORIES]
+    except FlowcatError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE
     suite = standard_verification_suite()
     reports = []
     failures = 0
-    for spec in specs:
-        cat = load_category(spec)
+    for cat in cats:
         for label, pair in suite:
             start = time.perf_counter()
             report = verify_equivalence(cat, pair, samples=args.samples, seed=args.seed)

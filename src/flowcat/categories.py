@@ -15,6 +15,7 @@ import itertools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from operator import mul
+from typing import NamedTuple
 
 from .util import FlowcatError, cached_on
 
@@ -23,8 +24,10 @@ class CategoryError(FlowcatError):
     """Ill-typed composition, malformed instance data, or unusable input."""
 
 
-@dataclass(frozen=True)
-class Morphism:
+class Morphism(NamedTuple):
+    """A morphism dom -> cod carrying its `data`; it hashes, compares and
+    unpacks as the tuple (dom, cod, data)."""
+
     dom: object
     cod: object
     data: object = None
@@ -142,11 +145,14 @@ class PosetCategory(FiniteCategory):
         if len(set(self.elements)) != len(self.elements):
             raise CategoryError("poset elements must be distinct")
         self.name = name
-        self._le = _transitive_reflexive_closure(self.elements, le_pairs)
-        for a, b in self._le:
+        # violations are reported in input and element order, never set order
+        le_pairs = list(le_pairs)
+        for a, b in le_pairs:
             if a not in self.elements or b not in self.elements:
                 raise CategoryError(f"relation pair {(a, b)!r} mentions unknown element")
-            if a != b and (b, a) in self._le:
+        self._le = _transitive_reflexive_closure(self.elements, le_pairs)
+        for a, b in itertools.combinations(self.elements, 2):
+            if (a, b) in self._le and (b, a) in self._le:
                 raise CategoryError(f"antisymmetry fails on {a!r}, {b!r}")
 
     def leq(self, a, b):

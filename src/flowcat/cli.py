@@ -90,20 +90,16 @@ def _list_field(doc, key, where):
 
 
 def _string_fields(entry, keys, where, what):
-    """The values of `keys` in a JSON object, each required to be a string."""
+    """The values of `keys` in a JSON object, each required to be a string.
+    This runs once per edge, so the message is formatted only on failure."""
+    if isinstance(entry, dict):
+        values = tuple(map(entry.get, keys))
+        if all(isinstance(x, str) for x in values):
+            return values
     quoted = ", ".join(f'"{k}"' for k in keys)
-    _require(
-        isinstance(entry, dict) and set(keys) <= set(entry),
-        where,
-        f"{what} must be an object with {quoted}",
-    )
-    values = tuple(entry[k] for k in keys)
-    _require(
-        all(isinstance(x, str) for x in values),
-        where,
-        f"{what}: {quoted} must be strings",
-    )
-    return values
+    if not (isinstance(entry, dict) and set(keys) <= entry.keys()):
+        raise CliError(f"{where}: {what} must be an object with {quoted}")
+    raise CliError(f"{where}: {what}: {quoted} must be strings")
 
 
 def graph_from_doc(doc, where, check=True):

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from operator import eq
 from typing import NamedTuple
 
-from .categories import FiniteCategory, Morphism
+from .categories import CategoryError, FiniteCategory, Morphism
 from .graphs import DirectedGraph, classify_vertex
 from .util import FlowcatError, NodeBudget, SearchCapExceeded, cached_on, frozendict
 
@@ -150,6 +150,10 @@ def make_diagram(cat, g, obj, mor=None):
     return Diagram(g, frozendict(obj), frozendict(mor))
 
 
+_NO_COPRODUCT = "coproduct of the incoming family is unavailable at this bound"
+_NOT_ISO = "cotuple of the incoming morphisms is not an isomorphism"
+
+
 def cotuple_at(cat, diagram, v):
     """The canonical coproduct over incoming sources at `v` and the cotuple of
     the incoming morphisms into `obj[v]`.  Returns (coproduct, cotuple); the
@@ -162,6 +166,18 @@ def cotuple_at(cat, diagram, v):
         return None, None
     legs = [diagram.mor[e.id] for e in edges]
     return cop, cat.cotuple(cop, legs)
+
+
+def inverse_cotuple_at(cat, diagram, v):
+    """(coproduct, psi^-1, "") at `v` from one inversion of the cotuple psi,
+    or (None, None, reason) when the coproduct condition fails there."""
+    cop, psi = cotuple_at(cat, diagram, v)
+    if cop is None:
+        return None, None, _NO_COPRODUCT
+    try:
+        return cop, cat.inverse(psi), ""
+    except CategoryError:
+        return None, None, _NOT_ISO
 
 
 def check_coproduct_condition(cat, diagram):
@@ -186,13 +202,9 @@ def check_coproduct_condition(cat, diagram):
             continue
         cop, psi = cotuple_at(cat, diagram, v)
         if cop is None:
-            checks[v] = VertexCheck(
-                False, "coproduct of the incoming family is unavailable at this bound"
-            )
+            checks[v] = VertexCheck(False, _NO_COPRODUCT)
         elif not cat.is_iso(psi):
-            checks[v] = VertexCheck(
-                False, "cotuple of the incoming morphisms is not an isomorphism"
-            )
+            checks[v] = VertexCheck(False, _NOT_ISO)
         else:
             checks[v] = VertexCheck(True)
     return CoproductReport(frozendict(checks))
@@ -496,9 +508,9 @@ def _morphism_plan(cat, src):
     def invert():
         inverses = {}
         for v in _non_sources(g):
-            cop, psi = cotuple_at(cat, src, v)
-            if cop is not None and cat.is_iso(psi):
-                inverses[v] = (cop, cat.inverse(psi))
+            cop, psi_inv, _ = inverse_cotuple_at(cat, src, v)
+            if cop is not None:
+                inverses[v] = (cop, psi_inv)
         return inverses
 
     def plan():

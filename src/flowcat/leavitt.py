@@ -28,7 +28,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .categories import MatCategory, mat_identity, mat_mul
-from .diagrams import check_coproduct_condition, cotuple_at
+from .diagrams import inverse_cotuple_at
 from .graphs import classify_vertex, infinite_receivers
 from .util import FlowcatError, frozendict
 
@@ -79,12 +79,6 @@ def build_module_operators(cat, diagram):
         raise LeavittError(
             "graph has infinite receivers; apply the plus construction first"
         )
-    report = check_coproduct_condition(cat, diagram)
-    if not report.ok:
-        v, reason = report.failures[0]
-        raise LeavittError(
-            f"diagram violates the coproduct condition at vertex {v!r}: {reason}"
-        )
     order = g.sorted_vertices()
     blocks = {}
     offset = 0
@@ -96,8 +90,13 @@ def build_module_operators(cat, diagram):
     for v in order:
         if classify_vertex(g, v).is_source:
             continue
-        _, psi = cotuple_at(cat, diagram, v)
-        phi = cat.inverse(psi).data  # D_v -> coproduct of incoming sources
+        # the first failing vertex in sorted order, as check_coproduct_condition reports
+        _, psi_inv, reason = inverse_cotuple_at(cat, diagram, v)
+        if psi_inv is None:
+            raise LeavittError(
+                f"diagram violates the coproduct condition at vertex {v!r}: {reason}"
+            )
+        phi = psi_inv.data  # D_v -> coproduct of incoming sources
         row = 0
         for e in g.incoming(v):
             dim_src = diagram.obj[e.src]
@@ -146,11 +145,6 @@ def _mul(q, a, b):
     return _nonzero(products[0]) if len(products) == 1 else _add(q, products)
 
 
-def _plain(operators):
-    """name -> operator as a plain dict, the form `_mul` and `_add` read fastest."""
-    return {name: dict(op) for name, op in operators.items()}
-
-
 @dataclass(frozen=True)
 class RelationCheck:
     name: str
@@ -189,7 +183,7 @@ def _relation(name, description, failures):
 def check_leavitt_relations(ops):
     """Verify the five defining relations on the assembled operators."""
     q, g = ops.q, ops.graph
-    p, a, star = map(_plain, (ops.projections, ops.edge_maps, ops.edge_star_maps))
+    p, a, star = ops.projections, ops.edge_maps, ops.edge_star_maps
     order = g.sorted_vertices()
     zero = {}
     return LeavittReport(
@@ -258,7 +252,7 @@ def check_leavitt_relations(ops):
 def check_unital_action(ops):
     """The vertex projections must sum to the identity of the module."""
     identity = {(v, v): mat_identity(n) for v, (_, n) in ops.vertex_blocks.items()}
-    ok = _add(ops.q, _plain(ops.projections).values()) == _nonzero(identity)
+    ok = _add(ops.q, ops.projections.values()) == _nonzero(identity)
     return RelationCheck(
         "unital-sum",
         "sum of P_v over all vertices = identity",

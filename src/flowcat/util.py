@@ -1,10 +1,9 @@
-"""Small shared helpers: the input-error base class, immutable mappings,
+"""Small shared helpers: the input-error base class, an immutable dict,
 deterministic iteration, search caps."""
 
 from __future__ import annotations
 
 import os
-from collections.abc import Mapping
 
 
 DEFAULT_MAX_NODES = 10**6
@@ -81,41 +80,34 @@ def cached_on(owner, key, build):
     return memo[key]
 
 
-class frozendict(Mapping):
-    """Immutable, hashable mapping with structural equality.
+class frozendict(dict):
+    """Immutable, hashable dict with structural equality.
 
-    Used for diagram object/morphism assignments so diagrams themselves are
-    hashable values that can live in sets.
+    A `dict` subclass, so lookup, iteration and equality (with any mapping)
+    run at C speed; every mutator raises TypeError.  The hash is that of the
+    frozenset of items, computed once.  Used for diagram object/morphism
+    assignments so diagrams themselves are hashable values that can live in
+    sets.
     """
 
-    __slots__ = ("_items", "_hash")
-
-    def __init__(self, data=()):
-        object.__setattr__(self, "_items", dict(data))
-        object.__setattr__(self, "_hash", None)
-
-    def __getitem__(self, key):
-        return self._items[key]
-
-    def __iter__(self):
-        return iter(self._items)
-
-    def __len__(self):
-        return len(self._items)
+    __slots__ = ("_hash",)
 
     def __hash__(self):
-        if self._hash is None:
-            object.__setattr__(
-                self, "_hash", hash(frozenset(self._items.items()))
-            )
-        return self._hash
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash(frozenset(self.items()))
+            return self._hash
 
-    def __eq__(self, other):
-        if isinstance(other, frozendict):
-            return self is other or self._items == other._items
-        if isinstance(other, Mapping):
-            return dict(self._items) == dict(other)
-        return NotImplemented
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild from the items, not by assignment
+        return frozendict, (dict(self),)
+
+    def _immutable(self, *args, **kwargs):
+        raise TypeError("frozendict is immutable")
+
+    __setitem__ = __delitem__ = __ior__ = _immutable
+    clear = pop = popitem = setdefault = update = _immutable
 
     def __repr__(self):
         inner = ", ".join(f"{k!r}: {v!r}" for k, v in sorted_items(self))
@@ -123,9 +115,7 @@ class frozendict(Mapping):
 
     def set(self, key, value):
         """Return a copy with key set to value."""
-        items = dict(self._items)
-        items[key] = value
-        return frozendict(items)
+        return frozendict({**self, key: value})
 
 
 def sorted_items(mapping):

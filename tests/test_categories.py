@@ -24,6 +24,29 @@ from flowcat.categories import (
 from oracles import brute_force_supremum, cofactor_determinant, naive_mat_mul
 
 
+# -- morphisms --------------------------------------------------------------------
+
+
+def test_morphism_hashes_as_its_field_tuple():
+    # the hash of the frozen dataclass it replaced, so set order is unchanged
+    data = ((1, 0), (0, 1))
+    assert hash(Morphism(2, 2, data)) == hash((2, 2, data))
+    assert hash(Morphism("a", "b")) == hash(("a", "b", None))
+    assert Morphism(2, 2, data) == Morphism(2, 2, ((1, 0), (0, 1)))
+    assert Morphism(2, 2, data) != Morphism(2, 2, ((0, 1), (1, 0)))
+
+
+def test_morphism_repr_is_unchanged():
+    assert repr(Morphism(2, 3, (0, 1))) == "Morphism(dom=2, cod=3, data=(0, 1))"
+    assert repr(Morphism("bot", "top")) == "Morphism(dom='bot', cod='top', data=None)"
+
+
+def test_morphism_is_immutable():
+    f = Morphism(1, 1, ((1,),))
+    with pytest.raises(AttributeError):
+        f.data = ((0,),)
+
+
 # -- posets ----------------------------------------------------------------------
 
 
@@ -47,6 +70,15 @@ def test_poset_rejects_cycles():
 def test_poset_rejects_unknown_elements():
     with pytest.raises(CategoryError, match="unknown element"):
         PosetCategory("ab", [("a", "z")])
+
+
+def test_poset_violations_follow_element_and_input_order():
+    # not the iteration order of a set of pairs, which follows string hashing
+    for le in ([("x", "y"), ("y", "x")], [("y", "x"), ("x", "y")]):
+        with pytest.raises(CategoryError, match=r"^antisymmetry fails on 'x', 'y'$"):
+            PosetCategory(["x", "y"], le)
+    with pytest.raises(CategoryError, match=r"^relation pair \('a', 'z'\) mentions"):
+        PosetCategory("ab", [("a", "b"), ("a", "z"), ("q", "b")])
 
 
 def test_poset_rejects_duplicates():

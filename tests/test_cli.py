@@ -453,6 +453,24 @@ def test_malformed_poset_file_is_usage_error(tmp_path, capsys, case, command):
     assert_usage_error(code, out, err)
 
 
+def test_poset_violation_message_does_not_depend_on_string_hashing(tmp_path):
+    # x <= y <= x: the message names the pair in element order under any hash seed
+    gp = write_graph(tmp_path / "g.json", zoo.acyclic2())
+    poset = write_json(tmp_path / "p.json", {"elements": ["x", "y"], "le": [["x", "y"], ["y", "x"]]})
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    errors = []
+    for seed in ("1", "11"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        proc = subprocess.run(
+            [sys.executable, "-m", "flowcat.cli", "diagrams", gp, "--category", f"poset:{poset}"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert_usage_error(proc.returncode, proc.stdout, proc.stderr)
+        errors.append(proc.stderr)
+    assert errors[0] == errors[1]
+    assert "antisymmetry fails on 'x', 'y'" in errors[0]
+
+
 # -- verify ----------------------------------------------------------------------------
 
 

@@ -525,6 +525,13 @@ def test_suite_reports_match_the_golden_digests(tmp_path, monkeypatch, capsys):
     assert found == golden
 
 
+def test_suite_script_rejects_a_bad_category_with_exit_2(capsys):
+    script = runpy.run_path(str(ROOT / "scripts" / "run_equivalence_suite.py"))
+    assert script["main"](["--category", "finset:2", "--category", "bogus"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: bad category spec 'bogus'\n"
+
+
 def test_direct_images_match_the_golden_digests():
     # forward, backward, unit, counit, forward_map and backward_map of the
     # suite and the random pairs, pinned when each pair still had its own

@@ -15,17 +15,18 @@ from pathlib import Path
 
 import pytest
 
-from flowcat import leavitt, zoo
+from flowcat import categories, leavitt, zoo
 from flowcat.categories import MatCategory, Morphism
 from flowcat.diagrams import (
     Diagram,
     canonical_diagram,
+    check_coproduct_condition,
     check_diagram_morphism,
     make_diagram,
     random_diagram,
     solve_dimension_vectors,
 )
-from flowcat.graphs import graph, reachable_from, strongly_connected_components
+from flowcat.graphs import classify_vertex, graph, reachable_from, strongly_connected_components
 from flowcat.leavitt import (
     LeavittError,
     build_module_operators,
@@ -416,6 +417,62 @@ def test_relations_hold_on_every_feasible_vector(q, label, g):
             report = check_leavitt_relations(ops)
             assert report.ok, (label, q, dims, report.to_dict())
             assert check_unital_action(ops).ok
+
+
+def _count_row_reduce(monkeypatch):
+    calls = []
+    real = categories.mat_row_reduce
+
+    def counted(q, rows, ncols):
+        calls.append(ncols)
+        return real(q, rows, ncols)
+
+    monkeypatch.setattr(categories, "mat_row_reduce", counted)
+    return calls
+
+
+@pytest.mark.parametrize("label,g", SWEEP_GRAPHS, ids=[l for l, _ in SWEEP_GRAPHS])
+def test_build_eliminates_each_cotuple_once(monkeypatch, label, g):
+    # psi^-1 at each non-source vertex comes from one Gauss-Jordan pass, which
+    # also decides the coproduct condition there; nothing is kept between builds
+    cat = MatCategory(3, 4)
+    rng = random.Random(f"once-{label}")
+    non_sources = [v for v in g.sorted_vertices() if not classify_vertex(g, v).is_source]
+    vectors = solve_dimension_vectors(g, 3)
+    diagrams = [canonical_diagram(cat, g, dims) for dims in vectors]
+    diagrams += [random_diagram(cat, g, dims, rng) for dims in vectors]
+    calls = _count_row_reduce(monkeypatch)
+    for d in diagrams:
+        for _ in range(2):
+            calls.clear()
+            build_module_operators(cat, d)
+            assert calls == [d.obj[v] for v in non_sources], (label, d.obj)
+
+
+def test_condition_violation_names_the_first_failing_vertex():
+    # the message is check_coproduct_condition's first failure: at c the
+    # coproduct 2 + 2 exceeds max_dim 3, at d the cotuple is singular
+    cat = MatCategory(2, 3)
+    g = graph("abcd", [("w", "a", "b"), ("x", "a", "c"), ("y", "a", "c"), ("z", "a", "d")])
+    into_c = ((1, 0), (0, 1), (0, 0))
+    d = make_diagram(
+        cat,
+        g,
+        {"a": 2, "b": 2, "c": 3, "d": 2},
+        {
+            "w": Morphism(2, 2, ((1, 0), (0, 1))),
+            "x": Morphism(2, 3, into_c),
+            "y": Morphism(2, 3, into_c),
+            "z": Morphism(2, 2, ((1, 0), (1, 0))),
+        },
+    )
+    failures = check_coproduct_condition(cat, d).failures
+    assert [v for v, _ in failures] == ["c", "d"]
+    v, reason = failures[0]
+    assert "unavailable" in reason
+    with pytest.raises(LeavittError) as info:
+        build_module_operators(cat, d)
+    assert str(info.value) == f"diagram violates the coproduct condition at vertex {v!r}: {reason}"
 
 
 # -- module maps of diagram morphisms -------------------------------------------
