@@ -26,7 +26,7 @@ output is meaningful without the surrounding context:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import zoo
 from .diagrams import enumerate_diagrams, solve_dimension_vectors
@@ -49,8 +49,7 @@ class CaseworkError(FlowcatError):
     """The case inputs are outside what the report can check."""
 
 
-@dataclass(frozen=True)
-class CaseReport:
+class CaseReport(NamedTuple):
     """`outcome` is one of confirmed, counterexample, inconclusive, open or
     mismatch; `verdict` is the same finding as text for the reader."""
 
@@ -59,7 +58,7 @@ class CaseReport:
     expected: dict
     outcome: str
     verdict: str
-    details: tuple = field(default_factory=tuple)
+    details: tuple = ()
 
     @property
     def ok(self):

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from operator import mul
 from typing import NamedTuple
 
@@ -33,8 +32,7 @@ class Morphism(NamedTuple):
     data: object = None
 
 
-@dataclass(frozen=True)
-class Coproduct:
+class Coproduct(NamedTuple):
     apex: object
     injections: tuple
 
@@ -256,7 +254,7 @@ class FinSetSkeleton(FiniteCategory):
 
     def compose(self, g, f):
         self._check_composable(g, f)
-        return Morphism(f.dom, g.cod, tuple(g.data[x] for x in f.data))
+        return Morphism(f.dom, g.cod, tuple(map(g.data.__getitem__, f.data)))
 
     def is_iso(self, f):
         return f.dom == f.cod and sorted(f.data) == list(range(f.dom))

@@ -188,7 +188,7 @@ def _split_graph_map(g, mapping, where):
 
 def parse_move_doc(doc, g, where):
     """Returns (move name, payload): the sink vertex for remove_sink, the
-    depth for truncations, and the spec dataclass for delays and splits."""
+    depth for truncations, and the spec record for delays and splits."""
     _require(isinstance(doc, dict), where, "move file must be a JSON object")
     move = doc.get("move")
     known = (

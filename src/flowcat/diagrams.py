@@ -46,41 +46,43 @@ and the inverted cotuples on the source diagram.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import eq
 from typing import NamedTuple
 
 from .categories import CategoryError, FiniteCategory, Morphism
 from .graphs import DirectedGraph, classify_vertex
-from .util import FlowcatError, NodeBudget, SearchCapExceeded, cached_on, frozendict
+from .util import (
+    FlowcatError, NodeBudget, SearchCapExceeded, cached_on, frozendict, refuse_assignment,
+)
 
 
 class DiagramError(FlowcatError):
     """Ill-typed diagram data or unsupported graph/category combination."""
 
 
-@dataclass(frozen=True)
-class Diagram:
+class _DiagramFields(NamedTuple):
     graph: DirectedGraph
     obj: frozendict
     mor: frozendict
 
 
-@dataclass(frozen=True)
-class DiagramMorphism:
+class Diagram(_DiagramFields):
+    # no __slots__: the instance dict holds the memo of `util.cached_on`
+    __setattr__ = refuse_assignment
+
+
+class DiagramMorphism(NamedTuple):
     source: Diagram
     target: Diagram
     components: frozendict
 
 
-@dataclass(frozen=True)
-class VertexCheck:
+class VertexCheck(NamedTuple):
     ok: bool
     reason: str = ""
 
 
-@dataclass(frozen=True)
-class CoproductReport:
+class CoproductReport(NamedTuple):
     by_vertex: frozendict
 
     @property

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import moves
@@ -444,16 +443,14 @@ HOM_PAIR_CAP = 20000
 ISO_CROSS_CHECKS = 3
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     ok: bool
     inconclusive: bool = False
     details: tuple = ()
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(NamedTuple):
     move: str
     category: str
     seed: int
@@ -476,22 +473,9 @@ class EquivalenceReport:
 
     def to_dict(self):
         return {
-            "move": self.move,
-            "category": self.category,
-            "seed": self.seed,
-            "source_samples": self.source_samples,
-            "target_samples": self.target_samples,
-            "bounded_skips": self.bounded_skips,
+            **self._asdict(),
             "verdict": self.verdict,
-            "checks": [
-                {
-                    "name": c.name,
-                    "ok": c.ok,
-                    "inconclusive": c.inconclusive,
-                    "details": list(c.details),
-                }
-                for c in self.checks
-            ],
+            "checks": [{**c._asdict(), "details": list(c.details)} for c in self.checks],
         }
 
 

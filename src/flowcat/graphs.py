@@ -16,19 +16,19 @@ first query and cached on the instance (a graph never changes, so the index
 never goes stale).  Caching it on the graph rather than building it per call
 makes each query O(1) and a whole-graph pass O(V + E) at every call site,
 without an index argument threaded through moves, diagrams and functors.  It
-is a cached property, not a dataclass field, so equality, hashing and repr
-see only (vertices, edges, infinite_bundles).  The index is the only code
-that knows the canonical incoming order (edge id) and what makes a source.
+is a cached property in the instance dict, not a field of the record, so
+equality, hashing and repr see only (vertices, edges, infinite_bundles).
+The index is the only code that knows the canonical incoming order (edge
+id) and what makes a source.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
 from .intmat import IntMatrix
-from .util import FlowcatError
+from .util import FlowcatError, refuse_assignment
 
 
 class GraphError(FlowcatError):
@@ -51,11 +51,16 @@ class _Adjacency(NamedTuple):
     bundles_out: dict
 
 
-@dataclass(frozen=True)
-class DirectedGraph:
+class _GraphFields(NamedTuple):
     vertices: frozenset
     edges: tuple
     infinite_bundles: frozenset = frozenset()
+
+
+class DirectedGraph(_GraphFields):
+    # no __slots__: the instance dict holds the adjacency index and the memo
+    # of `util.cached_on`
+    __setattr__ = refuse_assignment
 
     # -- basic accessors ---------------------------------------------------
 
@@ -153,8 +158,7 @@ def require_valid(g):
 # -- vertex classification -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VertexClass:
+class VertexClass(NamedTuple):
     is_source: bool
     is_sink: bool
     is_infinite_receiver: bool
@@ -286,8 +290,7 @@ def component_name(comp):
     return "{" + ",".join(sorted(comp)) + "}"
 
 
-@dataclass(frozen=True)
-class Condensation:
+class Condensation(NamedTuple):
     components: tuple
     quotient: DirectedGraph
 
@@ -377,9 +380,10 @@ def matrix_positions(g, ordering=None):
         raise GraphError("adjacency matrix is undefined for graphs with bundles")
     if ordering is None:
         ordering = g.sorted_vertices()
-    ordering = list(ordering)
-    if sorted(ordering) != g.sorted_vertices():
-        raise GraphError("ordering must be a permutation of the vertex set")
+    else:
+        ordering = list(ordering)
+        if len(ordering) != len(g.vertices) or set(ordering) != g.vertices:
+            raise GraphError("ordering must be a permutation of the vertex set")
     return {v: i for i, v in enumerate(ordering)}
 
 

@@ -24,23 +24,25 @@ tests compare them with independent oracles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class _MatrixFields(NamedTuple):
     entries: tuple
 
-    def __post_init__(self):
-        if len(set(map(len, self.entries))) > 1:
+
+class IntMatrix(_MatrixFields):
+    __slots__ = ()
+
+    def __new__(cls, entries):
+        if len(set(map(len, entries))) > 1:
             raise ValueError("matrix rows have unequal lengths")
-        if set(map(type, chain.from_iterable(self.entries))) <= {int}:
-            return
-        for row in self.entries:
-            for x in row:
+        if not set(map(type, chain.from_iterable(entries))) <= {int}:
+            for x in chain.from_iterable(entries):
                 if not isinstance(x, int) or isinstance(x, bool):
                     raise TypeError(f"matrix entries must be int, got {x!r}")
+        return super().__new__(cls, entries)
 
     @staticmethod
     def from_rows(rows):
@@ -217,8 +219,7 @@ def _signed(minor, ops):
 # -- Smith normal form --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(NamedTuple):
     divisors: tuple  # all min(rows, cols) of them, d_i | d_{i+1}
     operations: tuple
     reduced: IntMatrix  # I_t (+) S, what the operations make of the input

@@ -14,7 +14,7 @@ out of scope rather than guessed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graphs import is_irreducible, is_nontrivial, matrix_positions
 from .intmat import IntMatrix, determinant, smith_normal_form
@@ -45,12 +45,11 @@ def parry_sullivan(g):
     return determinant(_ps_matrix(g))
 
 
-@dataclass(frozen=True)
-class BowenFranksGroup:
+class BowenFranksGroup(NamedTuple):
     """Finitely generated abelian group: Z^free_rank + sum of Z/d for d in torsion.
 
-    torsion entries exceed 1 and each divides the next, so equality of the
-    dataclass is isomorphism of the groups.
+    torsion entries exceed 1 and each divides the next, so two records are
+    equal exactly when their groups are isomorphic.
     """
 
     free_rank: int
@@ -78,8 +77,7 @@ def _cokernel(snf):
     return BowenFranksGroup(free_rank=free_rank, torsion=torsion)
 
 
-@dataclass(frozen=True)
-class FranksVerdict:
+class FranksVerdict(NamedTuple):
     kind: str  # "equivalent" | "not_equivalent" | "out_of_scope"
     reason: str
 

@@ -25,7 +25,7 @@ apply first.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .categories import MatCategory, mat_identity, mat_mul
 from .diagrams import inverse_cotuple_at
@@ -37,8 +37,7 @@ class LeavittError(FlowcatError):
     """The graph/diagram combination does not support the construction."""
 
 
-@dataclass(frozen=True)
-class LpaOperators:
+class LpaOperators(NamedTuple):
     q: int
     graph: object
     total_dim: int
@@ -145,16 +144,14 @@ def _mul(q, a, b):
     return _nonzero(products[0]) if len(products) == 1 else _add(q, products)
 
 
-@dataclass(frozen=True)
-class RelationCheck:
+class RelationCheck(NamedTuple):
     name: str
     description: str
     ok: bool
     failures: tuple
 
 
-@dataclass(frozen=True)
-class LeavittReport:
+class LeavittReport(NamedTuple):
     checks: tuple
 
     @property
@@ -164,15 +161,7 @@ class LeavittReport:
     def to_dict(self):
         return {
             "ok": self.ok,
-            "checks": [
-                {
-                    "name": c.name,
-                    "description": c.description,
-                    "ok": c.ok,
-                    "failures": list(c.failures),
-                }
-                for c in self.checks
-            ],
+            "checks": [{**c._asdict(), "failures": list(c.failures)} for c in self.checks],
         }
 
 

@@ -10,7 +10,7 @@ reproducible exactly:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 from .graphs import (
     DirectedGraph,
@@ -41,13 +41,16 @@ def chain_edge(v, n):
 
 
 class _Spec:
-    """Base of the move-spec dataclasses: every field is a frozendict."""
+    """Mixin of the move specs, listed before their NamedTuple of fields:
+    every field is made a frozendict."""
 
-    def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not isinstance(value, frozendict):
-                object.__setattr__(self, f.name, frozendict(value))
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        fields = super().__new__(cls, *args, **kwargs)
+        return tuple.__new__(
+            cls, [v if isinstance(v, frozendict) else frozendict(v) for v in fields]
+        )
 
 
 def _check_totality(problems, mapping, keys, what):
@@ -109,10 +112,13 @@ def remove_sink(g, w):
 # -- out-delay -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OutDelaySpec(_Spec):
+class _OutDelayFields(NamedTuple):
     d_vertices: frozendict
     d_edges: frozendict
+
+
+class OutDelaySpec(_Spec, _OutDelayFields):
+    __slots__ = ()
 
 
 def validate_out_delay(g, spec):
@@ -152,9 +158,12 @@ def out_delay(g, spec):
 # -- in-delay ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InDelaySpec(_Spec):
+class _InDelayFields(NamedTuple):
     d_edges: frozendict
+
+
+class InDelaySpec(_Spec, _InDelayFields):
+    __slots__ = ()
 
 
 def in_delay_vertex_delays(g, spec):
@@ -201,10 +210,13 @@ def in_delay(g, spec):
 # -- out-split -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OutSplitSpec(_Spec):
+class _SplitFields(NamedTuple):
     p_vertices: frozendict
     p_edges: frozendict
+
+
+class OutSplitSpec(_Spec, _SplitFields):
+    __slots__ = ()
 
 
 def validate_out_split(g, spec):
@@ -247,10 +259,8 @@ def out_split(g, spec):
 # -- in-split ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InSplitSpec(_Spec):
-    p_vertices: frozendict
-    p_edges: frozendict
+class InSplitSpec(_Spec, _SplitFields):
+    __slots__ = ()
 
 
 def validate_in_split(g, spec):
@@ -308,8 +318,7 @@ def in_split(g, spec):
 # approximation.  No equivalence claim is made about truncations.
 
 
-@dataclass(frozen=True)
-class TruncatedMove:
+class TruncatedMove(NamedTuple):
     graph: DirectedGraph
     depth: int
     is_exact: bool  # True when nothing was attached, so the result is not approximate

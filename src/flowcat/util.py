@@ -70,14 +70,23 @@ class NodeBudget:
 
 def cached_on(owner, key, build):
     """`build()`, computed once per `owner` and `key`.  An owner is a graph or
-    a diagram, immutable values whose dataclass fields are untouched (the
-    memo sits beside them in the instance dict, so equality, hashing and
-    repr are unchanged), or a category, whose canonical coproducts are
-    kept this way."""
-    memo = vars(owner).setdefault("_memo", {})
+    a diagram, immutable records whose fields are untouched (the memo sits
+    beside them in the instance dict, and equality, hashing and repr read
+    only the fields), or a category, whose canonical coproducts are kept
+    this way."""
+    state = vars(owner)
+    memo = state.get("_memo")
+    if memo is None:
+        memo = state["_memo"] = {}
     if key not in memo:
         memo[key] = build()
     return memo[key]
+
+
+def refuse_assignment(self, name, value):
+    """`__setattr__` of a record with an instance dict for caches (written
+    into the dict directly): every attribute stays read-only."""
+    raise AttributeError(f"cannot assign to {type(self).__name__}.{name}")
 
 
 class frozendict(dict):

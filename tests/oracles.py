@@ -402,7 +402,7 @@ def dense_module_operators(cat, diagram):
 
 def dense_leavitt_reports(q, g, total, projections, edge_maps, edge_star_maps):
     """The relation report and the unital-sum check of dense operators, as the
-    dicts `LeavittReport.to_dict()` and `dataclasses.asdict(RelationCheck)`
+    dicts `LeavittReport.to_dict()` and `RelationCheck._asdict()`
     give, every product a dense total x total matrix."""
 
     def mul(a, b):

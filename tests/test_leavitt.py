@@ -6,7 +6,6 @@ identity.  Operators are kept as blocks over the vertex partition; `dense`
 views one as a total x total matrix and `blocks` splits a dense matrix back.
 """
 
-import dataclasses
 import json
 import random
 import statistics
@@ -164,9 +163,7 @@ def test_rejects_condition_violation():
 
 def test_corrupted_ghost_map_fails_ck_relations():
     _, _, ops = build(2, zoo.loop1(), {"u": 1})
-    bad = dataclasses.replace(
-        ops, edge_star_maps=frozendict({"l": blocks(ops, ((0,),))})
-    )
+    bad = ops._replace(edge_star_maps=frozendict({"l": blocks(ops, ((0,),))}))
     report = check_leavitt_relations(bad)
     assert not report.ok
     by_name = {c.name: c for c in report.checks}
@@ -180,9 +177,8 @@ def test_corrupted_ghost_map_fails_ck_relations():
 
 def test_corrupted_projection_breaks_unital_sum():
     _, _, ops = build(2, zoo.acyclic2(), {"a": 1, "b": 2, "c": 3})
-    bad = dataclasses.replace(
-        ops,
-        projections=ops.projections.set("a", blocks(ops, unit_matrix(6, set()))),
+    bad = ops._replace(
+        projections=ops.projections.set("a", blocks(ops, unit_matrix(6, set())))
     )
     assert not check_unital_action(bad).ok
 
@@ -202,7 +198,7 @@ def test_36_dim_module_reports_match_the_oracle_product(monkeypatch):
     assert ops.total_dim == 36
     p = [list(r) for r in dense(ops.projections["a7"], ops)]
     p[0][35] = 1  # outside every block
-    bad = dataclasses.replace(ops, projections=ops.projections.set("a7", blocks(ops, p)))
+    bad = ops._replace(projections=ops.projections.set("a7", blocks(ops, p)))
     assert bad.projections["a7"][("a1", "a9")] == ((0, 0, 1), (0, 0, 0), (0, 0, 0))
     cases = (ops, bad)
     got = [_reports(x) for x in cases]
@@ -299,7 +295,7 @@ def corrupt(ops, rng, outside):
     i, j = row + rng.randrange(rows), col + rng.randrange(cols)
     m = [list(r) for r in dense(op, ops)]
     m[i][j] = 1 if outside else (m[i][j] + 1) % ops.q
-    return dataclasses.replace(ops, **{field: getattr(ops, field).set(name, blocks(ops, m))})
+    return ops._replace(**{field: getattr(ops, field).set(name, blocks(ops, m))})
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -322,7 +318,7 @@ def test_block_sparse_reports_match_the_dense_oracle(q):
         for variant in (ops, corrupt(ops, rng, False), corrupt(ops, rng, True)):
             got = (
                 check_leavitt_relations(variant).to_dict(),
-                dataclasses.asdict(check_unital_action(variant)),
+                check_unital_action(variant)._asdict(),
             )
             assert got == dense_leavitt_reports(q, g, total, *dense_views(variant)), label
             assert (got[0]["ok"] and got[1]["ok"]) == (variant is ops), label
