@@ -20,6 +20,8 @@ The package has four layers:
 tests and reports; `cli` exposes everything as the `flowcat` command.
 """
 
+from types import ModuleType as _ModuleType
+
 from .casework import (
     CaseReport,
     CaseworkError,
@@ -90,64 +92,10 @@ from .util import FlowcatError, SearchCapExceeded
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CaseReport",
-    "CaseworkError",
-    "CategoryError",
-    "CorruptedPair",
-    "Diagram",
-    "DiagramError",
-    "DirectedGraph",
-    "FinSetSkeleton",
-    "FlowcatError",
-    "GraphError",
-    "InDelaySpec",
-    "InSplitSpec",
-    "IntMatrix",
-    "LeavittError",
-    "MatCategory",
-    "MoveError",
-    "OutDelaySpec",
-    "OutSplitSpec",
-    "PosetCategory",
-    "SearchCapExceeded",
-    "add_heads_truncated",
-    "add_tails_truncated",
-    "adjacency_matrix",
-    "bowen_franks",
-    "build_module_operators",
-    "canonical_diagram",
-    "chain",
-    "check_coproduct_condition",
-    "check_leavitt_relations",
-    "check_unital_action",
-    "cohereditary_irreducible_subsets",
-    "cuntz_splice_report",
-    "desingularisation_counterexample",
-    "determinant",
-    "diamond",
-    "enumerate_diagrams",
-    "flow_invariants",
-    "franks_equivalent",
-    "graph",
-    "in_delay",
-    "in_split",
-    "intertwining_failures",
-    "is_acyclic",
-    "is_irreducible",
-    "make_diagram",
-    "make_pair",
-    "module_map",
-    "out_delay",
-    "out_split",
-    "parry_sullivan",
-    "plus_construction",
-    "poset_count_obstructions",
-    "random_diagram",
-    "remove_sink",
-    "smith_normal_form",
-    "standard_verification_suite",
-    "verify_acyclic_corollary",
-    "verify_equivalence",
-    "verify_poset_corollary",
-]
+# every name imported above, sorted; the submodules bound as a side effect
+# of those imports are not part of the export list
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

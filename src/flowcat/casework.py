@@ -38,7 +38,7 @@ from .graphs import (
     strongly_connected_components,
 )
 from .invariants import bowen_franks, franks_equivalent, parry_sullivan
-from .util import FlowcatError, NodeBudget
+from .util import FlowcatError
 
 # The poset report checks monotonicity both ways on at most this many ordered
 # pairs of diagrams, and says so when it stops early.
@@ -91,7 +91,7 @@ def _object_count(cat):
     return len(list(cat.objects()))
 
 
-def verify_acyclic_corollary(cat, g, max_nodes=None):
+def verify_acyclic_corollary(cat, g):
     """Count diagrams on an acyclic graph against |objects| ** #sources."""
     if not is_acyclic(g):
         raise CaseworkError("the acyclic count applies to acyclic graphs only")
@@ -100,11 +100,11 @@ def verify_acyclic_corollary(cat, g, max_nodes=None):
     expected = n_objects ** len(src)
     details = []
     if cat.is_thin:
-        count = len(list(enumerate_diagrams(cat, g, max_nodes=max_nodes)))
+        count = len(list(enumerate_diagrams(cat, g)))
         details.append("thin instance: diagrams enumerated directly")
     else:
         bound = max(cat.objects())
-        count = len(solve_dimension_vectors(g, bound, NodeBudget(max_nodes)))
+        count = len(solve_dimension_vectors(g, bound))
         details.append(
             "additive instance: isomorphism classes counted via size vectors"
         )
@@ -170,7 +170,7 @@ def poset_count_obstructions(cat, g):
     return tuple(obstructions)
 
 
-def verify_poset_corollary(cat, g, max_nodes=None):
+def verify_poset_corollary(cat, g):
     """Count thin diagrams against |P| ** m and certify that restriction to
     the subset representatives is a two-sided monotone bijection onto P ** m.
 
@@ -186,7 +186,7 @@ def verify_poset_corollary(cat, g, max_nodes=None):
     m = len(subsets)
     objects = sorted(cat.objects(), key=repr)
     expected = len(objects) ** m
-    diagrams = list(enumerate_diagrams(cat, g, max_nodes=max_nodes))
+    diagrams = list(enumerate_diagrams(cat, g))
     count = len(diagrams)
     obstructions = poset_count_obstructions(cat, g)
     if obstructions:
@@ -262,7 +262,7 @@ def verify_poset_corollary(cat, g, max_nodes=None):
     )
 
 
-def desingularisation_counterexample(cat, max_nodes=None):
+def desingularisation_counterexample(cat):
     """Compare diagram counts for the bundle graph against the arrow count of
     its desingularised shape, over a thin instance."""
     if not cat.is_thin:
@@ -271,8 +271,8 @@ def desingularisation_counterexample(cat, max_nodes=None):
     gp = plus_construction(g)
     p = _object_count(cat)
     objects = list(cat.objects())
-    bundle_count = len(list(enumerate_diagrams(cat, g, max_nodes=max_nodes)))
-    plus_count = len(list(enumerate_diagrams(cat, gp, max_nodes=max_nodes)))
+    bundle_count = len(list(enumerate_diagrams(cat, g)))
+    plus_count = len(list(enumerate_diagrams(cat, gp)))
     arrow_count = sum(
         1 for x in objects for y in objects if cat.leq(x, y)
     )
@@ -319,12 +319,8 @@ def desingularisation_counterexample(cat, max_nodes=None):
     )
 
 
-def cuntz_splice_report(cat=None, max_nodes=None):
+def cuntz_splice_report(cat):
     """Invariant summary for the splice of the two-loop graph."""
-    if cat is None:
-        from .categories import chain
-
-        cat = chain(2)
     if not cat.is_thin:
         raise CaseworkError("diagram counts here are taken over a thin instance")
     g, h = zoo.loop2(), zoo.cuntz_h()
@@ -332,8 +328,8 @@ def cuntz_splice_report(cat=None, max_nodes=None):
     bf = (bowen_franks(g).describe(), bowen_franks(h).describe())
     franks = franks_equivalent(g, h)
     counts = (
-        len(list(enumerate_diagrams(cat, g, max_nodes=max_nodes))),
-        len(list(enumerate_diagrams(cat, h, max_nodes=max_nodes))),
+        len(list(enumerate_diagrams(cat, g))),
+        len(list(enumerate_diagrams(cat, h))),
     )
     computed = {
         "parry_sullivan": list(ps),

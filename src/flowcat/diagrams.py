@@ -156,30 +156,31 @@ _NO_COPRODUCT = "coproduct of the incoming family is unavailable at this bound"
 _NOT_ISO = "cotuple of the incoming morphisms is not an isomorphism"
 
 
-def cotuple_at(cat, diagram, v):
-    """The canonical coproduct over incoming sources at `v` and the cotuple of
-    the incoming morphisms into `obj[v]`.  Returns (coproduct, cotuple); the
-    coproduct may be None when the instance cannot form it."""
-    g = diagram.graph
-    edges = g.incoming(v)
-    family = [diagram.obj[e.src] for e in edges]
-    cop = cat.coproduct(family)
-    if cop is None:
-        return None, None
-    legs = [diagram.mor[e.id] for e in edges]
-    return cop, cat.cotuple(cop, legs)
-
-
 def inverse_cotuple_at(cat, diagram, v):
-    """(coproduct, psi^-1, "") at `v` from one inversion of the cotuple psi,
-    or (None, None, reason) when the coproduct condition fails there."""
-    cop, psi = cotuple_at(cat, diagram, v)
+    """The canonical coproduct of the incoming sources at `v` and the inverse
+    of the cotuple psi of the incoming morphisms into `obj[v]`: (coproduct,
+    psi^-1, "") from one inversion of psi, or (None, None, reason) when the
+    coproduct condition fails there."""
+    edges = diagram.graph.incoming(v)
+    cop = cat.coproduct([diagram.obj[e.src] for e in edges])
     if cop is None:
         return None, None, _NO_COPRODUCT
+    psi = cat.cotuple(cop, [diagram.mor[e.id] for e in edges])
     try:
         return cop, cat.inverse(psi), ""
     except CategoryError:
         return None, None, _NOT_ISO
+
+
+def _inverse_cotuples(cat, diagram):
+    """`inverse_cotuple_at` at each non-source vertex, computed once per
+    diagram and category: the coproduct check and the morphism searches out
+    of the diagram read the same table."""
+    return cached_on(
+        diagram,
+        ("inverse cotuples", cat),
+        lambda: {v: inverse_cotuple_at(cat, diagram, v) for v in _non_sources(diagram.graph)},
+    )
 
 
 def check_coproduct_condition(cat, diagram):
@@ -202,13 +203,8 @@ def check_coproduct_condition(cat, diagram):
             else:
                 checks[v] = VertexCheck(True)
             continue
-        cop, psi = cotuple_at(cat, diagram, v)
-        if cop is None:
-            checks[v] = VertexCheck(False, _NO_COPRODUCT)
-        elif not cat.is_iso(psi):
-            checks[v] = VertexCheck(False, _NOT_ISO)
-        else:
-            checks[v] = VertexCheck(True)
+        _, _, reason = _inverse_cotuples(cat, diagram)[v]
+        checks[v] = VertexCheck(not reason, reason)
     return CoproductReport(frozendict(checks))
 
 
@@ -504,16 +500,13 @@ def _morphism_plan(cat, src):
     (coproduct, psi^-1) at each vertex whose cotuple psi in `src` is an
     isomorphism.  Naturality at the edges into such a vertex v says
     c[v] . psi = [dst.mor[e] . c[e.src]]_e, so c[v] is derived.  The
-    inverses are cached on `src` per category, the plan on the shape per
-    set of derived vertices."""
+    inverses come from the table of `_inverse_cotuples`, which the coproduct
+    check shares; the plan is cached on the shape per set of derived
+    vertices."""
 
     def invert():
-        inverses = {}
-        for v in _non_sources(g):
-            cop, psi_inv, _ = inverse_cotuple_at(cat, src, v)
-            if cop is not None:
-                inverses[v] = (cop, psi_inv)
-        return inverses
+        table = _inverse_cotuples(cat, src).items()
+        return {v: (cop, psi_inv) for v, (cop, psi_inv, reason) in table if not reason}
 
     def plan():
         reads = {v: tuple(e.src for e in g.incoming(v)) for v in inverses}

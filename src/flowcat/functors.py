@@ -467,10 +467,6 @@ class EquivalenceReport(NamedTuple):
             return "inconclusive"
         return "pass"
 
-    @property
-    def ok(self):
-        return self.verdict == "pass"
-
     def to_dict(self):
         return {
             **self._asdict(),

@@ -218,11 +218,6 @@ def reachable_from(g, v):
     return frozenset(seen)
 
 
-def path_exists(g, v, w):
-    """True iff a nonempty directed path runs from v to w."""
-    return w in reachable_from(g, v)
-
-
 def is_acyclic(g):
     """No self-loop and every strongly connected component a single vertex."""
     return all(v not in _successors(g, v) for v in g.vertices) and len(
@@ -348,7 +343,7 @@ def plus_construction(g):
     recv = set(infinite_receivers(g))
     if not recv:
         return g
-    vertices = set(g.vertices) | {f"{v}+" for v in recv}
+    companions = {f"{v}+" for v in recv}
     edges = list(g.edges)
     for e in g.edges:
         if e.src in recv:
@@ -358,11 +353,12 @@ def plus_construction(g):
         if a in recv:
             bundles.add((f"{a}+", b))
     out = DirectedGraph(
-        vertices=frozenset(vertices),
+        vertices=frozenset(g.vertices | companions),
         edges=tuple(edges),
         infinite_bundles=frozenset(bundles),
     )
-    problems = validate(out)
+    problems = [f"vertex {c!r} already exists" for c in sorted(companions & g.vertices)]
+    problems += validate(out)
     if problems:
         raise GraphError(
             "plus construction produced name collisions: " + "; ".join(problems)
@@ -373,24 +369,19 @@ def plus_construction(g):
 # -- adjacency ----------------------------------------------------------------
 
 
-def matrix_positions(g, ordering=None):
-    """{vertex: row and column index} for a matrix of g in `ordering`
-    (default: sorted).  Undefined for graphs with infinite bundles."""
+def matrix_positions(g):
+    """{vertex: row and column index} for a matrix of g in sorted vertex
+    order.  Undefined for graphs with infinite bundles."""
     if g.infinite_bundles:
         raise GraphError("adjacency matrix is undefined for graphs with bundles")
-    if ordering is None:
-        ordering = g.sorted_vertices()
-    else:
-        ordering = list(ordering)
-        if len(ordering) != len(g.vertices) or set(ordering) != g.vertices:
-            raise GraphError("ordering must be a permutation of the vertex set")
-    return {v: i for i, v in enumerate(ordering)}
+    return {v: i for i, v in enumerate(g.sorted_vertices())}
 
 
-def adjacency_matrix(g, ordering=None):
-    """Vertex-ordered edge-count matrix: entry (i, j) counts edges from
-    ordering[i] to ordering[j].  Undefined for graphs with infinite bundles."""
-    pos = matrix_positions(g, ordering)
+def adjacency_matrix(g):
+    """Edge-count matrix in sorted vertex order: entry (i, j) counts edges
+    from the i-th to the j-th vertex.  Undefined for graphs with infinite
+    bundles."""
+    pos = matrix_positions(g)
     rows = [[0] * len(pos) for _ in pos]
     for e in g.edges:
         rows[pos[e.src]][pos[e.tgt]] += 1

@@ -52,10 +52,6 @@ class IntMatrix(_MatrixFields):
     def identity(n):
         return IntMatrix(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
-    @staticmethod
-    def zeros(rows, cols):
-        return IntMatrix(tuple(tuple(0 for _ in range(cols)) for _ in range(rows)))
-
     @property
     def rows(self):
         return len(self.entries)

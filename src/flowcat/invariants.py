@@ -19,19 +19,10 @@ from typing import NamedTuple
 from .graphs import is_irreducible, is_nontrivial, matrix_positions
 from .intmat import IntMatrix, determinant, smith_normal_form
 
-__all__ = [
-    "parry_sullivan",
-    "BowenFranksGroup",
-    "bowen_franks",
-    "flow_invariants",
-    "FranksVerdict",
-    "franks_equivalent",
-]
 
-
-def _ps_matrix(g, ordering=None):
-    """I - A, built in one pass over the edges."""
-    pos = matrix_positions(g, ordering)
+def _ps_matrix(g):
+    """I - A in sorted vertex order, built in one pass over the edges."""
+    pos = matrix_positions(g)
     rows = [[0] * len(pos) for _ in pos]
     for i, row in enumerate(rows):
         row[i] = 1
@@ -41,7 +32,7 @@ def _ps_matrix(g, ordering=None):
 
 
 def parry_sullivan(g):
-    """det(I - A); independent of the vertex ordering."""
+    """det(I - A); unchanged when the vertices are relabelled."""
     return determinant(_ps_matrix(g))
 
 
@@ -60,9 +51,9 @@ class BowenFranksGroup(NamedTuple):
         return " + ".join(parts) if parts else "0"
 
 
-def bowen_franks(g, ordering=None):
+def bowen_franks(g):
     """Cokernel of I - A as a BowenFranksGroup, via Smith normal form."""
-    return _cokernel(smith_normal_form(_ps_matrix(g, ordering)))
+    return _cokernel(smith_normal_form(_ps_matrix(g)))
 
 
 def flow_invariants(g):
@@ -80,10 +71,6 @@ def _cokernel(snf):
 class FranksVerdict(NamedTuple):
     kind: str  # "equivalent" | "not_equivalent" | "out_of_scope"
     reason: str
-
-    @property
-    def decided(self):
-        return self.kind != "out_of_scope"
 
 
 def franks_equivalent(g, h):

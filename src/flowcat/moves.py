@@ -10,6 +10,7 @@ reproducible exactly:
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import NamedTuple
 
 from .graphs import (
@@ -85,6 +86,9 @@ def _finish(vertices, edges, move, bundles=frozenset()):
         vertices=frozenset(vertices), edges=tuple(edges), infinite_bundles=bundles
     )
     problems = validate(out)
+    if len(out.vertices) < len(vertices):  # a new name equals an existing one
+        counts = Counter(vertices)
+        problems += [f"duplicate vertex {v!r}" for v in sorted(counts) if counts[v] > 1]
     if problems:
         raise MoveError(f"{move} produced an invalid graph: " + "; ".join(problems))
     return out
@@ -322,10 +326,6 @@ class TruncatedMove(NamedTuple):
     graph: DirectedGraph
     depth: int
     is_exact: bool  # True when nothing was attached, so the result is not approximate
-
-    @property
-    def is_approximation(self):
-        return not self.is_exact
 
 
 def _attach_chains(g, depth, pick, move, inward):

@@ -179,7 +179,7 @@ def test_criterion_3_splice_data():
             values.append(oracle)
             assert bowen_franks(g).describe() == "0"
         assert values == [-1, 1]
-        report = cuntz_splice_report()
+        report = cuntz_splice_report(chain(2))
         assert report.verdict == "open question — not decided by this tool"
         assert report.computed["parry_sullivan"] == [-1, 1]
 

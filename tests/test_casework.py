@@ -18,6 +18,7 @@ from flowcat.casework import (
 )
 from flowcat.categories import FinSetSkeleton, PosetCategory, chain, diamond
 from flowcat.graphs import graph
+from flowcat.util import SearchCapExceeded
 
 
 # -- acyclic counts -------------------------------------------------------------
@@ -192,7 +193,7 @@ def test_desingularisation_one_element_order_is_inconclusive():
 
 
 def test_cuntz_splice_report_fields():
-    report = cuntz_splice_report()
+    report = cuntz_splice_report(chain(2))
     assert report.computed["parry_sullivan"] == [-1, 1]
     assert report.computed["bowen_franks"] == ["0", "0"]
     assert report.computed["diagram_counts"] == [2, 2]
@@ -212,7 +213,7 @@ def test_reports_render_and_serialise():
         verify_acyclic_corollary(chain(2), zoo.acyclic2()),
         verify_poset_corollary(chain(2), zoo.loop2()),
         desingularisation_counterexample(chain(2)),
-        cuntz_splice_report(),
+        cuntz_splice_report(chain(2)),
     ):
         text = report.render()
         assert text.startswith(f"case: {report.case}")
@@ -229,7 +230,9 @@ def test_reports_render_and_serialise():
         (lambda: verify_poset_corollary(PosetCategory("ab", []), zoo.acyclic2()), "inconclusive"),
         (lambda: desingularisation_counterexample(chain(2)), "counterexample"),
         (lambda: desingularisation_counterexample(chain(1)), "inconclusive"),
-        (cuntz_splice_report, "open"),
+        pytest.param(
+            lambda: cuntz_splice_report(chain(2)), "open", id="cuntz_splice_report-open"
+        ),
     ],
 )
 def test_outcome_is_set_with_the_verdict(build, outcome):
@@ -237,3 +240,24 @@ def test_outcome_is_set_with_the_verdict(build, outcome):
     assert report.outcome == outcome
     assert report.ok == (outcome in ("confirmed", "counterexample"))
     assert "outcome" not in report.to_dict()
+
+
+# -- the node cap --------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "report,cat,g,phase",
+    [
+        (verify_acyclic_corollary, chain(3), zoo.acyclic2(), "thin"),
+        (verify_acyclic_corollary, FinSetSkeleton(1), zoo.chain_graph(3), "size vectors"),
+        (verify_poset_corollary, chain(3), zoo.acyclic2(), "thin"),
+    ],
+)
+def test_reports_obey_the_node_cap_from_the_environment(monkeypatch, report, cat, g, phase):
+    # FLOWCAT_MAX_NODES is the only cap of the reports
+    monkeypatch.setenv("FLOWCAT_MAX_NODES", "1")
+    with pytest.raises(SearchCapExceeded) as excinfo:
+        report(cat, g)
+    assert (excinfo.value.phase, excinfo.value.cap) == (phase, 1)
+    monkeypatch.delenv("FLOWCAT_MAX_NODES")
+    assert report(cat, g).outcome == "confirmed"

@@ -376,6 +376,15 @@ def test_move_add_heads_silent_when_exact(tmp_path, capsys):
     assert doc["vertices"] == ["u"]
 
 
+def test_move_add_heads_rejects_a_name_collision(tmp_path, capsys):
+    g = graph(["u", "(u,1)", "w"], [("x", "u", "w"), ("y", "(u,1)", "w")])
+    gp = write_graph(tmp_path / "g.json", g)
+    spec = write_json(tmp_path / "m.json", {"move": "add_heads", "depth": 1})
+    code, out, err = run(capsys, ["move", gp, spec])
+    assert_usage_error(code, out, err)
+    assert "duplicate vertex '(u,1)'" in err
+
+
 # -- diagrams ------------------------------------------------------------------------
 
 
@@ -679,6 +688,15 @@ def test_report_poset_outside_hypothesis_is_inconclusive(tmp_path, capsys):
     assert code == 0
     assert doc["verdict"].startswith("inconclusive — outside the counting hypothesis")
     assert doc["computed"]["diagram_count"] == 2
+
+
+def test_report_poset_past_the_node_cap_exits_3(tmp_path, capsys, monkeypatch):
+    gp = write_graph(tmp_path / "g.json", zoo.acyclic2())
+    monkeypatch.setenv("FLOWCAT_MAX_NODES", "2")
+    code, out, err = run(capsys, ["report", "poset", gp])
+    assert (code, out) == (3, "")
+    assert err.startswith("error: search cap exceeded in the thin phase")
+    assert err.count("\n") == 1
 
 
 def test_report_exit_code_reads_the_outcome_not_the_text(capsys, monkeypatch):

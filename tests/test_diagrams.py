@@ -14,11 +14,11 @@ from flowcat.diagrams import (
     canonical_diagram,
     check_coproduct_condition,
     check_diagram_morphism,
-    cotuple_at,
     diagram_isomorphic,
     diagram_morphisms,
     enumerate_diagram_morphisms,
     enumerate_diagrams,
+    inverse_cotuple_at,
     make_diagram,
     random_diagram,
     solve_dimension_vectors,
@@ -111,8 +111,8 @@ def test_condition_acyclic2_finset():
         {"e1": Morphism(1, 3, (0,)), "e2": Morphism(2, 3, (1, 2))},
     )
     assert check_coproduct_condition(FINSET, good).ok
-    cop, psi = cotuple_at(FINSET, good, "c")
-    assert cop.apex == 3 and psi == FINSET.identity(3)
+    cop, psi_inv, reason = inverse_cotuple_at(FINSET, good, "c")
+    assert cop.apex == 3 and psi_inv == FINSET.identity(3) and reason == ""
 
     squeezed = make_diagram(
         FINSET,

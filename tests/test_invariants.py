@@ -83,7 +83,7 @@ def test_snf_two_by_two():
 
 
 def test_snf_zero_matrix():
-    assert smith_normal_form(IntMatrix.zeros(2, 2)).divisors == (0, 0)
+    assert smith_normal_form(IntMatrix.from_rows([[0, 0], [0, 0]])).divisors == (0, 0)
 
 
 def test_snf_matches_determinantal_divisor_oracle():
@@ -277,27 +277,34 @@ def test_parry_sullivan_rejects_bundles():
         parry_sullivan(zoo.h_graph())
 
 
-def test_bowen_franks_rejects_bundles_and_a_bad_ordering():
+def test_bowen_franks_rejects_bundles():
     with pytest.raises(GraphError, match="bundles"):
         bowen_franks(zoo.h_graph())
-    with pytest.raises(GraphError, match="permutation"):
-        bowen_franks(zoo.vw_graph(), ["v"])
 
 
 def test_invariants_independent_of_vertex_ordering():
+    # relabelling the vertices permutes the sorted vertex order, and so the
+    # rows and columns of A, but changes neither invariant
+    from flowcat.graphs import adjacency_matrix
+
     g = zoo.cuntz_h()
-    rng = random.Random(7)
+    a = adjacency_matrix(g).entries
     base_ps = parry_sullivan(g)
     base_bf = bowen_franks(g)
-    order = g.sorted_vertices()
+    names = g.sorted_vertices()
+    rng = random.Random(7)
     for _ in range(10):
-        rng.shuffle(order)
-        from flowcat.graphs import adjacency_matrix
-        from flowcat.intmat import determinant as det
-
-        a = adjacency_matrix(g, order)
-        assert det(IntMatrix.identity(a.rows) - a) == base_ps
-        assert bowen_franks(g, order) == base_bf
+        labels = [f"x{i}" for i in range(len(names))]
+        rng.shuffle(labels)
+        old_name = dict(zip(labels, names))
+        new_name = dict(zip(names, labels))
+        h = graph(labels, [(e.id, new_name[e.src], new_name[e.tgt]) for e in g.edges])
+        perm = [names.index(old_name[x]) for x in sorted(labels)]
+        b = adjacency_matrix(h)
+        assert b.entries == tuple(tuple(a[i][j] for j in perm) for i in perm)
+        assert determinant(IntMatrix.identity(b.rows) - b) == base_ps
+        assert parry_sullivan(h) == base_ps
+        assert bowen_franks(h) == base_bf
 
 
 # -- Bowen-Franks -----------------------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -237,14 +238,14 @@ def test_in_split_rejects_infinite_receivers():
 def test_add_heads_no_sources_is_exact_identity():
     g = zoo.loop2()
     res = add_heads_truncated(g, 3)
-    assert res.is_exact and not res.is_approximation
+    assert res.is_exact
     assert res.graph is g
 
 
 def test_add_heads_depth2():
     g = graph(["v", "w"], [("e", "v", "w"), ("l", "w", "w")])
     res = add_heads_truncated(g, 2)
-    assert res.is_approximation
+    assert not res.is_exact
     out = res.graph
     assert out.vertices == {"v", "w", "(v,1)", "(v,2)"}
     assert ("e_{v,1}", "(v,1)", "v") in out.edge_set()
@@ -257,7 +258,21 @@ def test_add_tails_depth1():
     out = res.graph
     assert out.vertices == {"s", "r", "(s,1)"}
     assert ("e_{s,1}", "s", "(s,1)") in out.edge_set()
-    assert res.is_approximation
+    assert not res.is_exact
+
+
+@pytest.mark.parametrize(
+    "move,vertices,edges,depth,taken",
+    [
+        # V + depth * #sources would be 5, but (u,1) is the chain vertex at u
+        (add_heads_truncated, ["u", "(u,1)", "w"], [("x", "u", "w"), ("y", "(u,1)", "w")], 1, "(u,1)"),
+        (add_heads_truncated, ["u", "(u,2)", "w"], [("x", "u", "w")], 2, "(u,2)"),
+        (add_tails_truncated, ["u", "w", "(w,1)"], [("x", "u", "w"), ("y", "u", "(w,1)")], 1, "(w,1)"),
+    ],
+)
+def test_heads_and_tails_reject_a_chain_vertex_that_exists(move, vertices, edges, depth, taken):
+    with pytest.raises(MoveError, match=re.escape(f"duplicate vertex {taken!r}")):
+        move(graph(vertices, edges), depth)
 
 
 def test_truncations_reject_bad_depth():
