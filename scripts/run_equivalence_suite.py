@@ -36,13 +36,14 @@ from flowcat.util import FlowcatError
 DEFAULT_CATEGORIES = ("poset:chain2", "finset:4", "mat:2:3")
 
 
-def probe_pool(cat, g, rng, bound=3):
+def probe_pool(cat, g, rng):
     """A small spread of source diagrams used only to decide whether a
-    corrupted control has anything to corrupt."""
+    corrupted control has anything to corrupt; size vectors are bounded by
+    the category's largest object, as the harness's own pools are."""
     if cat.is_thin:
         return list(enumerate_diagrams(cat, g))
     pool = []
-    for dims in solve_dimension_vectors(g, bound):
+    for dims in solve_dimension_vectors(g, max(cat.objects())):
         pool.append(canonical_diagram(cat, g, dims))
         pool.append(random_diagram(cat, g, dims, rng))
     return pool

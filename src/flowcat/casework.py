@@ -60,10 +60,6 @@ class CaseReport(NamedTuple):
     verdict: str
     details: tuple = ()
 
-    @property
-    def ok(self):
-        return self.outcome in ("confirmed", "counterexample")
-
     def to_dict(self):
         return {
             "case": self.case,

@@ -24,7 +24,6 @@ apply first.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from typing import NamedTuple
 
 from .categories import MatCategory, mat_identity, mat_mul
@@ -250,18 +249,15 @@ def check_unital_action(ops):
     )
 
 
-def module_map(ops_dom, ops_cod, components):
+def module_map(ops_dom, components):
     """The block-diagonal operator of a diagram morphism between the
     underlying diagrams, as a map of modules."""
     return _operator({(v, v): components[v].data for v in ops_dom.graph.sorted_vertices()})
 
 
 def intertwining_failures(ops_dom, ops_cod, matrix):
-    """Generators on which `matrix` (an operator from `module_map`, or a dense
-    tuple of rows) fails to commute; empty means it intertwines the whole
-    action."""
-    if not isinstance(matrix, Mapping):
-        matrix = split_matrix(matrix, ops_cod.vertex_blocks, ops_dom.vertex_blocks)
+    """Generators on which the block operator `matrix` (see `module_map` and
+    `split_matrix`) fails to commute; empty means it intertwines the action."""
     q, g = ops_dom.q, ops_dom.graph
 
     def generators(ops):

@@ -10,6 +10,11 @@ from __future__ import annotations
 from .graphs import DirectedGraph, Edge, classify_vertex
 from .moves import InDelaySpec, InSplitSpec, OutDelaySpec, OutSplitSpec
 
+# The largest edge multiplicity, delay and split class index the draws take.
+MAX_MULTIPLICITY = 2
+MAX_DELAY = 2
+MAX_SPLIT = 2
+
 
 def random_irreducible_graph(rng, max_vertices=8, max_entry=3):
     """An irreducible non-trivial graph with every vertex on a cycle."""
@@ -38,7 +43,7 @@ def random_irreducible_graph(rng, max_vertices=8, max_entry=3):
     return DirectedGraph(vertices=frozenset(vs), edges=tuple(edges))
 
 
-def random_acyclic_graph(rng, max_vertices=6, max_multiplicity=2, edge_prob=0.45):
+def random_acyclic_graph(rng, max_vertices=6, edge_prob=0.45):
     """An acyclic graph: edges only run forward along a shuffled vertex order."""
     n = rng.randint(1, max_vertices)
     vs = [f"v{i}" for i in range(n)]
@@ -49,7 +54,7 @@ def random_acyclic_graph(rng, max_vertices=6, max_multiplicity=2, edge_prob=0.45
     for i in range(n):
         for j in range(i + 1, n):
             if rng.random() < edge_prob:
-                for _ in range(rng.randint(1, max_multiplicity)):
+                for _ in range(rng.randint(1, MAX_MULTIPLICITY)):
                     edges.append(Edge(f"e{k}", order[i], order[j]))
                     k += 1
     return DirectedGraph(vertices=frozenset(vs), edges=tuple(edges))
@@ -75,10 +80,10 @@ def random_shape_graph(rng, max_vertices=5, edge_prob=0.35, bundle_prob=0.15):
     )
 
 
-def random_out_delay_spec(rng, g, max_delay=2):
+def random_out_delay_spec(rng, g):
     """Saturated spec: d(v) is the max of d(e) over outgoing edges, so every
     delay level gets exited and irreducibility survives the move."""
-    de = {e.id: rng.randint(0, max_delay) for e in g.edges}
+    de = {e.id: rng.randint(0, MAX_DELAY) for e in g.edges}
     dv = {}
     for v in g.sorted_vertices():
         outgoing = g.outgoing(v)
@@ -86,12 +91,12 @@ def random_out_delay_spec(rng, g, max_delay=2):
     return OutDelaySpec(d_vertices=dv, d_edges=de)
 
 
-def random_in_delay_spec(rng, g, max_delay=2):
-    de = {e.id: rng.randint(0, max_delay) for e in g.edges}
+def random_in_delay_spec(rng, g):
+    de = {e.id: rng.randint(0, MAX_DELAY) for e in g.edges}
     return InDelaySpec(d_edges=de)
 
 
-def random_out_split_spec(rng, g, max_split=2):
+def random_out_split_spec(rng, g):
     """Spec with surjective outgoing classes (every level of v is departed
     from), keeping outputs sink-free when the input is."""
     pv = {}
@@ -103,7 +108,7 @@ def random_out_split_spec(rng, g, max_split=2):
             for e in outgoing:
                 pe[e.id] = 0
             continue
-        pv[v] = rng.randint(0, min(max_split, len(outgoing) - 1))
+        pv[v] = rng.randint(0, min(MAX_SPLIT, len(outgoing) - 1))
         chosen = rng.sample(range(len(outgoing)), pv[v] + 1)
         for slot, idx in enumerate(chosen):
             pe[outgoing[idx].id] = slot
@@ -113,7 +118,7 @@ def random_out_split_spec(rng, g, max_split=2):
     return OutSplitSpec(p_vertices=pv, p_edges=pe)
 
 
-def random_in_split_spec(rng, g, max_split=2):
+def random_in_split_spec(rng, g):
     pv = {}
     pe = {}
     for v in g.sorted_vertices():
@@ -121,7 +126,7 @@ def random_in_split_spec(rng, g, max_split=2):
         if classify_vertex(g, v).is_source:
             pv[v] = 0
             continue
-        pv[v] = rng.randint(0, min(max_split, len(incoming) - 1))
+        pv[v] = rng.randint(0, min(MAX_SPLIT, len(incoming) - 1))
         # Surjectivity: hit every level once, then fill the rest at random.
         chosen = rng.sample(range(len(incoming)), pv[v] + 1)
         for slot, idx in enumerate(chosen):

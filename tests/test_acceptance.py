@@ -374,7 +374,7 @@ def test_criterion_8_module_relations(tmp_path, capsys):
                 build_module_operators(cat, d),
                 build_module_operators(cat, d2),
             )
-            m = module_map(ops, ops2, components)
+            m = module_map(ops, components)
             assert intertwining_failures(ops, ops2, m) == []
             sampled += 1
 

@@ -29,7 +29,7 @@ def test_acyclic_two_sources_chain2():
     assert report.computed["diagram_count"] == 4
     assert report.expected["diagram_count"] == 4
     assert report.verdict == "confirmed"
-    assert report.ok
+    assert report.outcome == "confirmed"
 
 
 def test_acyclic_single_edge():
@@ -102,7 +102,7 @@ def test_thin_count_flags_missing_suprema():
     assert report.expected["diagram_count"] == 4
     assert report.verdict.startswith("inconclusive — outside the counting hypothesis")
     assert "no supremum" in report.verdict
-    assert not report.ok
+    assert report.outcome == "inconclusive"
 
 
 def fed_loop():
@@ -119,7 +119,7 @@ def test_thin_count_flags_cycles_fed_from_outside():
     assert report.expected["diagram_count"] == 2
     assert report.verdict.startswith("inconclusive — outside the counting hypothesis")
     assert "cycle through ['b']" in report.verdict
-    assert not report.ok
+    assert report.outcome == "inconclusive"
 
 
 def test_thin_count_accidental_agreement_is_still_inconclusive():
@@ -162,7 +162,7 @@ def test_desingularisation_chain2():
     assert report.verdict == (
         "counterexample confirmed: categories not equivalent (4 objects against 3)"
     )
-    assert report.ok
+    assert report.outcome == "counterexample"
     assert any("Morita equivalent" in d for d in report.details)
     assert any("truncation" in d for d in report.details)
 
@@ -171,14 +171,14 @@ def test_desingularisation_chain3():
     report = desingularisation_counterexample(chain(3))
     assert report.computed["plus_diagram_count"] == 9
     assert report.computed["arrow_count"] == 6
-    assert report.ok
+    assert report.outcome == "counterexample"
 
 
 def test_desingularisation_diamond():
     report = desingularisation_counterexample(diamond())
     assert report.computed["plus_diagram_count"] == 16
     assert report.computed["arrow_count"] == 9
-    assert report.ok
+    assert report.outcome == "counterexample"
 
 
 def test_desingularisation_one_element_order_is_inconclusive():
@@ -186,7 +186,7 @@ def test_desingularisation_one_element_order_is_inconclusive():
     assert report.computed["plus_diagram_count"] == 1
     assert report.computed["arrow_count"] == 1
     assert report.verdict.startswith("inconclusive")
-    assert not report.ok
+    assert report.outcome == "inconclusive"
 
 
 # -- splice summary ---------------------------------------------------------------
@@ -238,7 +238,6 @@ def test_reports_render_and_serialise():
 def test_outcome_is_set_with_the_verdict(build, outcome):
     report = build()
     assert report.outcome == outcome
-    assert report.ok == (outcome in ("confirmed", "counterexample"))
     assert "outcome" not in report.to_dict()
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from flowcat import moves, zoo
+from flowcat import functors, moves, zoo
 from flowcat.categories import FinSetSkeleton, MatCategory, chain
 from flowcat.diagrams import (
     DiagramError,
@@ -31,6 +31,7 @@ from flowcat.functors import (
 )
 from flowcat.graphs import sources
 from flowcat.moves import indexed_edge, indexed_vertex
+from flowcat.sampling import random_move_spec, random_shape_graph
 from flowcat.util import frozendict
 from functor_samples import (
     all_pairs,
@@ -285,6 +286,28 @@ def test_explicit_node_cap_reaches_the_hom_searches(monkeypatch):
     assert _skipped_hom_pairs(capped) > _skipped_hom_pairs(default)
 
 
+def test_each_hom_set_is_listed_once_per_run(monkeypatch):
+    # functoriality and hom-set bijectivity read one table per run, so a pair
+    # of equal pooled diagrams, or an End(d) both checks need, is listed once
+    listed = []
+    enumerate_homs = functors.enumerate_diagram_morphisms
+
+    def counting(cat, d1, d2, max_nodes=None):
+        listed.append((d1, d2))
+        return enumerate_homs(cat, d1, d2, max_nodes)
+
+    monkeypatch.setattr(functors, "enumerate_diagram_morphisms", counting)
+    total = 0
+    for cat in (FinSetSkeleton(3), MatCategory(2, 2)):
+        for label, pair in standard_verification_suite():
+            for run in (pair, CorruptedPair(pair)):
+                listed.clear()
+                verify_equivalence(cat, run)
+                assert len(set(listed)) == len(listed), (cat.name, label, run.move)
+                total += len(listed)
+    assert total > 100
+
+
 @pytest.mark.parametrize("cat, phase", [(FINSET, "size vectors"), (chain(3), "thin")],
                          ids=["finset:4", "chain3"])
 def test_sampling_note_names_the_phase_that_ran_out(monkeypatch, cat, phase):
@@ -412,6 +435,33 @@ def test_random_pairs_pass_the_harness_and_are_natural(cat):
     assert squares >= 200
 
 
+def _random_shape_pairs():
+    rng = random.Random(5)
+    pairs = []
+    for i in range(12):
+        g = random_shape_graph(rng, max_vertices=24, edge_prob=0.12, bundle_prob=0)
+        move = rng.choice(["out_delay", "in_delay", "out_split", "in_split"])
+        pairs.append((f"shape{i}/{move}", make_pair(move, g, random_move_spec(rng, g, move))))
+    return pairs
+
+
+@pytest.mark.parametrize("cat", [CHAIN2, FinSetSkeleton(3)], ids=lambda c: c.name)
+def test_harness_passes_on_random_shapes_past_the_zoo(cat):
+    # sparse shapes of up to 24 vertices, past the zoo and tests/functor_samples.py
+    seed = 20260815
+    breakable = 0
+    for label, pair in _random_shape_pairs():
+        report = verify_equivalence(cat, pair, samples=6, seed=seed)
+        assert report.verdict == "pass", (label, report.to_dict())
+        control = CorruptedPair(pair)
+        pool = _sample_pool(cat, pair.source, random.Random(seed), 6, None)
+        if any(control.can_corrupt(cat, d) for d in pool):
+            breakable += 1
+            control_report = verify_equivalence(cat, control, samples=6, seed=seed)
+            assert control_report.verdict == "fail", label
+    assert breakable > 0
+
+
 def _runs(g, path, start, end):
     """Whether `path`, a sequence of edge ids, is a walk in g from start to end."""
     edges = {e.id: e for e in g.edges}
@@ -530,6 +580,15 @@ def test_suite_script_rejects_a_bad_category_with_exit_2(capsys):
     assert script["main"](["--category", "finset:2", "--category", "bogus"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err == "error: bad category spec 'bogus'\n"
+
+
+def test_suite_script_runs_in_categories_below_its_probe_sizes(capsys):
+    # the vacuity probe sizes its diagrams by the category's largest object,
+    # so a category whose objects stop below 3 cannot make it raise
+    script = runpy.run_path(str(ROOT / "scripts" / "run_equivalence_suite.py"))
+    argv = ["--category", "mat:3:2", "--category", "finset:2", "--include-corrupted"]
+    assert script["main"](argv) == 0
+    assert "NOT CAUGHT" not in capsys.readouterr().out
 
 
 def test_direct_images_match_the_golden_digests():

@@ -505,7 +505,7 @@ def test_module_map_of_morphism_intertwines_generators(q):
             assert check_diagram_morphism(cat, d, d2, components) == []
             ops = build_module_operators(cat, d)
             ops2 = build_module_operators(cat, d2)
-            m = module_map(ops, ops2, components)
+            m = module_map(ops, components)
             assert intertwining_failures(ops, ops2, m) == [], (label, q)
 
 
@@ -525,7 +525,7 @@ def test_identity_and_zero_morphisms_intertwine():
     }
     for components in (ident, zero):
         assert check_diagram_morphism(cat, d, d, components) == []
-        m = module_map(ops, ops, components)
+        m = module_map(ops, components)
         assert intertwining_failures(ops, ops, m) == []
 
 
@@ -533,5 +533,5 @@ def test_non_natural_matrix_fails_intertwining():
     cat = MatCategory(2, 4)
     _, _, ops = build(2, zoo.acyclic2(), {"a": 1, "b": 2, "c": 3})
     lopsided = tuple(tuple(1 for _ in range(6)) for _ in range(6))
-    failures = intertwining_failures(ops, ops, lopsided)
+    failures = intertwining_failures(ops, ops, blocks(ops, lopsided))
     assert "P_a" in failures
