@@ -89,13 +89,15 @@ def _list_field(doc, key, where):
     return value
 
 
-def _string_fields(entry, keys, where, what):
-    """The values of `keys` in a JSON object, each required to be a string.
-    This runs once per edge, so the message is formatted only on failure."""
+def _string_fields(entry, keys, where, what, i):
+    """The values of `keys` in JSON object number i, each required to be a
+    string.  This runs once per edge, so the message is formatted only on
+    failure."""
     if isinstance(entry, dict):
         values = tuple(map(entry.get, keys))
         if all(isinstance(x, str) for x in values):
             return values
+    what = f"{what} #{i}"
     quoted = ", ".join(f'"{k}"' for k in keys)
     if not (isinstance(entry, dict) and set(keys) <= entry.keys()):
         raise CliError(f"{where}: {what} must be an object with {quoted}")
@@ -111,18 +113,25 @@ def graph_from_doc(doc, where, check=True):
         where,
         "vertex names must be strings",
     )
-    names = set()
-    for v in vertices:
-        _require(v not in names, where, f"duplicate vertex {v!r}")
-        names.add(v)
-    edges = [
-        Edge(*_string_fields(entry, ("id", "src", "tgt"), where, f"edge #{i}"))
-        for i, entry in enumerate(_list_field(doc, "edges", where))
-    ]
-    bundles = [
-        _string_fields(entry, ("src", "tgt"), where, f"infinite bundle #{i}")
-        for i, entry in enumerate(_list_field(doc, "infinite_bundles", where))
-    ]
+    # Each edge and bundle end is mapped onto the string object of the
+    # vertex list (JSON gives every occurrence its own); an unknown name is
+    # kept as it is, for `validate` to report.
+    names = {v: v for v in vertices}
+    if len(names) < len(vertices):
+        seen = set()
+        for v in vertices:
+            if v in seen:
+                raise CliError(f"{where}: duplicate vertex {v!r}")
+            seen.add(v)
+    name = names.get
+    edges = []
+    for i, entry in enumerate(_list_field(doc, "edges", where)):
+        eid, src, tgt = _string_fields(entry, ("id", "src", "tgt"), where, "edge", i)
+        edges.append(Edge(eid, name(src, src), name(tgt, tgt)))
+    bundles = []
+    for i, entry in enumerate(_list_field(doc, "infinite_bundles", where)):
+        src, tgt = _string_fields(entry, ("src", "tgt"), where, "infinite bundle", i)
+        bundles.append((name(src, src), name(tgt, tgt)))
     g = DirectedGraph(
         vertices=frozenset(vertices),
         edges=tuple(edges),
@@ -167,11 +176,8 @@ def _split_graph_map(g, mapping, where):
     edge_ids = {e.id for e in g.edges}
     on_vertices, on_edges = {}, {}
     for key, value in mapping.items():
-        _require(
-            _is_int(value) and value >= 0,
-            where,
-            f"value for {key!r} must be a nonnegative integer",
-        )
+        if not (_is_int(value) and value >= 0):
+            raise CliError(f"{where}: value for {key!r} must be a nonnegative integer")
         is_vertex, is_edge = key in g.vertices, key in edge_ids
         if is_vertex and is_edge:
             raise CliError(
@@ -392,24 +398,28 @@ def cmd_lpa_check(args):
     q = args.field
     bound = 0
     for v in g.sorted_vertices():
-        _require(v in dims, where, f'"dims" is missing vertex {v!r}')
+        if v not in dims:
+            raise CliError(f'{where}: "dims" is missing vertex {v!r}')
         incoming_sum = sum(dims.get(e.src, 0) for e in g.incoming(v))
         bound = max(bound, dims[v], incoming_sum)
     cat = MatCategory(q, bound)
     mor = {}
     for e in sorted(g.edges, key=lambda e: e.id):
-        _require(e.id in maps, where, f'"maps" is missing edge {e.id!r}')
+        if e.id not in maps:
+            raise CliError(f'{where}: "maps" is missing edge {e.id!r}')
         rows, n_rows, n_cols = maps[e.id], dims[e.tgt], dims[e.src]
-        _require(
+        if not (
             isinstance(rows, list)
             and len(rows) == n_rows
             and all(
                 isinstance(r, list) and len(r) == n_cols and all(map(_is_int, r))
                 for r in rows
-            ),
-            where,
-            f"matrix for edge {e.id!r} must be {n_rows} integer rows of length {n_cols}",
-        )
+            )
+        ):
+            raise CliError(
+                f"{where}: matrix for edge {e.id!r} must be "
+                f"{n_rows} integer rows of length {n_cols}"
+            )
         data = tuple(tuple(x % q for x in r) for r in rows)
         mor[e.id] = Morphism(dims[e.src], dims[e.tgt], data)
     try:

@@ -340,18 +340,18 @@ def plus_construction(g):
     """Adjoin a vertex v+ for each infinite receiver v, and for every edge e
     leaving such a v a copy e+ : v+ -> t(e); bundles leaving v beget bundles
     leaving v+.  Returns g itself when there are no infinite receivers."""
-    recv = set(infinite_receivers(g))
-    if not recv:
+    plus = {v: f"{v}+" for v in infinite_receivers(g)}
+    if not plus:
         return g
-    companions = {f"{v}+" for v in recv}
+    companions = set(plus.values())
     edges = list(g.edges)
     for e in g.edges:
-        if e.src in recv:
-            edges.append(Edge(f"{e.id}+", f"{e.src}+", e.tgt))
+        if e.src in plus:
+            edges.append(Edge(f"{e.id}+", plus[e.src], e.tgt))
     bundles = set(g.infinite_bundles)
     for a, b in g.infinite_bundles:
-        if a in recv:
-            bundles.add((f"{a}+", b))
+        if a in plus:
+            bundles.add((plus[a], b))
     out = DirectedGraph(
         vertices=frozenset(g.vertices | companions),
         edges=tuple(edges),

@@ -6,6 +6,10 @@ reproducible exactly:
     (v,n)      delayed / split copy of vertex v at level n
     e_{v,n}    chain edge at vertex v, level n
     (e,n)      split copy of edge e at level n
+
+Each derived vertex name is made once per move and that one string object
+is shared by the vertex set and every edge end naming it, so an image holds
+one copy of each name however many edges meet the vertex.
 """
 
 from __future__ import annotations
@@ -52,6 +56,17 @@ class _Spec:
         return tuple.__new__(
             cls, [v if isinstance(v, frozendict) else frozendict(v) for v in fields]
         )
+
+
+def _level_names(g, top):
+    """The table {v: [(v,0), ..., (v,top[v])]} over g's vertices in sorted
+    order, and its names as one vertex list.  Every edge end of an image is
+    looked up in the table, so it is the vertex list's own string object."""
+    levels = {
+        v: [indexed_vertex(v, n) for n in range(top[v] + 1)]
+        for v in g.sorted_vertices()
+    }
+    return levels, [x for names in levels.values() for x in names]
 
 
 def _check_totality(problems, mapping, keys, what):
@@ -143,19 +158,12 @@ def out_delay(g, spec):
     problems = validate_out_delay(g, spec)
     if problems:
         raise MoveError("; ".join(problems))
-    dv, de = spec.d_vertices, spec.d_edges
-    vertices = [
-        indexed_vertex(v, n) for v in g.sorted_vertices() for n in range(dv[v] + 1)
-    ]
-    edges = [
-        Edge(e.id, indexed_vertex(e.src, de[e.id]), indexed_vertex(e.tgt, 0))
-        for e in g.edges
-    ]
-    for v in g.sorted_vertices():
-        for n in range(1, dv[v] + 1):
-            edges.append(
-                Edge(chain_edge(v, n), indexed_vertex(v, n - 1), indexed_vertex(v, n))
-            )
+    de = spec.d_edges
+    levels, vertices = _level_names(g, spec.d_vertices)
+    edges = [Edge(e.id, levels[e.src][de[e.id]], levels[e.tgt][0]) for e in g.edges]
+    for v, names in levels.items():
+        for n in range(1, len(names)):
+            edges.append(Edge(chain_edge(v, n), names[n - 1], names[n]))
     return _finish(vertices, edges, "out_delay")
 
 
@@ -194,20 +202,12 @@ def in_delay(g, spec):
     problems = validate_in_delay(g, spec)
     if problems:
         raise MoveError("; ".join(problems))
-    dv = in_delay_vertex_delays(g, spec)
     de = spec.d_edges
-    vertices = [
-        indexed_vertex(v, n) for v in g.sorted_vertices() for n in range(dv[v] + 1)
-    ]
-    edges = [
-        Edge(e.id, indexed_vertex(e.src, 0), indexed_vertex(e.tgt, de[e.id]))
-        for e in g.edges
-    ]
-    for v in g.sorted_vertices():
-        for n in range(1, dv[v] + 1):
-            edges.append(
-                Edge(chain_edge(v, n), indexed_vertex(v, n), indexed_vertex(v, n - 1))
-            )
+    levels, vertices = _level_names(g, in_delay_vertex_delays(g, spec))
+    edges = [Edge(e.id, levels[e.src][0], levels[e.tgt][de[e.id]]) for e in g.edges]
+    for v, names in levels.items():
+        for n in range(1, len(names)):
+            edges.append(Edge(chain_edge(v, n), names[n], names[n - 1]))
     return _finish(vertices, edges, "in_delay")
 
 
@@ -244,18 +244,12 @@ def out_split(g, spec):
     problems = validate_out_split(g, spec)
     if problems:
         raise MoveError("; ".join(problems))
-    pv, pe = spec.p_vertices, spec.p_edges
-    vertices = [
-        indexed_vertex(v, n) for v in g.sorted_vertices() for n in range(pv[v] + 1)
-    ]
+    pe = spec.p_edges
+    levels, vertices = _level_names(g, spec.p_vertices)
     edges = [
-        Edge(
-            indexed_edge(e.id, n),
-            indexed_vertex(e.src, pe[e.id]),
-            indexed_vertex(e.tgt, n),
-        )
+        Edge(indexed_edge(e.id, n), levels[e.src][pe[e.id]], tgt)
         for e in g.edges
-        for n in range(pv[e.tgt] + 1)
+        for n, tgt in enumerate(levels[e.tgt])
     ]
     return _finish(vertices, edges, "out_split")
 
@@ -298,18 +292,12 @@ def in_split(g, spec):
     problems = validate_in_split(g, spec)
     if problems:
         raise MoveError("; ".join(problems))
-    pv, pe = spec.p_vertices, spec.p_edges
-    vertices = [
-        indexed_vertex(v, n) for v in g.sorted_vertices() for n in range(pv[v] + 1)
-    ]
+    pe = spec.p_edges
+    levels, vertices = _level_names(g, spec.p_vertices)
     edges = [
-        Edge(
-            indexed_edge(e.id, n),
-            indexed_vertex(e.src, n),
-            indexed_vertex(e.tgt, pe[e.id]),
-        )
+        Edge(indexed_edge(e.id, n), src, levels[e.tgt][pe[e.id]])
         for e in g.edges
-        for n in range(pv[e.src] + 1)
+        for n, src in enumerate(levels[e.src])
     ]
     return _finish(vertices, edges, "in_split")
 
@@ -340,12 +328,13 @@ def _attach_chains(g, depth, pick, move, inward):
     vertices = list(g.vertices)
     edges = list(g.edges)
     for v in ends:
+        near = v
         for n in range(1, depth + 1):
-            near = v if n == 1 else indexed_vertex(v, n - 1)
             far = indexed_vertex(v, n)
             vertices.append(far)
             src, tgt = (far, near) if inward else (near, far)
             edges.append(Edge(chain_edge(v, n), src, tgt))
+            near = far
     out = _finish(vertices, edges, move, g.infinite_bundles)
     return TruncatedMove(graph=out, depth=depth, is_exact=False)
 

@@ -6,7 +6,9 @@ so agreement is meaningful evidence.  Two exceptions take a category and a
 diagram and call only the category's own operations: the out-split's backward
 functor and counit as they were written out by hand before every functor
 became a table of paths, and the Leavitt module operators assembled as dense
-total x total matrices, as they were before they became block-sparse.
+total x total matrices, as they were before they became block-sparse.  The graph moves below read
+only a graph's vertices, edges and bundles, and format every edge end's
+name anew, as the moves did before each derived name became one object.
 """
 
 from __future__ import annotations
@@ -514,3 +516,96 @@ def out_split_counit(cat, g, spec, e):
         for v in g.vertices
         for n in range(spec.p_vertices[v] + 1)
     }
+
+
+# -- the graph moves, naming each edge end anew --------------------------------------
+#
+# Each returns (vertex list, edge (id, src, tgt) triples, bundle pairs) in the
+# order the package builds them; a spec is read through its field names.
+
+
+def _chain(v, n):
+    """The name of the chain edge at vertex v, level n."""
+    return "e_{" + f"{v},{n}" + "}"
+
+
+def naive_out_delay(g, spec):
+    dv, de = spec.d_vertices, spec.d_edges
+    vs = sorted(g.vertices)
+    vertices = [_copy(v, n) for v in vs for n in range(dv[v] + 1)]
+    edges = [(e.id, _copy(e.src, de[e.id]), _copy(e.tgt, 0)) for e in g.edges]
+    edges += [
+        (_chain(v, n), _copy(v, n - 1), _copy(v, n))
+        for v in vs
+        for n in range(1, dv[v] + 1)
+    ]
+    return vertices, edges, set()
+
+
+def naive_in_delay(g, spec):
+    """The vertex delays are derived: the largest delay of an edge into v."""
+    de = spec.d_edges
+    vs = sorted(g.vertices)
+    dv = dict.fromkeys(vs, 0)
+    for e in g.edges:
+        dv[e.tgt] = max(dv[e.tgt], de[e.id])
+    vertices = [_copy(v, n) for v in vs for n in range(dv[v] + 1)]
+    edges = [(e.id, _copy(e.src, 0), _copy(e.tgt, de[e.id])) for e in g.edges]
+    edges += [
+        (_chain(v, n), _copy(v, n), _copy(v, n - 1))
+        for v in vs
+        for n in range(1, dv[v] + 1)
+    ]
+    return vertices, edges, set()
+
+
+def naive_out_split(g, spec):
+    pv, pe = spec.p_vertices, spec.p_edges
+    vertices = [_copy(v, n) for v in sorted(g.vertices) for n in range(pv[v] + 1)]
+    edges = [
+        (_copy(e.id, n), _copy(e.src, pe[e.id]), _copy(e.tgt, n))
+        for e in g.edges
+        for n in range(pv[e.tgt] + 1)
+    ]
+    return vertices, edges, set()
+
+
+def naive_in_split(g, spec):
+    pv, pe = spec.p_vertices, spec.p_edges
+    vertices = [_copy(v, n) for v in sorted(g.vertices) for n in range(pv[v] + 1)]
+    edges = [
+        (_copy(e.id, n), _copy(e.src, n), _copy(e.tgt, pe[e.id]))
+        for e in g.edges
+        for n in range(pv[e.src] + 1)
+    ]
+    return vertices, edges, set()
+
+
+def naive_attach_chains(g, depth, inward):
+    """Heads when inward: a chain (v,depth) -> ... -> (v,1) -> v at every
+    vertex with no edge or bundle in.  Tails otherwise: v -> (v,1) -> ... ->
+    (v,depth) at every vertex with no edge or bundle out."""
+    end = 1 if inward else 0
+    arrows = [(e.src, e.tgt) for e in g.edges] + list(g.infinite_bundles)
+    busy = {a[end] for a in arrows}
+    vertices = list(g.vertices)
+    edges = [tuple(e) for e in g.edges]
+    for v in sorted(set(g.vertices) - busy):
+        for n in range(1, depth + 1):
+            near = v if n == 1 else _copy(v, n - 1)
+            far = _copy(v, n)
+            vertices.append(far)
+            edges.append((_chain(v, n), *((far, near) if inward else (near, far))))
+    return vertices, edges, set(g.infinite_bundles)
+
+
+def naive_plus_construction(g):
+    """A vertex v+ for each bundle target v, a copy e+ : v+ -> t(e) of each
+    edge leaving one, and a bundle (v+, b) for each bundle (v, b)."""
+    receivers = {b for _, b in g.infinite_bundles}
+    vertices = list(g.vertices) + [f"{v}+" for v in receivers]
+    edges = [tuple(e) for e in g.edges]
+    edges += [(f"{e.id}+", f"{e.src}+", e.tgt) for e in g.edges if e.src in receivers]
+    bundles = set(g.infinite_bundles)
+    bundles |= {(f"{a}+", b) for a, b in g.infinite_bundles if a in receivers}
+    return vertices, edges, bundles

@@ -1,4 +1,4 @@
-"""Hypothesis strategies and seeded generators shared by the tests."""
+"""Hypothesis strategies, seeded generators and checks shared by the tests."""
 
 from __future__ import annotations
 
@@ -47,3 +47,21 @@ def dense_graph(rng, n):
                 pairs.extend([(a, b)] * rng.randint(1, 3))
     edges = tuple(Edge(f"e{k}", a, b) for k, (a, b) in enumerate(pairs))
     return DirectedGraph(vertices=frozenset(vs), edges=edges)
+
+
+def sparse_graph(rng, n_vertices, n_edges, n_bundles=0):
+    """A multigraph whose edge and bundle ends are drawn uniformly, so some
+    vertices are left sources or sinks."""
+    width = len(str(n_vertices - 1))
+    vs = [f"v{i:0{width}d}" for i in range(n_vertices)]
+    edges = tuple(Edge(f"e{k}", rng.choice(vs), rng.choice(vs)) for k in range(n_edges))
+    bundles = frozenset((rng.choice(vs), rng.choice(vs)) for _ in range(n_bundles))
+    return DirectedGraph(vertices=frozenset(vs), edges=edges, infinite_bundles=bundles)
+
+
+def assert_ends_are_vertex_objects(g):
+    """Every edge and bundle end is the vertex set's own string object, not
+    an equal copy: an image holds one string per vertex name."""
+    canon = {v: v for v in g.vertices}
+    for a, b in [(e.src, e.tgt) for e in g.edges] + list(g.infinite_bundles):
+        assert canon[a] is a and canon[b] is b, (a, b)

@@ -31,7 +31,7 @@ from flowcat.moves import InDelaySpec, MoveError, in_delay
 from flowcat.util import FlowcatError
 
 from cli_error_samples import BUNDLE_SINK, COMMANDS, run_case
-from strategies import dense_graph
+from strategies import assert_ends_are_vertex_objects, dense_graph, sparse_graph
 
 
 def write_json(path, doc):
@@ -72,6 +72,14 @@ def test_validate_reports_problems(tmp_path, capsys):
     code, out, _ = run(capsys, ["validate", path])
     assert code == 1
     assert "ghost" in out
+
+
+def test_loaded_edge_ends_are_the_vertex_objects(tmp_path):
+    # JSON gives every occurrence of a name its own string object
+    g = sparse_graph(random.Random(7), 200, 600, n_bundles=20)
+    loaded = cli.load_graph(write_graph(tmp_path / "g.json", g))
+    assert loaded.labeled_eq(g)
+    assert_ends_are_vertex_objects(loaded)
 
 
 def test_malformed_json_gives_positioned_error(tmp_path, capsys):

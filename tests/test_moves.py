@@ -9,6 +9,7 @@ from flowcat.graphs import (
     GraphError,
     graph,
     is_irreducible,
+    plus_construction,
     validate,
 )
 from flowcat.moves import (
@@ -26,10 +27,23 @@ from flowcat.moves import (
     out_split,
     remove_sink,
 )
-from flowcat.sampling import random_irreducible_graph, random_move_spec
+from flowcat.sampling import (
+    random_acyclic_graph,
+    random_irreducible_graph,
+    random_move_spec,
+    random_shape_graph,
+)
 from flowcat import moves as mv
 
-from strategies import small_graphs
+from oracles import (
+    naive_attach_chains,
+    naive_in_delay,
+    naive_in_split,
+    naive_out_delay,
+    naive_out_split,
+    naive_plus_construction,
+)
+from strategies import assert_ends_are_vertex_objects, small_graphs, sparse_graph
 
 
 def edge_triples(g):
@@ -341,3 +355,58 @@ def test_zero_delay_spec_always_valid_and_renames(g):
     out = out_delay(g, spec)
     assert len(out.vertices) == len(g.vertices)
     assert len(out.edges) == len(g.edges)
+
+
+# -- differential checks against the per-endpoint oracles ---------------------------
+
+
+NAIVE_MOVES = {
+    "out_delay": naive_out_delay,
+    "in_delay": naive_in_delay,
+    "out_split": naive_out_split,
+    "in_split": naive_in_split,
+}
+
+
+def image_cases(g, rng):
+    """(move, image, oracle's (vertices, edges, bundles)) for every move that
+    applies to g: delays and splits need a graph without bundles."""
+    depth = rng.randint(1, 3)
+    cases = [
+        ("add_heads", add_heads_truncated(g, depth).graph, naive_attach_chains(g, depth, True)),
+        ("add_tails", add_tails_truncated(g, depth).graph, naive_attach_chains(g, depth, False)),
+        ("plus", plus_construction(g), naive_plus_construction(g)),
+    ]
+    if not g.infinite_bundles:
+        for move, fn in MOVE_FNS.items():
+            spec = random_move_spec(rng, g, move)
+            cases.append((move, fn(g, spec), NAIVE_MOVES[move](g, spec)))
+    return cases
+
+
+def seeded_image_cases():
+    """Move images of 60 seeded graphs of 1-40 vertices (irreducible, acyclic,
+    and arbitrary shapes with bundles) and of two 2000-vertex sparse graphs,
+    one with bundles."""
+    makers = (random_irreducible_graph, random_acyclic_graph, random_shape_graph)
+    for seed in range(60):
+        rng = random.Random(seed)
+        g = makers[seed % 3](rng, max_vertices=40)
+        for move, image, want in image_cases(g, rng):
+            yield f"seed {seed} {move}", image, want
+    rng = random.Random(2000)
+    for g in (sparse_graph(rng, 2000, 6000), sparse_graph(rng, 2000, 6000, n_bundles=300)):
+        for move, image, want in image_cases(g, rng):
+            yield f"sparse2000 {move}", image, want
+
+
+def test_moves_equal_their_per_endpoint_oracles():
+    for label, image, (vertices, edges, bundles) in seeded_image_cases():
+        assert image.vertices == frozenset(vertices), label
+        assert image.edges == tuple(edges), label
+        assert image.infinite_bundles == frozenset(bundles), label
+
+
+def test_every_image_edge_end_is_the_vertex_object():
+    for _, image, _ in seeded_image_cases():
+        assert_ends_are_vertex_objects(image)
