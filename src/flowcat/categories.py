@@ -92,6 +92,15 @@ class FiniteCategory(ABC):
         if f.cod != g.dom:
             raise CategoryError(f"cannot compose: {f.cod!r} != {g.dom!r}")
 
+    @staticmethod
+    def _shared_codomain(legs):
+        """The one codomain of a list of cotuple legs."""
+        cods = {f.cod for f in legs}
+        if len(cods) != 1:
+            raise CategoryError("cotuple legs must share a codomain")
+        (y,) = cods
+        return y
+
 
 def _block_coproduct(cat, family, bound, block):
     """The coproduct of a family of sizes in a category whose objects are
@@ -194,11 +203,7 @@ class PosetCategory(FiniteCategory):
         return Coproduct(apex=sup, injections=tuple(Morphism(x, sup) for x in family))
 
     def cotuple(self, cop, legs):
-        legs = list(legs)
-        cods = {f.cod for f in legs}
-        if len(cods) != 1:
-            raise CategoryError("cotuple legs must share a codomain")
-        (y,) = cods
+        y = self._shared_codomain(legs)
         if not self.leq(cop.apex, y):
             raise CategoryError(f"no morphism {cop.apex!r} -> {y!r}")
         return Morphism(cop.apex, y)
@@ -274,10 +279,7 @@ class FinSetSkeleton(FiniteCategory):
 
     def cotuple(self, cop, legs):
         legs = list(legs)
-        cods = {f.cod for f in legs}
-        if len(cods) != 1:
-            raise CategoryError("cotuple legs must share a codomain")
-        (y,) = cods
+        y = self._shared_codomain(legs)
         table = []
         for leg in legs:
             table.extend(leg.data)
@@ -433,10 +435,7 @@ class MatCategory(FiniteCategory):
 
     def cotuple(self, cop, legs):
         legs = list(legs)
-        cods = {f.cod for f in legs}
-        if len(cods) != 1:
-            raise CategoryError("cotuple legs must share a codomain")
-        (y,) = cods
+        y = self._shared_codomain(legs)
         if sum(f.dom for f in legs) != cop.apex:
             raise CategoryError("cotuple legs do not cover the coproduct")
         data = tuple(

@@ -27,10 +27,10 @@ from .functors import make_pair, verify_equivalence
 from .graphs import (
     DirectedGraph,
     Edge,
+    InvalidGraphError,
     cohereditary_irreducible_subsets,
     is_irreducible,
     is_nontrivial,
-    validate,
 )
 from .invariants import flow_invariants, franks_equivalent
 from .leavitt import (
@@ -104,7 +104,8 @@ def _string_fields(entry, keys, where, what, i):
     raise CliError(f"{where}: {what}: {quoted} must be strings")
 
 
-def graph_from_doc(doc, where, check=True):
+def graph_from_doc(doc, where):
+    """The graph of a parsed graph file, or `InvalidGraphError`."""
     _require(isinstance(doc, dict), where, "graph file must be a JSON object")
     vertices = doc.get("vertices")
     _require(isinstance(vertices, list), where, '"vertices" must be a list')
@@ -115,7 +116,7 @@ def graph_from_doc(doc, where, check=True):
     )
     # Each edge and bundle end is mapped onto the string object of the
     # vertex list (JSON gives every occurrence its own); an unknown name is
-    # kept as it is, for `validate` to report.
+    # kept as it is, for the graph's own check to report.
     names = {v: v for v in vertices}
     if len(names) < len(vertices):
         seen = set()
@@ -132,20 +133,18 @@ def graph_from_doc(doc, where, check=True):
     for i, entry in enumerate(_list_field(doc, "infinite_bundles", where)):
         src, tgt = _string_fields(entry, ("src", "tgt"), where, "infinite bundle", i)
         bundles.append((name(src, src), name(tgt, tgt)))
-    g = DirectedGraph(
+    return DirectedGraph(
         vertices=frozenset(vertices),
         edges=tuple(edges),
         infinite_bundles=frozenset(bundles),
     )
-    if check:
-        problems = validate(g)
-        if problems:
-            raise CliError(f"{where}: invalid graph: " + "; ".join(problems))
-    return g
 
 
-def load_graph(path, check=True):
-    return graph_from_doc(_load_json(path), path, check=check)
+def load_graph(path):
+    try:
+        return graph_from_doc(_load_json(path), path)
+    except InvalidGraphError as exc:
+        raise CliError(f"{path}: invalid graph: {exc}") from exc
 
 
 def graph_to_doc(g):
@@ -299,11 +298,10 @@ def render_dot(g):
 
 
 def cmd_validate(args):
-    g = load_graph(args.graph, check=False)
-    problems = validate(g)
-    if problems:
-        for p in problems:
-            print(p)
+    try:
+        graph_from_doc(_load_json(args.graph), args.graph)
+    except InvalidGraphError as exc:
+        print("\n".join(exc.problems))
         return CHECK_FAILED
     print("ok")
     return OK

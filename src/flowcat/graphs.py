@@ -5,7 +5,10 @@ string ids so parallel edges are distinguishable.  An "infinite bundle"
 (src, tgt) stands for countably many parallel edges from src to tgt; a vertex
 that is the target of a bundle is an *infinite receiver*.
 
-Graphs are immutable values.  All operations are pure functions; derived
+Graphs are immutable values, valid by construction: building a
+`DirectedGraph` runs `validate` and raises `InvalidGraphError` (a
+`GraphError` listing the problems) on a malformed one, so no function
+re-checks a graph it is given.  All operations are pure functions; derived
 structures use canonical names so outputs are reproducible byte for byte.
 
 Every per-vertex query (`incoming`, `outgoing`, `incoming_bundles`,
@@ -35,6 +38,15 @@ class GraphError(FlowcatError):
     """A graph value or an argument referring into one is malformed."""
 
 
+class InvalidGraphError(GraphError):
+    """`validate` found `problems` in a graph being built; the message joins
+    them with "; "."""
+
+    def __init__(self, problems):
+        super().__init__("; ".join(problems))
+        self.problems = problems
+
+
 class Edge(NamedTuple):
     id: str
     src: str
@@ -58,9 +70,19 @@ class _GraphFields(NamedTuple):
 
 
 class DirectedGraph(_GraphFields):
+    """A graph that passed `validate` when it was built.  The NamedTuple
+    `_make` and `_replace` skip that check; flowcat never calls them."""
+
     # no __slots__: the instance dict holds the adjacency index and the memo
     # of `util.cached_on`
     __setattr__ = refuse_assignment
+
+    def __new__(cls, vertices, edges, infinite_bundles=frozenset()):
+        g = super().__new__(cls, vertices, edges, infinite_bundles)
+        problems = validate(g)
+        if problems:
+            raise InvalidGraphError(problems)
+        return g
 
     # -- basic accessors ---------------------------------------------------
 
@@ -109,17 +131,12 @@ class DirectedGraph(_GraphFields):
 
 
 def graph(vertices, edges=(), bundles=()):
-    """Build a DirectedGraph from vertex names and (id, src, tgt) triples.
-
-    Raises GraphError if the result fails validation.
-    """
-    g = DirectedGraph(
+    """Build a DirectedGraph from vertex names and (id, src, tgt) triples."""
+    return DirectedGraph(
         vertices=frozenset(vertices),
         edges=tuple(Edge(*t) for t in edges),
         infinite_bundles=frozenset(tuple(b) for b in bundles),
     )
-    require_valid(g)
-    return g
 
 
 def validate(g):
@@ -146,13 +163,6 @@ def validate(g):
         if tgt not in g.vertices:
             problems.append(f"bundle {b!r} has unknown target {tgt!r}")
     return problems
-
-
-def require_valid(g):
-    problems = validate(g)
-    if problems:
-        raise GraphError("; ".join(problems))
-    return g
 
 
 # -- vertex classification -------------------------------------------------
@@ -352,13 +362,15 @@ def plus_construction(g):
     for a, b in g.infinite_bundles:
         if a in plus:
             bundles.add((plus[a], b))
-    out = DirectedGraph(
-        vertices=frozenset(g.vertices | companions),
-        edges=tuple(edges),
-        infinite_bundles=frozenset(bundles),
-    )
     problems = [f"vertex {c!r} already exists" for c in sorted(companions & g.vertices)]
-    problems += validate(out)
+    try:
+        out = DirectedGraph(
+            vertices=frozenset(g.vertices | companions),
+            edges=tuple(edges),
+            infinite_bundles=frozenset(bundles),
+        )
+    except InvalidGraphError as err:
+        problems += err.problems
     if problems:
         raise GraphError(
             "plus construction produced name collisions: " + "; ".join(problems)

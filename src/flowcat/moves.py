@@ -1,5 +1,8 @@
 """The six flow-equivalence graph constructions, with precondition validation.
 
+A `DirectedGraph` is checked when it is built, so a move checks only its
+own preconditions; `_finish` reports a malformed image as a `MoveError`.
+
 Derived vertices and edges follow a fixed naming scheme so outputs are
 reproducible exactly:
 
@@ -17,15 +20,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import NamedTuple
 
-from .graphs import (
-    DirectedGraph,
-    Edge,
-    classify_vertex,
-    require_valid,
-    sinks,
-    sources,
-    validate,
-)
+from .graphs import DirectedGraph, Edge, InvalidGraphError, classify_vertex, sinks, sources
 from .util import FlowcatError, frozendict
 
 
@@ -97,13 +92,15 @@ def _no_bundles(problems, g, move):
 
 
 def _finish(vertices, edges, move, bundles=frozenset()):
-    out = DirectedGraph(
-        vertices=frozenset(vertices), edges=tuple(edges), infinite_bundles=bundles
-    )
-    problems = validate(out)
-    if len(out.vertices) < len(vertices):  # a new name equals an existing one
+    names = frozenset(vertices)
+    problems = []
+    if len(names) < len(vertices):  # a new name equals an existing one
         counts = Counter(vertices)
-        problems += [f"duplicate vertex {v!r}" for v in sorted(counts) if counts[v] > 1]
+        problems = [f"duplicate vertex {v!r}" for v in sorted(counts) if counts[v] > 1]
+    try:
+        out = DirectedGraph(names, tuple(edges), bundles)
+    except InvalidGraphError as err:
+        problems = err.problems + problems
     if problems:
         raise MoveError(f"{move} produced an invalid graph: " + "; ".join(problems))
     return out
@@ -115,7 +112,6 @@ def _finish(vertices, edges, move, bundles=frozenset()):
 def remove_sink(g, w):
     """Delete a sink w (which must not also be a source) and every edge or
     bundle with target w."""
-    require_valid(g)
     cls = classify_vertex(g, w)  # raises on unknown vertex
     if not cls.is_sink:
         raise MoveError(f"vertex {w!r} is not a sink")
@@ -154,7 +150,6 @@ def validate_out_delay(g, spec):
 def out_delay(g, spec):
     """Insert a waiting line of d(v) extra vertices after each vertex; each
     edge departs from level d(e) of its source and arrives at level 0."""
-    require_valid(g)
     problems = validate_out_delay(g, spec)
     if problems:
         raise MoveError("; ".join(problems))
@@ -198,7 +193,6 @@ def validate_in_delay(g, spec):
 def in_delay(g, spec):
     """Insert a waiting line of d(v) extra vertices before each vertex; each
     edge departs from level 0 and arrives at level d(e) of its target."""
-    require_valid(g)
     problems = validate_in_delay(g, spec)
     if problems:
         raise MoveError("; ".join(problems))
@@ -240,7 +234,6 @@ def validate_out_split(g, spec):
 def out_split(g, spec):
     """Split each vertex v into copies (v,0)..(v,p(v)); each edge e fans out
     into copies (e,n) targeting every level of t(e), departing from level p(e)."""
-    require_valid(g)
     problems = validate_out_split(g, spec)
     if problems:
         raise MoveError("; ".join(problems))
@@ -288,7 +281,6 @@ def validate_in_split(g, spec):
 def in_split(g, spec):
     """Split each vertex v into copies (v,0)..(v,p(v)); each edge e fans out
     into copies (e,n) departing from every level of s(e), arriving at level p(e)."""
-    require_valid(g)
     problems = validate_in_split(g, spec)
     if problems:
         raise MoveError("; ".join(problems))
@@ -319,7 +311,6 @@ class TruncatedMove(NamedTuple):
 def _attach_chains(g, depth, pick, move, inward):
     """Attach a depth-long chain of new vertices (v,1)..(v,depth) at each
     vertex v in pick(g), its edges pointing towards v when inward."""
-    require_valid(g)
     if depth < 1:
         raise MoveError("depth must be >= 1")
     ends = pick(g)

@@ -8,7 +8,7 @@ sprinkles extra edges; it never returns a bare permutation graph.
 from __future__ import annotations
 
 from .graphs import DirectedGraph, Edge, classify_vertex
-from .moves import InDelaySpec, InSplitSpec, OutDelaySpec, OutSplitSpec
+from .moves import InDelaySpec, InSplitSpec, MoveError, OutDelaySpec, OutSplitSpec
 
 # The largest edge multiplicity, delay and split class index the draws take.
 MAX_MULTIPLICITY = 2
@@ -146,4 +146,4 @@ def random_move_spec(rng, g, move):
         return random_out_split_spec(rng, g)
     if move == "in_split":
         return random_in_split_spec(rng, g)
-    raise ValueError(f"unknown move {move!r}")
+    raise MoveError(f"unknown move {move!r}")

@@ -20,7 +20,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 
-from flowcat import cli, zoo
+from flowcat import cli, graphs, zoo
 from flowcat.casework import CaseworkError
 from flowcat.categories import CategoryError
 from flowcat.diagrams import DiagramError
@@ -161,7 +161,8 @@ ERROR_CLASSES = (
 )
 LOOP1 = cli.graph_to_doc(zoo.loop1())
 
-# (argv, the name in `cli` of a library call that argv reaches)
+# (argv, the name of a library call that argv reaches: in `cli`, or else in
+# `graphs`, where building the graph calls `validate`)
 LIBRARY_CALLS = [
     (["validate", "{g}"], "validate"),
     (["render", "{g}"], "validate"),
@@ -201,7 +202,7 @@ def test_a_library_error_from_any_subcommand_exits_2(tmp_path, capsys, monkeypat
     def fail(*args, **kwargs):
         raise error(f"injected {error.__name__} from {target}")
 
-    monkeypatch.setattr(cli, target, fail)
+    monkeypatch.setattr(cli if hasattr(cli, target) else graphs, target, fail)
     code, out, err = run(capsys, [a.format(**paths) for a in argv])
     assert (code, out, err) == (2, "", f"error: injected {error.__name__} from {target}\n")
 

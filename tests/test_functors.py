@@ -29,7 +29,7 @@ from flowcat.functors import (
     standard_verification_suite,
     verify_equivalence,
 )
-from flowcat.graphs import sources
+from flowcat.graphs import classify_vertex, sinks, sources
 from flowcat.moves import indexed_edge, indexed_vertex
 from flowcat.sampling import random_move_spec, random_shape_graph
 from flowcat.util import frozendict
@@ -234,6 +234,96 @@ def test_corrupted_control_reports_when_it_is_vacuous():
     for pair, expected in ((degenerate, False), (live, True)):
         pool = list(enumerate_diagrams(CHAIN2, pair.source))
         assert any(pair.can_corrupt(CHAIN2, d) for d in pool) is expected
+
+
+# -- the harness's other failure branches --------------------------------------------
+#
+# CorruptedPair breaks only the coproduct condition.  Each pair below breaks
+# one other property of chain3/remove-sink over Mat(F_2) with objects up to
+# 2, small enough that every hom-set the harness needs gets listed.
+
+MAT22 = MatCategory(2, 2)
+CHAIN3_SINK = make_pair("remove_sink", zoo.chain_graph(3), "a3")
+
+
+class _Broken:
+    """CHAIN3_SINK with the methods given as keywords replaced."""
+
+    def __init__(self, **methods):
+        pair = CHAIN3_SINK
+        self.move, self.source, self.target = pair.move, pair.source, pair.target
+        vars(self).update(methods)
+
+    def __getattr__(self, name):
+        return getattr(CHAIN3_SINK, name)
+
+
+def _zero_at(cat, m, vertices):
+    """m with its component at each of `vertices` replaced by the first
+    morphism of its hom-set, the zero matrix."""
+    components = dict(m.components)
+    for v in vertices:
+        components[v] = next(iter(cat.hom(m.source.obj[v], m.target.obj[v])))
+    return DiagramMorphism(m.source, m.target, frozendict(components))
+
+
+def _transposed(m):
+    """m with every component matrix transposed: identities are kept, and
+    composites come out in the reverse order."""
+    return DiagramMorphism(m.source, m.target, frozendict(
+        {v: f._replace(data=tuple(zip(*f.data))) for v, f in m.components.items()}
+    ))
+
+
+def _details(pair, check):
+    report = verify_equivalence(MAT22, pair)
+    assert report.verdict == "fail"
+    (found,) = [c for c in report.checks if c.name == check]
+    assert not found.ok
+    return found.details
+
+
+def test_harness_fails_a_unit_that_is_not_natural():
+    def unit(cat, d):  # zero at a1 only, so the square at edge c1 breaks
+        return _zero_at(cat, CHAIN3_SINK.unit(cat, d), ["a1"])
+
+    details = _details(_Broken(unit=unit), "round-trip-isomorphism")
+    assert "unit is not natural: naturality fails at edge 'c1'" in details
+
+
+def test_harness_fails_a_unit_component_that_is_not_an_isomorphism():
+    def unit(cat, d):  # the zero transformation is natural but not invertible
+        iso = CHAIN3_SINK.unit(cat, d)
+        return _zero_at(cat, iso, iso.components)
+
+    details = _details(_Broken(unit=unit), "round-trip-isomorphism")
+    assert "unit component at vertex 'a1' is not an isomorphism" in details
+
+
+def test_harness_fails_a_round_trip_the_independent_search_cannot_match(monkeypatch):
+    monkeypatch.setattr(functors, "diagram_isomorphic", lambda *args: None)
+    details = _details(CHAIN3_SINK, "round-trip-isomorphism")
+    assert details[0] == (
+        "unit round trip is not isomorphic to the original "
+        "(independent search found no isomorphism)"
+    )
+
+
+def test_harness_fails_a_forward_map_that_reverses_composites():
+    def forward_map(cat, m):
+        return _transposed(CHAIN3_SINK.forward_map(cat, m))
+
+    details = _details(_Broken(forward_map=forward_map), "functoriality")
+    assert details[0] == "forward: image of a composite differs from the composite of images"
+
+
+def test_harness_fails_a_forward_map_that_is_constant_on_hom_sets():
+    def forward_map(cat, m):
+        image = CHAIN3_SINK.forward_map(cat, m)
+        return _zero_at(cat, image, image.components)
+
+    details = _details(_Broken(forward_map=forward_map), "hom-set-bijectivity")
+    assert details[0] == "forward is not injective on a hom-set"
 
 
 @pytest.mark.parametrize("cat", [CHAIN2, FINSET, MAT], ids=lambda c: c.name)
@@ -442,6 +532,15 @@ def _random_shape_pairs():
         g = random_shape_graph(rng, max_vertices=24, edge_prob=0.12, bundle_prob=0)
         move = rng.choice(["out_delay", "in_delay", "out_split", "in_split"])
         pairs.append((f"shape{i}/{move}", make_pair(move, g, random_move_spec(rng, g, move))))
+    # remove-sink pairs come from their own generator, so the draws above
+    # stay as they were
+    sink_rng = random.Random(6)
+    for i in range(6):
+        g = random_shape_graph(sink_rng, max_vertices=24, edge_prob=0.12, bundle_prob=0)
+        removable = [w for w in sinks(g) if not classify_vertex(g, w).is_source]
+        if removable:
+            w = sink_rng.choice(removable)
+            pairs.append((f"sink-shape{i}/remove_sink", make_pair("remove_sink", g, w)))
     return pairs
 
 
@@ -449,17 +548,19 @@ def _random_shape_pairs():
 def test_harness_passes_on_random_shapes_past_the_zoo(cat):
     # sparse shapes of up to 24 vertices, past the zoo and tests/functor_samples.py
     seed = 20260815
-    breakable = 0
-    for label, pair in _random_shape_pairs():
+    breakable = set()
+    pairs = _random_shape_pairs()
+    for label, pair in pairs:
         report = verify_equivalence(cat, pair, samples=6, seed=seed)
         assert report.verdict == "pass", (label, report.to_dict())
         control = CorruptedPair(pair)
         pool = _sample_pool(cat, pair.source, random.Random(seed), 6, None)
         if any(control.can_corrupt(cat, d) for d in pool):
-            breakable += 1
+            breakable.add(pair.move)
             control_report = verify_equivalence(cat, control, samples=6, seed=seed)
             assert control_report.verdict == "fail", label
-    assert breakable > 0
+    assert len(pairs) > 12
+    assert "remove_sink" in breakable and len(breakable) > 1
 
 
 def _runs(g, path, start, end):

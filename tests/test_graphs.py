@@ -4,11 +4,12 @@ import time
 import pytest
 from hypothesis import given, settings
 
-from flowcat import zoo
+from flowcat import moves, zoo
 from flowcat.graphs import (
     DirectedGraph,
     Edge,
     GraphError,
+    InvalidGraphError,
     adjacency_matrix,
     classify_vertex,
     cohereditary_irreducible_subsets,
@@ -25,7 +26,9 @@ from flowcat.graphs import (
     strongly_connected_components,
     validate,
 )
+from flowcat.invariants import parry_sullivan
 from flowcat.moves import InSplitSpec, add_heads_truncated, in_split
+from flowcat.util import FlowcatError
 
 from oracles import (
     brute_force_cohereditary_irreducible,
@@ -41,24 +44,78 @@ def test_validate_accepts_zoo_graphs():
         assert validate(g) == []
 
 
+def refused(vertices, edges, bundles=frozenset()):
+    """The problems a DirectedGraph built from these fields is refused with."""
+    with pytest.raises(GraphError) as info:
+        DirectedGraph(vertices, edges, bundles)
+    return info.value.problems
+
+
 def test_validate_reports_dangling_endpoint():
-    g = DirectedGraph(frozenset({"a"}), (Edge("e", "a", "b"),))
-    assert any("unknown target 'b'" in p for p in validate(g))
+    problems = refused(frozenset({"a"}), (Edge("e", "a", "b"),))
+    assert any("unknown target 'b'" in p for p in problems)
 
 
 def test_validate_reports_duplicate_edge_id():
-    g = DirectedGraph(frozenset({"a"}), (Edge("e", "a", "a"), Edge("e", "a", "a")))
-    assert any("duplicate edge id" in p for p in validate(g))
+    problems = refused(frozenset({"a"}), (Edge("e", "a", "a"), Edge("e", "a", "a")))
+    assert any("duplicate edge id" in p for p in problems)
 
 
 def test_validate_reports_empty_vertex_set():
-    g = DirectedGraph(frozenset(), ())
-    assert validate(g) == ["vertex set is empty"]
+    assert refused(frozenset(), ()) == ["vertex set is empty"]
 
 
 def test_validate_reports_bad_bundle_endpoint():
-    g = DirectedGraph(frozenset({"a"}), (), frozenset({("a", "zz")}))
-    assert any("unknown target 'zz'" in p for p in validate(g))
+    problems = refused(frozenset({"a"}), (), frozenset({("a", "zz")}))
+    assert any("unknown target 'zz'" in p for p in problems)
+
+
+# fields that `validate` rejects, one or more problems each
+INVALID_FIELDS = [
+    (frozenset({"a"}), (Edge("e", "a", "b"),), frozenset()),
+    (frozenset({"a"}), (Edge("e", "a", "a"), Edge("e", "a", "a")), frozenset()),
+    (frozenset(), (), frozenset()),
+    (frozenset({"a"}), (), frozenset({("a", "zz")})),
+    (frozenset({"a"}), (), frozenset({("a",)})),
+    (frozenset({"a"}), (Edge("e", "x", "y"), Edge("e", "a", "a")), frozenset({("q", "a")})),
+]
+
+
+@pytest.mark.parametrize("fields", INVALID_FIELDS)
+def test_building_an_invalid_graph_raises_the_problems_validate_finds(fields):
+    # `_make` skips `__new__`, so it alone can hold the fields unchecked
+    expected = validate(DirectedGraph._make(fields))
+    assert expected
+    with pytest.raises(InvalidGraphError) as info:
+        DirectedGraph(*fields)
+    assert info.value.problems == expected
+    assert str(info.value) == "; ".join(expected)
+    assert isinstance(info.value, GraphError)
+    with pytest.raises(InvalidGraphError):
+        graph(fields[0], fields[1], fields[2])
+
+
+GRAPH_FUNCTIONS = {
+    "parry_sullivan": parry_sullivan,
+    "is_irreducible": is_irreducible,
+    "remove_sink": lambda g: moves.remove_sink(g, "a"),
+    "out_delay": lambda g: moves.out_delay(g, moves.OutDelaySpec({"a": 0}, {"e": 0})),
+    "in_delay": lambda g: moves.in_delay(g, moves.InDelaySpec({"e": 0})),
+    "out_split": lambda g: moves.out_split(g, moves.OutSplitSpec({"a": 0}, {"e": 0})),
+    "in_split": lambda g: moves.in_split(g, moves.InSplitSpec({"a": 0}, {"e": 0})),
+    "add_heads": lambda g: moves.add_heads_truncated(g, 1),
+    "add_tails": lambda g: moves.add_tails_truncated(g, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRAPH_FUNCTIONS))
+def test_no_invalid_graph_reaches_a_graph_function(name):
+    # before graphs checked themselves, parry_sullivan and is_irreducible
+    # raised KeyError on an unknown edge end; now the graph is never built
+    for fields in INVALID_FIELDS:
+        with pytest.raises(FlowcatError) as info:
+            GRAPH_FUNCTIONS[name](DirectedGraph(*fields))
+        assert isinstance(info.value, InvalidGraphError), (name, fields)
 
 
 def test_classify_vw():

@@ -74,6 +74,12 @@ def test_remove_sink_errors():
         remove_sink(zoo.vw_graph(), "zz")
 
 
+def test_random_move_spec_rejects_an_unknown_move_with_a_move_error():
+    # remove_sink takes a vertex, not a spec, so there is none to draw
+    with pytest.raises(MoveError, match="unknown move 'remove_sink'"):
+        random_move_spec(random.Random(0), zoo.vw_graph(), "remove_sink")
+
+
 def test_remove_sink_drops_incoming_bundles():
     g = graph(["a", "b"], [("e", "a", "a")], [("a", "b")])
     out = remove_sink(g, "b")
