@@ -1,8 +1,11 @@
 """Scripted case reports.
 
 Each report re-derives a counting or invariant claim from scratch on concrete
-inputs and states its verdict together with what was actually checked, so the
-output is meaningful without the surrounding context:
+inputs and states its outcome together with what was actually checked, so the
+output is meaningful without the surrounding context.  The outcome is one of
+confirmed, counterexample, inconclusive, open or mismatch, with a reason; the
+verdict text is read from the two through one table, `_VERDICTS`, so it cannot
+disagree with the outcome the exit code of `flowcat report` reads.
 
 * `verify_acyclic_corollary` — on an acyclic graph the diagrams satisfying the
   coproduct condition are freely determined by their values on sources.
@@ -49,16 +52,31 @@ class CaseworkError(FlowcatError):
     """The case inputs are outside what the report can check."""
 
 
+# The verdict text of each outcome; `{}` is the report's reason.
+_VERDICTS = {
+    "confirmed": "confirmed",
+    "counterexample": "counterexample confirmed: {}",
+    "inconclusive": "inconclusive — {}",
+    "open": "open question — {}",
+    "mismatch": "mismatch: {}",
+}
+
+
 class CaseReport(NamedTuple):
-    """`outcome` is one of confirmed, counterexample, inconclusive, open or
-    mismatch; `verdict` is the same finding as text for the reader."""
+    """`outcome` is one of the five keys of `_VERDICTS` and `reason` says why
+    (empty for confirmed); `verdict`, the finding as text for the reader, is
+    read from the two and is not stored."""
 
     case: str
     computed: dict
     expected: dict
     outcome: str
-    verdict: str
+    reason: str = ""
     details: tuple = ()
+
+    @property
+    def verdict(self):
+        return _VERDICTS[self.outcome].format(self.reason)
 
     def to_dict(self):
         return {
@@ -83,17 +101,12 @@ class CaseReport(NamedTuple):
         return "\n".join(lines)
 
 
-def _object_count(cat):
-    return len(list(cat.objects()))
-
-
 def verify_acyclic_corollary(cat, g):
     """Count diagrams on an acyclic graph against |objects| ** #sources."""
     if not is_acyclic(g):
         raise CaseworkError("the acyclic count applies to acyclic graphs only")
     src = sources(g)
-    n_objects = _object_count(cat)
-    expected = n_objects ** len(src)
+    expected = len(cat.objects()) ** len(src)
     details = []
     if cat.is_thin:
         count = len(list(enumerate_diagrams(cat, g)))
@@ -113,25 +126,19 @@ def verify_acyclic_corollary(cat, g):
         f"sources: {sorted(src)}; cohereditary irreducible subsets: m = {m}"
     )
     if count == expected:
-        outcome, verdict = "confirmed", "confirmed"
+        outcome, reason = "confirmed", ""
     elif not cat.is_thin and count < expected:
-        outcome = "inconclusive"
-        verdict = "inconclusive — the size bound truncates the count"
+        outcome, reason = "inconclusive", "the size bound truncates the count"
     else:
-        outcome = "mismatch"
-        verdict = f"mismatch: counted {count}, expected {expected}"
+        outcome, reason = "mismatch", f"counted {count}, expected {expected}"
     return CaseReport(
         case="acyclic-count",
         computed={"diagram_count": count, "sources": len(src)},
         expected={"diagram_count": expected},
         outcome=outcome,
-        verdict=verdict,
+        reason=reason,
         details=tuple(details),
     )
-
-
-def _pointwise_le(cat, d1, d2):
-    return all(cat.leq(d1.obj[v], d2.obj[v]) for v in d1.graph.sorted_vertices())
 
 
 def poset_count_obstructions(cat, g):
@@ -166,6 +173,30 @@ def poset_count_obstructions(cat, g):
     return tuple(obstructions)
 
 
+def _order_check(cat, g, diagrams, keys):
+    """Whether the pointwise order of the diagrams agrees with the order of
+    their restrictions `keys` on the first MONOTONE_PAIR_CAP ordered pairs,
+    and the note saying what was checked."""
+    vertices = g.sorted_vertices()
+    pairs = itertools.product(range(len(diagrams)), repeat=2)
+    checked = 0
+    for i, j in itertools.islice(pairs, MONOTONE_PAIR_CAP):
+        checked += 1
+        d_le = all(cat.leq(diagrams[i].obj[v], diagrams[j].obj[v]) for v in vertices)
+        k_le = all(cat.leq(a, b) for a, b in zip(keys[i], keys[j]))
+        if d_le != k_le:
+            return False, (
+                f"order mismatch between diagrams {i} and {j}: "
+                f"pointwise {d_le} vs restricted {k_le}"
+            )
+    if checked < len(diagrams) ** 2:
+        return True, f"monotonicity sampled on the first {checked} ordered pairs"
+    return True, (
+        "restriction to representatives is an order isomorphism "
+        f"(checked {checked} ordered pairs both ways)"
+    )
+
+
 def verify_poset_corollary(cat, g):
     """Count thin diagrams against |P| ** m and certify that restriction to
     the subset representatives is a two-sided monotone bijection onto P ** m.
@@ -185,75 +216,35 @@ def verify_poset_corollary(cat, g):
     diagrams = list(enumerate_diagrams(cat, g))
     count = len(diagrams)
     obstructions = poset_count_obstructions(cat, g)
+    keys = [tuple(d.obj[r] for r in reps) for d in diagrams]
+    details = [
+        f"m = {m}; representatives of the cohereditary irreducible subsets: {reps}"
+    ]
+    details.extend(f"outside the counting hypothesis: {o}" for o in obstructions)
     if obstructions:
-        details = [
-            f"m = {m}; representatives of the cohereditary irreducible subsets: {reps}"
-        ]
-        details.extend(f"outside the counting hypothesis: {o}" for o in obstructions)
+        outcome = "inconclusive"
+        reason = f"outside the counting hypothesis: {obstructions[0]}"
         if count == expected:
             details.append(
                 "the counts happen to agree here, but agreement is not implied"
             )
-        return CaseReport(
-            case="thin-count",
-            computed={"diagram_count": count, "m": m},
-            expected={"diagram_count": expected},
-            outcome="inconclusive",
-            verdict=(
-                "inconclusive — outside the counting hypothesis: "
-                + obstructions[0]
-            ),
-            details=tuple(details),
-        )
-    keys = [tuple(d.obj[r] for r in reps) for d in diagrams]
-    full_image = set(itertools.product(objects, repeat=m))
-    bijective = (
-        count == expected
-        and len(set(keys)) == count
-        and set(keys) == full_image
-    )
-    details = [
-        f"m = {m}; representatives of the cohereditary irreducible subsets: {reps}"
-    ]
-    monotone_ok = True
-    pairs_checked = 0
-    if bijective:
-        for i, j in itertools.product(range(count), repeat=2):
-            if pairs_checked >= MONOTONE_PAIR_CAP:
-                details.append(
-                    f"monotonicity sampled on the first {pairs_checked} ordered pairs"
-                )
-                break
-            pairs_checked += 1
-            d_le = _pointwise_le(cat, diagrams[i], diagrams[j])
-            k_le = all(cat.leq(a, b) for a, b in zip(keys[i], keys[j]))
-            if d_le != k_le:
-                monotone_ok = False
-                details.append(
-                    f"order mismatch between diagrams {i} and {j}: "
-                    f"pointwise {d_le} vs restricted {k_le}"
-                )
-                break
-        else:
-            details.append(
-                f"restriction to representatives is an order isomorphism "
-                f"(checked {pairs_checked} ordered pairs both ways)"
-            )
-    outcome = "mismatch"
-    if count == expected and bijective and monotone_ok:
-        outcome, verdict = "confirmed", "confirmed"
     elif count != expected:
-        verdict = f"mismatch: counted {count}, expected {expected}"
-    elif not bijective:
-        verdict = "mismatch: restriction to representatives is not a bijection"
+        outcome, reason = "mismatch", f"counted {count}, expected {expected}"
+    elif set(keys) != set(itertools.product(objects, repeat=m)):
+        outcome = "mismatch"
+        reason = "restriction to representatives is not a bijection"
     else:
-        verdict = "mismatch: restriction to representatives is not monotone both ways"
+        monotone, note = _order_check(cat, g, diagrams, keys)
+        details.append(note)
+        outcome, reason = ("confirmed", "") if monotone else (
+            "mismatch", "restriction to representatives is not monotone both ways"
+        )
     return CaseReport(
         case="thin-count",
         computed={"diagram_count": count, "m": m},
         expected={"diagram_count": expected},
         outcome=outcome,
-        verdict=verdict,
+        reason=reason,
         details=tuple(details),
     )
 
@@ -265,8 +256,8 @@ def desingularisation_counterexample(cat):
         raise CaseworkError("the comparison is run over a thin instance")
     g = zoo.h_graph()
     gp = plus_construction(g)
-    p = _object_count(cat)
-    objects = list(cat.objects())
+    objects = cat.objects()
+    p = len(objects)
     bundle_count = len(list(enumerate_diagrams(cat, g)))
     plus_count = len(list(enumerate_diagrams(cat, gp)))
     arrow_count = sum(
@@ -289,28 +280,21 @@ def desingularisation_counterexample(cat):
         "categories separate",
     ]
     if plus_count != p * p:
-        outcome = "mismatch"
-        verdict = f"mismatch: counted {plus_count}, expected {p * p}"
+        outcome, reason = "mismatch", f"counted {plus_count}, expected {p * p}"
     elif p == 1:
         outcome = "inconclusive"
-        verdict = (
-            "inconclusive — a one-element order cannot separate the two categories"
-        )
+        reason = "a one-element order cannot separate the two categories"
     elif plus_count != arrow_count:
         outcome = "counterexample"
-        verdict = (
-            "counterexample confirmed: categories not equivalent "
-            f"({plus_count} objects against {arrow_count})"
-        )
+        reason = f"categories not equivalent ({plus_count} objects against {arrow_count})"
     else:
-        outcome = "inconclusive"
-        verdict = "inconclusive — the counts agree for this order"
+        outcome, reason = "inconclusive", "the counts agree for this order"
     return CaseReport(
         case="desingularisation",
         computed=computed,
         expected=expected,
         outcome=outcome,
-        verdict=verdict,
+        reason=reason,
         details=tuple(details),
     )
 
@@ -343,15 +327,15 @@ def cuntz_splice_report(cat):
         "hence whether their diagram categories are equivalent, is not settled "
         "by these invariants",
     ]
-    outcome, verdict = "open", "open question — not decided by this tool"
     if list(ps) != expected["parry_sullivan"] or list(bf) != expected["bowen_franks"]:
-        outcome = "mismatch"
-        verdict = f"mismatch: invariants changed: PS {ps}, BF {bf}"
+        outcome, reason = "mismatch", f"invariants changed: PS {ps}, BF {bf}"
+    else:
+        outcome, reason = "open", "not decided by this tool"
     return CaseReport(
         case="cuntz-splice",
         computed=computed,
         expected=expected,
         outcome=outcome,
-        verdict=verdict,
+        reason=reason,
         details=tuple(details),
     )

@@ -35,23 +35,12 @@ from .graphs import (
 from .invariants import flow_invariants, franks_equivalent
 from .leavitt import (
     LeavittError,
+    LeavittReport,
     build_module_operators,
     check_leavitt_relations,
     check_unital_action,
 )
-from .moves import (
-    InDelaySpec,
-    InSplitSpec,
-    OutDelaySpec,
-    OutSplitSpec,
-    add_heads_truncated,
-    add_tails_truncated,
-    in_delay,
-    in_split,
-    out_delay,
-    out_split,
-    remove_sink,
-)
+from .moves import SPEC_MOVES, add_heads_truncated, add_tails_truncated, remove_sink
 from .util import FlowcatError, SearchCapExceeded, max_nodes_cap
 
 OK, CHECK_FAILED, USAGE, CAPPED = 0, 1, 2, 3
@@ -196,15 +185,7 @@ def parse_move_doc(doc, g, where):
     depth for truncations, and the spec record for delays and splits."""
     _require(isinstance(doc, dict), where, "move file must be a JSON object")
     move = doc.get("move")
-    known = (
-        "remove_sink",
-        "out_delay",
-        "in_delay",
-        "out_split",
-        "in_split",
-        "add_heads",
-        "add_tails",
-    )
+    known = ("remove_sink", *SPEC_MOVES, "add_heads", "add_tails")
     _require(move in known, where, f'"move" must be one of {", ".join(known)}')
     if move == "remove_sink":
         vertex = doc.get("vertex")
@@ -219,18 +200,15 @@ def parse_move_doc(doc, g, where):
     key = "d" if move.endswith("delay") else "p"
     _require(key in doc, where, f'"{key}" map is required for {move}')
     on_vertices, on_edges = _split_graph_map(g, doc[key], where)
-    if move == "out_delay":
-        return move, OutDelaySpec(d_vertices=on_vertices, d_edges=on_edges)
+    spec_type = SPEC_MOVES[move][1]
     if move == "in_delay":
         _require(
             not on_vertices,
             where,
             "in_delay takes delays on edges only; vertex delays are derived",
         )
-        return move, InDelaySpec(d_edges=on_edges)
-    if move == "out_split":
-        return move, OutSplitSpec(p_vertices=on_vertices, p_edges=on_edges)
-    return move, InSplitSpec(p_vertices=on_vertices, p_edges=on_edges)
+        return move, spec_type(on_edges)
+    return move, spec_type(on_vertices, on_edges)
 
 
 def _apply_move(g, move, payload):
@@ -242,13 +220,7 @@ def _apply_move(g, move, payload):
     if move == "add_tails":
         result = add_tails_truncated(g, payload)
         return result.graph, result
-    fn = {
-        "out_delay": out_delay,
-        "in_delay": in_delay,
-        "out_split": out_split,
-        "in_split": in_split,
-    }[move]
-    return fn(g, payload), None
+    return SPEC_MOVES[move][0](g, payload), None
 
 
 def _load_poset_file(path):
@@ -429,21 +401,10 @@ def cmd_lpa_check(args):
     except LeavittError as exc:
         _emit({"ok": False, "error": str(exc)})
         return CHECK_FAILED
-    report = check_leavitt_relations(ops)
-    unital = check_unital_action(ops)
-    out = report.to_dict()
-    out["checks"].append(
-        {
-            "name": unital.name,
-            "description": unital.description,
-            "ok": unital.ok,
-            "failures": list(unital.failures),
-        }
-    )
-    out["ok"] = report.ok and unital.ok
-    out["total_dim"] = ops.total_dim
-    _emit(out)
-    return OK if out["ok"] else CHECK_FAILED
+    relations = check_leavitt_relations(ops)
+    report = LeavittReport((*relations.checks, check_unital_action(ops)))
+    _emit({**report.to_dict(), "total_dim": ops.total_dim})
+    return OK if report.ok else CHECK_FAILED
 
 
 def cmd_report(args):

@@ -49,7 +49,7 @@ from __future__ import annotations
 from operator import eq
 from typing import NamedTuple
 
-from .categories import CategoryError, FiniteCategory, Morphism
+from .categories import CategoryError, Morphism
 from .graphs import DirectedGraph, classify_vertex
 from .util import (
     FlowcatError, NodeBudget, SearchCapExceeded, cached_on, frozendict, refuse_assignment,

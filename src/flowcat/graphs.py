@@ -153,7 +153,8 @@ def validate(g):
             problems.append(f"edge {e.id!r} has unknown source {e.src!r}")
         if e.tgt not in g.vertices:
             problems.append(f"edge {e.id!r} has unknown target {e.tgt!r}")
-    for b in g.infinite_bundles:
+    # repr orders any bundle, even one that is not a pair of strings
+    for b in sorted(g.infinite_bundles, key=repr):
         if len(b) != 2:
             problems.append(f"bundle {b!r} is not a (src, tgt) pair")
             continue

@@ -294,6 +294,15 @@ def in_split(g, spec):
     return _finish(vertices, edges, "in_split")
 
 
+# The four moves given by a spec record: name -> (move function, spec type).
+SPEC_MOVES = {
+    "out_delay": (out_delay, OutDelaySpec),
+    "in_delay": (in_delay, InDelaySpec),
+    "out_split": (out_split, OutSplitSpec),
+    "in_split": (in_split, InSplitSpec),
+}
+
+
 # -- truncated heads and tails -------------------------------------------------
 #
 # The untruncated constructions attach an infinite chain at every source

@@ -7,7 +7,7 @@ pieces and determined by the source components of the condensation.
 
 import pytest
 
-from flowcat import zoo
+from flowcat import casework, zoo
 from flowcat.casework import (
     CaseworkError,
     cuntz_splice_report,
@@ -17,8 +17,9 @@ from flowcat.casework import (
     verify_poset_corollary,
 )
 from flowcat.categories import FinSetSkeleton, PosetCategory, chain, diamond
+from flowcat.diagrams import Diagram, enumerate_diagrams
 from flowcat.graphs import graph
-from flowcat.util import SearchCapExceeded
+from flowcat.util import SearchCapExceeded, frozendict
 
 
 # -- acyclic counts -------------------------------------------------------------
@@ -149,6 +150,11 @@ def test_thin_count_rejects_additive_instances():
         verify_poset_corollary(FinSetSkeleton(2), zoo.loop1())
 
 
+def test_obstruction_scan_rejects_additive_instances():
+    with pytest.raises(CaseworkError, match="thin"):
+        poset_count_obstructions(FinSetSkeleton(2), zoo.loop1())
+
+
 # -- desingularisation comparison -------------------------------------------------
 
 
@@ -239,6 +245,126 @@ def test_outcome_is_set_with_the_verdict(build, outcome):
     report = build()
     assert report.outcome == outcome
     assert "outcome" not in report.to_dict()
+
+
+# -- every branch of every report ------------------------------------------------
+#
+# The branches no zoo input reaches are forced by replacing an enumeration,
+# an invariant or the pair cap in the casework module.
+
+
+def enumerating(monkeypatch, diagrams):
+    monkeypatch.setattr(casework, "enumerate_diagrams", lambda cat, g: list(diagrams))
+
+
+def test_acyclic_miscount_is_a_mismatch(monkeypatch):
+    enumerating(monkeypatch, range(3))
+    report = verify_acyclic_corollary(chain(2), zoo.acyclic2())
+    assert report.outcome == "mismatch"
+    assert report.verdict == "mismatch: counted 3, expected 4"
+    assert report.computed == {"diagram_count": 3, "sources": 2}
+
+
+def test_thin_miscount_is_a_mismatch(monkeypatch):
+    enumerating(monkeypatch, [])
+    report = verify_poset_corollary(chain(2), zoo.loop2())
+    assert report.outcome == "mismatch"
+    assert report.verdict == "mismatch: counted 0, expected 2"
+    assert report.details == (
+        "m = 1; representatives of the cohereditary irreducible subsets: ['u']",
+    )
+
+
+def test_thin_restriction_that_misses_a_value_is_a_mismatch(monkeypatch):
+    d = next(iter(enumerate_diagrams(chain(2), zoo.loop2())))
+    enumerating(monkeypatch, [d, d])
+    report = verify_poset_corollary(chain(2), zoo.loop2())
+    assert report.computed == {"diagram_count": 2, "m": 1}
+    assert report.outcome == "mismatch"
+    assert report.verdict == "mismatch: restriction to representatives is not a bijection"
+    assert len(report.details) == 1
+
+
+def test_thin_restriction_that_breaks_the_order_is_a_mismatch(monkeypatch):
+    # on a -> b only {a} is cohereditary; these two records restrict to 0 and
+    # 1 at a, but pointwise neither lies below the other
+    g = graph("ab", [("x", "a", "b")])
+    records = [
+        Diagram(g, frozendict({"a": 0, "b": 1}), frozendict()),
+        Diagram(g, frozendict({"a": 1, "b": 0}), frozendict()),
+    ]
+    enumerating(monkeypatch, records)
+    report = verify_poset_corollary(chain(2), g)
+    assert report.outcome == "mismatch"
+    assert report.verdict == (
+        "mismatch: restriction to representatives is not monotone both ways"
+    )
+    assert report.details[-1] == (
+        "order mismatch between diagrams 0 and 1: pointwise False vs restricted True"
+    )
+
+
+@pytest.mark.parametrize(
+    "cap,note",
+    [
+        (3, "monotonicity sampled on the first 3 ordered pairs"),
+        (255, "monotonicity sampled on the first 255 ordered pairs"),
+        # 16 diagrams make 256 ordered pairs: a cap of 256 checks them all
+        (256, "restriction to representatives is an order isomorphism "
+              "(checked 256 ordered pairs both ways)"),
+    ],
+)
+def test_thin_monotonicity_past_the_pair_cap_is_sampled(monkeypatch, cap, note):
+    monkeypatch.setattr(casework, "MONOTONE_PAIR_CAP", cap)
+    report = verify_poset_corollary(diamond(), zoo.acyclic2())
+    assert report.outcome == "confirmed"
+    assert report.details[-1] == note
+
+
+def test_desingularisation_miscount_is_a_mismatch(monkeypatch):
+    enumerating(monkeypatch, range(3))
+    report = desingularisation_counterexample(chain(2))
+    assert report.outcome == "mismatch"
+    assert report.verdict == "mismatch: counted 3, expected 4"
+
+
+def test_desingularisation_counts_that_agree_are_inconclusive():
+    # over the empty order every count is 0, so nothing separates
+    report = desingularisation_counterexample(PosetCategory([], []))
+    assert report.computed == {
+        "bundle_diagram_count": 0,
+        "plus_diagram_count": 0,
+        "arrow_count": 0,
+    }
+    assert report.outcome == "inconclusive"
+    assert report.verdict == "inconclusive — the counts agree for this order"
+
+
+def test_cuntz_splice_with_changed_invariants_is_a_mismatch(monkeypatch):
+    monkeypatch.setattr(casework, "parry_sullivan", lambda g: 0)
+    report = cuntz_splice_report(chain(2))
+    assert report.outcome == "mismatch"
+    assert report.verdict == "mismatch: invariants changed: PS (0, 0), BF ('0', '0')"
+    assert report.computed["parry_sullivan"] == [0, 0]
+
+
+@pytest.mark.parametrize("g", [zoo.acyclic2(), zoo.loop2(), zoo.cuntz_h()])
+def test_thin_count_over_the_empty_order(g):
+    # no object gives no diagram and |P| ** m = 0: nothing to index
+    report = verify_poset_corollary(PosetCategory([], []), g)
+    assert report.computed["diagram_count"] == 0
+    assert report.expected == {"diagram_count": 0}
+    assert report.outcome == "confirmed"
+    assert report.details[-1] == (
+        "restriction to representatives is an order isomorphism "
+        "(checked 0 ordered pairs both ways)"
+    )
+
+
+def test_acyclic_count_over_the_empty_order():
+    report = verify_acyclic_corollary(PosetCategory([], []), zoo.acyclic2())
+    assert report.computed == {"diagram_count": 0, "sources": 2}
+    assert report.verdict == "confirmed"
 
 
 # -- the node cap --------------------------------------------------------------

@@ -74,6 +74,33 @@ def test_validate_reports_problems(tmp_path, capsys):
     assert "ghost" in out
 
 
+def test_validate_lists_bundle_problems_in_one_order_under_any_hash_seed(tmp_path):
+    # the bundles are a frozenset: their problems are listed in repr order
+    path = write_json(
+        tmp_path / "g.json",
+        {
+            "vertices": ["a"],
+            "edges": [],
+            "infinite_bundles": [
+                {"src": "a", "tgt": "x"}, {"src": "y", "tgt": "a"}, {"src": "a", "tgt": "z"},
+            ],
+        },
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    for seed in map(str, range(6)):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        proc = subprocess.run(
+            [sys.executable, "-m", "flowcat.cli", "validate", path],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert (proc.returncode, proc.stderr) == (1, ""), seed
+        assert proc.stdout == (
+            "bundle ('a', 'x') has unknown target 'x'\n"
+            "bundle ('a', 'z') has unknown target 'z'\n"
+            "bundle ('y', 'a') has unknown source 'y'\n"
+        ), seed
+
+
 def test_loaded_edge_ends_are_the_vertex_objects(tmp_path):
     # JSON gives every occurrence of a name its own string object
     g = sparse_graph(random.Random(7), 200, 600, n_bundles=20)
@@ -711,11 +738,11 @@ def test_report_poset_past_the_node_cap_exits_3(tmp_path, capsys, monkeypatch):
 def test_report_exit_code_reads_the_outcome_not_the_text(capsys, monkeypatch):
     from flowcat.casework import CaseReport
 
-    report = CaseReport("cuntz-splice", {}, {}, "mismatch", "open question — text only")
+    report = CaseReport("cuntz-splice", {}, {}, "mismatch", "text only")
     monkeypatch.setattr(cli, "cuntz_splice_report", lambda cat: report)
     code, out, _ = run(capsys, ["report", "cuntz"])
     assert code == 1
-    assert "verdict: open question — text only" in out
+    assert "verdict: mismatch: text only" in out
 
 
 @pytest.mark.parametrize("category", ["finset:3", "mat:2:2"])

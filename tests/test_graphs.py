@@ -70,6 +70,18 @@ def test_validate_reports_bad_bundle_endpoint():
     assert any("unknown target 'zz'" in p for p in problems)
 
 
+def test_validate_lists_bundles_in_repr_order():
+    # a bundle that is not a pair of strings is ordered by its repr too
+    problems = refused(frozenset({"a"}), (), frozenset({("b", "a"), ("a",), (1, 2), ("a", "c")}))
+    assert problems == [
+        "bundle ('a', 'c') has unknown target 'c'",
+        "bundle ('a',) is not a (src, tgt) pair",
+        "bundle ('b', 'a') has unknown source 'b'",
+        "bundle (1, 2) has unknown source 1",
+        "bundle (1, 2) has unknown target 2",
+    ]
+
+
 # fields that `validate` rejects, one or more problems each
 INVALID_FIELDS = [
     (frozenset({"a"}), (Edge("e", "a", "b"),), frozenset()),

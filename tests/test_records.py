@@ -74,7 +74,7 @@ RECORDS = [
     (CaseReport("acyclic", frozendict({"count": 4}), frozendict({"count": 4}), "confirmed",
                 "matches"),
      "CaseReport(case='acyclic', computed=frozendict({'count': 4}), "
-     "expected=frozendict({'count': 4}), outcome='confirmed', verdict='matches', details=())"),
+     "expected=frozendict({'count': 4}), outcome='confirmed', reason='matches', details=())"),
     (LOOP, LOOP_REPR),
     (DIAGRAM, DIAGRAM_REPR),
     (IDENTITY, "IntMatrix(entries=((1, 0), (0, 1)))"),
