@@ -14,22 +14,15 @@ import random
 import sys
 import time
 from collections import Counter
-from dataclasses import dataclass
 
 from flowcat.invariants import flow_invariants
 from flowcat.moves import SPEC_MOVES
 from flowcat.sampling import random_irreducible_graph, random_move_spec
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    trials: int = 200
-    seed: int = 20260815
-    max_vertices: int = 8
-    max_entry: int = 3
-
-
 def run_sweep(config):
+    """`config` holds the options `main` parses: trials, seed, max_vertices
+    and max_entry."""
     rng = random.Random(config.seed)
     ps_seen = Counter()
     bf_seen = Counter()
@@ -61,17 +54,11 @@ def main(argv=None):
     parser = argparse.ArgumentParser(
         description=__doc__.splitlines()[0], formatter_class=argparse.ArgumentDefaultsHelpFormatter
     )
-    parser.add_argument("--trials", type=int, default=SweepConfig.trials)
-    parser.add_argument("--seed", type=int, default=SweepConfig.seed)
-    parser.add_argument("--max-vertices", type=int, default=SweepConfig.max_vertices)
-    parser.add_argument("--max-entry", type=int, default=SweepConfig.max_entry)
-    args = parser.parse_args(argv)
-    config = SweepConfig(
-        trials=args.trials,
-        seed=args.seed,
-        max_vertices=args.max_vertices,
-        max_entry=args.max_entry,
-    )
+    parser.add_argument("--trials", type=int, default=200)
+    parser.add_argument("--seed", type=int, default=20260815)
+    parser.add_argument("--max-vertices", type=int, default=8)
+    parser.add_argument("--max-entry", type=int, default=3)
+    config = parser.parse_args(argv)
     start = time.perf_counter()
     result = run_sweep(config)
     elapsed = time.perf_counter() - start

@@ -102,7 +102,8 @@ class CaseReport(NamedTuple):
 
 
 def verify_acyclic_corollary(cat, g):
-    """Count diagrams on an acyclic graph against |objects| ** #sources."""
+    """Count diagrams on an acyclic graph against |objects| ** #sources; a thin
+    count that misses is inconclusive when two objects lack a supremum."""
     if not is_acyclic(g):
         raise CaseworkError("the acyclic count applies to acyclic graphs only")
     src = sources(g)
@@ -129,6 +130,9 @@ def verify_acyclic_corollary(cat, g):
         outcome, reason = "confirmed", ""
     elif not cat.is_thin and count < expected:
         outcome, reason = "inconclusive", "the size bound truncates the count"
+    elif cat.is_thin and (obstructions := poset_count_obstructions(cat, g)):
+        outcome = "inconclusive"
+        reason = f"outside the counting hypothesis: {obstructions[0]}"
     else:
         outcome, reason = "mismatch", f"counted {count}, expected {expected}"
     return CaseReport(

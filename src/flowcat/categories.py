@@ -130,15 +130,12 @@ def _block_coproduct(cat, family, bound, block):
 
 
 def _transitive_reflexive_closure(elements, pairs):
-    le = {(x, x) for x in elements}
-    le |= {tuple(p) for p in pairs}
-    changed = True
-    while changed:
-        changed = False
-        for (a, b), (c, d) in itertools.product(list(le), repeat=2):
-            if b == c and (a, d) not in le:
-                le.add((a, d))
-                changed = True
+    """Warshall: for each k in turn, add a <= b for every a <= k <= b."""
+    le = {(x, x) for x in elements} | {tuple(p) for p in pairs}
+    for k in elements:
+        below = [a for a, b in le if b == k]
+        above = [b for a, b in le if a == k]
+        le.update(itertools.product(below, above))
     return le
 
 

@@ -13,16 +13,17 @@ structures use canonical names so outputs are reproducible byte for byte.
 
 Every per-vertex query (`incoming`, `outgoing`, `incoming_bundles`,
 `classify_vertex`, and through them `sources`, `sinks`, `infinite_receivers`)
-reads one adjacency index: edges in and out of each vertex sorted by id, and
-bundles in and out sorted.  It is built in one pass over the edges on the
-first query and cached on the instance (a graph never changes, so the index
-never goes stale).  Caching it on the graph rather than building it per call
-makes each query O(1) and a whole-graph pass O(V + E) at every call site,
-without an index argument threaded through moves, diagrams and functors.  It
-is a cached property in the instance dict, not a field of the record, so
-equality, hashing and repr see only (vertices, edges, infinite_bundles).
-The index is the only code that knows the canonical incoming order (edge
-id) and what makes a source.
+and every structure question (SCCs, condensation, cohereditary subsets,
+`is_nontrivial`) reads one adjacency index: edges in and out of each vertex
+sorted by id, and bundles in and out sorted.  It is built in one pass over
+the edges on the first query and cached on the instance (a graph never
+changes, so the index never goes stale).  Caching it on the graph rather than
+building it per call makes each query O(1) and a whole-graph pass O(V + E) at
+every call site, without an index argument threaded through moves, diagrams
+and functors.  It is a cached property in the instance dict, not a field of
+the record, so equality, hashing and repr see only (vertices, edges,
+infinite_bundles).  The index is the only code that knows the canonical
+incoming order (edge id) and what makes a source.
 """
 
 from __future__ import annotations
@@ -211,9 +212,11 @@ def _successors(g, v):
     }
 
 
-def successor_map(g):
-    """v -> sorted list of targets reachable by one edge or bundle from v."""
-    return {v: sorted(_successors(g, v)) for v in g.vertices}
+def _predecessors(g, v):
+    adj = g._adjacency
+    return {e.src for e in adj.edges_in.get(v, ())} | {
+        a for a, _ in adj.bundles_in.get(v, ())
+    }
 
 
 def reachable_from(g, v):
@@ -242,54 +245,46 @@ def is_acyclic(g):
 def strongly_connected_components(g):
     """SCCs as a tuple of frozensets, sorted by their sorted member lists.
 
-    Iterative Tarjan; deterministic because roots and successors are visited
-    in sorted order.
+    Kosaraju-Sharir: a depth-first pass along the arrows records the order in
+    which vertices finish; a sweep against the arrows from each vertex not yet
+    placed, latest finished first, then collects exactly its component.
     """
-    succ = successor_map(g)
-    index = {}
-    low = {}
-    onstack = set()
-    stack = []
-    comps = []
-    counter = 0
-    for root in g.sorted_vertices():
-        if root in index:
+    seen, finished = set(), []
+    for root in g.vertices:
+        if root in seen:
             continue
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        onstack.add(root)
-        work = [(root, iter(succ[root]))]
+        seen.add(root)
+        work = [(root, iter(_successors(g, root)))]
         while work:
             v, it = work[-1]
-            pushed = False
             for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    onstack.add(w)
-                    work.append((w, iter(succ[w])))
-                    pushed = True
+                if w not in seen:
+                    seen.add(w)
+                    work.append((w, iter(_successors(g, w))))
                     break
-                if w in onstack:
-                    low[v] = min(low[v], index[w])
-            if pushed:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = set()
-                while True:
-                    w = stack.pop()
-                    onstack.discard(w)
-                    comp.add(w)
-                    if w == v:
-                        break
-                comps.append(frozenset(comp))
+            else:
+                work.pop()
+                finished.append(v)
+    placed, comps = set(), []
+    for root in reversed(finished):
+        if root in placed:
+            continue
+        placed.add(root)
+        comp = [root]
+        for v in comp:
+            for w in _predecessors(g, v):
+                if w not in placed:
+                    placed.add(w)
+                    comp.append(w)
+        comps.append(frozenset(comp))
     return tuple(sorted(comps, key=sorted))
+
+
+def _entries(g, comps):
+    """(i, j) for each edge or bundle of g from comps[i] into another comps[j]."""
+    index = {v: i for i, comp in enumerate(comps) for v in comp}
+    ends = [*((e.src, e.tgt) for e in g.edges), *g.infinite_bundles]
+    return {(index[a], index[b]) for a, b in ends if index[a] != index[b]}
 
 
 def component_name(comp):
@@ -310,13 +305,8 @@ def condensation(g):
     """
     comps = strongly_connected_components(g)
     names = [component_name(c) for c in comps]
-    index = {v: i for i, comp in enumerate(comps) for v in comp}
-    arrows = set()
-    for src, tgt in [*((e.src, e.tgt) for e in g.edges), *g.infinite_bundles]:
-        i, j = index[src], index[tgt]
-        if i != j:
-            arrows.add((names[i], names[j]))
-    quotient = graph(names, [(f"{a}->{b}", a, b) for a, b in sorted(arrows)])
+    arrows = sorted({(names[i], names[j]) for i, j in _entries(g, comps)})
+    quotient = graph(names, [(f"{a}->{b}", a, b) for a, b in arrows])
     return Condensation(components=comps, quotient=quotient)
 
 
@@ -331,17 +321,12 @@ def cohereditary_irreducible_subsets(g):
     distinct members joined by a path in g) and cohereditary (t(e) in X
     implies s(e) in X, bundles included).
 
-    These are exactly the source components of the condensation; their count
-    is the exponent m in the poset-diagram count |P|**m.
+    These are exactly the source components of the condensation, the ones no
+    arrow enters from outside; their count is the exponent m in |P|**m.
     """
-    cond = condensation(g)
-    quotient = cond.quotient
-    out = []
-    for comp in cond.components:
-        name = component_name(comp)
-        if classify_vertex(quotient, name).is_source:
-            out.append(comp)
-    return tuple(sorted(out, key=sorted))
+    comps = strongly_connected_components(g)
+    entered = {j for _, j in _entries(g, comps)}
+    return tuple(comp for j, comp in enumerate(comps) if j not in entered)
 
 
 # -- the plus construction ---------------------------------------------------
@@ -402,13 +387,7 @@ def adjacency_matrix(g):
 
 
 def is_nontrivial(g):
-    """True iff the adjacency matrix is not a permutation matrix."""
-    a = adjacency_matrix(g)
-    n = a.rows
-    for i in range(n):
-        if sum(a.entries[i]) != 1 or any(x not in (0, 1) for x in a.entries[i]):
-            return True
-    for j in range(n):
-        if sum(a.entries[i][j] for i in range(n)) != 1:
-            return True
-    return False
+    """True iff the adjacency matrix (undefined with bundles) is not a
+    permutation matrix: some vertex has other than one edge out or in."""
+    degrees = (g._adjacency.edges_out, g._adjacency.edges_in)
+    return any(len(d.get(v, ())) != 1 for v in matrix_positions(g) for d in degrees)

@@ -9,6 +9,9 @@ became a table of paths, and the Leavitt module operators assembled as dense
 total x total matrices, as they were before they became block-sparse.  The graph moves below read
 only a graph's vertices, edges and bundles, and format every edge end's
 name anew, as the moves did before each derived name became one object.
+Tarjan's lowlink components, the dense permutation-matrix check and the
+iterated order closure are the package's code from before graph structure
+read the adjacency index and a poset's order became Warshall's closure.
 """
 
 from __future__ import annotations
@@ -609,3 +612,92 @@ def naive_plus_construction(g):
     bundles = set(g.infinite_bundles)
     bundles |= {(f"{a}+", b) for a, b in g.infinite_bundles if a in receivers}
     return vertices, edges, bundles
+
+
+# -- graph structure as it was computed before it read the adjacency index ---------
+
+
+def tarjan_components(vertices, arrows):
+    """Strongly connected components as a tuple of frozensets sorted by their
+    sorted member lists, by iterative Tarjan with lowlinks over a sorted
+    successor map.  `arrows` holds (src, tgt) pairs, edges and bundles alike."""
+    succ = {v: set() for v in vertices}
+    for a, b in arrows:
+        succ[a].add(b)
+    succ = {v: sorted(ws) for v, ws in succ.items()}
+    index = {}
+    low = {}
+    onstack = set()
+    stack = []
+    comps = []
+    counter = 0
+    for root in sorted(vertices):
+        if root in index:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        onstack.add(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, it = work[-1]
+            pushed = False
+            for w in it:
+                if w not in index:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    onstack.add(w)
+                    work.append((w, iter(succ[w])))
+                    pushed = True
+                    break
+                if w in onstack:
+                    low[v] = min(low[v], index[w])
+            if pushed:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[v])
+            if low[v] == index[v]:
+                comp = set()
+                while True:
+                    w = stack.pop()
+                    onstack.discard(w)
+                    comp.add(w)
+                    if w == v:
+                        break
+                comps.append(frozenset(comp))
+    return tuple(sorted(comps, key=sorted))
+
+
+def dense_is_nontrivial(vertices, arrows):
+    """Whether the V x V edge-count matrix in sorted vertex order is not a
+    permutation matrix, read row by row and then column by column."""
+    pos = {v: i for i, v in enumerate(sorted(vertices))}
+    n = len(pos)
+    a = [[0] * n for _ in range(n)]
+    for src, tgt in arrows:
+        a[pos[src]][pos[tgt]] += 1
+    for i in range(n):
+        if sum(a[i]) != 1 or any(x not in (0, 1) for x in a[i]):
+            return True
+    for j in range(n):
+        if sum(a[i][j] for i in range(n)) != 1:
+            return True
+    return False
+
+
+def iterated_closure(elements, pairs):
+    """Reflexive-transitive closure of a relation, by composing every pair
+    with every pair until nothing is added."""
+    le = {(x, x) for x in elements}
+    le |= {tuple(p) for p in pairs}
+    changed = True
+    while changed:
+        changed = False
+        for (a, b), (c, d) in itertools.product(list(le), repeat=2):
+            if b == c and (a, d) not in le:
+                le.add((a, d))
+                changed = True
+    return le

@@ -61,6 +61,37 @@ def test_acyclic_additive_instance_counts_iso_classes():
     assert report.verdict.startswith("inconclusive")
 
 
+def two_below_two():
+    # a, b < c, d: the pair (a, b) has two upper bounds and no least one
+    return PosetCategory("abcd", [(x, y) for x in "ab" for y in "cd"])
+
+
+@pytest.mark.parametrize(
+    "cat,count,expected,missing",
+    [(PosetCategory("xyz", []), 3, 9, ("x", "y")), (two_below_two(), 12, 16, ("a", "b"))],
+)
+def test_acyclic_count_without_suprema_is_inconclusive(cat, count, expected, missing):
+    # the sink of acyclic2 takes the supremum of its two sources, so a pair
+    # without one removes diagrams: the report names it instead of claiming
+    # a mismatch
+    report = verify_acyclic_corollary(cat, zoo.acyclic2())
+    assert report.computed == {"diagram_count": count, "sources": 2}
+    assert report.expected == {"diagram_count": expected}
+    assert report.outcome == "inconclusive"
+    assert report.verdict == (
+        "inconclusive — outside the counting hypothesis: "
+        f"no supremum for the pair {missing!r}"
+    )
+
+
+def test_acyclic_count_without_suprema_that_matches_stays_confirmed():
+    # a path has one source and never joins two values, so the count holds
+    report = verify_acyclic_corollary(PosetCategory("xyz", []), zoo.chain_graph(3))
+    assert report.computed == {"diagram_count": 3, "sources": 1}
+    assert report.outcome == "confirmed"
+    assert not any("hypothesis" in d for d in report.details)
+
+
 def test_acyclic_rejects_cycles():
     with pytest.raises(CaseworkError, match="acyclic"):
         verify_acyclic_corollary(chain(2), zoo.loop1())

@@ -726,6 +726,20 @@ def test_report_poset_outside_hypothesis_is_inconclusive(tmp_path, capsys):
     assert doc["computed"]["diagram_count"] == 2
 
 
+def test_report_acyclic_without_suprema_is_inconclusive(tmp_path, capsys):
+    gp = write_graph(tmp_path / "g.json", zoo.acyclic2())
+    poset = write_json(tmp_path / "p.json", {"elements": ["x", "y", "z"], "le": []})
+    code, doc, _ = run_json(
+        capsys, ["report", "acyclic", gp, "--category", f"poset:{poset}", "--json"]
+    )
+    assert code == 0
+    assert doc["verdict"] == (
+        "inconclusive — outside the counting hypothesis: "
+        "no supremum for the pair ('x', 'y')"
+    )
+    assert doc["computed"]["diagram_count"] == 3
+
+
 def test_report_poset_past_the_node_cap_exits_3(tmp_path, capsys, monkeypatch):
     gp = write_graph(tmp_path / "g.json", zoo.acyclic2())
     monkeypatch.setenv("FLOWCAT_MAX_NODES", "2")

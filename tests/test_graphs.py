@@ -33,9 +33,11 @@ from flowcat.util import FlowcatError
 from oracles import (
     brute_force_cohereditary_irreducible,
     closure_reachability,
+    dense_is_nontrivial,
     scan_vertex,
+    tarjan_components,
 )
-from strategies import small_graphs
+from strategies import small_graphs, sparse_graph
 
 
 def test_validate_accepts_zoo_graphs():
@@ -325,6 +327,101 @@ def test_adjacency_matrices():
 def test_adjacency_rejects_bundles():
     with pytest.raises(GraphError):
         adjacency_matrix(zoo.h_graph())
+
+
+# -- strongly connected structure against the oracles ----------------------------
+
+
+def _arrows(g):
+    return [(e.src, e.tgt) for e in g.edges] + list(g.infinite_bundles)
+
+
+@given(small_graphs(max_vertices=6, max_edges=10, allow_bundles=True))
+@settings(max_examples=100)
+def test_scc_are_the_classes_of_mutual_reachability(g):
+    reach = closure_reachability(g.vertices, _arrows(g))
+    classes = {
+        frozenset(w for w in g.vertices if w == v or {(v, w), (w, v)} <= reach)
+        for v in g.vertices
+    }
+    assert strongly_connected_components(g) == tuple(sorted(classes, key=sorted))
+
+
+def _structure_case(seed, n):
+    """A sparse_graph of n vertices with 1-3 edges per vertex, a few bundles,
+    and every fifth case a Hamiltonian cycle so one component is large."""
+    rng = random.Random(seed)
+    g = sparse_graph(rng, n, rng.randint(n, 3 * n), n_bundles=rng.randint(0, n // 50))
+    if seed % 5:
+        return g
+    vs = g.sorted_vertices()
+    ring = [Edge(f"r{i}", vs[i], vs[i - 1]) for i in range(n)]
+    return DirectedGraph(g.vertices, g.edges + tuple(ring), g.infinite_bundles)
+
+
+STRUCTURE_CASES = [(seed, n) for seed in range(10) for n in (200, 700, 2000)]
+
+
+@pytest.mark.parametrize("seed,n", STRUCTURE_CASES)
+def test_structure_matches_tarjan_oracle(seed, n):
+    g = _structure_case(seed, n)
+    comps = tarjan_components(g.vertices, _arrows(g))
+    assert strongly_connected_components(g) == comps
+    names = ["{" + ",".join(sorted(c)) + "}" for c in comps]
+    index = {v: i for i, c in enumerate(comps) for v in c}
+    entries = {(index[a], index[b]) for a, b in _arrows(g)} - {(i, i) for i in index.values()}
+    pairs = sorted({(names[i], names[j]) for i, j in entries})
+    cond = condensation(g)
+    assert cond.components == comps
+    assert cond.quotient.vertices == frozenset(names)
+    assert cond.quotient.edges == tuple(Edge(f"{a}->{b}", a, b) for a, b in pairs)
+    entered = {j for _, j in entries}
+    expected = tuple(c for i, c in enumerate(comps) if i not in entered)
+    assert cohereditary_irreducible_subsets(g) == expected
+    assert is_irreducible(g) == (len(comps) == 1)
+
+
+def _permutation_graph(rng, n):
+    vs = [f"p{i:04d}" for i in range(n)]
+    targets = vs[:]
+    rng.shuffle(targets)
+    return vs, [(f"e{i}", v, w) for i, (v, w) in enumerate(zip(vs, targets))]
+
+
+def _nontrivial_cases():
+    rng = random.Random(20261019)
+    yield "one loop", ["a"], [("l", "a", "a")]
+    yield "empty edge set", ["a"], []
+    for n in (1, 2, 3, 8, 50):
+        vs, edges = _permutation_graph(rng, n)
+        yield f"permutation {n}", vs, edges
+        loop = vs[0]
+        yield f"permutation {n} plus a self-loop", vs, edges + [("x", loop, loop)]
+        yield f"permutation {n} with an edge doubled", vs, edges + [("x", *edges[-1][1:])]
+        yield f"permutation {n} less an edge", vs, edges[:-1]
+        yield f"permutation {n} plus an isolated vertex", vs + ["z"], edges
+        a, b = edges[0][1], edges[-1][2]
+        yield f"permutation {n} with one target moved", vs, [("x", a, b)] + edges[1:]
+
+
+@pytest.mark.parametrize(
+    "vs,edges", [case[1:] for case in _nontrivial_cases()],
+    ids=[case[0] for case in _nontrivial_cases()],
+)
+def test_nontrivial_matches_the_dense_permutation_check(vs, edges):
+    g = graph(vs, edges)
+    assert is_nontrivial(g) == dense_is_nontrivial(g.vertices, _arrows(g))
+
+
+def test_nontrivial_reads_degrees_on_a_large_graph():
+    # a 2000 x 2000 matrix built to read its row and column sums took about
+    # 0.5 s; the degrees of the adjacency index take well under a millisecond
+    vs, edges = _permutation_graph(random.Random(5), 2000)
+    g = graph(vs, edges)
+    g.incoming(vs[0])
+    start = time.perf_counter()
+    assert not is_nontrivial(g)
+    assert time.perf_counter() - start < 0.05
 
 
 # -- the adjacency index -----------------------------------------------------------
