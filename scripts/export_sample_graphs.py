@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from flowcat import zoo
-from flowcat.cli import graph_to_doc
+from flowcat.cli import graph_to_doc, move_doc
 
 GRAPHS = {
     "loop1": zoo.loop1,
@@ -25,22 +25,11 @@ GRAPHS = {
     "loop_and_exit": zoo.loop_and_exit,
 }
 
-# Delay and split values are given in one map keyed by vertex names and edge
-# ids together; the CLI splits them using the graph.
-MOVE_SPECS = {
-    "vw_in_delay": {"move": "in_delay", "d": {"e": 1, "f": 0, "g": 2}},
-    "vw_out_split": {
-        "move": "out_split",
-        "p": {"v": 0, "w": 1, "e": 0, "f": 1, "g": 0},
-    },
-    "vw_in_split": {
-        "move": "in_split",
-        "p": {"v": 0, "w": 1, "e": 1, "f": 0, "g": 0},
-    },
-    "loop_and_exit_out_delay": {
-        "move": "out_delay",
-        "d": {"u": 1, "w": 0, "l": 1, "m": 0, "m2": 1},
-    },
+MOVE_DOCS = {
+    "vw_in_delay": move_doc("in_delay", zoo.vw_in_delay_spec()),
+    "vw_out_split": move_doc("out_split", zoo.vw_out_split_spec()),
+    "vw_in_split": move_doc("in_split", zoo.vw_in_split_spec()),
+    "loop_and_exit_out_delay": move_doc("out_delay", zoo.loop_and_exit_out_delay_spec()),
     "cycle_with_sink_remove_sink": {"move": "remove_sink", "vertex": "s"},
     "acyclic2_add_heads": {"move": "add_heads", "depth": 2},
     "cycle_with_sink_add_tails": {"move": "add_tails", "depth": 2},
@@ -79,7 +68,7 @@ def main(argv=None):
 
     for name, build in sorted(GRAPHS.items()):
         dump(name, graph_to_doc(build()))
-    for name, doc in sorted(MOVE_SPECS.items()):
+    for name, doc in sorted(MOVE_DOCS.items()):
         dump(name, doc)
     dump("diamond_poset", DIAMOND_POSET)
 

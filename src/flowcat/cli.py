@@ -211,6 +211,13 @@ def parse_move_doc(doc, g, where):
     return move, spec_type(on_vertices, on_edges)
 
 
+def move_doc(move, spec):
+    """The document that `parse_move_doc` reads back as (move, spec) for a
+    delay or split: one map keyed by vertex names and edge ids together."""
+    key = "d" if move.endswith("delay") else "p"
+    return {"move": move, key: {k: v for part in spec for k, v in part.items()}}
+
+
 def _apply_move(g, move, payload):
     if move == "remove_sink":
         return remove_sink(g, payload), None

@@ -41,7 +41,8 @@ One budget node is one candidate tried at a branching vertex or one element
 put into a candidate pool; a derived value costs none.  A search past the
 cap raises SearchCapExceeded naming its phase and vertex.  The plan of a
 search (which vertices branch, what follows each) is cached on the shape,
-and the inverted cotuples on the source diagram.
+and the inverted cotuples on the source diagram, in one table whose reasons
+are also the failures that the coproduct check returns.
 """
 
 from __future__ import annotations
@@ -77,23 +78,15 @@ class DiagramMorphism(NamedTuple):
     components: frozendict
 
 
-class VertexCheck(NamedTuple):
-    ok: bool
-    reason: str = ""
-
-
 class CoproductReport(NamedTuple):
-    by_vertex: frozendict
+    """(vertex, reason) at each vertex where the coproduct condition fails,
+    in sorted vertex order; `ok` when there is none."""
+
+    failures: tuple
 
     @property
     def ok(self):
-        return all(check.ok for check in self.by_vertex.values())
-
-    @property
-    def failures(self):
-        return sorted(
-            (v, check.reason) for v, check in self.by_vertex.items() if not check.ok
-        )
+        return not self.failures
 
 
 def _require_bundle_free(cat, g):
@@ -152,6 +145,8 @@ def make_diagram(cat, g, obj, mor=None):
     return Diagram(g, frozendict(obj), frozendict(mor))
 
 
+_NO_SUPREMUM = "incoming family has no supremum"
+_NOT_SUPREMUM = "vertex object {!r} is not the supremum {!r} of its incoming family"
 _NO_COPRODUCT = "coproduct of the incoming family is unavailable at this bound"
 _NOT_ISO = "cotuple of the incoming morphisms is not an isomorphism"
 
@@ -184,28 +179,18 @@ def _inverse_cotuples(cat, diagram):
 
 
 def check_coproduct_condition(cat, diagram):
-    g = diagram.graph
-    checks = {}
-    for v in _non_sources(g):
-        if cat.is_thin:
-            contributors = {diagram.obj[e.src] for e in g.incoming(v)}
-            contributors |= {diagram.obj[src] for src, _ in g.incoming_bundles(v)}
-            family = sorted(contributors, key=repr)
-            sup = cat.supremum(family)
-            if sup is None:
-                checks[v] = VertexCheck(False, "incoming family has no supremum")
-            elif sup != diagram.obj[v]:
-                checks[v] = VertexCheck(
-                    False,
-                    f"vertex object {diagram.obj[v]!r} is not the supremum "
-                    f"{sup!r} of its incoming family",
-                )
-            else:
-                checks[v] = VertexCheck(True)
-            continue
-        _, _, reason = _inverse_cotuples(cat, diagram)[v]
-        checks[v] = VertexCheck(not reason, reason)
-    return CoproductReport(frozendict(checks))
+    """Each non-source vertex where the coproduct condition fails, and why."""
+    if not cat.is_thin:
+        table = _inverse_cotuples(cat, diagram).items()
+        return CoproductReport(tuple((v, reason) for v, (_, _, reason) in table if reason))
+    failures = []
+    for v, family in _in_families(diagram.graph).items():
+        sup = cat.supremum({diagram.obj[u] for u in family})
+        if sup is None:
+            failures.append((v, _NO_SUPREMUM))
+        elif sup != diagram.obj[v]:
+            failures.append((v, _NOT_SUPREMUM.format(diagram.obj[v], sup)))
+    return CoproductReport(tuple(failures))
 
 
 class _Plan(NamedTuple):
@@ -423,12 +408,11 @@ def canonical_diagram(cat, g, dims):
     if cat.is_thin:
         try:
             diagram = make_diagram(cat, g, dims)
-            ok = check_coproduct_condition(cat, diagram).ok
+            if check_coproduct_condition(cat, diagram).ok:
+                return diagram
         except DiagramError:
-            ok = False
-        if not ok:
-            raise DiagramError("assignment does not satisfy the coproduct condition")
-        return diagram
+            pass
+        raise DiagramError("assignment does not satisfy the coproduct condition")
     isos = {v: cat.identity(dims[v]) for v in _non_sources(g)}
     return _assemble(cat, g, dims, isos)
 
@@ -476,51 +460,43 @@ def check_diagram_morphism(cat, src, dst, components):
             )
     if problems:
         return problems
-    for e, (_, commutes) in zip(g.edges, _naturality(cat, src, dst)):
+    for e, commutes in zip(g.edges, _naturality(cat, src, dst)):
         if not commutes(components):
             problems.append(f"naturality fails at edge {e.id!r}")
     return problems
 
 
 def _naturality(cat, src, dst):
-    """One constraint per edge, belonging to its target: the naturality
-    square of the components."""
+    """One check per edge, in edge order: the naturality square of the
+    components."""
     return [
-        (
-            (e.tgt, e.src),
-            lambda c, e=e: cat.compose(c[e.tgt], src.mor[e.id])
-            == cat.compose(dst.mor[e.id], c[e.src]),
-        )
+        lambda c, e=e: cat.compose(c[e.tgt], src.mor[e.id])
+        == cat.compose(dst.mor[e.id], c[e.src])
         for e in src.graph.edges
     ]
 
 
 def _morphism_plan(cat, src):
-    """The plan of a morphism or isomorphism search out of `src`, and
-    (coproduct, psi^-1) at each vertex whose cotuple psi in `src` is an
-    isomorphism.  Naturality at the edges into such a vertex v says
-    c[v] . psi = [dst.mor[e] . c[e.src]]_e, so c[v] is derived.  The
-    inverses come from the table of `_inverse_cotuples`, which the coproduct
-    check shares; the plan is cached on the shape per set of derived
-    vertices."""
-
-    def invert():
-        table = _inverse_cotuples(cat, src).items()
-        return {v: (cop, psi_inv) for v, (cop, psi_inv, reason) in table if not reason}
+    """The plan of a morphism or isomorphism search out of `src`, and the
+    `_inverse_cotuples` table of `src`, which the coproduct check shares.
+    Naturality at the edges into a vertex v whose cotuple psi in `src` is an
+    isomorphism says c[v] . psi = [dst.mor[e] . c[e.src]]_e, so c[v] is
+    derived; the plan is cached on the shape per set of derived vertices."""
+    g = src.graph
+    table = _inverse_cotuples(cat, src)
+    derived = frozenset(v for v, (_, _, reason) in table.items() if not reason)
 
     def plan():
-        reads = {v: tuple(e.src for e in g.incoming(v)) for v in inverses}
+        reads = {v: tuple(e.src for e in g.incoming(v)) for v in derived}
         needs = [(e.tgt, e.src) for e in g.edges]
         return _plan(g.sorted_vertices(), reads, needs)
 
-    g = src.graph
-    inverses = cached_on(src, cat, invert)
-    return cached_on(g, frozenset(inverses), plan), inverses
+    return cached_on(g, derived, plan), table
 
 
-def _derivations(cat, src, dst, inverses, iso):
-    """At each vertex v of `inverses`, c[v] = [dst.mor[e] . c[e.src]]_e . psi^-1,
-    rejected when `iso` and it is not an isomorphism."""
+def _derivations(cat, src, dst, table, iso):
+    """At each vertex v whose cotuple psi has an inverse in `table`, c[v] =
+    [dst.mor[e] . c[e.src]]_e . psi^-1, rejected when `iso` and not an iso."""
 
     def derivation(edges, cop, psi_inv):
         def derive(c):
@@ -533,7 +509,8 @@ def _derivations(cat, src, dst, inverses, iso):
     g = src.graph
     return {
         v: derivation(g.incoming(v), cop, psi_inv)
-        for v, (cop, psi_inv) in inverses.items()
+        for v, (cop, psi_inv, reason) in table.items()
+        if not reason
     }
 
 
@@ -557,10 +534,10 @@ def diagram_morphisms(cat, src, dst, max_nodes=None, iso=False):
     if iso and any(next(iter(candidates(a, b)), None) is None for a, b in pairs.values()):
         return
     budget = NodeBudget(max_nodes)
-    plan, inverses = _morphism_plan(cat, src)
+    plan, table = _morphism_plan(cat, src)
     pools = [_pool(candidates(*pairs[v]), budget, v) for v in plan.branch]
-    derive = _derivations(cat, src, dst, inverses, iso)
-    checks = [check for _, check in _naturality(cat, src, dst)]
+    derive = _derivations(cat, src, dst, table, iso)
+    checks = _naturality(cat, src, dst)
     phase = "iso search" if iso else "hom search"
     for components in _search(plan, pools, derive, checks, budget, phase):
         yield DiagramMorphism(src, dst, frozendict(components))

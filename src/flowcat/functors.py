@@ -508,7 +508,6 @@ def _homs(cat, d1, d2, state):
 
 def _check_condition_preserved(cat, pair, src_pool, tgt_pool, state):
     details = []
-    ok = True
     used = 0
     for label, apply, pool in (
         ("forward", pair.forward, src_pool),
@@ -521,16 +520,15 @@ def _check_condition_preserved(cat, pair, src_pool, tgt_pool, state):
                 state["bounded"] += 1
                 continue
             used += 1
-            report = check_coproduct_condition(cat, image)
-            if not report.ok and ok:
-                ok = False
-                v, reason = report.failures[0]
+            failures = check_coproduct_condition(cat, image).failures
+            if failures and not details:
+                v, reason = failures[0]
                 details.append(
                     f"{label} image violates the coproduct condition at "
                     f"vertex {v!r}: {reason}"
                 )
     return CheckResult(
-        "preserves-coproduct-condition", ok, inconclusive=used == 0, details=tuple(details)
+        "preserves-coproduct-condition", not details, inconclusive=used == 0, details=tuple(details)
     )
 
 

@@ -2,11 +2,13 @@
 
 Everything here is deliberately naive (cofactor expansions, brute-force subset
 filters, transitive-closure reachability) and shares no code with the package,
-so agreement is meaningful evidence.  Two exceptions take a category and a
+so agreement is meaningful evidence.  Three exceptions take a category and a
 diagram and call only the category's own operations: the out-split's backward
 functor and counit as they were written out by hand before every functor
-became a table of paths, and the Leavitt module operators assembled as dense
-total x total matrices, as they were before they became block-sparse.  The graph moves below read
+became a table of paths, the Leavitt module operators assembled as dense
+total x total matrices, as they were before they became block-sparse, and
+the coproduct condition checked vertex by vertex, as it was before the
+check returned only its failures.  The graph moves below read
 only a graph's vertices, edges and bundles, and format every edge end's
 name anew, as the moves did before each derived name became one object.
 Tarjan's lowlink components, the dense permutation-matrix check and the
@@ -701,3 +703,39 @@ def iterated_closure(elements, pairs):
                 le.add((a, d))
                 changed = True
     return le
+
+
+# -- the coproduct condition checked vertex by vertex ----------------------------------
+
+
+def vertexwise_coproduct_failures(cat, diagram):
+    """(vertex, reason) at each non-source vertex where the coproduct
+    condition fails, in sorted vertex order, with the package's reason
+    strings; each vertex's incoming edges and bundles are found by scanning
+    the graph."""
+    g = diagram.graph
+    failures = []
+    for v in sorted(g.vertices):
+        edges = sorted((e for e in g.edges if e.tgt == v), key=lambda e: e.id)
+        bundles = [b for b in g.infinite_bundles if b[1] == v]
+        if not edges and not bundles:
+            continue
+        if cat.is_thin:
+            contributors = {diagram.obj[e.src] for e in edges}
+            contributors |= {diagram.obj[a] for a, _ in bundles}
+            sup = cat.supremum(sorted(contributors, key=repr))
+            if sup is None:
+                failures.append((v, "incoming family has no supremum"))
+            elif sup != diagram.obj[v]:
+                failures.append((
+                    v,
+                    f"vertex object {diagram.obj[v]!r} is not the supremum "
+                    f"{sup!r} of its incoming family",
+                ))
+            continue
+        cop = cat.coproduct([diagram.obj[e.src] for e in edges])
+        if cop is None:
+            failures.append((v, "coproduct of the incoming family is unavailable at this bound"))
+        elif not cat.is_iso(cat.cotuple(cop, [diagram.mor[e.id] for e in edges])):
+            failures.append((v, "cotuple of the incoming morphisms is not an isomorphism"))
+    return failures

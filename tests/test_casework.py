@@ -5,9 +5,11 @@ free exactly at its sources; a thin diagram is constant on strongly connected
 pieces and determined by the source components of the condensation.
 """
 
+import random
+
 import pytest
 
-from flowcat import casework, zoo
+from flowcat import casework, graphs, zoo
 from flowcat.casework import (
     CaseworkError,
     cuntz_splice_report,
@@ -19,7 +21,10 @@ from flowcat.casework import (
 from flowcat.categories import FinSetSkeleton, PosetCategory, chain, diamond
 from flowcat.diagrams import Diagram, enumerate_diagrams
 from flowcat.graphs import graph
+from flowcat.sampling import random_shape_graph
 from flowcat.util import SearchCapExceeded, frozendict
+
+from oracles import brute_force_cohereditary_irreducible, tarjan_components
 
 
 # -- acyclic counts -------------------------------------------------------------
@@ -174,6 +179,51 @@ def test_obstruction_scan_sees_bundles_as_cycle_input():
     g = graph("su", [("e", "s", "u")], bundles=[("u", "u")])
     (obstruction,) = poset_count_obstructions(chain(2), g)
     assert "cycle through ['u']" in obstruction
+
+
+def test_obstruction_scan_matches_the_source_component_rule():
+    # a component is flagged when it holds an arrow and is not one of the
+    # cohereditary irreducible subsets, computed here by brute force
+    rng = random.Random(2311)
+    flagged = 0
+    for _ in range(80):
+        g = random_shape_graph(rng, max_vertices=6, bundle_prob=0.1)
+        arrows = [(e.src, e.tgt) for e in g.edges] + sorted(g.infinite_bundles)
+        cohereditary = brute_force_cohereditary_irreducible(g.vertices, arrows)
+        expected = tuple(
+            f"the cycle through {sorted(comp)} receives outside input"
+            for comp in tarjan_components(g.vertices, arrows)
+            if any(a in comp and b in comp for a, b in arrows) and comp not in cohereditary
+        )
+        assert poset_count_obstructions(chain(2), g) == expected
+        flagged += bool(expected)
+    assert flagged >= 10
+
+
+@pytest.fixture
+def scc_passes(monkeypatch):
+    """Counts the strongly connected component passes of graphs and casework."""
+    calls = []
+    scc = graphs.strongly_connected_components
+
+    def counted(g):
+        calls.append(g)
+        return scc(g)
+
+    monkeypatch.setattr(graphs, "strongly_connected_components", counted)
+    monkeypatch.setattr(casework, "strongly_connected_components", counted)
+    return calls
+
+
+def test_poset_report_runs_two_component_passes(scc_passes):
+    assert verify_poset_corollary(diamond(), zoo.acyclic2()).outcome == "confirmed"
+    assert len(scc_passes) == 2
+
+
+def test_acyclic_report_that_misses_runs_three_component_passes(scc_passes):
+    report = verify_acyclic_corollary(PosetCategory("xyz", []), zoo.acyclic2())
+    assert report.outcome == "inconclusive"
+    assert len(scc_passes) == 3
 
 
 def test_thin_count_rejects_additive_instances():

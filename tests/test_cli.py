@@ -27,7 +27,7 @@ from flowcat.diagrams import DiagramError
 from flowcat.functors import FunctorPairError
 from flowcat.graphs import GraphError, graph
 from flowcat.leavitt import LeavittError
-from flowcat.moves import InDelaySpec, MoveError, in_delay
+from flowcat.moves import SPEC_MOVES, InDelaySpec, MoveError, in_delay
 from flowcat.util import FlowcatError
 
 from cli_error_samples import BUNDLE_SINK, COMMANDS, run_case
@@ -809,6 +809,19 @@ def test_graph_round_trip_is_identity(tmp_path):
     again = cli.load_graph(path)
     assert again.labeled_eq(g)
     assert cli.graph_to_doc(again) == doc
+
+
+ZOO_SPECS = sorted(name for name in dir(zoo) if name.endswith("_spec"))
+
+
+@pytest.mark.parametrize("name", ZOO_SPECS)
+def test_move_doc_round_trips_every_zoo_spec(name):
+    spec = getattr(zoo, name)()
+    move = next(m for m, (_, spec_type) in SPEC_MOVES.items() if type(spec) is spec_type)
+    shape = name.removesuffix(f"_{move}_spec")
+    g = getattr(zoo, "vw_graph" if shape == "vw" else shape)()
+    doc = json.loads(json.dumps(cli.move_doc(move, spec)))
+    assert cli.parse_move_doc(doc, g, "m.json") == (move, spec)
 
 
 def test_output_is_deterministic(tmp_path, capsys):

@@ -8,7 +8,7 @@ import time
 import pytest
 
 from flowcat import zoo
-from flowcat.categories import FinSetSkeleton, MatCategory, Morphism, chain, diamond
+from flowcat.categories import FinSetSkeleton, MatCategory, Morphism, PosetCategory, chain, diamond
 from flowcat.diagrams import (
     DiagramError,
     canonical_diagram,
@@ -23,6 +23,7 @@ from flowcat.diagrams import (
     random_diagram,
     solve_dimension_vectors,
 )
+from flowcat.functors import CorruptedPair, _sample_pool, standard_verification_suite
 from flowcat.graphs import graph, is_acyclic
 from flowcat.sampling import random_shape_graph
 from flowcat.util import SearchCapExceeded
@@ -32,6 +33,7 @@ from oracles import (
     product_diagram_morphisms,
     product_size_vectors,
     product_thin_diagrams,
+    vertexwise_coproduct_failures,
 )
 
 CHAIN2 = chain(2)
@@ -99,7 +101,7 @@ def test_condition_single_edge_mat():
     bad = make_diagram(MAT23, SINGLE_EDGE, {"a": 1, "b": 1}, {"x": Morphism(1, 1, ((0,),))})
     report = check_coproduct_condition(MAT23, bad)
     assert not report.ok
-    assert report.failures == [("b", "cotuple of the incoming morphisms is not an isomorphism")]
+    assert report.failures == (("b", "cotuple of the incoming morphisms is not an isomorphism"),)
 
 
 def test_condition_acyclic2_finset():
@@ -121,7 +123,7 @@ def test_condition_acyclic2_finset():
         {"e1": Morphism(1, 2, (0,)), "e2": Morphism(2, 2, (0, 1))},
     )
     report = check_coproduct_condition(FINSET, squeezed)
-    assert report.failures == [("c", "cotuple of the incoming morphisms is not an isomorphism")]
+    assert report.failures == (("c", "cotuple of the incoming morphisms is not an isomorphism"),)
 
 
 def test_condition_reports_unavailable_coproduct():
@@ -133,7 +135,7 @@ def test_condition_reports_unavailable_coproduct():
         {"e1": Morphism(2, 3, (0, 1)), "e2": Morphism(2, 3, (1, 2))},
     )
     report = check_coproduct_condition(FinSetSkeleton(3), big)
-    assert report.failures == [("c", "coproduct of the incoming family is unavailable at this bound")]
+    assert report.failures == (("c", "coproduct of the incoming family is unavailable at this bound"),)
 
 
 def test_condition_poset_supremum():
@@ -603,6 +605,98 @@ def test_thin_enumeration_of_an_interleaved_cycle_is_fast():
     found = enumerate_diagrams(chain(3), g)
     assert time.perf_counter() - start < 0.5
     assert [set(d.obj.values()) for d in found] == [{0}, {1}, {2}]
+
+
+# -- the coproduct check against the vertexwise oracle ------------------------------------
+
+ZOO_SHAPES = [zoo.loop1(), zoo.loop2(), zoo.vw_graph(), zoo.acyclic2(), zoo.cuntz_h(),
+              zoo.chain_graph(3), zoo.cycle_with_sink(), zoo.loop_and_exit()]
+REASONS = (
+    "incoming family has no supremum",
+    "is not the supremum",
+    "coproduct of the incoming family is unavailable at this bound",
+    "cotuple of the incoming morphisms is not an isomorphism",
+)
+
+
+def _check_shapes(seed, bundle_prob):
+    rng = random.Random(seed)
+    extra = [zoo.h_graph()] if bundle_prob else []
+    return ZOO_SHAPES + extra + [
+        random_shape_graph(rng, max_vertices=5, bundle_prob=bundle_prob) for _ in range(12)
+    ]
+
+
+def _thin_inputs(cat, seed):
+    """Each shape's enumerated diagrams, then monotone object assignments
+    drawn at random, most of which break the condition somewhere."""
+    rng = random.Random(seed)
+    for g in _check_shapes(seed, bundle_prob=0.15):
+        yield from enumerate_diagrams(cat, g)
+        for _ in range(200):
+            obj = {v: rng.choice(cat.objects()) for v in g.sorted_vertices()}
+            try:
+                yield make_diagram(cat, g, obj)
+            except DiagramError:
+                pass
+
+
+def _additive_inputs(cat, seed):
+    """Each shape's coproduct-condition diagrams (up to 40 enumerated on the
+    zoo, one random one per size vector on the random shapes), each also
+    with one of its first three edges set to one of the first two morphisms
+    of its hom-set, and a diagram with random objects and morphisms."""
+    rng = random.Random(seed)
+    for i, g in enumerate(_check_shapes(seed, bundle_prob=0.0)):
+        if i < len(ZOO_SHAPES):
+            diagrams = enumerate_diagrams(cat, g, max_nodes=20_000)[:40]
+        else:
+            vectors = solve_dimension_vectors(g, max(cat.objects()))[:6]
+            diagrams = [random_diagram(cat, g, dims, rng) for dims in vectors]
+        for d in diagrams:
+            yield d
+            for e in sorted(d.graph.edges)[:3]:
+                for f in itertools.islice(cat.hom(d.obj[e.src], d.obj[e.tgt]), 2):
+                    yield make_diagram(cat, g, d.obj, {**d.mor, e.id: f})
+        # nonzero objects, so that every hom-set has a morphism to choose
+        obj = {v: rng.choice(cat.objects()[1:]) for v in g.sorted_vertices()}
+        yield _typed_diagram(cat, g, obj, rng)
+
+
+def _corrupted_images(cat):
+    """The forward images of each standard-suite pair's corrupted control."""
+    for _, pair in standard_verification_suite():
+        control = CorruptedPair(pair)
+        for d in _sample_pool(cat, pair.source, random.Random(5), 3, None):
+            try:
+                yield control.forward(cat, d)
+            except DiagramError:
+                pass
+
+
+NO_SUP = PosetCategory("abcd", [(x, y) for x in "ab" for y in "cd"], name="two-below-two")
+
+
+@pytest.mark.parametrize("cat, inputs, reasons", [
+    (chain(3), _thin_inputs, REASONS[1:2]),
+    (diamond(), _thin_inputs, REASONS[1:2]),
+    (NO_SUP, _thin_inputs, REASONS[:2]),
+    (FinSetSkeleton(3), _additive_inputs, REASONS[2:]),
+    (MatCategory(2, 2), _additive_inputs, REASONS[2:]),
+], ids=["chain3", "diamond", "two-below-two", "finset:3", "mat:2:2"])
+def test_coproduct_check_matches_the_vertexwise_oracle(cat, inputs, reasons):
+    checked = failing = several = 0
+    seen = set()
+    for d in itertools.chain(inputs(cat, 71), _corrupted_images(cat)):
+        failures = check_coproduct_condition(cat, d).failures
+        assert type(failures) is tuple
+        assert list(failures) == vertexwise_coproduct_failures(cat, d)
+        checked += 1
+        failing += bool(failures)
+        several += len(failures) > 1
+        seen |= {r for r in REASONS for _, reason in failures if r in reason}
+    assert checked >= 300 and failing >= 40 and several >= 2
+    assert seen == set(reasons)
 
 
 # -- one generator behind both searches -------------------------------------------------
