@@ -6,9 +6,9 @@ The package has four layers:
 * `graphs`, `moves` — directed multigraphs with infinite-bundle markers and
   the sink-removal / delay / split / truncated head-and-tail moves;
 * `intmat`, `invariants` — exact integer linear algebra (one unit-pivot
-  elimination with a replayable witness, shared by the determinant and a
-  Smith normal form taken modulo a minor) behind the Parry-Sullivan number
-  and the Bowen-Franks group;
+  row kernel behind the determinant and a Smith normal form taken modulo a
+  minor, with a replayable witness on request) behind the Parry-Sullivan
+  number and the Bowen-Franks group;
 * `categories`, `diagrams`, `functors` — finite poset, finite-set and matrix
   categories, enumeration of the diagrams satisfying the coproduct condition,
   and executable equivalence functor pairs for the moves with a verification

@@ -478,7 +478,8 @@ class EquivalenceReport(NamedTuple):
 def _sample_pool(cat, g, rng, count, max_nodes):
     """Diagrams satisfying the coproduct condition: exhaustive for thin
     instances, else canonical + random cotuples over feasible size vectors
-    (largest and smallest total first, for nonzero coverage)."""
+    (largest and smallest total first, for nonzero coverage).  Equal draws
+    are one object, so what is memoised on a diagram is built once."""
     if cat.is_thin:
         return enumerate_diagrams(cat, g, max_nodes=max_nodes)
     vectors = solve_dimension_vectors(g, max(cat.objects()), NodeBudget(max_nodes))
@@ -488,7 +489,8 @@ def _sample_pool(cat, g, rng, count, max_nodes):
         pool.append(canonical_diagram(cat, g, vectors[-1]))
     while len(pool) < count:
         pool.append(random_diagram(cat, g, rng.choice(vectors), rng))
-    return pool[:count]
+    seen = {}
+    return [seen.setdefault(d, d) for d in pool[:count]]
 
 
 def _homs(cat, d1, d2, state):

@@ -1,12 +1,13 @@
 """Exact integer matrices: determinant and Smith normal form.
 
 Everything here is arbitrary-precision integer arithmetic; no floats ever.
-Both `determinant` and `smith_normal_form` start with one elimination,
-`_unit_reduce`, which pivots only on entries +-1 and brings the matrix to
-`I_t (+) S` by recorded unimodular row and column operations; S is the Schur
-complement that has no unit entry left.  One fraction-free Bareiss pass on S
-then gives its rank r and a nonzero r x r minor N (N = |det S| when S is
-square and nonsingular).
+One row kernel, `eliminate_rows`, reduces a list of integer rows in place:
+`_unit_reduce` pivots only on entries +-1 and brings them to `I_t (+) S` by
+unimodular row and column operations; S is the Schur complement that has no
+unit entry left.  One fraction-free Bareiss pass on S then gives its rank r
+and a nonzero r x r minor N (N = |det S| when S is square and nonsingular).
+`determinant` and `smith_normal_form` copy an `IntMatrix` into rows, the
+invariants pass I - A as rows; only `smith_normal_form` logs the operations.
 
 The Smith form of S is computed modulo N, so its entries stay below N.  This
 is exact because coker(S) (x) Z/N is the sum of the Z/gcd(d_i, N) over S's
@@ -114,34 +115,45 @@ def apply_operations(m, ops):
     return IntMatrix.from_rows(a)
 
 
-def _unit_reduce(a, ops):
-    """Eliminate on +-1 pivots in place until none is left; returns t.
+def _unit_reduce(a, ops=None):
+    """Eliminate on +-1 pivots in place until none is left; returns (t, sign).
 
-    Afterwards `a` is I_t (+) S, and `ops` holds the operations that took the
-    input there.  Rows and columns before the pivot are already zero, so
-    clearing the pivot row by column operations changes only that row."""
+    Afterwards `a` is I_t (+) S; sign is the determinant (+-1) of the
+    operations that took the input there, which go to `ops` when it is a
+    list.  Rows and columns before the pivot are already zero, so clearing
+    the pivot row changes only that row, and the pivot, the first unit of
+    the first row that has one, is searched for from column 0."""
     nrows = len(a)
     ncols = len(a[0]) if a else 0
     t = 0
+    sign = 1
     while t < nrows and t < ncols:
-        pivot = next(
-            ((i, j) for i in range(t, nrows) for j in range(t, ncols) if a[i][j] in (1, -1)),
-            None,
-        )
-        if pivot is None:
+        for i in range(t, nrows):
+            for j, x in enumerate(a[i]):
+                if x == 1 or x == -1:
+                    break
+            else:
+                continue
             break
-        i, j = pivot
+        else:
+            break
         if i != t:
             a[t], a[i] = a[i], a[t]
-            ops.append(("rswap", t, i))
+            sign = -sign
+            if ops is not None:
+                ops.append(("rswap", t, i))
         if j != t:
             for row in a:
                 row[t], row[j] = row[j], row[t]
-            ops.append(("cswap", t, j))
+            sign = -sign
+            if ops is not None:
+                ops.append(("cswap", t, j))
         prow = a[t]
         if prow[t] == -1:
             prow = a[t] = [-x for x in prow]
-            ops.append(("rneg", t))
+            sign = -sign
+            if ops is not None:
+                ops.append(("rneg", t))
         rest = [(k, x) for k in range(t + 1, ncols) if (x := prow[k])]
         for i in range(t + 1, nrows):
             row = a[i]
@@ -150,12 +162,14 @@ def _unit_reduce(a, ops):
                 row[t] = 0
                 for k, x in rest:
                     row[k] -= c * x
-                ops.append(("radd", i, t, -c))
+                if ops is not None:
+                    ops.append(("radd", i, t, -c))
         for k, x in rest:
             prow[k] = 0
-            ops.append(("cadd", k, t, -x))
+            if ops is not None:
+                ops.append(("cadd", k, t, -x))
         t += 1
-    return t
+    return t, sign
 
 
 def _bareiss(s):
@@ -193,17 +207,28 @@ def _bareiss(s):
     return min(nrows, ncols), sign * prev
 
 
+def eliminate_rows(a, smith=True, ops=None):
+    """The one elimination behind `determinant`, `smith_normal_form` and the
+    flow invariants, on a list of integer rows that it reduces in place.
+
+    Unit pivots bring `a` to I_t (+) S, appending their operations to `ops`
+    when it is a list; Bareiss then runs on a copy of S.  Returns (divisors,
+    det, minor): all min(rows, cols) Smith divisors (None unless `smith`),
+    the determinant when `a` is square, and S's signed maximal minor."""
+    t, sign = _unit_reduce(a, ops)
+    s = [row[t:] for row in a[t:]]
+    rank, minor = _bareiss([row[:] for row in s] if smith else s)
+    det = sign * minor if rank == len(s) else 0
+    if not smith:
+        return None, det, minor
+    return (1,) * t + _schur_divisors(s, rank, minor), det, minor
+
+
 def determinant(m):
     """Exact determinant: unit pivots, then Bareiss on what they leave."""
     if m.rows != m.cols:
         raise ValueError("determinant requires a square matrix")
-    a = [list(row) for row in m.entries]
-    ops = []
-    t = _unit_reduce(a, ops)
-    rank, minor = _bareiss([row[t:] for row in a[t:]])
-    if rank < m.rows - t:
-        return 0
-    return _signed(minor, ops)
+    return eliminate_rows([list(row) for row in m.entries], smith=False)[1]
 
 
 def _signed(minor, ops):
@@ -241,26 +266,20 @@ def smith_normal_form(m):
     pass gives the determinant of a square input (`determinant()`)."""
     a = [list(row) for row in m.entries]
     ops = []
-    t = _unit_reduce(a, ops)
-    reduced = IntMatrix(tuple(map(tuple, a)))
-    divisors, minor = _schur_divisors([row[t:] for row in a[t:]])
-    return SmithDecomposition(
-        divisors=(1,) * t + divisors, operations=tuple(ops), reduced=reduced, schur_minor=minor
-    )
+    divisors, _, minor = eliminate_rows(a, ops=ops)
+    return SmithDecomposition(divisors, tuple(ops), IntMatrix(tuple(map(tuple, a))), minor)
 
 
-def _schur_divisors(s):
-    """(divisors, minor): the Smith divisors of s, computed modulo a nonzero
-    maximal minor N, and N signed as `_bareiss` gives it."""
+def _schur_divisors(s, rank, minor):
+    """The Smith divisors of s, computed modulo its nonzero maximal minor."""
     size = min(len(s), len(s[0]) if s else 0)
-    rank, minor = _bareiss([row[:] for row in s])
     if rank == 0:
-        return (0,) * size, minor
+        return (0,) * size
     n = abs(minor)
     factors = _divisor_chain(_diagonal_mod(s, n))
     if rank == len(s) == len(s[0]) and math.prod(factors) != n:
         raise ArithmeticError(f"Smith divisors {factors} do not multiply to |det| = {n}")
-    return tuple(factors[:rank]) + (0,) * (size - rank), minor
+    return tuple(factors[:rank]) + (0,) * (size - rank)
 
 
 def _diagonal_mod(s, n):

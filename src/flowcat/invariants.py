@@ -6,10 +6,11 @@ For a graph with adjacency matrix A on n vertices:
     PS(G) = det(I_n - A)
     BF(G) = Z^n / (I_n - A) Z^n
 
-both computed over the integers exactly.  For irreducible non-trivial graphs
-the pair (PS, BF) is a complete flow-equivalence invariant, so equality of
-both decides equivalence; outside that scope the comparison is reported as
-out of scope rather than guessed.
+both computed over the integers exactly, by handing I - A as a list of rows
+to `intmat.eliminate_rows`, with no `IntMatrix` and no operation log.  For
+irreducible non-trivial graphs the pair (PS, BF) is a complete
+flow-equivalence invariant, so equality of both decides equivalence; outside
+that scope the comparison is reported as out of scope rather than guessed.
 """
 
 from __future__ import annotations
@@ -17,23 +18,23 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .graphs import is_irreducible, is_nontrivial, matrix_positions
-from .intmat import IntMatrix, determinant, smith_normal_form
+from .intmat import eliminate_rows
 
 
-def _ps_matrix(g):
-    """I - A in sorted vertex order, built in one pass over the edges."""
+def _ps_rows(g):
+    """I - A in sorted vertex order as rows, built in one pass over the edges."""
     pos = matrix_positions(g)
     rows = [[0] * len(pos) for _ in pos]
     for i, row in enumerate(rows):
         row[i] = 1
     for e in g.edges:
         rows[pos[e.src]][pos[e.tgt]] -= 1
-    return IntMatrix(tuple(map(tuple, rows)))
+    return rows
 
 
 def parry_sullivan(g):
     """det(I - A); unchanged when the vertices are relabelled."""
-    return determinant(_ps_matrix(g))
+    return eliminate_rows(_ps_rows(g), smith=False)[1]
 
 
 class BowenFranksGroup(NamedTuple):
@@ -53,18 +54,18 @@ class BowenFranksGroup(NamedTuple):
 
 def bowen_franks(g):
     """Cokernel of I - A as a BowenFranksGroup, via Smith normal form."""
-    return _cokernel(smith_normal_form(_ps_matrix(g)))
+    return _cokernel(eliminate_rows(_ps_rows(g))[0])
 
 
 def flow_invariants(g):
     """(parry_sullivan(g), bowen_franks(g)) from one Smith normal form of I - A."""
-    snf = smith_normal_form(_ps_matrix(g))
-    return snf.determinant(), _cokernel(snf)
+    divisors, det, _ = eliminate_rows(_ps_rows(g))
+    return det, _cokernel(divisors)
 
 
-def _cokernel(snf):
-    free_rank = sum(1 for d in snf.divisors if d == 0)
-    torsion = tuple(d for d in snf.divisors if d > 1)
+def _cokernel(divisors):
+    free_rank = divisors.count(0)
+    torsion = tuple(d for d in divisors if d > 1)
     return BowenFranksGroup(free_rank=free_rank, torsion=torsion)
 
 

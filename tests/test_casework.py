@@ -220,10 +220,31 @@ def test_poset_report_runs_two_component_passes(scc_passes):
     assert len(scc_passes) == 2
 
 
-def test_acyclic_report_that_misses_runs_three_component_passes(scc_passes):
+def test_acyclic_report_that_misses_runs_two_component_passes(scc_passes):
     report = verify_acyclic_corollary(PosetCategory("xyz", []), zoo.acyclic2())
     assert report.outcome == "inconclusive"
-    assert len(scc_passes) == 3
+    assert len(scc_passes) == 2
+
+
+def test_confirmed_acyclic_report_runs_one_component_pass(scc_passes):
+    assert verify_acyclic_corollary(chain(2), zoo.acyclic2()).outcome == "confirmed"
+    assert len(scc_passes) == 1
+
+
+def test_acyclic_sources_are_the_cohereditary_irreducible_subsets():
+    # the acyclic report takes m as the number of sources: on seeded acyclic
+    # graphs, bundles included, that is the number of such subsets
+    rng = random.Random(20261024)
+    for _ in range(300):
+        n = rng.randint(1, 9)
+        vs = [f"v{i}" for i in range(n)]
+        # each arrow runs from the lower name to the higher: no cycle
+        arrows = [sorted(rng.sample(vs, 2)) for _ in range(rng.randint(0, 2 * n) if n > 1 else 0)]
+        edges = [(f"e{k}", a, b) for k, (a, b) in enumerate(arrows) if k % 3]
+        bundles = [(a, b) for k, (a, b) in enumerate(arrows) if not k % 3]
+        g = graph(vs, edges, bundles=bundles)
+        assert graphs.is_acyclic(g)
+        assert len(graphs.sources(g)) == len(graphs.cohereditary_irreducible_subsets(g))
 
 
 def test_thin_count_rejects_additive_instances():

@@ -347,6 +347,15 @@ def test_images_are_built_once_and_controls_stay_broken(cat):
     assert corrupted >= 6
 
 
+def test_equal_sampled_diagrams_are_one_object():
+    # Over finset:4 the vw/in-delay source has only the zero diagram, drawn
+    # eight times: one object, so its images are built once.
+    pair = dict(standard_verification_suite())["vw/in-delay"]
+    pool = _sample_pool(FinSetSkeleton(4), pair.source, random.Random(20260815), 8, None)
+    assert len(pool) == 8
+    assert len({id(d) for d in pool}) == 1
+
+
 def test_harness_report_is_serializable():
     label, pair = FAST_SUITE[0]
     report = verify_equivalence(CHAIN2, pair, samples=3, seed=2)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import runpy
@@ -8,11 +9,11 @@ import pytest
 from hypothesis import given, settings
 
 from flowcat import intmat, zoo
-from flowcat.graphs import GraphError, graph
+from flowcat.graphs import GraphError, adjacency_matrix, graph
 from flowcat.intmat import IntMatrix, determinant, smith_normal_form
 from flowcat.invariants import (
     BowenFranksGroup,
-    _ps_matrix,
+    _ps_rows,
     bowen_franks,
     flow_invariants,
     franks_equivalent,
@@ -28,7 +29,7 @@ from oracles import (
     euclid_snf_divisors,
     snf_divisors_by_gcds,
 )
-from strategies import dense_graph, int_matrices
+from strategies import dense_graph, int_matrices, sparse_graph
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -183,8 +184,77 @@ def test_snf_checks_the_divisor_product(monkeypatch):
         smith_normal_form(IntMatrix.from_rows(rows))
 
 
-def _ps_rows(g):
-    return [list(r) for r in _ps_matrix(g).entries]
+def _witness_matrices():
+    """Seeded integer matrices of every shape up to 7 x 7, and I - A (through
+    IntMatrix) for invariance trials, their move images and dense graphs up
+    to n = 24."""
+    rng = random.Random(20261024)
+    for k in range(300):
+        span = 2 if k % 2 else 6
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        yield IntMatrix.from_rows(
+            [[rng.randint(-span, span) for _ in range(cols)] for _ in range(rows)]
+        )
+    graphs = []
+    for _ in range(60):
+        g = random_irreducible_graph(rng, max_vertices=6)
+        graphs.append(g)
+        for name in ("out_delay", "in_delay", "out_split", "in_split"):
+            graphs.append(getattr(mv, name)(g, random_move_spec(rng, g, name)))
+    graphs += [dense_graph(rng, n) for n in range(6, 25, 2) for _ in range(2)]
+    for g in graphs:
+        a = adjacency_matrix(g)
+        yield IntMatrix.identity(a.rows) - a
+
+
+def test_snf_witness_and_determinant_are_pinned():
+    # Divisors, operation log, I_t (+) S and S's minor of every Smith form,
+    # and every square determinant: a rewrite of the pivot search must pick
+    # the same pivots, so the witness replays to the same I_t (+) S.
+    digest = hashlib.sha256()
+    for m in _witness_matrices():
+        snf = smith_normal_form(m)
+        digest.update(repr(tuple(snf)).encode())
+        if m.rows == m.cols:
+            digest.update(repr(determinant(m)).encode())
+    assert digest.hexdigest() == (
+        "74ba41bd5b5ea4cb5f9c042f7fc12b06bd05c5817ead5e84745ab3b56de622bd"
+    )
+
+
+def _differential_graphs():
+    """Invariance trials with their four move images, dense graphs of 6-32
+    vertices and sparse graphs of 100-250."""
+    rng = random.Random(20261025)
+    for _ in range(40):
+        g = random_irreducible_graph(rng, max_vertices=6)
+        yield g
+        for name in ("out_delay", "in_delay", "out_split", "in_split"):
+            yield getattr(mv, name)(g, random_move_spec(rng, g, name))
+    for n in range(6, 33, 2):
+        yield dense_graph(rng, n)
+    for n in (100, 175, 250):
+        yield sparse_graph(rng, n, rng.randint(n, 2 * n))
+
+
+def test_row_path_matches_the_intmatrix_path_and_the_oracles():
+    # parry_sullivan, bowen_franks and flow_invariants build I - A as rows
+    # and skip the witness; determinant and smith_normal_form take it as an
+    # IntMatrix.  The Euclid-swap oracle can stall past 12 vertices, dense or
+    # sparse; beyond that the divisors are held to the Bareiss determinant.
+    for g in _differential_graphs():
+        a = adjacency_matrix(g)
+        m = IntMatrix.identity(a.rows) - a
+        det, divisors = determinant(m), smith_normal_form(m).divisors
+        bf = BowenFranksGroup(divisors.count(0), tuple(d for d in divisors if d > 1))
+        assert (parry_sullivan(g), bowen_franks(g)) == flow_invariants(g) == (det, bf)
+        rows = [list(r) for r in m.entries]
+        assert det == bareiss_determinant(rows)
+        if m.rows <= 6:
+            assert det == cofactor_determinant(rows)
+        if m.rows <= 12:
+            assert divisors == euclid_snf_divisors(rows)
+        assert (bf.free_rank, math.prod(bf.torsion)) == (0, abs(det)) if det else bf.free_rank
 
 
 def test_exact_algebra_matches_the_previous_implementation():
