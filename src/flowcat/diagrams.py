@@ -51,7 +51,7 @@ from operator import eq
 from typing import NamedTuple
 
 from .categories import CategoryError, Morphism
-from .graphs import DirectedGraph, classify_vertex
+from .graphs import DirectedGraph, sources
 from .util import (
     FlowcatError, NodeBudget, SearchCapExceeded, cached_on, frozendict, refuse_assignment,
 )
@@ -284,7 +284,7 @@ def _search(plan, pools, derive, checks, budget, phase):
 
 
 def _non_sources(g):
-    return [v for v in g.sorted_vertices() if not classify_vertex(g, v).is_source]
+    return sorted(g.vertices.difference(sources(g)))
 
 
 def solve_dimension_vectors(g, bound, budget=None):

@@ -479,7 +479,7 @@ def _sample_pool(cat, g, rng, count, max_nodes):
     """Diagrams satisfying the coproduct condition: exhaustive for thin
     instances, else canonical + random cotuples over feasible size vectors
     (largest and smallest total first, for nonzero coverage).  Equal draws
-    are one object, so what is memoised on a diagram is built once."""
+    are one object, checked once; each still counts in the report."""
     if cat.is_thin:
         return enumerate_diagrams(cat, g, max_nodes=max_nodes)
     vectors = solve_dimension_vectors(g, max(cat.objects()), NodeBudget(max_nodes))
@@ -508,6 +508,29 @@ def _homs(cat, d1, d2, state):
     return table[d1, d2]
 
 
+def _image(cat, apply_map, m, state):
+    """apply_map(cat, m), the image of the morphism m under one functor of the
+    pair, mapped once per run and kept in `state` by apply_map and m."""
+    table = state["images"]
+    if (apply_map, m) not in table:
+        table[apply_map, m] = apply_map(cat, m)
+    return table[apply_map, m]
+
+
+def _once(memo, key, state, work):
+    """`work()` at the first draw of `key` in a check, and the outcome kept for
+    every later draw, so a check works once per distinct diagram.  None, and
+    a bounded skip at each draw, when the work left the size bound."""
+    if key not in memo:
+        try:
+            memo[key] = work()
+        except DiagramError:
+            memo[key] = None
+    if memo[key] is None:
+        state["bounded"] += 1
+    return memo[key]
+
+
 def _check_condition_preserved(cat, pair, src_pool, tgt_pool, state):
     details = []
     used = 0
@@ -534,6 +557,23 @@ def _check_condition_preserved(cat, pair, src_pool, tgt_pool, state):
     )
 
 
+def _functor_faults(cat, d, apply, apply_map, state):
+    """What the functor gets wrong at d: the image of the identity, then those
+    of the composites of up to four endomorphisms of d."""
+    problems = []
+    ident = _image(cat, apply_map, identity_diagram_morphism(cat, d), state)
+    if ident != identity_diagram_morphism(cat, apply(cat, d)):
+        problems.append("image of an identity is not the identity")
+    endos = (_homs(cat, d, d, state) or [])[:4]
+    images = [_image(cat, apply_map, m, state) for m in endos]
+    for s, fs in zip(endos, images):
+        for t, ft in zip(endos, images):
+            lhs = _image(cat, apply_map, compose_diagram_morphisms(cat, t, s), state)
+            if lhs != compose_diagram_morphisms(cat, ft, fs):
+                problems.append("image of a composite differs from the composite of images")
+    return problems
+
+
 def _check_functorial(cat, pair, src_pool, tgt_pool, state):
     details = []
     used = 0
@@ -541,32 +581,39 @@ def _check_functorial(cat, pair, src_pool, tgt_pool, state):
         ("forward", pair.forward, pair.forward_map, src_pool),
         ("backward", pair.backward, pair.backward_map, tgt_pool),
     ):
-        problems = []
+        problems, memo = [], {}
         for d in pool[:4]:
-            try:
-                ident_image = apply_map(cat, identity_diagram_morphism(cat, d))
-                expected = identity_diagram_morphism(cat, apply(cat, d))
-            except DiagramError:
-                state["bounded"] += 1
-                continue
-            used += 1
-            if ident_image != expected:
-                problems.append("image of an identity is not the identity")
-            endos = (_homs(cat, d, d, state) or [])[:4]
-            for s in endos:
-                for t in endos:
-                    lhs = apply_map(cat, compose_diagram_morphisms(cat, t, s))
-                    rhs = compose_diagram_morphisms(
-                        cat, apply_map(cat, t), apply_map(cat, s)
-                    )
-                    if lhs != rhs:
-                        problems.append(
-                            "image of a composite differs from the composite of images"
-                        )
+            found = _once(memo, d, state, lambda: _functor_faults(cat, d, apply, apply_map, state))
+            if found is not None:
+                used += 1
+                problems += found
         details += [f"{label}: {p}" for p in problems[:3]]
     return CheckResult(
         "functoriality", not details, inconclusive=used == 0, details=tuple(details)
     )
+
+
+def _round_trip(cat, label, build, d, crosses, state):
+    """(problem, miss) at d: the first way the unit or counit fails to be a
+    natural isomorphism, and, while `crosses` lasts, the detail when the
+    independent search finds no isomorphism from the original to its round trip."""
+    iso = build(cat, d)
+    problems = check_diagram_morphism(cat, iso.source, iso.target, dict(iso.components))
+    if problems:
+        return f"{label} is not natural: {problems[0]}", None
+    non_iso = sorted(v for v, f in iso.components.items() if not cat.is_iso(f))
+    if non_iso:
+        return f"{label} component at vertex {non_iso[0]!r} is not an isomorphism", None
+    ends = (iso.source, iso.target) if label == "unit" else (iso.target, iso.source)
+    try:
+        if crosses and diagram_isomorphic(cat, *ends, state["max_nodes"]) is None:
+            return None, (
+                f"{label} round trip is not isomorphic to the original "
+                "(independent search found no isomorphism)"
+            )
+    except SearchCapExceeded:
+        pass
+    return None, None
 
 
 def _check_round_trips(cat, pair, src_pool, tgt_pool, state):
@@ -576,43 +623,20 @@ def _check_round_trips(cat, pair, src_pool, tgt_pool, state):
         ("unit", pair.unit, src_pool),
         ("counit", pair.counit, tgt_pool),
     ):
+        # the budget only falls, so a diagram's first draw settles its cross-check
         crosses = ISO_CROSS_CHECKS
+        memo = {}
         for d in pool:
-            try:
-                iso = build(cat, d)
-            except DiagramError:
-                state["bounded"] += 1
+            found = _once(memo, d, state, lambda: _round_trip(cat, label, build, d, crosses, state))
+            if found is None:
                 continue
             used += 1
-            problems = check_diagram_morphism(
-                cat, iso.source, iso.target, dict(iso.components)
-            )
-            if problems:
-                details.append(f"{label} is not natural: {problems[0]}")
-                continue
-            non_iso = sorted(
-                v for v, f in iso.components.items() if not cat.is_iso(f)
-            )
-            if non_iso:
-                details.append(
-                    f"{label} component at vertex {non_iso[0]!r} is not an isomorphism"
-                )
-                continue
-            if crosses > 0:
+            problem, miss = found
+            if problem:
+                details.append(problem)
+            elif crosses > 0:
                 crosses -= 1
-                round_tripped = iso.target if label == "unit" else iso.source
-                original = iso.source if label == "unit" else iso.target
-                try:
-                    witness = diagram_isomorphic(
-                        cat, original, round_tripped, state["max_nodes"]
-                    )
-                except SearchCapExceeded:
-                    continue
-                if witness is None:
-                    details.append(
-                        f"{label} round trip is not isomorphic to the original "
-                        "(independent search found no isomorphism)"
-                    )
+                details += [miss] if miss else []
     return CheckResult(
         "round-trip-isomorphism",
         not details,
@@ -621,35 +645,37 @@ def _check_round_trips(cat, pair, src_pool, tgt_pool, state):
     )
 
 
+def _hom_bijection(cat, pair, d1, d2, state):
+    """"skipped" when a hom-set is too large to list, "ok" when forward maps
+    Hom(d1, d2) one to one onto the hom-set of the images, else what fails."""
+    f1, f2 = pair.forward(cat, d1), pair.forward(cat, d2)
+    src_homs = _homs(cat, d1, d2, state)
+    tgt_homs = None if src_homs is None else _homs(cat, f1, f2, state)
+    if tgt_homs is None:
+        return "skipped"
+    mapped = [_image(cat, pair.forward_map, m, state) for m in src_homs]
+    if len(set(mapped)) != len(mapped):
+        return "forward is not injective on a hom-set"
+    if set(mapped) != set(tgt_homs):
+        return (
+            f"forward is not bijective on a hom-set: {len(mapped)} images "
+            f"vs {len(tgt_homs)} morphisms"
+        )
+    return "ok"
+
+
 def _check_hom_bijection(cat, pair, src_pool, state):
     details = []
     used = 0
     skipped = 0
-    images = []
-    for d in src_pool[:4]:
-        try:
-            images.append((d, pair.forward(cat, d)))
-        except DiagramError:
-            images.append((d, None))
-    for (d1, f1), (d2, f2) in itertools.product(images, repeat=2):
-        if f1 is None or f2 is None:
-            state["bounded"] += 1
-            continue
-        src_homs = _homs(cat, d1, d2, state)
-        tgt_homs = None if src_homs is None else _homs(cat, f1, f2, state)
-        if tgt_homs is None:
+    memo = {}
+    for d1, d2 in itertools.product(src_pool[:4], repeat=2):
+        found = _once(memo, (d1, d2), state, lambda: _hom_bijection(cat, pair, d1, d2, state))
+        if found == "skipped":
             skipped += 1
-            continue
-        used += 1
-        mapped = [pair.forward_map(cat, m) for m in src_homs]
-        if len(set(mapped)) != len(mapped):
-            details.append("forward is not injective on a hom-set")
-            continue
-        if set(mapped) != set(tgt_homs):
-            details.append(
-                f"forward is not bijective on a hom-set: {len(mapped)} images "
-                f"vs {len(tgt_homs)} morphisms"
-            )
+        elif found is not None:
+            used += 1
+            details += [] if found == "ok" else [found]
     ok = not details
     if skipped:
         details.append(f"{skipped} hom-set pairs skipped (search too large)")
@@ -666,10 +692,12 @@ def verify_equivalence(cat, pair, *, samples=8, seed=20260815, max_nodes=None):
     isomorphisms (with an independent isomorphism search as cross-check),
     (4) the forward functor is bijective on enumerable hom-sets.  Samples
     whose images leave the size bound are counted, never silently dropped;
-    a check with no usable samples reports inconclusive, not pass.
+    a check with no usable samples reports inconclusive, not pass.  Each
+    check works once per distinct diagram (pair, for bijectivity) and maps
+    each morphism once per run; equal draws still count in the report.
     """
     rng = random.Random(seed)
-    state = {"bounded": 0, "max_nodes": max_nodes, "homs": {}}
+    state = {"bounded": 0, "max_nodes": max_nodes, "homs": {}, "images": {}}
     try:
         src_pool = _sample_pool(cat, pair.source, rng, samples, max_nodes)
         tgt_pool = _sample_pool(cat, pair.target, rng, samples, max_nodes)
@@ -748,9 +776,9 @@ class CorruptedPair:
         self.target = pair.target
 
     def forward(self, cat, d):
+        """The forward image, broken where it can be, built once per diagram."""
         image = self._pair.forward(cat, d)
-        broken = _broken_variant(cat, image)
-        return broken if broken is not None else image
+        return cached_on(d, (self.forward, cat), lambda: _broken_variant(cat, image) or image)
 
     def can_corrupt(self, cat, d):
         """Whether this source diagram has a breakable forward image; when no

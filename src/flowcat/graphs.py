@@ -12,7 +12,7 @@ re-checks a graph it is given.  All operations are pure functions; derived
 structures use canonical names so outputs are reproducible byte for byte.
 
 Every per-vertex query (`incoming`, `outgoing`, `incoming_bundles`,
-`classify_vertex`, and through them `sources`, `sinks`, `infinite_receivers`)
+`classify_vertex`), each vertex class (`sources`, `sinks`, `infinite_receivers`)
 and every structure question (SCCs, condensation, cohereditary subsets,
 `is_nontrivial`) reads one adjacency index: edges in and out of each vertex
 sorted by id, and bundles in and out sorted.  It is built in one pass over
@@ -189,17 +189,20 @@ def classify_vertex(g, v):
 
 
 def sources(g):
-    return tuple(v for v in g.sorted_vertices() if classify_vertex(g, v).is_source)
+    """Vertices with no incoming edge or bundle, in sorted order."""
+    adj = g._adjacency
+    return tuple(sorted(g.vertices.difference(adj.edges_in, adj.bundles_in)))
 
 
 def sinks(g):
-    return tuple(v for v in g.sorted_vertices() if classify_vertex(g, v).is_sink)
+    """Vertices with no outgoing edge or bundle, in sorted order."""
+    adj = g._adjacency
+    return tuple(sorted(g.vertices.difference(adj.edges_out, adj.bundles_out)))
 
 
 def infinite_receivers(g):
-    return tuple(
-        v for v in g.sorted_vertices() if classify_vertex(g, v).is_infinite_receiver
-    )
+    """Targets of a bundle, in sorted order."""
+    return tuple(sorted(g._adjacency.bundles_in))
 
 
 # -- reachability ------------------------------------------------------------

@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 from .categories import MatCategory, mat_identity, mat_mul
 from .diagrams import inverse_cotuple_at
-from .graphs import classify_vertex, infinite_receivers
+from .graphs import infinite_receivers, sources
 from .util import FlowcatError, frozendict
 
 
@@ -85,9 +85,7 @@ def build_module_operators(cat, diagram):
         offset += diagram.obj[v]
 
     edge_star_maps = {}
-    for v in order:
-        if classify_vertex(g, v).is_source:
-            continue
+    for v in sorted(g.vertices.difference(sources(g))):
         # the first failing vertex in sorted order, as check_coproduct_condition reports
         _, psi_inv, reason = inverse_cotuple_at(cat, diagram, v)
         if psi_inv is None:
@@ -227,9 +225,8 @@ def check_leavitt_relations(ops):
                 "(5) sum of A_e A_e* over t^-1(v) = P_v at every non-source",
                 [
                     f"sum over t^-1({v})"
-                    for v in order
-                    if not classify_vertex(g, v).is_source
-                    and _add(q, [_mul(q, a[e.id], star[e.id]) for e in g.incoming(v)])
+                    for v in sorted(g.vertices.difference(sources(g)))
+                    if _add(q, [_mul(q, a[e.id], star[e.id]) for e in g.incoming(v)])
                     != p[v]
                 ],
             ),

@@ -225,8 +225,8 @@ def validate_out_split(g, spec):
     if problems:
         return problems
     _check_levels(problems, g, "p", spec.p_vertices, spec.p_edges, "src")
-    for v in g.sorted_vertices():
-        if classify_vertex(g, v).is_source and spec.p_vertices[v] != 0:
+    for v in sources(g):
+        if spec.p_vertices[v] != 0:
             problems.append(f"p({v})={spec.p_vertices[v]} but {v!r} is a source")
     return problems
 
@@ -263,8 +263,9 @@ def validate_in_split(g, spec):
     if problems:
         return problems
     _check_levels(problems, g, "p", spec.p_vertices, spec.p_edges, "tgt")
+    srcs = frozenset(sources(g))
     for v in g.sorted_vertices():
-        if classify_vertex(g, v).is_source:
+        if v in srcs:
             if spec.p_vertices[v] != 0:
                 problems.append(f"p({v})={spec.p_vertices[v]} but {v!r} is a source")
         else:

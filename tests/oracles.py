@@ -14,11 +14,32 @@ name anew, as the moves did before each derived name became one object.
 Tarjan's lowlink components, the dense permutation-matrix check and the
 iterated order closure are the package's code from before graph structure
 read the adjacency index and a poset's order became Warshall's closure.
+The equivalence harness's four checks are the package's code from before
+each did its work once per distinct sampled diagram: they redo every draw
+in full, through the package's functors, searches and report records.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
+
+from flowcat.diagrams import (
+    DiagramError,
+    check_coproduct_condition,
+    check_diagram_morphism,
+    compose_diagram_morphisms,
+    diagram_isomorphic,
+    identity_diagram_morphism,
+)
+from flowcat.functors import (
+    ISO_CROSS_CHECKS,
+    CheckResult,
+    EquivalenceReport,
+    _homs,
+    _sample_pool,
+)
+from flowcat.util import SearchCapExceeded
 
 
 def cofactor_determinant(rows):
@@ -739,3 +760,199 @@ def vertexwise_coproduct_failures(cat, diagram):
         elif not cat.is_iso(cat.cotuple(cop, [diagram.mor[e.id] for e in edges])):
             failures.append((v, "cotuple of the incoming morphisms is not an isomorphism"))
     return failures
+
+
+# -- the harness's checks, redone at every draw ------------------------------------------
+#
+# The four checks of `functors.verify_equivalence` as they were before each
+# did its work once per distinct sampled diagram and each morphism image was
+# built once per run: every draw reruns its check in full.  They sample, list
+# hom-sets and report through the package's own `_sample_pool`, `_homs`,
+# `CheckResult` and `EquivalenceReport`.
+
+
+def _check_condition_preserved(cat, pair, src_pool, tgt_pool, state):
+    details = []
+    used = 0
+    for label, apply, pool in (
+        ("forward", pair.forward, src_pool),
+        ("backward", pair.backward, tgt_pool),
+    ):
+        for d in pool:
+            try:
+                image = apply(cat, d)
+            except DiagramError:
+                state["bounded"] += 1
+                continue
+            used += 1
+            failures = check_coproduct_condition(cat, image).failures
+            if failures and not details:
+                v, reason = failures[0]
+                details.append(
+                    f"{label} image violates the coproduct condition at "
+                    f"vertex {v!r}: {reason}"
+                )
+    return CheckResult(
+        "preserves-coproduct-condition", not details, inconclusive=used == 0, details=tuple(details)
+    )
+
+
+def _check_functorial(cat, pair, src_pool, tgt_pool, state):
+    details = []
+    used = 0
+    for label, apply, apply_map, pool in (
+        ("forward", pair.forward, pair.forward_map, src_pool),
+        ("backward", pair.backward, pair.backward_map, tgt_pool),
+    ):
+        problems = []
+        for d in pool[:4]:
+            try:
+                ident_image = apply_map(cat, identity_diagram_morphism(cat, d))
+                expected = identity_diagram_morphism(cat, apply(cat, d))
+            except DiagramError:
+                state["bounded"] += 1
+                continue
+            used += 1
+            if ident_image != expected:
+                problems.append("image of an identity is not the identity")
+            endos = (_homs(cat, d, d, state) or [])[:4]
+            for s in endos:
+                for t in endos:
+                    lhs = apply_map(cat, compose_diagram_morphisms(cat, t, s))
+                    rhs = compose_diagram_morphisms(
+                        cat, apply_map(cat, t), apply_map(cat, s)
+                    )
+                    if lhs != rhs:
+                        problems.append(
+                            "image of a composite differs from the composite of images"
+                        )
+        details += [f"{label}: {p}" for p in problems[:3]]
+    return CheckResult(
+        "functoriality", not details, inconclusive=used == 0, details=tuple(details)
+    )
+
+
+def _check_round_trips(cat, pair, src_pool, tgt_pool, state):
+    details = []
+    used = 0
+    for label, build, pool in (
+        ("unit", pair.unit, src_pool),
+        ("counit", pair.counit, tgt_pool),
+    ):
+        crosses = ISO_CROSS_CHECKS
+        for d in pool:
+            try:
+                iso = build(cat, d)
+            except DiagramError:
+                state["bounded"] += 1
+                continue
+            used += 1
+            problems = check_diagram_morphism(
+                cat, iso.source, iso.target, dict(iso.components)
+            )
+            if problems:
+                details.append(f"{label} is not natural: {problems[0]}")
+                continue
+            non_iso = sorted(
+                v for v, f in iso.components.items() if not cat.is_iso(f)
+            )
+            if non_iso:
+                details.append(
+                    f"{label} component at vertex {non_iso[0]!r} is not an isomorphism"
+                )
+                continue
+            if crosses > 0:
+                crosses -= 1
+                round_tripped = iso.target if label == "unit" else iso.source
+                original = iso.source if label == "unit" else iso.target
+                try:
+                    witness = diagram_isomorphic(
+                        cat, original, round_tripped, state["max_nodes"]
+                    )
+                except SearchCapExceeded:
+                    continue
+                if witness is None:
+                    details.append(
+                        f"{label} round trip is not isomorphic to the original "
+                        "(independent search found no isomorphism)"
+                    )
+    return CheckResult(
+        "round-trip-isomorphism",
+        not details,
+        inconclusive=used == 0,
+        details=tuple(details[:4]),
+    )
+
+
+def _check_hom_bijection(cat, pair, src_pool, state):
+    details = []
+    used = 0
+    skipped = 0
+    images = []
+    for d in src_pool[:4]:
+        try:
+            images.append((d, pair.forward(cat, d)))
+        except DiagramError:
+            images.append((d, None))
+    for (d1, f1), (d2, f2) in itertools.product(images, repeat=2):
+        if f1 is None or f2 is None:
+            state["bounded"] += 1
+            continue
+        src_homs = _homs(cat, d1, d2, state)
+        tgt_homs = None if src_homs is None else _homs(cat, f1, f2, state)
+        if tgt_homs is None:
+            skipped += 1
+            continue
+        used += 1
+        mapped = [pair.forward_map(cat, m) for m in src_homs]
+        if len(set(mapped)) != len(mapped):
+            details.append("forward is not injective on a hom-set")
+            continue
+        if set(mapped) != set(tgt_homs):
+            details.append(
+                f"forward is not bijective on a hom-set: {len(mapped)} images "
+                f"vs {len(tgt_homs)} morphisms"
+            )
+    ok = not details
+    if skipped:
+        details.append(f"{skipped} hom-set pairs skipped (search too large)")
+    return CheckResult(
+        "hom-set-bijectivity", ok, inconclusive=used == 0, details=tuple(details[:4])
+    )
+
+
+def per_draw_verify_equivalence(cat, pair, *, samples=8, seed=20260815, max_nodes=None):
+    """`functors.verify_equivalence` with the four checks above, which redo
+    their work at every draw of a diagram and map each morphism anew."""
+    rng = random.Random(seed)
+    state = {"bounded": 0, "max_nodes": max_nodes, "homs": {}}
+    try:
+        src_pool = _sample_pool(cat, pair.source, rng, samples, max_nodes)
+        tgt_pool = _sample_pool(cat, pair.target, rng, samples, max_nodes)
+    except SearchCapExceeded as exc:
+        note = CheckResult(
+            "sampling",
+            ok=True,
+            inconclusive=True,
+            details=(
+                f"sampling exceeded the node budget ({exc.cap}) in the {exc.phase} phase",
+            ),
+        )
+        return EquivalenceReport(
+            pair.move, cat.name, seed, 0, 0, 0, (note,)
+        )
+    checks = (
+        _check_condition_preserved(cat, pair, src_pool, tgt_pool, state),
+        _check_functorial(cat, pair, src_pool, tgt_pool, state),
+        _check_round_trips(cat, pair, src_pool, tgt_pool, state),
+        _check_hom_bijection(cat, pair, src_pool, state),
+    )
+    return EquivalenceReport(
+        move=pair.move,
+        category=cat.name,
+        seed=seed,
+        source_samples=len(src_pool),
+        target_samples=len(tgt_pool),
+        bounded_skips=state["bounded"],
+        checks=checks,
+    )

@@ -1,5 +1,6 @@
 """Functor pairs: frozen images, round trips, harness verdicts, controls."""
 
+import collections
 import hashlib
 import json
 import random
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from flowcat import functors, moves, zoo
-from flowcat.categories import FinSetSkeleton, MatCategory, chain
+from flowcat.categories import FinSetSkeleton, MatCategory, chain, parse_category_spec
 from flowcat.diagrams import (
     DiagramError,
     DiagramMorphism,
@@ -23,6 +24,7 @@ from flowcat.diagrams import (
 )
 from flowcat.functors import (
     CorruptedPair,
+    FunctorPair,
     FunctorPairError,
     _sample_pool,
     make_pair,
@@ -41,7 +43,7 @@ from functor_samples import (
     random_moves,
     random_pairs,
 )
-from oracles import out_split_backward, out_split_counit
+from oracles import out_split_backward, out_split_counit, per_draw_verify_equivalence
 
 MAT = MatCategory(2, 3)
 FINSET = FinSetSkeleton(4)
@@ -405,6 +407,69 @@ def test_each_hom_set_is_listed_once_per_run(monkeypatch):
                 assert len(set(listed)) == len(listed), (cat.name, label, run.move)
                 total += len(listed)
     assert total > 100
+
+
+def test_each_distinct_diagram_and_morphism_is_worked_once(monkeypatch):
+    # over finset:4 both vw/out-split pools are the zero diagram drawn eight
+    # times: unit, counit and the independent isomorphism search run once
+    # for it, and each morphism is mapped once per direction
+    pair = dict(standard_verification_suite())["vw/out-split"]
+    calls = collections.Counter()
+
+    def counting(owner, name, key):
+        method = getattr(owner, name)
+
+        def counted(*args):
+            calls[name, key(*args)] += 1
+            return method(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    counting(FunctorPair, "unit", lambda pair, cat, d: d)
+    counting(FunctorPair, "counit", lambda pair, cat, e: e)
+    counting(FunctorPair, "_map", lambda pair, cat, m, apply, table: (id(table), m))
+    counting(functors, "diagram_isomorphic", lambda cat, d1, d2, max_nodes: (d1, d2))
+    report = verify_equivalence(FINSET, pair, samples=8)
+    assert report.verdict == "pass"
+    assert (report.source_samples, report.target_samples) == (8, 8)
+    assert {name for name, _ in calls} == {"unit", "counit", "_map", "diagram_isomorphic"}
+    assert max(calls.values()) == 1, calls
+
+
+SWEEP_CATEGORIES = (
+    "poset:chain2", "poset:chain3", "finset:3", "finset:4", "mat:2:2", "mat:2:3", "mat:3:2",
+)
+
+
+def test_reports_match_the_checks_redone_at_every_draw():
+    # every suite pair and its corrupted control in seven categories, at 6
+    # and 8 samples, against the checks that redo each draw in full; mat:2:3
+    # cycle-with-sink is left out, as in the benchmark: one run of it takes
+    # about half a minute
+    compared = 0
+    for spec in SWEEP_CATEGORIES:
+        cat = parse_category_spec(spec)
+        for label, pair in standard_verification_suite():
+            if (spec, label) == ("mat:2:3", "cycle-with-sink/remove-sink"):
+                continue
+            for run in (pair, CorruptedPair(pair)):
+                for samples in (6, 8):
+                    expected = per_draw_verify_equivalence(cat, run, samples=samples)
+                    found = verify_equivalence(cat, run, samples=samples)
+                    assert json.dumps(found.to_dict()) == json.dumps(expected.to_dict()), (
+                        spec, label, run.move, samples,
+                    )
+                    compared += 1
+    assert compared == 416
+    # among them, failure details replayed for repeated draws: this control's
+    # pools hold 5 and 4 distinct diagrams across 6 draws each
+    pair = dict(standard_verification_suite())["chain3/remove-sink"]
+    rng = random.Random(20260815)
+    pools = [_sample_pool(MAT, shape, rng, 6, None) for shape in (pair.source, pair.target)]
+    assert [len(set(map(id, pool))) for pool in pools] == [5, 4]
+    details = [d for c in verify_equivalence(MAT, CorruptedPair(pair), samples=6).checks
+               for d in c.details]
+    assert len(details) > len(set(details)) > 1
 
 
 @pytest.mark.parametrize("cat, phase", [(FINSET, "size vectors"), (chain(3), "thin")],

@@ -466,6 +466,24 @@ def test_index_matches_scan_oracle(n, seed):
         assert query(g) == tuple(v for v in sorted(g.vertices) if expected[v][4][flag])
 
 
+def test_vertex_classes_agree_with_classify_vertex():
+    # sources, sinks and infinite_receivers read the index for the whole
+    # graph; classify_vertex answers for one vertex: both give the same
+    # classes, in sorted order, over the zoo and seeded graphs with bundles
+    graphs = [zoo.single_vertex(), zoo.loop1(), zoo.loop2(), zoo.vw_graph(), zoo.acyclic2(),
+              zoo.cuntz_h(), zoo.h_graph(), zoo.edgeless(3), zoo.chain_graph(3),
+              zoo.cycle_with_sink(), zoo.loop_and_exit()]
+    graphs += [sparse_graph(random.Random(seed), n, n, n // 3) for seed in range(4)
+               for n in (3, 10, 60)]
+    graphs += [_index_test_graph(random.Random(seed), 40) for seed in range(4)]
+    assert sum(bool(infinite_receivers(g)) for g in graphs) >= 10
+    for g in graphs:
+        classes = [(v, classify_vertex(g, v)) for v in g.sorted_vertices()]
+        assert sources(g) == tuple(v for v, c in classes if c.is_source)
+        assert sinks(g) == tuple(v for v, c in classes if c.is_sink)
+        assert infinite_receivers(g) == tuple(v for v, c in classes if c.is_infinite_receiver)
+
+
 def test_index_is_not_part_of_the_value():
     g = _index_test_graph(random.Random(7), 40)
     fresh = DirectedGraph(g.vertices, g.edges, g.infinite_bundles)
