@@ -12,7 +12,8 @@ condition would need an infinite coproduct.
 
 Enumeration exploits a normal form: a coproduct-condition diagram is exactly a
 feasible size vector together with one isomorphism choice per non-source
-vertex (the cotuple value), so edge morphisms are `iso . injection`.
+vertex (the cotuple value), so edge morphisms are `iso . injection`, composed
+once per size vector and pool isomorphism, not once per answer.
 
 Every search runs on one backtracking kernel, `_search`, that branches only
 where the coproduct condition leaves a choice.  A non-source vertex whose
@@ -47,6 +48,7 @@ are also the failures that the coproduct check returns.
 
 from __future__ import annotations
 
+from itertools import chain
 from operator import eq
 from typing import NamedTuple
 
@@ -68,8 +70,15 @@ class _DiagramFields(NamedTuple):
 
 
 class Diagram(_DiagramFields):
-    # no __slots__: the instance dict holds the memo of `util.cached_on`
+    # no __slots__: the instance dict holds the `util.cached_on` memo and the hash
     __setattr__ = refuse_assignment
+
+    def __hash__(self):
+        state = self.__dict__
+        return state.get("_hash") or state.setdefault("_hash", tuple.__hash__(self))
+
+    def __reduce__(self):  # leaves out the memo and the hash, which follows the hash seed
+        return Diagram, tuple(self)
 
 
 class DiagramMorphism(NamedTuple):
@@ -284,7 +293,7 @@ def _search(plan, pools, derive, checks, budget, phase):
 
 
 def _non_sources(g):
-    return sorted(g.vertices.difference(sources(g)))
+    return cached_on(g, "non-sources", lambda: tuple(sorted(g.vertices.difference(sources(g)))))
 
 
 def solve_dimension_vectors(g, bound, budget=None):
@@ -342,21 +351,25 @@ def _pool(morphisms, budget, vertex):
     return pool
 
 
-def _assemble(cat, g, dims, iso_by_vertex):
-    """Edge morphisms from the normal form: mor[e] = iso_at_target . injection."""
-    mor = {}
-    for v, iso in iso_by_vertex.items():
-        edges = g.incoming(v)
-        cop = cat.coproduct([dims[e.src] for e in edges])
-        if cop is None:
-            raise DiagramError(
-                f"coproduct of the incoming family at {v!r} is unavailable at this bound"
-            )
-        if cop.apex != dims[v]:
-            raise DiagramError(f"size vector is infeasible at vertex {v!r}")
-        for inj, e in zip(cop.injections, edges):
-            mor[e.id] = cat.compose(iso, inj)
-    return make_diagram(cat, g, dims, mor)
+def _legs(cat, g, dims, v):
+    """iso -> ((e.id, iso . injection_e), ...) over the edges e into `v`,
+    from the coproduct under `dims`, taken and checked once."""
+    edges = g.incoming(v)
+    cop = cat.coproduct([dims[e.src] for e in edges])
+    if cop is None:
+        raise DiagramError(
+            f"coproduct of the incoming family at {v!r} is unavailable at this bound"
+        )
+    if cop.apex != dims[v]:
+        raise DiagramError(f"size vector is infeasible at vertex {v!r}")
+    ids = [e.id for e in edges]
+    return lambda iso: tuple(zip(ids, [cat.compose(iso, i) for i in cop.injections]))
+
+
+def _assemble(cat, g, dims, iso_of):
+    """mor[e] = iso_of(dims[e.tgt]) . injection_e, built once `make_diagram` has checked dims."""
+    legs = (_legs(cat, g, dims, v)(iso_of(dims[v])) for v in _non_sources(g))
+    return make_diagram(cat, g, dims, chain.from_iterable(legs))
 
 
 def enumerate_diagrams(cat, g, bound=None, max_nodes=None):
@@ -371,6 +384,8 @@ def enumerate_diagrams(cat, g, bound=None, max_nodes=None):
     top = max(cat.objects())
     if bound is None:
         bound = top
+    elif isinstance(bound, bool) or not isinstance(bound, int) or bound < 0:
+        raise DiagramError(f"bound must be a nonnegative integer, got {bound!r}")
     elif bound > top:
         raise DiagramError(
             f"bound {bound} exceeds the largest object {top} of {cat.name}"
@@ -384,9 +399,10 @@ def enumerate_diagrams(cat, g, bound=None, max_nodes=None):
         for v in non_sources:
             if dims[v] not in cache:
                 cache[dims[v]] = _pool(cat.isomorphisms(dims[v], dims[v]), budget, v)
-            pools.append(cache[dims[v]])
-        for isos in _search(plan, pools, {}, (), budget, "cotuples"):
-            found.append(_assemble(cat, g, dims, isos))
+            pools.append(list(map(_legs(cat, g, dims, v), cache[dims[v]])))
+        obj = frozendict(dims)
+        for legs in _search(plan, pools, {}, (), budget, "cotuples"):
+            found.append(Diagram(g, obj, frozendict(chain.from_iterable(legs.values()))))
     return found
 
 
@@ -413,8 +429,7 @@ def canonical_diagram(cat, g, dims):
         except DiagramError:
             pass
         raise DiagramError("assignment does not satisfy the coproduct condition")
-    isos = {v: cat.identity(dims[v]) for v in _non_sources(g)}
-    return _assemble(cat, g, dims, isos)
+    return _assemble(cat, g, dims, cat.identity)
 
 
 def random_diagram(cat, g, dims, rng):
@@ -422,8 +437,7 @@ def random_diagram(cat, g, dims, rng):
     random cotuple isomorphisms."""
     if cat.is_thin:
         return canonical_diagram(cat, g, dims)
-    isos = {v: cat.random_isomorphism(dims[v], rng) for v in _non_sources(g)}
-    return _assemble(cat, g, dims, isos)
+    return _assemble(cat, g, dims, lambda n: cat.random_isomorphism(n, rng))
 
 
 def identity_diagram_morphism(cat, d):

@@ -17,20 +17,31 @@ read the adjacency index and a poset's order became Warshall's closure.
 The equivalence harness's four checks are the package's code from before
 each did its work once per distinct sampled diagram: they redo every draw
 in full, through the package's functors, searches and report records.
+Diagram enumeration outside poset instances is the package's code from
+before the edge maps were tabulated per size vector: it assembles and
+validates every answer through the package's own search.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 from flowcat.diagrams import (
     DiagramError,
+    _non_sources,
+    _plan,
+    _pool,
+    _require_bundle_free,
+    _search,
     check_coproduct_condition,
     check_diagram_morphism,
     compose_diagram_morphisms,
     diagram_isomorphic,
     identity_diagram_morphism,
+    make_diagram,
+    solve_dimension_vectors,
 )
 from flowcat.functors import (
     ISO_CROSS_CHECKS,
@@ -39,7 +50,7 @@ from flowcat.functors import (
     _homs,
     _sample_pool,
 )
-from flowcat.util import SearchCapExceeded
+from flowcat.util import NodeBudget, SearchCapExceeded
 
 
 def cofactor_determinant(rows):
@@ -125,8 +136,6 @@ def snf_divisors_by_gcds(rows):
     """Smith divisors via determinantal divisors: d_k = gcd of all k x k minors
     divided by gcd of all (k-1) x (k-1) minors.  Independent of any
     elimination; exponential but fine at test sizes."""
-    import math
-
     nrows, ncols = len(rows), len(rows[0]) if rows else 0
     limit = min(nrows, ncols)
 
@@ -225,8 +234,12 @@ def product_diagram_isomorphism(vertices, edges, src, dst, isomorphisms, compose
 # The package's exact integer algebra before it pivoted on units and took the
 # Smith form modulo a minor, kept here as the reference for differential
 # tests.  The loops are unchanged; they take plain rows and return values
-# instead of recording an operation log.  The Smith form's entries are never
-# reduced, so it slows down sharply past about 12 dense vertices.
+# instead of recording an operation log.  On a nonsingular square input the
+# Smith form's entries are kept modulo d = |det| (from this file's Bareiss
+# determinant): the columns of the input span a lattice that holds d Z^n, so
+# adding a multiple of d to an entry leaves the cokernel alone, and each
+# divisor is the gcd of its diagonal entry with d.  A singular input's entries
+# are never reduced, so it slows down sharply past about 12 dense vertices.
 
 
 def euclid_snf_divisors(rows):
@@ -234,6 +247,15 @@ def euclid_snf_divisors(rows):
     a = [list(row) for row in rows]
     nrows = len(a)
     ncols = len(a[0]) if a else 0
+    d = abs(bareiss_determinant(a)) if nrows == ncols else 0
+
+    def reduce(x):
+        # the representative of x modulo d nearest zero, so small entries stay small
+        x %= d
+        return x - d if 2 * x > d else x
+
+    if d:
+        a = [[reduce(x) for x in row] for row in a]
 
     def rswap(i, j):
         if i != j:
@@ -248,11 +270,15 @@ def euclid_snf_divisors(rows):
         if c:
             for jj in range(ncols):
                 a[dst][jj] += c * a[src][jj]
+                if d:
+                    a[dst][jj] = reduce(a[dst][jj])
 
     def cadd(dst, src, c):
         if c:
             for ii in range(nrows):
                 a[ii][dst] += c * a[ii][src]
+                if d:
+                    a[ii][dst] = reduce(a[ii][dst])
 
     def rneg(i):
         for jj in range(ncols):
@@ -311,6 +337,8 @@ def euclid_snf_divisors(rows):
             rneg(t)
         t += 1
 
+    if d:
+        return tuple(math.gcd(a[i][i], d) for i in range(limit))
     return tuple(a[i][i] for i in range(limit))
 
 
@@ -956,3 +984,55 @@ def per_draw_verify_equivalence(cat, pair, *, samples=8, seed=20260815, max_node
         bounded_skips=state["bounded"],
         checks=checks,
     )
+
+
+# -- diagram enumeration that assembles every answer ---------------------------------
+#
+# The package's `enumerate_diagrams` outside poset instances as it was before
+# the edge maps were tabulated once per size vector: for every answer it takes
+# the coproduct at each non-source vertex again, composes each edge map and
+# validates the whole diagram with `make_diagram`.  It runs the package's own
+# size-vector solver, pools and search kernel, so node counts agree too.
+
+
+def _assemble_diagram(cat, g, dims, iso_by_vertex):
+    mor = {}
+    for v, iso in iso_by_vertex.items():
+        edges = g.incoming(v)
+        cop = cat.coproduct([dims[e.src] for e in edges])
+        if cop is None:
+            raise DiagramError(
+                f"coproduct of the incoming family at {v!r} is unavailable at this bound"
+            )
+        if cop.apex != dims[v]:
+            raise DiagramError(f"size vector is infeasible at vertex {v!r}")
+        for inj, e in zip(cop.injections, edges):
+            mor[e.id] = cat.compose(iso, inj)
+    return make_diagram(cat, g, dims, mor)
+
+
+def per_answer_enumerate_diagrams(cat, g, bound=None, max_nodes=None):
+    """Every coproduct-condition diagram of shape `g` in a category that is
+    not thin, each assembled and validated on its own."""
+    budget = NodeBudget(max_nodes)
+    _require_bundle_free(cat, g)
+    top = max(cat.objects())
+    if bound is None:
+        bound = top
+    elif bound > top:
+        raise DiagramError(
+            f"bound {bound} exceeds the largest object {top} of {cat.name}"
+        )
+    non_sources = _non_sources(g)
+    plan = _plan(non_sources, {}, ())
+    cache = {}
+    found = []
+    for dims in solve_dimension_vectors(g, bound, budget):
+        pools = []
+        for v in non_sources:
+            if dims[v] not in cache:
+                cache[dims[v]] = _pool(cat.isomorphisms(dims[v], dims[v]), budget, v)
+            pools.append(cache[dims[v]])
+        for isos in _search(plan, pools, {}, (), budget, "cotuples"):
+            found.append(_assemble_diagram(cat, g, dims, isos))
+    return found

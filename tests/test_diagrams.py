@@ -1,8 +1,13 @@
 """Diagram engine: coproduct condition, enumeration, morphisms, isomorphism."""
 
+import copy
 import itertools
 import math
+import os
+import pickle
 import random
+import subprocess
+import sys
 import time
 
 import pytest
@@ -10,6 +15,7 @@ import pytest
 from flowcat import zoo
 from flowcat.categories import FinSetSkeleton, MatCategory, Morphism, PosetCategory, chain, diamond
 from flowcat.diagrams import (
+    Diagram,
     DiagramError,
     canonical_diagram,
     check_coproduct_condition,
@@ -29,6 +35,7 @@ from flowcat.sampling import random_shape_graph
 from flowcat.util import SearchCapExceeded
 
 from oracles import (
+    per_answer_enumerate_diagrams,
     product_diagram_isomorphism,
     product_diagram_morphisms,
     product_size_vectors,
@@ -276,6 +283,12 @@ def test_cap_names_the_phase_and_the_vertex():
     )
 
 
+@pytest.mark.parametrize("bound", [-1, True, 1.5, "2", 4])
+def test_enumerate_rejects_a_bound_that_is_not_an_object(bound):
+    with pytest.raises(DiagramError, match="bound"):
+        enumerate_diagrams(FinSetSkeleton(3), zoo.acyclic2(), bound=bound)
+
+
 def test_enumerate_rejects_bundles_outside_posets():
     with pytest.raises(DiagramError, match="poset"):
         enumerate_diagrams(FINSET, zoo.h_graph())
@@ -288,6 +301,16 @@ def test_canonical_diagram_uses_injections():
     assert check_coproduct_condition(FINSET, d).ok
     with pytest.raises(DiagramError, match="infeasible"):
         canonical_diagram(FINSET, zoo.acyclic2(), {"a": 1, "b": 2, "c": 2})
+
+
+@pytest.mark.parametrize("cat", [FINSET, MAT23], ids=lambda c: c.name)
+def test_canonical_and_random_diagrams_name_a_missing_vertex(cat):
+    g = zoo.chain_graph(3)
+    for build in (canonical_diagram, lambda *args: random_diagram(*args, random.Random(1))):
+        with pytest.raises(DiagramError, match=r"object assignment mismatch: missing \['a2'\]"):
+            build(cat, g, {"a1": 1, "a3": 1})
+        with pytest.raises(DiagramError, match=r"unknown \['z'\]"):
+            build(cat, g, {"a1": 1, "a2": 1, "a3": 1, "z": 1})
 
 
 def test_random_diagram_satisfies_condition():
@@ -743,3 +766,78 @@ def test_generator_reads_only_what_it_is_asked_for():
         enumerate_diagram_morphisms(MAT23, d, d, 600)
     first = list(itertools.islice(diagram_morphisms(MAT23, d, d, 600), 4))
     assert len(first) == len(set(first)) == 4
+
+
+# -- enumeration against the per-answer oracle ------------------------------------------
+
+ENUMERATION_CATEGORIES = [
+    FinSetSkeleton(2), FinSetSkeleton(3), MatCategory(2, 2), MatCategory(3, 2), MatCategory(2, 3),
+]
+
+
+def _enumeration(enumerate_fn, cat, g, max_nodes):
+    """The diagrams with their hashes and key orders, or where the search hit
+    the cap."""
+    try:
+        found = enumerate_fn(cat, g, max_nodes=max_nodes)
+    except SearchCapExceeded as exc:
+        return exc.phase, exc.vertex, exc.visited
+    return [(d, hash(d), list(d.obj.items()), list(d.mor.items())) for d in found]
+
+
+def test_enumeration_matches_the_per_answer_oracle():
+    rng = random.Random(20261026)
+    shapes = [random_shape_graph(rng, max_vertices=5, bundle_prob=0.0) for _ in range(120)]
+    runs = [(cat, g) for cat in ENUMERATION_CATEGORIES for g in ZOO_SHAPES + [zoo.edgeless(2)]]
+    runs += [(ENUMERATION_CATEGORIES[i % 5], g) for i, g in enumerate(shapes)]
+    listed = capped = 0
+    for cat, g in runs:
+        expected = _enumeration(per_answer_enumerate_diagrams, cat, g, 4000)
+        assert _enumeration(enumerate_diagrams, cat, g, 4000) == expected, (cat.name, g)
+        if isinstance(expected, list):
+            listed += len(expected)
+        else:
+            capped += 1
+    assert listed > 10000 and capped >= 5
+
+
+@pytest.mark.parametrize("cat", ENUMERATION_CATEGORIES, ids=lambda c: c.name)
+def test_enumeration_hits_a_small_cap_where_the_oracle_does(cat):
+    for g in ZOO_SHAPES:
+        for cap in (1, 2, 3, 5, 8, 13, 21, 34, 55, 89):
+            expected = _enumeration(per_answer_enumerate_diagrams, cat, g, cap)
+            assert _enumeration(enumerate_diagrams, cat, g, cap) == expected, (g, cap)
+
+
+# -- diagram values -----------------------------------------------------------------------
+
+
+def test_diagram_hash_is_the_tuple_hash_and_copies_drop_the_instance_dict():
+    d = canonical_diagram(MAT23, zoo.loop_and_exit(), {"u": 1, "w": 2})
+    assert check_coproduct_condition(MAT23, d).ok  # fills the memo
+    assert hash(d) == tuple.__hash__(d)
+    assert set(vars(d)) == {"_memo", "_hash"}
+    for twin in (copy.copy(d), copy.deepcopy(d), pickle.loads(pickle.dumps(d))):
+        assert type(twin) is Diagram and twin == d and twin is not d
+        assert vars(twin) == {}
+        assert hash(twin) == hash(d)
+
+
+def test_a_pickled_diagram_hashes_under_the_loading_hash_seed():
+    script = (
+        "import pickle, sys\n"
+        "from flowcat import zoo\n"
+        "from flowcat.categories import MatCategory\n"
+        "from flowcat.diagrams import canonical_diagram\n"
+        "d = canonical_diagram(MatCategory(2, 3), zoo.loop_and_exit(), {'u': 1, 'w': 2})\n"
+        "hash(d)\n"
+        "sys.stdout.buffer.write(pickle.dumps(d))\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED="1")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    d = pickle.loads(proc.stdout)
+    assert vars(d) == {}
+    assert d == canonical_diagram(MAT23, zoo.loop_and_exit(), {"u": 1, "w": 2})
+    assert hash(d) == tuple.__hash__(d)

@@ -224,7 +224,7 @@ def test_snf_witness_and_determinant_are_pinned():
 
 def _differential_graphs():
     """Invariance trials with their four move images, dense graphs of 6-32
-    vertices and sparse graphs of 100-250."""
+    vertices and sparse graphs of 100-250, singular and nonsingular."""
     rng = random.Random(20261025)
     for _ in range(40):
         g = random_irreducible_graph(rng, max_vertices=6)
@@ -235,13 +235,21 @@ def _differential_graphs():
         yield dense_graph(rng, n)
     for n in (100, 175, 250):
         yield sparse_graph(rng, n, rng.randint(n, 2 * n))
+    # most sparse draws are singular (a component that is one cycle gives A
+    # the eigenvalue 1), so draw on to a nonsingular graph of each size
+    for n in (100, 175, 250):
+        g = sparse_graph(rng, n, rng.randint(n, 2 * n))
+        while not parry_sullivan(g):
+            g = sparse_graph(rng, n, rng.randint(n, 2 * n))
+        yield g
 
 
 def test_row_path_matches_the_intmatrix_path_and_the_oracles():
     # parry_sullivan, bowen_franks and flow_invariants build I - A as rows
     # and skip the witness; determinant and smith_normal_form take it as an
-    # IntMatrix.  The Euclid-swap oracle can stall past 12 vertices, dense or
-    # sparse; beyond that the divisors are held to the Bareiss determinant.
+    # IntMatrix.  The Euclid-swap oracle works modulo |det| on a nonsingular
+    # input and can stall past 12 vertices on a singular one; there the
+    # divisors are held to the Bareiss determinant.
     for g in _differential_graphs():
         a = adjacency_matrix(g)
         m = IntMatrix.identity(a.rows) - a
@@ -252,7 +260,7 @@ def test_row_path_matches_the_intmatrix_path_and_the_oracles():
         assert det == bareiss_determinant(rows)
         if m.rows <= 6:
             assert det == cofactor_determinant(rows)
-        if m.rows <= 12:
+        if m.rows <= 12 or det:
             assert divisors == euclid_snf_divisors(rows)
         assert (bf.free_rank, math.prod(bf.torsion)) == (0, abs(det)) if det else bf.free_rank
 
