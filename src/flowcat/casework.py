@@ -167,10 +167,10 @@ def poset_count_obstructions(cat, g):
     for x, y in itertools.combinations(objects, 2):
         if cat.supremum((x, y)) is None:
             obstructions.append(f"no supremum for the pair ({x!r}, {y!r})")
+    preds = g._neighbours.predecessors
     for comp in strongly_connected_components(g):
-        tails = [e.src for v in comp for e in g.incoming(v)]
-        tails += [a for v in comp for a, _ in g.incoming_bundles(v)]
-        if any(a in comp for a in tails) and any(a not in comp for a in tails):
+        tails = {a for v in comp for a in preds.get(v, ())}
+        if not tails.isdisjoint(comp) and not tails <= comp:
             obstructions.append(
                 f"the cycle through {sorted(comp)} receives outside input"
             )

@@ -422,13 +422,10 @@ def canonical_diagram(cat, g, dims):
     """The diagram for a feasible size vector with every cotuple the identity
     (edge morphisms are the canonical injections)."""
     if cat.is_thin:
-        try:
-            diagram = make_diagram(cat, g, dims)
-            if check_coproduct_condition(cat, diagram).ok:
-                return diagram
-        except DiagramError:
-            pass
-        raise DiagramError("assignment does not satisfy the coproduct condition")
+        diagram = make_diagram(cat, g, dims)
+        if not check_coproduct_condition(cat, diagram).ok:
+            raise DiagramError("assignment does not satisfy the coproduct condition")
+        return diagram
     return _assemble(cat, g, dims, cat.identity)
 
 

@@ -12,18 +12,26 @@ re-checks a graph it is given.  All operations are pure functions; derived
 structures use canonical names so outputs are reproducible byte for byte.
 
 Every per-vertex query (`incoming`, `outgoing`, `incoming_bundles`,
-`classify_vertex`), each vertex class (`sources`, `sinks`, `infinite_receivers`)
-and every structure question (SCCs, condensation, cohereditary subsets,
-`is_nontrivial`) reads one adjacency index: edges in and out of each vertex
-sorted by id, and bundles in and out sorted.  It is built in one pass over
-the edges on the first query and cached on the instance (a graph never
+`classify_vertex`), each vertex class (`sources`, `sinks`,
+`infinite_receivers`) and `is_nontrivial` read one adjacency index: edges in
+and out of each vertex sorted by id, and bundles in and out sorted.  It is built in one pass
+over the edges on the first query and cached on the instance (a graph never
 changes, so the index never goes stale).  Caching it on the graph rather than
 building it per call makes each query O(1) and a whole-graph pass O(V + E) at
 every call site, without an index argument threaded through moves, diagrams
-and functors.  It is a cached property in the instance dict, not a field of
-the record, so equality, hashing and repr see only (vertices, edges,
-infinite_bundles).  The index is the only code that knows the canonical
-incoming order (edge id) and what makes a source.
+and functors.  The index is the only code that knows the canonical incoming
+order (edge id) and what makes a source.
+
+Every structure question (SCCs, condensation, cohereditary subsets,
+reachability, acyclicity, irreducibility) reads a second pair of tables
+instead: each vertex's distinct successors and distinct predecessors over
+edges and bundles together, so a depth-first search visits a neighbour once
+however many parallel arrows lead there.  They are built in one pass over the
+edges and bundles on the first structure question, not with the index: most
+graphs (move images, diagram shapes) never meet such a question, and the
+tables would cost them memory for nothing.  Both are cached properties in the
+instance dict, not fields of the record, so equality, hashing and repr see
+only (vertices, edges, infinite_bundles).
 """
 
 from __future__ import annotations
@@ -64,6 +72,14 @@ class _Adjacency(NamedTuple):
     bundles_out: dict
 
 
+class _Neighbours(NamedTuple):
+    """Two dicts from a vertex to a nonempty tuple of distinct vertices (a
+    vertex with none is absent), over edges and bundles alike."""
+
+    successors: dict
+    predecessors: dict
+
+
 class _GraphFields(NamedTuple):
     vertices: frozenset
     edges: tuple
@@ -74,8 +90,8 @@ class DirectedGraph(_GraphFields):
     """A graph that passed `validate` when it was built.  The NamedTuple
     `_make` and `_replace` skip that check; flowcat never calls them."""
 
-    # no __slots__: the instance dict holds the adjacency index and the memo
-    # of `util.cached_on`
+    # no __slots__: the instance dict holds the adjacency index, the neighbour
+    # tables and the memo of `util.cached_on`
     __setattr__ = refuse_assignment
 
     def __new__(cls, vertices, edges, infinite_bundles=frozenset()):
@@ -100,6 +116,14 @@ class DirectedGraph(_GraphFields):
             bundles_in.setdefault(b[1], []).append(b)
             bundles_out.setdefault(b[0], []).append(b)
         return _Adjacency(*({v: tuple(xs) for v, xs in m.items()} for m in maps))
+
+    @cached_property
+    def _neighbours(self):
+        succ, pred = {}, {}
+        for a, b in {*((e.src, e.tgt) for e in self.edges), *self.infinite_bundles}:
+            succ.setdefault(a, []).append(b)
+            pred.setdefault(b, []).append(a)
+        return _Neighbours(*({v: tuple(ws) for v, ws in m.items()} for m in (succ, pred)))
 
     def incoming(self, v):
         """Edges with target v, sorted by id (canonical order for coproducts)."""
@@ -208,27 +232,14 @@ def infinite_receivers(g):
 # -- reachability ------------------------------------------------------------
 
 
-def _successors(g, v):
-    adj = g._adjacency
-    return {e.tgt for e in adj.edges_out.get(v, ())} | {
-        b for _, b in adj.bundles_out.get(v, ())
-    }
-
-
-def _predecessors(g, v):
-    adj = g._adjacency
-    return {e.src for e in adj.edges_in.get(v, ())} | {
-        a for a, _ in adj.bundles_in.get(v, ())
-    }
-
-
 def reachable_from(g, v):
     """Vertices reachable from v by a nonempty directed path (bundles count)."""
     g._require_vertex(v)
+    succ = g._neighbours.successors
     seen = set()
     frontier = [v]
     while frontier:
-        for w in _successors(g, frontier.pop()):
+        for w in succ.get(frontier.pop(), ()):
             if w not in seen:
                 seen.add(w)
                 frontier.append(w)
@@ -237,7 +248,8 @@ def reachable_from(g, v):
 
 def is_acyclic(g):
     """No self-loop and every strongly connected component a single vertex."""
-    return all(v not in _successors(g, v) for v in g.vertices) and len(
+    succ = g._neighbours.successors
+    return all(v not in succ.get(v, ()) for v in g.vertices) and len(
         strongly_connected_components(g)
     ) == len(g.vertices)
 
@@ -248,22 +260,26 @@ def is_acyclic(g):
 def strongly_connected_components(g):
     """SCCs as a tuple of frozensets, sorted by their sorted member lists.
 
-    Kosaraju-Sharir: a depth-first pass along the arrows records the order in
-    which vertices finish; a sweep against the arrows from each vertex not yet
-    placed, latest finished first, then collects exactly its component.
+    Kosaraju-Sharir over the neighbour tables: a depth-first pass along the
+    successors records the order in which vertices finish; a sweep along the
+    predecessors from each vertex not yet placed, latest finished first, then
+    collects exactly its component.  Disjoint sets differ at their least
+    member, so sorting by `min` gives the sorted-member-list order without
+    sorting any component.
     """
+    succ, pred = g._neighbours
     seen, finished = set(), []
     for root in g.vertices:
         if root in seen:
             continue
         seen.add(root)
-        work = [(root, iter(_successors(g, root)))]
+        work = [(root, iter(succ.get(root, ())))]
         while work:
             v, it = work[-1]
             for w in it:
                 if w not in seen:
                     seen.add(w)
-                    work.append((w, iter(_successors(g, w))))
+                    work.append((w, iter(succ.get(w, ()))))
                     break
             else:
                 work.pop()
@@ -275,19 +291,24 @@ def strongly_connected_components(g):
         placed.add(root)
         comp = [root]
         for v in comp:
-            for w in _predecessors(g, v):
+            for w in pred.get(v, ()):
                 if w not in placed:
                     placed.add(w)
                     comp.append(w)
         comps.append(frozenset(comp))
-    return tuple(sorted(comps, key=sorted))
+    return tuple(sorted(comps, key=min))
 
 
 def _entries(g, comps):
     """(i, j) for each edge or bundle of g from comps[i] into another comps[j]."""
     index = {v: i for i, comp in enumerate(comps) for v in comp}
-    ends = [*((e.src, e.tgt) for e in g.edges), *g.infinite_bundles]
-    return {(index[a], index[b]) for a, b in ends if index[a] != index[b]}
+    return {
+        (i, j)
+        for v, ws in g._neighbours.successors.items()
+        for i in (index[v],)
+        for j in map(index.__getitem__, ws)
+        if i != j
+    }
 
 
 def component_name(comp):

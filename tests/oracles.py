@@ -1,7 +1,8 @@
 """Independent reference implementations used to derive expected test values.
 
 Everything here is deliberately naive (cofactor expansions, brute-force subset
-filters, transitive-closure reachability) and shares no code with the package,
+filters, transitive-closure and
+breadth-first reachability, Kahn's peeling) and shares no code with the package,
 so agreement is meaningful evidence.  Three exceptions take a category and a
 diagram and call only the category's own operations: the out-split's backward
 functor and counit as they were written out by hand before every functor
@@ -24,6 +25,7 @@ validates every answer through the package's own search.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import random
@@ -234,12 +236,14 @@ def product_diagram_isomorphism(vertices, edges, src, dst, isomorphisms, compose
 # The package's exact integer algebra before it pivoted on units and took the
 # Smith form modulo a minor, kept here as the reference for differential
 # tests.  The loops are unchanged; they take plain rows and return values
-# instead of recording an operation log.  On a nonsingular square input the
-# Smith form's entries are kept modulo d = |det| (from this file's Bareiss
-# determinant): the columns of the input span a lattice that holds d Z^n, so
-# adding a multiple of d to an entry leaves the cokernel alone, and each
-# divisor is the gcd of its diagonal entry with d.  A singular input's entries
-# are never reduced, so it slows down sharply past about 12 dense vertices.
+# instead of recording an operation log.  The Smith form's entries are kept
+# modulo d = |N|, for N a nonzero r x r minor of a rank-r input (from this
+# file's full-pivoting Bareiss elimination; N = det on a nonsingular square
+# input).  Adding d to an entry leaves coker(S) (x) Z/d alone, which is the
+# sum of Z/gcd(d_i, d) over the divisors d_i and of Z/d for each further row;
+# since d_1 ... d_r divides every r x r minor, gcd(d_i, d) = d_i for i <= r.
+# So the first r divisors are the gcds of the diagonal entries with d, and the
+# others are 0.
 
 
 def euclid_snf_divisors(rows):
@@ -247,15 +251,15 @@ def euclid_snf_divisors(rows):
     a = [list(row) for row in rows]
     nrows = len(a)
     ncols = len(a[0]) if a else 0
-    d = abs(bareiss_determinant(a)) if nrows == ncols else 0
+    rank, minor = rank_and_maximal_minor(a)
+    d = abs(minor)
 
     def reduce(x):
         # the representative of x modulo d nearest zero, so small entries stay small
         x %= d
         return x - d if 2 * x > d else x
 
-    if d:
-        a = [[reduce(x) for x in row] for row in a]
+    a = [[reduce(x) for x in row] for row in a]
 
     def rswap(i, j):
         if i != j:
@@ -269,16 +273,12 @@ def euclid_snf_divisors(rows):
     def radd(dst, src, c):
         if c:
             for jj in range(ncols):
-                a[dst][jj] += c * a[src][jj]
-                if d:
-                    a[dst][jj] = reduce(a[dst][jj])
+                a[dst][jj] = reduce(a[dst][jj] + c * a[src][jj])
 
     def cadd(dst, src, c):
         if c:
             for ii in range(nrows):
-                a[ii][dst] += c * a[ii][src]
-                if d:
-                    a[ii][dst] = reduce(a[ii][dst])
+                a[ii][dst] = reduce(a[ii][dst] + c * a[ii][src])
 
     def rneg(i):
         for jj in range(ncols):
@@ -337,9 +337,7 @@ def euclid_snf_divisors(rows):
             rneg(t)
         t += 1
 
-    if d:
-        return tuple(math.gcd(a[i][i], d) for i in range(limit))
-    return tuple(a[i][i] for i in range(limit))
+    return tuple(math.gcd(a[i][i], d) for i in range(rank)) + (0,) * (limit - rank)
 
 
 def bareiss_determinant(rows):
@@ -364,6 +362,34 @@ def bareiss_determinant(rows):
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def rank_and_maximal_minor(rows):
+    """(r, N): the rank r of `rows` and a nonzero r x r minor N (1 when r = 0),
+    by Bareiss fraction-free elimination that takes the first nonzero entry of
+    the block still to clear as its pivot; the last pivot is the minor on the
+    pivot rows and columns."""
+    a = [list(row) for row in rows]
+    nrows = len(a)
+    ncols = len(a[0]) if a else 0
+    prev = 1
+    for r in range(min(nrows, ncols)):
+        pivot = next(
+            ((i, j) for i in range(r, nrows) for j in range(r, ncols) if a[i][j]), None
+        )
+        if pivot is None:
+            return r, prev
+        i, j = pivot
+        a[r], a[i] = a[i], a[r]
+        for row in a:
+            row[r], row[j] = row[j], row[r]
+        for i in range(r + 1, nrows):
+            for j in range(r + 1, ncols):
+                # Bareiss guarantees this division is exact.
+                a[i][j] = (a[i][j] * a[r][r] - a[i][r] * a[r][j]) // prev
+            a[i][r] = 0
+        prev = a[r][r]
+    return min(nrows, ncols), prev
 
 
 # -- matrices over a prime field ---------------------------------------------------
@@ -737,6 +763,40 @@ def dense_is_nontrivial(vertices, arrows):
         if sum(a[i][j] for i in range(n)) != 1:
             return True
     return False
+
+
+def breadth_first_reach(arrows, v):
+    """Vertices reached from v by a nonempty path, breadth first over an
+    out-list built from the (src, tgt) pairs `arrows`."""
+    out = {}
+    for a, b in arrows:
+        out.setdefault(a, []).append(b)
+    seen, queue = set(), collections.deque([v])
+    while queue:
+        for w in out.get(queue.popleft(), ()):
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return seen
+
+
+def acyclic_by_peeling(vertices, arrows):
+    """Whether removing vertices with no arrow in, breadth first, removes
+    them all (Kahn's topological sort): a self-loop or cycle never empties."""
+    indegree = dict.fromkeys(vertices, 0)
+    out = {}
+    for a, b in arrows:
+        indegree[b] += 1
+        out.setdefault(a, []).append(b)
+    queue = collections.deque(v for v, d in indegree.items() if d == 0)
+    removed = 0
+    while queue:
+        removed += 1
+        for w in out.get(queue.popleft(), ()):
+            indegree[w] -= 1
+            if indegree[w] == 0:
+                queue.append(w)
+    return removed == len(indegree)
 
 
 def iterated_closure(elements, pairs):

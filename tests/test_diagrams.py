@@ -303,7 +303,7 @@ def test_canonical_diagram_uses_injections():
         canonical_diagram(FINSET, zoo.acyclic2(), {"a": 1, "b": 2, "c": 2})
 
 
-@pytest.mark.parametrize("cat", [FINSET, MAT23], ids=lambda c: c.name)
+@pytest.mark.parametrize("cat", [CHAIN2, FINSET, MAT23], ids=lambda c: c.name)
 def test_canonical_and_random_diagrams_name_a_missing_vertex(cat):
     g = zoo.chain_graph(3)
     for build in (canonical_diagram, lambda *args: random_diagram(*args, random.Random(1))):
@@ -311,6 +311,17 @@ def test_canonical_and_random_diagrams_name_a_missing_vertex(cat):
             build(cat, g, {"a1": 1, "a3": 1})
         with pytest.raises(DiagramError, match=r"unknown \['z'\]"):
             build(cat, g, {"a1": 1, "a2": 1, "a3": 1, "z": 1})
+
+
+def test_poset_canonical_diagram_keeps_the_reason_a_vector_fails():
+    # a non-monotone vector is refused by make_diagram, which names the edge;
+    # a monotone one that breaks the coproduct condition gets the generic message
+    g = zoo.chain_graph(3)
+    for build in (canonical_diagram, lambda *args: random_diagram(*args, random.Random(1))):
+        with pytest.raises(DiagramError, match="no morphism 1 -> 0 for edge 'c1'"):
+            build(CHAIN2, g, {"a1": 1, "a2": 0, "a3": 1})
+        with pytest.raises(DiagramError, match="does not satisfy the coproduct condition"):
+            build(CHAIN2, g, {"a1": 0, "a2": 1, "a3": 1})
 
 
 def test_random_diagram_satisfies_condition():

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 
 from flowcat import moves, zoo
+from flowcat.casework import poset_count_obstructions
+from flowcat.categories import chain
 from flowcat.graphs import (
     DirectedGraph,
     Edge,
@@ -31,6 +33,8 @@ from flowcat.moves import InSplitSpec, add_heads_truncated, in_split
 from flowcat.util import FlowcatError
 
 from oracles import (
+    acyclic_by_peeling,
+    breadth_first_reach,
     brute_force_cohereditary_irreducible,
     closure_reachability,
     dense_is_nontrivial,
@@ -381,6 +385,66 @@ def test_structure_matches_tarjan_oracle(seed, n):
     assert is_irreducible(g) == (len(comps) == 1)
 
 
+REACH_CASES = [(seed, n) for seed in range(10) for n in (200, 700)]
+
+
+def _forward_part(g):
+    """g less every edge and bundle that does not run up the sorted vertex
+    order: an acyclic graph."""
+    edges = tuple(e for e in g.edges if e.src < e.tgt)
+    bundles = frozenset((a, b) for a, b in g.infinite_bundles if a < b)
+    return DirectedGraph(g.vertices, edges, bundles)
+
+
+@pytest.mark.parametrize("seed,n", REACH_CASES)
+def test_reachability_matches_breadth_first_oracle(seed, n):
+    # from 20 seeded vertices: reachable_from against a breadth-first search
+    # of the arrow list, and irreducibility against searches both ways
+    whole = _structure_case(seed, n)
+    for g in (whole, _forward_part(whole)):
+        arrows = _arrows(g)
+        backward = [(b, a) for a, b in arrows]
+        everyone = set(g.vertices)
+        for v in random.Random(seed).sample(g.sorted_vertices(), 20):
+            ahead = breadth_first_reach(arrows, v)
+            assert reachable_from(g, v) == ahead
+            behind = breadth_first_reach(backward, v)
+            assert is_irreducible(g) == (ahead | {v} == behind | {v} == everyone)
+        assert is_acyclic(g) == acyclic_by_peeling(g.vertices, arrows)
+    assert is_acyclic(_forward_part(whole)) and not is_acyclic(whole)
+    assert is_irreducible(whole) == (seed % 5 == 0)
+
+
+@pytest.mark.parametrize("seed,n", REACH_CASES)
+def test_cycle_obstructions_match_tarjan_components(seed, n):
+    # chain(2) has every supremum, so each obstruction is a strongly connected
+    # component with an arrow inside it and an arrow into it from outside
+    g = _structure_case(seed, n)
+    arrows = _arrows(g)
+    expected = []
+    for comp in tarjan_components(g.vertices, arrows):
+        tails = [a for a, b in arrows if b in comp]
+        if any(a in comp for a in tails) and any(a not in comp for a in tails):
+            expected.append(f"the cycle through {sorted(comp)} receives outside input")
+    assert poset_count_obstructions(chain(2), g) == tuple(expected)
+    assert expected or seed % 5 == 0
+
+
+def test_neighbour_tables_are_built_on_the_first_structure_query_only():
+    # the per-vertex queries read the adjacency index alone; the first
+    # structure query builds the neighbour tables and later ones reuse them
+    g = _structure_case(3, 200)
+    v = g.sorted_vertices()[0]
+    sources(g)
+    g.incoming(v)
+    classify_vertex(g, v)
+    assert "_adjacency" in vars(g) and "_neighbours" not in vars(g)
+    strongly_connected_components(g)
+    tables = vars(g)["_neighbours"]
+    cohereditary_irreducible_subsets(g)
+    assert vars(g)["_neighbours"] is tables
+
+
 def _permutation_graph(rng, n):
     vs = [f"p{i:04d}" for i in range(n)]
     targets = vs[:]
@@ -489,6 +553,7 @@ def test_index_is_not_part_of_the_value():
     fresh = DirectedGraph(g.vertices, g.edges, g.infinite_bundles)
     sources(g)
     g.incoming(g.sorted_vertices()[0])
+    condensation(g)
     assert g == fresh and fresh == g
     assert hash(g) == hash(fresh)
     assert repr(g) == repr(fresh)

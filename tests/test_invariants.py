@@ -247,9 +247,8 @@ def _differential_graphs():
 def test_row_path_matches_the_intmatrix_path_and_the_oracles():
     # parry_sullivan, bowen_franks and flow_invariants build I - A as rows
     # and skip the witness; determinant and smith_normal_form take it as an
-    # IntMatrix.  The Euclid-swap oracle works modulo |det| on a nonsingular
-    # input and can stall past 12 vertices on a singular one; there the
-    # divisors are held to the Bareiss determinant.
+    # IntMatrix.  The Euclid-swap oracle works modulo a nonzero maximal minor,
+    # so it holds singular and nonsingular inputs alike to its divisors.
     for g in _differential_graphs():
         a = adjacency_matrix(g)
         m = IntMatrix.identity(a.rows) - a
@@ -260,8 +259,7 @@ def test_row_path_matches_the_intmatrix_path_and_the_oracles():
         assert det == bareiss_determinant(rows)
         if m.rows <= 6:
             assert det == cofactor_determinant(rows)
-        if m.rows <= 12 or det:
-            assert divisors == euclid_snf_divisors(rows)
+        assert divisors == euclid_snf_divisors(rows)
         assert (bf.free_rank, math.prod(bf.torsion)) == (0, abs(det)) if det else bf.free_rank
 
 
