@@ -31,6 +31,14 @@ naturality square into one, the equation at a feedback vertex), each as soon
 as its vertices have values.  Search time so follows the pools of the
 branching vertices and the answers, not the vertex names.
 
+Sizes add under the coproduct condition in FinSet and Mat, so on a strongly
+connected component C with inner edge matrix M and inflow b, s_C = M s_C + b.
+A positive left Perron vector w of M gives (1 - rho) w.s_C = w.b >= 0: s_C =
+b = 0 if C is cyclic but not a simple cycle (rho > 1), and b = 0 around a
+simple cycle (rho = 1).  The shape table `_shape` keeps the forced zeros (such
+a C and every vertex that feeds a cyclic component) and the free cycles (the
+other simple cycles); a size vector is free only there and at the sources.
+
 One generator, `diagram_morphisms`, serves both the morphism and the
 isomorphism search and yields in branching order, so a caller that needs a
 few answers reads only those.  Whole lists (size vectors, thin diagrams,
@@ -53,7 +61,7 @@ from operator import eq
 from typing import NamedTuple
 
 from .categories import CategoryError, Morphism
-from .graphs import DirectedGraph, sources
+from .graphs import DirectedGraph, sources, strongly_connected_components
 from .util import (
     FlowcatError, NodeBudget, SearchCapExceeded, cached_on, frozendict, refuse_assignment,
 )
@@ -78,13 +86,18 @@ class Diagram(_DiagramFields):
         return state.get("_hash") or state.setdefault("_hash", tuple.__hash__(self))
 
     def __reduce__(self):  # leaves out the memo and the hash, which follows the hash seed
-        return Diagram, tuple(self)
+        return type(self), tuple(self)
 
 
-class DiagramMorphism(NamedTuple):
+class _DiagramMorphismFields(NamedTuple):
     source: Diagram
     target: Diagram
     components: frozendict
+
+
+class DiagramMorphism(_DiagramMorphismFields):
+    # hashed, refusing assignment and pickled as a Diagram is
+    __setattr__, __hash__, __reduce__ = refuse_assignment, Diagram.__hash__, Diagram.__reduce__
 
 
 class CoproductReport(NamedTuple):
@@ -296,22 +309,64 @@ def _non_sources(g):
     return cached_on(g, "non-sources", lambda: tuple(sorted(g.vertices.difference(sources(g)))))
 
 
+def _shape(g):
+    """The forced zeros of the size vectors of `g`, and each vertex of a free
+    cycle -> the cycle's lowest-named vertex; once per graph (see the module
+    docstring)."""
+
+    def build():
+        pred, zero, cycles = g._neighbours.predecessors, set(), []
+        for comp in strongly_connected_components(g):
+            inside = sum(e.src in comp for v in comp for e in g.incoming(v))
+            if inside:  # cyclic, and a simple cycle when inside == len(comp)
+                cycles.append(comp)
+                zero.update(u for v in comp for u in pred.get(v, ()) if u not in comp)
+                zero.update(comp if inside > len(comp) else ())
+        stack = list(zero)
+        while stack:
+            fresh = set(pred.get(stack.pop(), ())) - zero
+            zero |= fresh
+            stack += fresh
+        return frozenset(zero), {v: min(c) for c in cycles if not c & zero for v in c}
+
+    return cached_on(g, "shape", build)
+
+
 def solve_dimension_vectors(g, bound, budget=None):
+    """`size_vectors` in product order over the sorted vertices."""
+    return sorted(size_vectors(g, bound, budget), key=lambda a: list(a.values()))
+
+
+def size_vectors(g, bound, budget=None):
     """All assignments v -> size in 0..bound with, at every non-source vertex,
-    size(v) = sum of size(src) over incoming edges, in product order over the
-    sorted vertices.  Spends `budget` (default: a fresh budget at the
-    configured cap)."""
+    size(v) = sum of size(src) over incoming edges, lazily in branching order.
+    A forced zero branches over [0] only, and a derived one rejects a nonzero
+    sum.  Spends `budget` (default: a fresh budget at the configured cap)."""
     if g.infinite_bundles:
         raise DiagramError("size vectors are undefined for graphs with bundles")
-    if budget is None:
-        budget = NodeBudget()
+    tops = dict.fromkeys(g.vertices, bound) | dict.fromkeys(_shape(g)[0], 0)
 
-    def in_sum(sizes):
+    def in_sum(v, sizes):
         total = sum(sizes)
-        return total if total <= bound else None
+        return total if total <= tops[v] else None
 
-    pool = range(bound + 1)
-    return _family_search(g, "size vectors", _in_families(g), in_sum, pool, int, budget)
+    pool = lambda v: range(tops[v] + 1)
+    return _family_search(g, "size vectors", _in_families(g), in_sum, pool, budget or NodeBudget())
+
+
+def draw_dimension_vector(g, bound, rng, budget):
+    """A uniform draw from `size_vectors`, listing none: the free values (at
+    the sources and the free cycles, in vertex order) are drawn from 0..bound,
+    the rest follow, and a draw past the bound is drawn again."""
+    zero, lowest = _shape(g)
+    families = {v: f for v, f in _in_families(g).items() if v not in zero and v not in lowest}
+    free = sorted(set(sources(g)).union(lowest.values()) - zero)
+    while True:
+        value = {v: rng.randrange(bound + 1) for v in free}
+        pool = lambda v: [value.get(lowest.get(v, v), 0)]
+        found = next(_family_search(g, "size draws", families, lambda v, xs: sum(xs), pool, budget))
+        if max(found.values()) <= bound:
+            return found
 
 
 def _in_families(g):
@@ -323,19 +378,18 @@ def _in_families(g):
     }
 
 
-def _family_search(g, phase, families, value, pool, rank, budget):
-    """Every assignment of values from `pool` to the vertices of `g` under
-    which each vertex v of `families` has value(the values of its family),
-    in product order over the sorted vertices (`rank` places a value in the
-    pool).  Each such vertex is derived, unless it must branch to break a
-    cycle; then that equation is its constraint."""
+def _family_search(g, phase, families, value, pool, budget):
+    """Every assignment of values to the vertices of `g` under which each
+    vertex v of `families` has value(v, the values of its family), yielded
+    in branching order; a branching vertex v takes the values of pool(v).
+    Each such vertex is derived, unless it must branch to break a cycle;
+    then that equation is its constraint."""
     vertices = g.sorted_vertices()
     needs = [(v, *family) for v, family in families.items()]
     plan = cached_on(g, phase, lambda: _plan(vertices, families, needs))
-    derive = {v: lambda a, f=f: value([a[u] for u in f]) for v, f in families.items()}
+    derive = {v: lambda a, v=v, f=f: value(v, [a[u] for u in f]) for v, f in families.items()}
     checks = [lambda a, v=v, f=f: f(a) == a[v] for v, f in derive.items()]
-    found = _search(plan, [pool] * len(plan.branch), derive, checks, budget, phase)
-    return sorted(found, key=lambda a: [rank(a[v]) for v in vertices])
+    return _search(plan, list(map(pool, plan.branch)), derive, checks, budget, phase)
 
 
 def _pool(morphisms, budget, vertex):
@@ -366,9 +420,9 @@ def _legs(cat, g, dims, v):
     return lambda iso: tuple(zip(ids, [cat.compose(iso, i) for i in cop.injections]))
 
 
-def _assemble(cat, g, dims, iso_of):
-    """mor[e] = iso_of(dims[e.tgt]) . injection_e, built once `make_diagram` has checked dims."""
-    legs = (_legs(cat, g, dims, v)(iso_of(dims[v])) for v in _non_sources(g))
+def _assemble(cat, g, dims, iso_at):
+    """mor[e] = iso_at(e.tgt) . injection_e, built once `make_diagram` has checked dims."""
+    legs = (_legs(cat, g, dims, v)(iso_at(v)) for v in _non_sources(g))
     return make_diagram(cat, g, dims, chain.from_iterable(legs))
 
 
@@ -413,8 +467,9 @@ def _thin_diagrams(cat, g, budget):
     objects = cat.objects()
     rank = {x: i for i, x in enumerate(objects)}.get
     found = _family_search(
-        g, "thin", _in_families(g), lambda xs: cat.supremum(set(xs)), objects, rank, budget
+        g, "thin", _in_families(g), lambda v, xs: cat.supremum(set(xs)), lambda v: objects, budget
     )
+    found = sorted(found, key=lambda a: [*map(rank, a.values())])  # values in sorted-vertex order
     return [make_diagram(cat, g, obj) for obj in found]
 
 
@@ -426,7 +481,7 @@ def canonical_diagram(cat, g, dims):
         if not check_coproduct_condition(cat, diagram).ok:
             raise DiagramError("assignment does not satisfy the coproduct condition")
         return diagram
-    return _assemble(cat, g, dims, cat.identity)
+    return _assemble(cat, g, dims, lambda v: cat.identity(dims[v]))
 
 
 def random_diagram(cat, g, dims, rng):
@@ -434,7 +489,7 @@ def random_diagram(cat, g, dims, rng):
     random cotuple isomorphisms."""
     if cat.is_thin:
         return canonical_diagram(cat, g, dims)
-    return _assemble(cat, g, dims, lambda n: cat.random_isomorphism(n, rng))
+    return _assemble(cat, g, dims, lambda v: cat.random_isomorphism(dims[v], rng))
 
 
 def identity_diagram_morphism(cat, d):

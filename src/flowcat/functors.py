@@ -41,23 +41,25 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from functools import partial
 from typing import NamedTuple
 
 from . import moves
 from .diagrams import (
     DiagramError,
     DiagramMorphism,
-    canonical_diagram,
+    _assemble,
+    _non_sources,
     check_coproduct_condition,
     check_diagram_morphism,
     compose_diagram_morphisms,
     diagram_isomorphic,
+    draw_dimension_vector,
     enumerate_diagram_morphisms,
     enumerate_diagrams,
     identity_diagram_morphism,
     make_diagram,
-    random_diagram,
-    solve_dimension_vectors,
+    size_vectors,
 )
 from .graphs import sources
 from .moves import chain_edge, indexed_edge, indexed_vertex
@@ -437,10 +439,12 @@ def make_pair(move, g, data):
 
 
 # The harness lists a hom-set only when the product of its per-vertex hom-set
-# sizes is at most HOM_PAIR_CAP, and runs the independent isomorphism search
-# on the first ISO_CROSS_CHECKS unit and counit samples.
+# sizes is at most HOM_PAIR_CAP, runs the independent isomorphism search on
+# the first ISO_CROSS_CHECKS unit and counit samples, and lists a pool's size
+# vectors up to SAMPLE_VECTOR_CAP, 16 times the most a test or benchmark has.
 HOM_PAIR_CAP = 20000
 ISO_CROSS_CHECKS = 3
+SAMPLE_VECTOR_CAP = 4096
 
 
 class CheckResult(NamedTuple):
@@ -478,19 +482,31 @@ class EquivalenceReport(NamedTuple):
 def _sample_pool(cat, g, rng, count, max_nodes):
     """Diagrams satisfying the coproduct condition: exhaustive for thin
     instances, else canonical + random cotuples over feasible size vectors
-    (largest and smallest total first, for nonzero coverage).  Equal draws
-    are one object, checked once; each still counts in the report."""
+    (largest and smallest total first, for nonzero coverage).  Above
+    SAMPLE_VECTOR_CAP vectors none is listed: the first two are over a drawn
+    and the zero vector.  Each draw makes its rng calls (the vector, then an
+    iso per non-source vertex) and is built once per distinct value, so equal
+    draws are one object, checked once; each still counts in the report."""
     if cat.is_thin:
         return enumerate_diagrams(cat, g, max_nodes=max_nodes)
-    vectors = solve_dimension_vectors(g, max(cat.objects()), NodeBudget(max_nodes))
-    vectors.sort(key=lambda d: (-sum(d.values()), sorted(d.items())))
-    pool = [canonical_diagram(cat, g, vectors[0])]
-    if len(vectors) > 1 and count > 1:
-        pool.append(canonical_diagram(cat, g, vectors[-1]))
-    while len(pool) < count:
-        pool.append(random_diagram(cat, g, rng.choice(vectors), rng))
-    seen = {}
-    return [seen.setdefault(d, d) for d in pool[:count]]
+    bound, budget, non_sources = max(cat.objects()), NodeBudget(max_nodes), _non_sources(g)
+    vectors = list(itertools.islice(size_vectors(g, bound, budget), SAMPLE_VECTOR_CAP + 1))
+    if len(vectors) <= SAMPLE_VECTOR_CAP:
+        vectors.sort(key=lambda d: (-sum(d.values()), sorted(d.items())))
+        draw, ends = partial(rng.choice, vectors), [vectors[0], vectors[-1]][: len(vectors)]
+    else:
+        draw = partial(draw_dimension_vector, g, bound, rng, budget)
+        ends = [draw(), dict.fromkeys(vectors[0], 0)]
+    ends, pool, built = ends[: 2 if count > 1 else 1], [], {}
+    while len(pool) < max(count, 1):
+        canonical = len(pool) < len(ends)
+        dims = ends[len(pool)] if canonical else draw()
+        iso = cat.identity if canonical else partial(cat.random_isomorphism, rng=rng)
+        isos = tuple(iso(dims[v]) for v in non_sources)
+        if (key := (tuple(dims.values()), isos)) not in built:
+            built[key] = _assemble(cat, g, dims, dict(zip(non_sources, isos)).__getitem__)
+        pool.append(built[key])
+    return pool[:count]
 
 
 def _homs(cat, d1, d2, state):

@@ -37,6 +37,8 @@ only (vertices, edges, infinite_bundles).
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import chain
+from operator import attrgetter
 from typing import NamedTuple
 
 from .intmat import IntMatrix
@@ -165,7 +167,13 @@ def graph(vertices, edges=(), bundles=()):
 
 
 def validate(g):
-    """Return a list of human-readable violations (empty iff the graph is valid)."""
+    """Return a list of human-readable violations (empty iff the graph is valid).
+    A valid graph takes C-level passes only; the ordered walk lists problems."""
+    vertices, edges, bundles = g
+    ends = chain(map(attrgetter("src"), edges), map(attrgetter("tgt"), edges), *bundles)
+    if vertices and vertices.issuperset(ends) and set(map(len, bundles)) <= {2}:
+        if len(set(map(attrgetter("id"), edges))) == len(edges):
+            return []
     problems = []
     if not g.vertices:
         problems.append("vertex set is empty")

@@ -18,9 +18,9 @@ class SearchCapExceeded(RuntimeError):
     """Raised when an enumeration would visit more nodes than the configured cap.
 
     `phase` names the search that ran out ("pool", "hom search", "iso search",
-    "thin", "size vectors" or "cotuples") and `vertex` the vertex it was
-    filling; both stay None until the search that spent the last node sets
-    them.
+    "thin", "size vectors", "size draws" or "cotuples") and `vertex` the
+    vertex it was filling; both stay None until the search that spent the
+    last node sets them.
     """
 
     def __init__(self, visited, cap):

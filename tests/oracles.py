@@ -20,7 +20,11 @@ each did its work once per distinct sampled diagram: they redo every draw
 in full, through the package's functors, searches and report records.
 Diagram enumeration outside poset instances is the package's code from
 before the edge maps were tabulated per size vector: it assembles and
-validates every answer through the package's own search.
+validates every answer through the package's own search.  The size-vector
+solver and the harness's sample pool are the package's code from before the
+shape table: every branching vertex takes the whole pool 0..bound, and a
+pool lists every vector and builds every draw.  `loop_validate` is
+`graphs.validate` as it was before a valid graph took the C-level passes.
 """
 
 from __future__ import annotations
@@ -32,17 +36,21 @@ import random
 
 from flowcat.diagrams import (
     DiagramError,
+    _in_families,
     _non_sources,
     _plan,
     _pool,
     _require_bundle_free,
     _search,
+    canonical_diagram,
     check_coproduct_condition,
     check_diagram_morphism,
     compose_diagram_morphisms,
     diagram_isomorphic,
+    enumerate_diagrams,
     identity_diagram_morphism,
     make_diagram,
+    random_diagram,
     solve_dimension_vectors,
 )
 from flowcat.functors import (
@@ -1096,3 +1104,72 @@ def per_answer_enumerate_diagrams(cat, g, bound=None, max_nodes=None):
         for isos in _search(plan, pools, {}, (), budget, "cotuples"):
             found.append(_assemble_diagram(cat, g, dims, isos))
     return found
+
+
+# -- size vectors and sample pools without the shape table ----------------------------
+
+
+def branching_size_vectors(g, bound, budget=None):
+    """`diagrams.solve_dimension_vectors` without forced zeros: the kernel's
+    plan, with the whole pool 0..bound at every branching vertex and each
+    derived sum checked against the bound alone."""
+    if g.infinite_bundles:
+        raise DiagramError("size vectors are undefined for graphs with bundles")
+    if budget is None:
+        budget = NodeBudget()
+    vertices = g.sorted_vertices()
+    families = _in_families(g)
+    plan = _plan(vertices, families, [(v, *family) for v, family in families.items()])
+
+    def in_sum(sizes):
+        total = sum(sizes)
+        return total if total <= bound else None
+
+    derive = {v: lambda a, f=f: in_sum([a[u] for u in f]) for v, f in families.items()}
+    checks = [lambda a, v=v, f=f: f(a) == a[v] for v, f in derive.items()]
+    pools = [range(bound + 1)] * len(plan.branch)
+    found = _search(plan, pools, derive, checks, budget, "size vectors")
+    return sorted(found, key=lambda a: [a[v] for v in vertices])
+
+
+def listing_sample_pool(cat, g, rng, count, max_nodes):
+    """`functors._sample_pool` as it was before the shape table: list every
+    size vector, then build every draw and keep one object per value."""
+    if cat.is_thin:
+        return enumerate_diagrams(cat, g, max_nodes=max_nodes)
+    vectors = branching_size_vectors(g, max(cat.objects()), NodeBudget(max_nodes))
+    vectors.sort(key=lambda d: (-sum(d.values()), sorted(d.items())))
+    pool = [canonical_diagram(cat, g, vectors[0])]
+    if len(vectors) > 1 and count > 1:
+        pool.append(canonical_diagram(cat, g, vectors[-1]))
+    while len(pool) < count:
+        pool.append(random_diagram(cat, g, rng.choice(vectors), rng))
+    seen = {}
+    return [seen.setdefault(d, d) for d in pool[:count]]
+
+
+def loop_validate(g):
+    """A graph's problems, found by one ordered walk over its edges and then
+    its bundles in repr order."""
+    problems = []
+    if not g.vertices:
+        problems.append("vertex set is empty")
+    seen = set()
+    for e in g.edges:
+        if e.id in seen:
+            problems.append(f"duplicate edge id {e.id!r}")
+        seen.add(e.id)
+        if e.src not in g.vertices:
+            problems.append(f"edge {e.id!r} has unknown source {e.src!r}")
+        if e.tgt not in g.vertices:
+            problems.append(f"edge {e.id!r} has unknown target {e.tgt!r}")
+    for b in sorted(g.infinite_bundles, key=repr):
+        if len(b) != 2:
+            problems.append(f"bundle {b!r} is not a (src, tgt) pair")
+            continue
+        src, tgt = b
+        if src not in g.vertices:
+            problems.append(f"bundle {b!r} has unknown source {src!r}")
+        if tgt not in g.vertices:
+            problems.append(f"bundle {b!r} has unknown target {tgt!r}")
+    return problems

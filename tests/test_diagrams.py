@@ -1,5 +1,6 @@
 """Diagram engine: coproduct condition, enumeration, morphisms, isomorphism."""
 
+import collections
 import copy
 import itertools
 import math
@@ -17,13 +18,17 @@ from flowcat.categories import FinSetSkeleton, MatCategory, Morphism, PosetCateg
 from flowcat.diagrams import (
     Diagram,
     DiagramError,
+    DiagramMorphism,
+    _shape,
     canonical_diagram,
     check_coproduct_condition,
     check_diagram_morphism,
     diagram_isomorphic,
     diagram_morphisms,
+    draw_dimension_vector,
     enumerate_diagram_morphisms,
     enumerate_diagrams,
+    identity_diagram_morphism,
     inverse_cotuple_at,
     make_diagram,
     random_diagram,
@@ -32,9 +37,10 @@ from flowcat.diagrams import (
 from flowcat.functors import CorruptedPair, _sample_pool, standard_verification_suite
 from flowcat.graphs import graph, is_acyclic
 from flowcat.sampling import random_shape_graph
-from flowcat.util import SearchCapExceeded
+from flowcat.util import NodeBudget, SearchCapExceeded
 
 from oracles import (
+    branching_size_vectors,
     per_answer_enumerate_diagrams,
     product_diagram_isomorphism,
     product_diagram_morphisms,
@@ -201,6 +207,111 @@ def test_size_vectors_acyclic2():
 def test_size_vectors_reject_bundles():
     with pytest.raises(DiagramError, match="bundles"):
         solve_dimension_vectors(zoo.h_graph(), 2)
+
+
+def test_shape_table_forces_zeros_by_the_perron_argument():
+    g = graph(
+        ["s", "a", "b", "c", "d", "x", "y", "p", "q", "t"],
+        [
+            ("e1", "s", "a"), ("e2", "a", "b"), ("e3", "b", "a"),  # a fed simple cycle
+            ("e4", "c", "c"), ("e5", "c", "c"),  # a doubled loop
+            ("e6", "d", "c"),  # feeds the doubled loop
+            ("e7", "x", "y"), ("e8", "y", "x"), ("e9", "y", "p"),  # a free cycle
+            ("e10", "p", "q"), ("e11", "q", "p"),  # fed from the free cycle
+            ("e12", "s", "t"),
+        ],
+    )
+    zero, lowest = _shape(g)
+    assert zero == {"s", "c", "d", "x", "y"}
+    assert lowest == {"a": "a", "b": "a", "p": "p", "q": "p"}
+    assert solve_dimension_vectors(g, 2) == [
+        {**dict.fromkeys(sorted(g.vertices), 0), "a": n, "b": n, "p": m, "q": m}
+        for n in range(3) for m in range(3)
+    ]
+
+
+def _outcome(solve, g, bound, max_nodes=None):
+    """The size vectors of `g`, or where the search hit the cap."""
+    try:
+        return solve(g, bound, NodeBudget(max_nodes))
+    except SearchCapExceeded as exc:
+        return exc.phase, exc.vertex
+
+
+def test_size_vectors_match_the_branching_oracle():
+    shapes = [(g, bound) for g in ZOO_SHAPES if not g.infinite_bundles for bound in (2, 3, 4)]
+    shapes += [
+        (shape, max(cat.objects()))
+        for cat in (FinSetSkeleton(4), MAT23)
+        for _, pair in standard_verification_suite()
+        for shape in (pair.source, pair.target)
+    ]
+    rng = random.Random(20261028)
+    shapes += [
+        (random_shape_graph(rng, max_vertices=12, edge_prob=p, bundle_prob=0.0), 2 + i % 3)
+        for p in (0.35, 0.2)
+        for i in range(200)
+    ]
+    listed = 0
+    for g, bound in shapes:
+        expected = _outcome(branching_size_vectors, g, bound)
+        assert _outcome(solve_dimension_vectors, g, bound) == expected, (g, bound)
+        listed += isinstance(expected, list)
+    assert listed == len(shapes) > 400
+
+
+def test_size_vectors_match_the_branching_oracle_at_a_small_cap():
+    # with no forced zero both searches walk the same tree
+    for g in (zoo.edgeless(4), zoo.acyclic2(), zoo.chain_graph(3), zoo.loop1()):
+        for cap in (1, 2, 3, 5, 8, 13, 21):
+            expected = _outcome(branching_size_vectors, g, 3, cap)
+            assert _outcome(solve_dimension_vectors, g, 3, cap) == expected, (g, cap)
+
+
+def _roadmap_shapes():
+    """Four shapes from each of Random(40), Random(60) and Random(100), with
+    max_vertices the seed and 2.88 edges per vertex expected."""
+    for seed in (40, 60, 100):
+        rng = random.Random(seed)
+        for _ in range(4):
+            yield random_shape_graph(rng, seed, 2.88 / seed, 0.0)
+
+
+def test_size_vector_search_grows_with_the_answers():
+    for g in _roadmap_shapes():
+        budget = NodeBudget()
+        vectors = solve_dimension_vectors(g, 2, budget)
+        assert budget.visited <= 10 * len(vectors) + 2 * len(g.vertices), g
+    # at bound 3 these two ran into a 2,000,000-node cap without the shape
+    # table; they have 4 and 38,400 vectors
+    shapes = list(_roadmap_shapes())
+    for g, count in ((shapes[0], 4), (shapes[5], 38400)):
+        start = time.perf_counter()
+        assert len(solve_dimension_vectors(g, 3)) == count
+        assert time.perf_counter() - start < 1.0
+
+
+def test_drawn_size_vectors_are_uniform_over_the_listed_ones():
+    rng = random.Random(20261029)
+    for g in _shape_graphs(34, 20, bundle_prob=0.0):
+        listed = [tuple(d.values()) for d in solve_dimension_vectors(g, 2)]
+        budget = NodeBudget()
+        draws = [tuple(draw_dimension_vector(g, 2, rng, budget).values()) for _ in range(40)]
+        assert set(draws) <= set(listed), g
+    g = zoo.acyclic2()  # six vectors with c = a + b <= 2
+    counts = collections.Counter(
+        tuple(draw_dimension_vector(g, 2, rng, NodeBudget()).values()) for _ in range(3000)
+    )
+    assert len(counts) == 6 and all(400 <= n <= 600 for n in counts.values())
+
+
+def test_drawing_size_vectors_honours_the_cap():
+    # 30 sources into one vertex of size at most 1: few draws fit the bound
+    sources = [f"s{i:02d}" for i in range(30)]
+    g = graph(sources + ["t"], [(f"e{s}", s, "t") for s in sources])
+    with pytest.raises(SearchCapExceeded) as excinfo:
+        draw_dimension_vector(g, 1, random.Random(1), NodeBudget(3000))
+    assert excinfo.value.phase == "size draws"
 
 
 # -- enumeration ---------------------------------------------------------------------
@@ -832,6 +943,18 @@ def test_diagram_hash_is_the_tuple_hash_and_copies_drop_the_instance_dict():
         assert type(twin) is Diagram and twin == d and twin is not d
         assert vars(twin) == {}
         assert hash(twin) == hash(d)
+
+
+def test_diagram_morphism_hash_is_the_tuple_hash_and_copies_drop_it():
+    d = canonical_diagram(MAT23, zoo.loop_and_exit(), {"u": 1, "w": 2})
+    m = identity_diagram_morphism(MAT23, d)
+    assert vars(m) == {}
+    assert hash(m) == tuple.__hash__(m)
+    assert set(vars(m)) == {"_hash"}
+    for twin in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+        assert type(twin) is DiagramMorphism and twin == m and twin is not m
+        assert vars(twin) == {}
+        assert hash(twin) == hash(m)
 
 
 def test_a_pickled_diagram_hashes_under_the_loading_hash_seed():

@@ -5,6 +5,7 @@ import hashlib
 import json
 import random
 import runpy
+import time
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,7 @@ from flowcat.diagrams import (
     enumerate_diagram_morphisms,
     enumerate_diagrams,
     make_diagram,
+    solve_dimension_vectors,
 )
 from flowcat.functors import (
     CorruptedPair,
@@ -31,7 +33,7 @@ from flowcat.functors import (
     standard_verification_suite,
     verify_equivalence,
 )
-from flowcat.graphs import classify_vertex, sinks, sources
+from flowcat.graphs import classify_vertex, graph, sinks, sources
 from flowcat.moves import indexed_edge, indexed_vertex
 from flowcat.sampling import random_move_spec, random_shape_graph
 from flowcat.util import frozendict
@@ -43,7 +45,12 @@ from functor_samples import (
     random_moves,
     random_pairs,
 )
-from oracles import out_split_backward, out_split_counit, per_draw_verify_equivalence
+from oracles import (
+    listing_sample_pool,
+    out_split_backward,
+    out_split_counit,
+    per_draw_verify_equivalence,
+)
 
 MAT = MatCategory(2, 3)
 FINSET = FinSetSkeleton(4)
@@ -356,6 +363,82 @@ def test_equal_sampled_diagrams_are_one_object():
     pool = _sample_pool(FinSetSkeleton(4), pair.source, random.Random(20260815), 8, None)
     assert len(pool) == 8
     assert len({id(d) for d in pool}) == 1
+
+
+POOL_CATEGORIES = [FinSetSkeleton(3), FinSetSkeleton(4), MatCategory(2, 2), MAT, MatCategory(3, 2)]
+
+
+@pytest.mark.parametrize("cat", POOL_CATEGORIES, ids=lambda c: c.name)
+def test_sample_pools_match_the_listing_oracle(cat):
+    # each pair's two pools are drawn from one rng, as the harness draws them
+    for samples, seed in ((1, 7), (3, 20260815), (8, 20260815), (8, 11)):
+        for label, pair in standard_verification_suite():
+            rng, oracle_rng = random.Random(seed), random.Random(seed)
+            for shape in (pair.source, pair.target):
+                pool = _sample_pool(cat, shape, rng, samples, None)
+                expected = listing_sample_pool(cat, shape, oracle_rng, samples, None)
+                assert pool == expected, (label, samples, seed)
+                assert [pool.index(d) for d in pool] == [expected.index(d) for d in expected]
+                assert len({id(d) for d in pool}) == len({id(d) for d in expected})
+                assert rng.getstate() == oracle_rng.getstate(), (label, samples, seed)
+
+
+def test_sample_pool_builds_each_distinct_draw_once(monkeypatch):
+    built = []
+
+    def assemble(cat, g, dims, iso_at):
+        d = real(cat, g, dims, iso_at)
+        built.append(d)
+        return d
+
+    real = functors._assemble
+    monkeypatch.setattr(functors, "_assemble", assemble)
+    for cat in (FINSET, MAT):
+        for _, pair in standard_verification_suite():
+            for shape in (pair.source, pair.target):
+                built.clear()
+                pool = _sample_pool(cat, shape, random.Random(20260815), 8, None)
+                assert len(built) == len(set(built)) == len(set(pool)), (cat.name, shape)
+    # every vw/* and loop2/* pool is the zero diagram, built once
+    pair = dict(standard_verification_suite())["loop2/out-delay"]
+    built.clear()
+    assert len(_sample_pool(MAT, pair.source, random.Random(1), 6, None)) == 6
+    assert len(built) == 1
+
+
+def _ten_sources():
+    """Ten sources, one of them feeding a sink: 4**10 size vectors over mat:2:3
+    on each side of its remove-sink pair."""
+    vertices = [f"s{i}" for i in range(10)] + ["w"]
+    return graph(vertices, [("e", "s0", "w")])
+
+
+def test_sample_pool_draws_vectors_above_the_cap(monkeypatch):
+    monkeypatch.setattr(functors, "SAMPLE_VECTOR_CAP", 5)
+    cat = FinSetSkeleton(3)
+    cycle_and_sum = graph(
+        "abcxyz", [("e1", "a", "b"), ("e2", "b", "a"), ("e3", "b", "c"), ("e4", "x", "z"),
+                   ("e5", "y", "z")]
+    )
+    for g in (zoo.acyclic2(), zoo.edgeless(3), cycle_and_sum):
+        listed = solve_dimension_vectors(g, 3)
+        assert len(listed) > 5
+        pool = _sample_pool(cat, g, random.Random(4), 8, None)
+        assert pool == _sample_pool(cat, g, random.Random(4), 8, None) and len(pool) == 8
+        assert all(dict(d.obj) in listed and check_coproduct_condition(cat, d).ok for d in pool)
+        # the second draw is the zero vector's; random draws give others
+        assert not any(pool[1].obj.values()) and len({d.obj for d in pool}) > 2
+
+
+def test_ten_source_remove_sink_pair_passes_at_the_default_cap(monkeypatch):
+    # listing both sides' 4**10 vectors ran past the default node cap
+    monkeypatch.delenv("FLOWCAT_MAX_NODES", raising=False)
+    pair = make_pair("remove_sink", _ten_sources(), "w")
+    start = time.perf_counter()
+    report = verify_equivalence(MAT, pair)
+    assert time.perf_counter() - start < 2.0
+    assert report.verdict == "pass", report.to_dict()
+    assert (report.source_samples, report.target_samples) == (8, 8)
 
 
 def test_harness_report_is_serializable():

@@ -38,6 +38,7 @@ from oracles import (
     brute_force_cohereditary_irreducible,
     closure_reachability,
     dense_is_nontrivial,
+    loop_validate,
     scan_vertex,
     tarjan_components,
 )
@@ -48,6 +49,30 @@ def test_validate_accepts_zoo_graphs():
     for g in [zoo.loop1(), zoo.loop2(), zoo.vw_graph(), zoo.acyclic2(),
               zoo.cuntz_h(), zoo.h_graph()]:
         assert validate(g) == []
+
+
+def _seeded_fields(rng):
+    """Graph fields with, each with some chance, an empty vertex set, a
+    repeated edge id, an unknown edge end, a bundle that is not a pair and a
+    bundle with an unknown end."""
+    names = [f"v{i}" for i in range(rng.randint(0, 6))]
+    ends = names + ["ghost"] if rng.random() < 0.3 else names or ["ghost"]
+    ids = [f"e{rng.randint(0, 9) if rng.random() < 0.1 else k}" for k in range(rng.randint(0, 8))]
+    edges = tuple(Edge(i, rng.choice(ends), rng.choice(ends)) for i in ids)
+    bundles = {(rng.choice(ends), rng.choice(ends)) for _ in range(rng.randint(0, 2))}
+    if rng.random() < 0.1:
+        bundles.add((rng.choice(ends),))
+    return frozenset(names), edges, frozenset(bundles)
+
+
+def test_validate_matches_the_ordered_walk():
+    rng = random.Random(20261030)
+    valid = 0
+    for _ in range(3000):
+        g = DirectedGraph._make(_seeded_fields(rng))
+        assert validate(g) == loop_validate(g), g
+        valid += not validate(g)
+    assert 300 < valid < 2700
 
 
 def refused(vertices, edges, bundles=frozenset()):
