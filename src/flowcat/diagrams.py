@@ -16,28 +16,28 @@ vertex (the cotuple value), so edge morphisms are `iso . injection`, composed
 once per size vector and pool isomorphism, not once per answer.
 
 Every search runs on one backtracking kernel, `_search`, that branches only
-where the coproduct condition leaves a choice.  A non-source vertex whose
-value follows from its in-neighbours is derived: in a thin diagram as the
-supremum of its incoming family, in a size vector as the in-sum, and in a
-morphism search as c[v] = [dst.mor[e] . c[e.src]]_e . psi^-1, where psi is
-the cotuple at v in the source diagram, when psi is an isomorphism.  The
-kernel branches on the sources, on the vertices whose cotuple is not an
-isomorphism (corrupted diagrams have them) and on a greedy feedback vertex set
-of the rest, because a cycle of derivable vertices needs one value to start
-from.  It derives every other vertex in topological order, as soon as the
-vertices it reads have values.  A derivation implies the constraints of its
-vertex, so only the constraints of branching vertices are checked (a
-naturality square into one, the equation at a feedback vertex), each as soon
-as its vertices have values.  Search time so follows the pools of the
-branching vertices and the answers, not the vertex names.
+where the coproduct condition leaves a choice.  A vertex whose value follows
+from others is derived: in a thin diagram as the supremum of its incoming
+family, in a size vector as the sum of its family in the shape table, and in
+a morphism search as c[v] = [dst.mor[e] . c[e.src]]_e . psi^-1, where psi is
+the cotuple at v in the source diagram, when psi is an isomorphism.  Thin and
+morphism searches branch on the sources, on the vertices whose cotuple is not
+an isomorphism (corrupted diagrams have them) and on a greedy feedback vertex
+set of the rest, because a cycle of derivable vertices needs one value to
+start from.  The kernel derives every other vertex as soon as the vertices it
+reads have values.  A derivation implies the constraints of its vertex, so
+only the constraints of branching vertices are checked (a naturality square
+into one, the equation at a feedback vertex), each as soon as its vertices
+have values.  Search time so follows the pools of the branching vertices and
+the answers, not the vertex names.
 
 Sizes add under the coproduct condition in FinSet and Mat, so on a strongly
 connected component C with inner edge matrix M and inflow b, s_C = M s_C + b.
 A positive left Perron vector w of M gives (1 - rho) w.s_C = w.b >= 0: s_C =
 b = 0 if C is cyclic but not a simple cycle (rho > 1), and b = 0 around a
-simple cycle (rho = 1).  The shape table `_shape` keeps the forced zeros (such
-a C and every vertex that feeds a cyclic component) and the free cycles (the
-other simple cycles); a size vector is free only there and at the sources.
+simple cycle (rho = 1).  So the shape table `_shape` fixes a size vector by its
+free values, at the sources and on the other simple cycles, and gives every
+other size as the sum of its family (none on such a C or what feeds a cycle).
 
 One generator, `diagram_morphisms`, serves both the morphism and the
 isomorphism search and yields in branching order, so a caller that needs a
@@ -310,9 +310,9 @@ def _non_sources(g):
 
 
 def _shape(g):
-    """The forced zeros of the size vectors of `g`, and each vertex of a free
-    cycle -> the cycle's lowest-named vertex; once per graph (see the module
-    docstring)."""
+    """Once per graph: the forced zeros, each vertex of a free cycle -> its
+    lowest-named vertex, each size that is not free -> the family it is the sum
+    of, and the free values in vertex order (see the module docstring)."""
 
     def build():
         pred, zero, cycles = g._neighbours.predecessors, set(), []
@@ -327,7 +327,11 @@ def _shape(g):
             fresh = set(pred.get(stack.pop(), ())) - zero
             zero |= fresh
             stack += fresh
-        return frozenset(zero), {v: min(c) for c in cycles if not c & zero for v in c}
+        lowest = {v: min(c) for c in cycles if not c & zero for v in c}
+        # a free value is the sum of itself: a source or a free cycle's lowest vertex
+        sums = _in_families(g) | {v: (u,) for v, u in lowest.items()} | dict.fromkeys(zero, ())
+        families = {v: sums[v] for v in g.sorted_vertices() if sums.get(v, (v,)) != (v,)}
+        return frozenset(zero), lowest, families, tuple(sorted(g.vertices - families.keys()))
 
     return cached_on(g, "shape", build)
 
@@ -340,33 +344,29 @@ def solve_dimension_vectors(g, bound, budget=None):
 def size_vectors(g, bound, budget=None):
     """All assignments v -> size in 0..bound with, at every non-source vertex,
     size(v) = sum of size(src) over incoming edges, lazily in branching order.
-    A forced zero branches over [0] only, and a derived one rejects a nonzero
-    sum.  Spends `budget` (default: a fresh budget at the configured cap)."""
-    if g.infinite_bundles:
-        raise DiagramError("size vectors are undefined for graphs with bundles")
-    tops = dict.fromkeys(g.vertices, bound) | dict.fromkeys(_shape(g)[0], 0)
-
-    def in_sum(v, sizes):
-        total = sum(sizes)
-        return total if total <= tops[v] else None
-
-    pool = lambda v: range(tops[v] + 1)
-    return _family_search(g, "size vectors", _in_families(g), in_sum, pool, budget or NodeBudget())
+    Spends `budget` (default: a fresh budget at the configured cap)."""
+    return _sizes(g, bound, "size vectors", lambda v: range(bound + 1), budget or NodeBudget())
 
 
 def draw_dimension_vector(g, bound, rng, budget):
-    """A uniform draw from `size_vectors`, listing none: the free values (at
-    the sources and the free cycles, in vertex order) are drawn from 0..bound,
-    the rest follow, and a draw past the bound is drawn again."""
-    zero, lowest = _shape(g)
-    families = {v: f for v, f in _in_families(g).items() if v not in zero and v not in lowest}
-    free = sorted(set(sources(g)).union(lowest.values()) - zero)
+    """A uniform draw from `size_vectors`, listing none: the free values are
+    drawn from 0..bound in vertex order, the rest follow, and a draw past the
+    bound is drawn again."""
     while True:
-        value = {v: rng.randrange(bound + 1) for v in free}
-        pool = lambda v: [value.get(lowest.get(v, v), 0)]
-        found = next(_family_search(g, "size draws", families, lambda v, xs: sum(xs), pool, budget))
-        if max(found.values()) <= bound:
+        value = {v: [rng.randrange(bound + 1)] for v in _shape(g)[3]}
+        found = next(_sizes(g, bound, "size draws", value.__getitem__, budget), None)
+        if found is not None:
             return found
+
+
+def _sizes(g, bound, phase, values, budget):
+    """The size search: each free value v takes values(v) in turn (none: one
+    branch over [0]); each other size is its family's sum, at most `bound`."""
+    if g.infinite_bundles:
+        raise DiagramError("size vectors are undefined for graphs with bundles")
+    _, _, families, free = _shape(g)
+    in_sum = lambda v, sizes: None if (total := sum(sizes)) > bound else total
+    return _family_search(g, phase, families, in_sum, values if free else lambda v: [0], budget)
 
 
 def _in_families(g):

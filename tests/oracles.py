@@ -23,25 +23,32 @@ before the edge maps were tabulated per size vector: it assembles and
 validates every answer through the package's own search.  The size-vector
 solver and the harness's sample pool are the package's code from before the
 shape table: every branching vertex takes the whole pool 0..bound, and a
-pool lists every vector and builds every draw.  `loop_validate` is
+pool lists every vector and builds every draw.  The pinned size vectors,
+draws and sample pool are the package's code from before the shape table
+listed each size's family: a forced zero branches over [0], a free cycle
+closes at a feedback vertex whose equation is checked, and a draw derives
+from its own family table and checks the bound afterwards.  `loop_validate` is
 `graphs.validate` as it was before a valid graph took the C-level passes.
 """
 
 from __future__ import annotations
 
 import collections
+import functools
 import itertools
 import math
 import random
 
 from flowcat.diagrams import (
     DiagramError,
+    _assemble,
     _in_families,
     _non_sources,
     _plan,
     _pool,
     _require_bundle_free,
     _search,
+    _shape,
     canonical_diagram,
     check_coproduct_condition,
     check_diagram_morphism,
@@ -60,7 +67,8 @@ from flowcat.functors import (
     _homs,
     _sample_pool,
 )
-from flowcat.util import NodeBudget, SearchCapExceeded
+from flowcat.graphs import sources
+from flowcat.util import NodeBudget, SearchCapExceeded, cached_on
 
 
 def cofactor_determinant(rows):
@@ -1147,6 +1155,77 @@ def listing_sample_pool(cat, g, rng, count, max_nodes):
     seen = {}
     return [seen.setdefault(d, d) for d in pool[:count]]
 
+
+
+def _pinned_family_search(g, phase, families, value, pool, budget):
+    """`diagrams._family_search`, its plan cached apart from the package's."""
+    vertices = g.sorted_vertices()
+    needs = [(v, *family) for v, family in families.items()]
+    plan = cached_on(g, ("pinned", phase), lambda: _plan(vertices, families, needs))
+    derive = {v: lambda a, v=v, f=f: value(v, [a[u] for u in f]) for v, f in families.items()}
+    checks = [lambda a, v=v, f=f: f(a) == a[v] for v, f in derive.items()]
+    return _search(plan, list(map(pool, plan.branch)), derive, checks, budget, phase)
+
+
+def pinned_size_vectors(g, bound, budget=None):
+    """`diagrams.size_vectors` as it was with forced zeros pinned to [0]: a
+    derived forced zero rejects a nonzero sum, and each free cycle closes at
+    a feedback vertex whose equation is checked."""
+    if g.infinite_bundles:
+        raise DiagramError("size vectors are undefined for graphs with bundles")
+    tops = dict.fromkeys(g.vertices, bound) | dict.fromkeys(_shape(g)[0], 0)
+
+    def in_sum(v, sizes):
+        total = sum(sizes)
+        return total if total <= tops[v] else None
+
+    pool = lambda v: range(tops[v] + 1)
+    return _pinned_family_search(
+        g, "size vectors", _in_families(g), in_sum, pool, budget or NodeBudget()
+    )
+
+
+def pinned_draw_dimension_vector(g, bound, rng, budget):
+    """`diagrams.draw_dimension_vector` as it was with its own family table
+    and free list: every vertex outside the table branches over its drawn
+    value, and a draw past the bound is drawn again."""
+    zero, lowest = _shape(g)[:2]
+    families = {v: f for v, f in _in_families(g).items() if v not in zero and v not in lowest}
+    free = sorted(set(sources(g)).union(lowest.values()) - zero)
+    while True:
+        value = {v: rng.randrange(bound + 1) for v in free}
+        pool = lambda v: [value.get(lowest.get(v, v), 0)]
+        found = next(
+            _pinned_family_search(g, "size draws", families, lambda v, xs: sum(xs), pool, budget)
+        )
+        if max(found.values()) <= bound:
+            return found
+
+
+def pinned_sample_pool(cat, g, rng, count, max_nodes, cap):
+    """`functors._sample_pool` over the pinned size vectors and draws, with
+    `cap` in place of SAMPLE_VECTOR_CAP."""
+    if cat.is_thin:
+        return enumerate_diagrams(cat, g, max_nodes=max_nodes)
+    bound, budget, non_sources = max(cat.objects()), NodeBudget(max_nodes), _non_sources(g)
+    vectors = list(itertools.islice(pinned_size_vectors(g, bound, budget), cap + 1))
+    if len(vectors) <= cap:
+        vectors.sort(key=lambda d: (-sum(d.values()), sorted(d.items())))
+        draw = functools.partial(rng.choice, vectors)
+        ends = [vectors[0], vectors[-1]][: len(vectors)]
+    else:
+        draw = functools.partial(pinned_draw_dimension_vector, g, bound, rng, budget)
+        ends = [draw(), dict.fromkeys(vectors[0], 0)]
+    ends, pool, built = ends[: 2 if count > 1 else 1], [], {}
+    while len(pool) < max(count, 1):
+        canonical = len(pool) < len(ends)
+        dims = ends[len(pool)] if canonical else draw()
+        iso = cat.identity if canonical else functools.partial(cat.random_isomorphism, rng=rng)
+        isos = tuple(iso(dims[v]) for v in non_sources)
+        if (key := (tuple(dims.values()), isos)) not in built:
+            built[key] = _assemble(cat, g, dims, dict(zip(non_sources, isos)).__getitem__)
+        pool.append(built[key])
+    return pool[:count]
 
 def loop_validate(g):
     """A graph's problems, found by one ordered walk over its edges and then

@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from flowcat import zoo
+from flowcat import functors, zoo
 from flowcat.categories import FinSetSkeleton, MatCategory, Morphism, PosetCategory, chain, diamond
 from flowcat.diagrams import (
     Diagram,
@@ -32,16 +32,20 @@ from flowcat.diagrams import (
     inverse_cotuple_at,
     make_diagram,
     random_diagram,
+    size_vectors,
     solve_dimension_vectors,
 )
 from flowcat.functors import CorruptedPair, _sample_pool, standard_verification_suite
-from flowcat.graphs import graph, is_acyclic
+from flowcat.graphs import graph, is_acyclic, sources
 from flowcat.sampling import random_shape_graph
-from flowcat.util import NodeBudget, SearchCapExceeded
+from flowcat.util import NodeBudget, SearchCapExceeded, cached_on
 
 from oracles import (
     branching_size_vectors,
     per_answer_enumerate_diagrams,
+    pinned_draw_dimension_vector,
+    pinned_sample_pool,
+    pinned_size_vectors,
     product_diagram_isomorphism,
     product_diagram_morphisms,
     product_size_vectors,
@@ -221,9 +225,11 @@ def test_shape_table_forces_zeros_by_the_perron_argument():
             ("e12", "s", "t"),
         ],
     )
-    zero, lowest = _shape(g)
+    zero, lowest, families, free = _shape(g)
     assert zero == {"s", "c", "d", "x", "y"}
     assert lowest == {"a": "a", "b": "a", "p": "p", "q": "p"}
+    assert families["b"] == ("a",) and families["q"] == ("p",)
+    assert free == ("a", "p")
     assert solve_dimension_vectors(g, 2) == [
         {**dict.fromkeys(sorted(g.vertices), 0), "a": n, "b": n, "p": m, "q": m}
         for n in range(3) for m in range(3)
@@ -289,6 +295,62 @@ def test_size_vector_search_grows_with_the_answers():
         start = time.perf_counter()
         assert len(solve_dimension_vectors(g, 3)) == count
         assert time.perf_counter() - start < 1.0
+
+
+def _pinned_oracle_shapes():
+    """240 seeded shapes of up to 12 vertices at bounds 2-4."""
+    rng = random.Random(20261030)
+    return [
+        (random_shape_graph(rng, max_vertices=12, edge_prob=p, bundle_prob=0.0), 2 + i % 3)
+        for p in (0.35, 0.2, 0.12)
+        for i in range(80)
+    ]
+
+
+def test_size_vectors_and_draws_match_the_pinned_oracle():
+    shapes = _pinned_oracle_shapes()
+    cycles = zero_sources = 0
+    for i, (g, bound) in enumerate(shapes):
+        zero, lowest, _, free = _shape(g)
+        cycles += bool(lowest)
+        zero_sources += bool(zero & set(sources(g)))
+        expected = sorted(pinned_size_vectors(g, bound), key=lambda a: list(a.values()))
+        assert solve_dimension_vectors(g, bound) == expected, (g, bound)
+        if free:  # the size plan branches on the free values alone
+            assert cached_on(g, "size vectors", None).branch == free, g
+        rng, oracle_rng = random.Random(i), random.Random(i)
+        for _ in range(5):
+            drawn = draw_dimension_vector(g, bound, rng, NodeBudget())
+            assert list(drawn.items()) == list(
+                pinned_draw_dimension_vector(g, bound, oracle_rng, NodeBudget()).items()
+            ), (g, bound)
+            assert rng.getstate() == oracle_rng.getstate(), (g, bound)
+    assert len(shapes) >= 200 and cycles >= 40 and zero_sources >= 40, (cycles, zero_sources)
+
+
+def test_sample_pools_above_a_small_cap_match_the_pinned_oracle(monkeypatch):
+    monkeypatch.setattr(functors, "SAMPLE_VECTOR_CAP", 5)
+    above = 0
+    for i, (g, _) in enumerate(_pinned_oracle_shapes()[::4]):
+        for cat in (FinSetSkeleton(3), MatCategory(2, 2)):
+            rng, oracle_rng = random.Random(i), random.Random(i)
+            pool = _sample_pool(cat, g, rng, 6, None)
+            expected = pinned_sample_pool(cat, g, oracle_rng, 6, None, 5)
+            assert pool == expected, (cat.name, g)
+            assert [pool.index(d) for d in pool] == [expected.index(d) for d in expected]
+            assert rng.getstate() == oracle_rng.getstate(), (cat.name, g)
+            above += len(solve_dimension_vectors(g, max(cat.objects()))) > 5
+    assert above >= 40, above
+
+
+def test_size_vectors_of_a_58_vertex_shape_branch_on_its_free_values():
+    # 58 vertices and 71 edges; branching on every source and closing each
+    # free cycle last spent 222,410 nodes on the 4,097 vectors a sample
+    # pool reads to choose its path
+    g = random_shape_graph(random.Random(11), 120, 2.88 / 120, 0.0)
+    budget = NodeBudget()
+    assert len(list(itertools.islice(size_vectors(g, 3, budget), 4097))) == 4097
+    assert budget.visited < 25000, budget.visited
 
 
 def test_drawn_size_vectors_are_uniform_over_the_listed_ones():

@@ -526,15 +526,11 @@ SWEEP_CATEGORIES = (
 
 def test_reports_match_the_checks_redone_at_every_draw():
     # every suite pair and its corrupted control in seven categories, at 6
-    # and 8 samples, against the checks that redo each draw in full; mat:2:3
-    # cycle-with-sink is left out, as in the benchmark: one run of it takes
-    # about half a minute
+    # and 8 samples, against the checks that redo each draw in full
     compared = 0
     for spec in SWEEP_CATEGORIES:
         cat = parse_category_spec(spec)
         for label, pair in standard_verification_suite():
-            if (spec, label) == ("mat:2:3", "cycle-with-sink/remove-sink"):
-                continue
             for run in (pair, CorruptedPair(pair)):
                 for samples in (6, 8):
                     expected = per_draw_verify_equivalence(cat, run, samples=samples)
@@ -543,7 +539,7 @@ def test_reports_match_the_checks_redone_at_every_draw():
                         spec, label, run.move, samples,
                     )
                     compared += 1
-    assert compared == 416
+    assert compared == 420
     # among them, failure details replayed for repeated draws: this control's
     # pools hold 5 and 4 distinct diagrams across 6 draws each
     pair = dict(standard_verification_suite())["chain3/remove-sink"]
