@@ -7,6 +7,18 @@ Rejected input has one boundary: every library error and `CliError` derive
 from `util.FlowcatError`, which `main` prints as one `error:` line, exit 2.
 Only `lpa-check` catches its own: `LeavittError` is reported as JSON
 `{"ok": false, ...}` with exit 1, and `DiagramError` names the diagram file.
+A file that is not UTF-8 text or nests JSON past the recursion limit, a name
+holding a lone surrogate (which no output could write) and an `-o` path that
+cannot be written are rejected input too.
+
+Graph files are the large inputs and outputs, so they take C-level passes:
+`graph_from_doc` reads the edge and bundle lists with one `itemgetter` and one
+type check each, `_split_graph_map` splits a move map with one type check and
+two key filters, and the ordered walks run only to word the first problem.
+`graph_json` writes the bytes of `json.dumps(graph_to_doc(g), sort_keys=True,
+indent=2, ensure_ascii=False) + "\n"` with the C string encoder (an indent
+makes `json.dumps` use its pure-Python encoder), and `render_dot` quotes each
+vertex name once.
 """
 
 from __future__ import annotations
@@ -14,6 +26,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain, repeat
+from json.encoder import encode_basestring
+from operator import attrgetter, itemgetter
 
 from .casework import (
     cuntz_splice_report,
@@ -61,6 +76,8 @@ def _load_json(path):
         raise CliError(f"{path}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
         raise CliError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except (UnicodeDecodeError, RecursionError) as exc:
+        raise CliError(f"{path}: {exc}") from exc
 
 
 def _require(cond, where, message):
@@ -80,8 +97,7 @@ def _list_field(doc, key, where):
 
 def _string_fields(entry, keys, where, what, i):
     """The values of `keys` in JSON object number i, each required to be a
-    string.  This runs once per edge, so the message is formatted only on
-    failure."""
+    string.  The walk of `_string_columns`, which words the first problem."""
     if isinstance(entry, dict):
         values = tuple(map(entry.get, keys))
         if all(isinstance(x, str) for x in values):
@@ -93,38 +109,68 @@ def _string_fields(entry, keys, where, what, i):
     raise CliError(f"{where}: {what}: {quoted} must be strings")
 
 
+def _string_columns(doc, key, keys, where, what):
+    """One column per key of `keys` over the JSON objects of the list
+    doc[key], every value required to be a string.  A well-formed list takes
+    one `itemgetter` pass and one type check."""
+    entries = _list_field(doc, key, where)
+    rows = None
+    if set(map(type, entries)) <= {dict}:
+        try:
+            rows = list(map(itemgetter(*keys), entries))
+        except KeyError:
+            pass
+    if rows is None or not set(map(type, chain.from_iterable(rows))) <= {str}:
+        rows = [_string_fields(entry, keys, where, what, i) for i, entry in enumerate(entries)]
+    return tuple(zip(*rows)) or ((),) * len(keys)
+
+
+def _require_text(names, where):
+    """Reject a name holding a lone surrogate: JSON can spell one with a
+    `\\u` escape, and no output can encode it.  One encode of the joined
+    names checks them all; the walk names the first."""
+    try:
+        "".join(names).encode("utf-8")
+    except UnicodeEncodeError:
+        for name in names:
+            try:
+                name.encode("utf-8")
+            except UnicodeEncodeError:
+                raise CliError(f"{where}: name {name!r} holds a lone surrogate") from None
+
+
 def graph_from_doc(doc, where):
     """The graph of a parsed graph file, or `InvalidGraphError`."""
     _require(isinstance(doc, dict), where, "graph file must be a JSON object")
     vertices = doc.get("vertices")
     _require(isinstance(vertices, list), where, '"vertices" must be a list')
     _require(
-        all(isinstance(v, str) for v in vertices),
+        set(map(type, vertices)) <= {str} or all(isinstance(v, str) for v in vertices),
         where,
         "vertex names must be strings",
     )
     # Each edge and bundle end is mapped onto the string object of the
     # vertex list (JSON gives every occurrence its own); an unknown name is
     # kept as it is, for the graph's own check to report.
-    names = {v: v for v in vertices}
+    names = dict(zip(vertices, vertices))
     if len(names) < len(vertices):
         seen = set()
         for v in vertices:
             if v in seen:
                 raise CliError(f"{where}: duplicate vertex {v!r}")
             seen.add(v)
+    ids, srcs, tgts = _string_columns(doc, "edges", ("id", "src", "tgt"), where, "edge")
+    bsrcs, btgts = _string_columns(
+        doc, "infinite_bundles", ("src", "tgt"), where, "infinite bundle"
+    )
+    _require_text([*vertices, *ids, *srcs, *tgts, *bsrcs, *btgts], where)
     name = names.get
-    edges = []
-    for i, entry in enumerate(_list_field(doc, "edges", where)):
-        eid, src, tgt = _string_fields(entry, ("id", "src", "tgt"), where, "edge", i)
-        edges.append(Edge(eid, name(src, src), name(tgt, tgt)))
-    bundles = []
-    for i, entry in enumerate(_list_field(doc, "infinite_bundles", where)):
-        src, tgt = _string_fields(entry, ("src", "tgt"), where, "infinite bundle", i)
-        bundles.append((name(src, src), name(tgt, tgt)))
+    srcs, tgts = map(name, srcs, srcs), map(name, tgts, tgts)
+    bundles = zip(map(name, bsrcs, bsrcs), map(name, btgts, btgts))
     return DirectedGraph(
         vertices=frozenset(vertices),
-        edges=tuple(edges),
+        # tuple.__new__ is what Edge._make calls, without a Python frame per edge
+        edges=tuple(map(tuple.__new__, repeat(Edge), zip(ids, srcs, tgts))),
         infinite_bundles=frozenset(bundles),
     )
 
@@ -149,19 +195,63 @@ def graph_to_doc(g):
     }
 
 
-def _emit(doc, out=None):
-    text = json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
-    if out:
+def _json_list(items):
+    """A JSON list at indent level 1 of `json.dumps(..., indent=2)`, from
+    the texts of its items."""
+    return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
+
+
+def graph_json(g):
+    """`json.dumps(graph_to_doc(g), sort_keys=True, indent=2,
+    ensure_ascii=False) + "\n"`, written from the graph with the C string
+    encoder: one f-string per edge and per bundle, each vertex name quoted
+    once."""
+    vertices = g.sorted_vertices()
+    q = dict(zip(vertices, map(encode_basestring, vertices)))
+    edges = [
+        f'{{\n      "id": {encode_basestring(e.id)},\n      "src": {q[e.src]},'
+        f'\n      "tgt": {q[e.tgt]}\n    }}'
+        for e in sorted(g.edges, key=attrgetter("id"))
+    ]
+    bundles = [
+        f'{{\n      "src": {q[a]},\n      "tgt": {q[b]}\n    }}'
+        for a, b in sorted(g.infinite_bundles)
+    ]
+    return (
+        f'{{\n  "edges": {_json_list(edges)},\n  "infinite_bundles": {_json_list(bundles)},'
+        f'\n  "vertices": {_json_list([*q.values()])}\n}}\n'
+    )
+
+
+def _write(text, out=None):
+    """Write `text` to the file `out`, or to stdout."""
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise CliError(f"{out}: {exc.strerror or exc}") from exc
+
+
+def _emit(doc):
+    _write(json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n")
 
 
 def _split_graph_map(g, mapping, where):
-    """Split a map keyed by vertex names and edge ids into the two parts."""
+    """Split a map keyed by vertex names and edge ids into the two parts.
+    A well-formed map takes one type check, one minimum and two key filters;
+    the walk words the first problem."""
     _require(isinstance(mapping, dict), where, "the move map must be an object")
-    edge_ids = {e.id for e in g.edges}
+    edge_ids = set(map(attrgetter("id"), g.edges))
+    values = mapping.values()
+    if set(map(type, values)) <= {int} and min(values, default=0) >= 0:
+        keys_v = [*filter(g.vertices.__contains__, mapping)]
+        keys_e = [*filter(edge_ids.__contains__, mapping)]
+        if len(keys_v) + len(keys_e) == len(mapping) and g.vertices.isdisjoint(keys_e):
+            value = mapping.__getitem__
+            return dict(zip(keys_v, map(value, keys_v))), dict(zip(keys_e, map(value, keys_e)))
     on_vertices, on_edges = {}, {}
     for key, value in mapping.items():
         if not (_is_int(value) and value >= 0):
@@ -262,13 +352,13 @@ def render_dot(g):
     def q(s):
         return '"' + str(s).replace("\\", "\\\\").replace('"', '\\"') + '"'
 
-    lines = ["digraph G {"]
-    for v in g.sorted_vertices():
-        lines.append(f"  {q(v)};")
-    for e in sorted(g.edges, key=lambda e: e.id):
-        lines.append(f"  {q(e.src)} -> {q(e.tgt)} [label={q(e.id)}];")
+    vertices = g.sorted_vertices()
+    name = dict(zip(vertices, map(q, vertices)))
+    lines = ["digraph G {", *(f"  {name[v]};" for v in vertices)]
+    for e in sorted(g.edges, key=attrgetter("id")):
+        lines.append(f"  {name[e.src]} -> {name[e.tgt]} [label={q(e.id)}];")
     for a, b in sorted(g.infinite_bundles):
-        lines.append(f'  {q(a)} -> {q(b)} [label="∞", style=bold];')
+        lines.append(f'  {name[a]} -> {name[b]} [label="∞", style=bold];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -312,7 +402,7 @@ def cmd_move(args):
             "approximation of an infinite attachment",
             file=sys.stderr,
         )
-    _emit(graph_to_doc(moved), args.output)
+    _write(graph_json(moved), args.output)
     return OK
 
 

@@ -345,28 +345,33 @@ def size_vectors(g, bound, budget=None):
     """All assignments v -> size in 0..bound with, at every non-source vertex,
     size(v) = sum of size(src) over incoming edges, lazily in branching order.
     Spends `budget` (default: a fresh budget at the configured cap)."""
-    return _sizes(g, bound, "size vectors", lambda v: range(bound + 1), budget or NodeBudget())
+    search = _sizes(g, bound, "size vectors", budget or NodeBudget())
+    return search(lambda v: range(bound + 1))
 
 
 def draw_dimension_vector(g, bound, rng, budget):
     """A uniform draw from `size_vectors`, listing none: the free values are
     drawn from 0..bound in vertex order, the rest follow, and a draw past the
-    bound is drawn again."""
+    bound is drawn again.  The search is built once per call; an attempt
+    draws only the free values."""
+    free, search = _shape(g)[3], _sizes(g, bound, "size draws", budget)
     while True:
-        value = {v: [rng.randrange(bound + 1)] for v in _shape(g)[3]}
-        found = next(_sizes(g, bound, "size draws", value.__getitem__, budget), None)
+        value = {v: [rng.randrange(bound + 1)] for v in free}
+        found = next(search(value.__getitem__), None)
         if found is not None:
             return found
 
 
-def _sizes(g, bound, phase, values, budget):
-    """The size search: each free value v takes values(v) in turn (none: one
-    branch over [0]); each other size is its family's sum, at most `bound`."""
+def _sizes(g, bound, phase, budget):
+    """The size search, as a function of values: each free value v takes
+    values(v) in turn (none: one branch over [0]); each other size is its
+    family's sum, at most `bound`."""
     if g.infinite_bundles:
         raise DiagramError("size vectors are undefined for graphs with bundles")
     _, _, families, free = _shape(g)
     in_sum = lambda v, sizes: None if (total := sum(sizes)) > bound else total
-    return _family_search(g, phase, families, in_sum, values if free else lambda v: [0], budget)
+    search = _family_search(g, phase, families, in_sum, budget)
+    return search if free else lambda values: search(lambda v: [0])
 
 
 def _in_families(g):
@@ -378,18 +383,18 @@ def _in_families(g):
     }
 
 
-def _family_search(g, phase, families, value, pool, budget):
-    """Every assignment of values to the vertices of `g` under which each
-    vertex v of `families` has value(v, the values of its family), yielded
-    in branching order; a branching vertex v takes the values of pool(v).
-    Each such vertex is derived, unless it must branch to break a cycle;
-    then that equation is its constraint."""
-    vertices = g.sorted_vertices()
+def _family_search(g, phase, families, value, budget):
+    """A function of pool: every assignment of values to the vertices of `g`
+    under which each vertex v of `families` has value(v, the values of its
+    family), yielded in branching order; a branching vertex v takes the
+    values of pool(v).  Each such vertex is derived, unless it must branch
+    to break a cycle; then that equation is its constraint.  The plan and
+    the derivations are built once, for every pool."""
     needs = [(v, *family) for v, family in families.items()]
-    plan = cached_on(g, phase, lambda: _plan(vertices, families, needs))
+    plan = cached_on(g, phase, lambda: _plan(g.sorted_vertices(), families, needs))
     derive = {v: lambda a, v=v, f=f: value(v, [a[u] for u in f]) for v, f in families.items()}
     checks = [lambda a, v=v, f=f: f(a) == a[v] for v, f in derive.items()]
-    return _search(plan, list(map(pool, plan.branch)), derive, checks, budget, phase)
+    return lambda pool: _search(plan, list(map(pool, plan.branch)), derive, checks, budget, phase)
 
 
 def _pool(morphisms, budget, vertex):
@@ -467,8 +472,8 @@ def _thin_diagrams(cat, g, budget):
     objects = cat.objects()
     rank = {x: i for i, x in enumerate(objects)}.get
     found = _family_search(
-        g, "thin", _in_families(g), lambda v, xs: cat.supremum(set(xs)), lambda v: objects, budget
-    )
+        g, "thin", _in_families(g), lambda v, xs: cat.supremum(set(xs)), budget
+    )(lambda v: objects)
     found = sorted(found, key=lambda a: [*map(rank, a.values())])  # values in sorted-vertex order
     return [make_diagram(cat, g, obj) for obj in found]
 

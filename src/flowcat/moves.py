@@ -18,6 +18,7 @@ one copy of each name however many edges meet the vertex.
 from __future__ import annotations
 
 from collections import Counter
+from operator import attrgetter, itemgetter, le
 from typing import NamedTuple
 
 from .graphs import DirectedGraph, Edge, InvalidGraphError, classify_vertex, sinks, sources
@@ -64,8 +65,17 @@ def _level_names(g, top):
     return levels, [x for names in levels.values() for x in names]
 
 
+def _edge_ids(g):
+    return map(attrgetter("id"), g.edges)
+
+
 def _check_totality(problems, mapping, keys, what):
-    keys = set(keys)
+    """A value for each of `keys` and no other, each a nonnegative integer.
+    A total map takes C-level passes only; the walk words the problems."""
+    keys = frozenset(keys)
+    values = mapping.values()
+    if mapping.keys() == keys and set(map(type, values)) <= {int} and min(values, default=0) >= 0:
+        return
     have = set(mapping)
     for k in sorted(keys - have):
         problems.append(f"missing value for {what} {k!r}")
@@ -78,6 +88,9 @@ def _check_totality(problems, mapping, keys, what):
 
 def _check_levels(problems, g, name, on_vertices, on_edges, end):
     """Each edge's value is at most the value of its `end` ("src" or "tgt")."""
+    ends = map(on_vertices.__getitem__, map(attrgetter(end), g.edges))
+    if all(map(le, map(on_edges.__getitem__, _edge_ids(g)), ends)):
+        return
     for e in g.edges:
         v = getattr(e, end)
         if on_edges[e.id] > on_vertices[v]:
@@ -140,7 +153,7 @@ def validate_out_delay(g, spec):
     problems = []
     _no_bundles(problems, g, "out_delay")
     _check_totality(problems, spec.d_vertices, g.vertices, "vertex")
-    _check_totality(problems, spec.d_edges, (e.id for e in g.edges), "edge")
+    _check_totality(problems, spec.d_edges, _edge_ids(g), "edge")
     if problems:
         return problems
     _check_levels(problems, g, "d", spec.d_vertices, spec.d_edges, "src")
@@ -174,11 +187,13 @@ class InDelaySpec(_Spec, _InDelayFields):
 
 
 def in_delay_vertex_delays(g, spec):
-    """Derived vertex delays: d(v) = max of d(e) over incoming edges, 0 at sources."""
-    out = {}
-    for v in g.sorted_vertices():
-        incoming = g.incoming(v)
-        out[v] = max((spec.d_edges[e.id] for e in incoming), default=0)
+    """Derived vertex delays: d(v) = max of d(e) over incoming edges, 0 at
+    sources, in sorted vertex order.  One pass over the edges: the pairs
+    (t(e), d(e)) are written in increasing d(e), so each target keeps its
+    largest."""
+    delays = zip(map(attrgetter("tgt"), g.edges), map(spec.d_edges.__getitem__, _edge_ids(g)))
+    out = dict.fromkeys(g.sorted_vertices(), 0)
+    out.update(sorted(delays, key=itemgetter(1)))
     return out
 
 
@@ -186,7 +201,7 @@ def validate_in_delay(g, spec):
     problems = []
     if g.infinite_bundles:
         problems.append("in_delay requires a graph with no infinite receivers")
-    _check_totality(problems, spec.d_edges, (e.id for e in g.edges), "edge")
+    _check_totality(problems, spec.d_edges, _edge_ids(g), "edge")
     return problems
 
 
@@ -221,7 +236,7 @@ def validate_out_split(g, spec):
     problems = []
     _no_bundles(problems, g, "out_split")
     _check_totality(problems, spec.p_vertices, g.vertices, "vertex")
-    _check_totality(problems, spec.p_edges, (e.id for e in g.edges), "edge")
+    _check_totality(problems, spec.p_edges, _edge_ids(g), "edge")
     if problems:
         return problems
     _check_levels(problems, g, "p", spec.p_vertices, spec.p_edges, "src")
@@ -259,22 +274,32 @@ def validate_in_split(g, spec):
     if g.infinite_bundles:
         problems.append("in_split requires a graph with no infinite receivers")
     _check_totality(problems, spec.p_vertices, g.vertices, "vertex")
-    _check_totality(problems, spec.p_edges, (e.id for e in g.edges), "edge")
+    _check_totality(problems, spec.p_edges, _edge_ids(g), "edge")
     if problems:
         return problems
-    _check_levels(problems, g, "p", spec.p_vertices, spec.p_edges, "tgt")
+    pv = spec.p_vertices
+    _check_levels(problems, g, "p", pv, spec.p_edges, "tgt")
     srcs = frozenset(sources(g))
+    # the (t(e), p(e)) pairs, in one pass over the edges: with every level
+    # in range, p is surjective at each target iff there are as many pairs
+    # as levels at the non-sources
+    hit = set(zip(map(attrgetter("tgt"), g.edges), map(spec.p_edges.__getitem__, _edge_ids(g))))
+    levels = sum(pv.values()) + len(pv) - len(srcs)
+    if not problems and not any(map(pv.__getitem__, srcs)) and len(hit) == levels:
+        return problems
+    seen = {}
+    for v, n in hit:
+        seen.setdefault(v, set()).add(n)
     for v in g.sorted_vertices():
         if v in srcs:
-            if spec.p_vertices[v] != 0:
-                problems.append(f"p({v})={spec.p_vertices[v]} but {v!r} is a source")
+            if pv[v] != 0:
+                problems.append(f"p({v})={pv[v]} but {v!r} is a source")
         else:
-            seen = {spec.p_edges[e.id] for e in g.incoming(v)}
-            missing = set(range(spec.p_vertices[v] + 1)) - seen
+            missing = set(range(pv[v] + 1)) - seen.get(v, set())
             if missing:
                 problems.append(
                     f"edge values at t^-1({v}) are not surjective onto "
-                    f"0..{spec.p_vertices[v]} (missing {sorted(missing)})"
+                    f"0..{pv[v]} (missing {sorted(missing)})"
                 )
     return problems
 

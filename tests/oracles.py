@@ -29,6 +29,11 @@ listed each size's family: a forced zero branches over [0], a free cycle
 closes at a feedback vertex whose equation is checked, and a draw derives
 from its own family table and checks the bound afterwards.  `loop_validate` is
 `graphs.validate` as it was before a valid graph took the C-level passes.
+The graph and move documents of the command line are read, and the move
+preconditions checked, by the package's code from before those took C-level
+passes: one call per edge entry, one step per map key, and one `incoming`
+call per vertex.  The graph writers are `json.dumps` of `cli.graph_to_doc`
+and the DOT writer that quoted every name at every use.
 """
 
 from __future__ import annotations
@@ -67,7 +72,8 @@ from flowcat.functors import (
     _homs,
     _sample_pool,
 )
-from flowcat.graphs import sources
+from flowcat.cli import CliError
+from flowcat.graphs import DirectedGraph, Edge, sources
 from flowcat.util import NodeBudget, SearchCapExceeded, cached_on
 
 
@@ -1252,3 +1258,151 @@ def loop_validate(g):
         if tgt not in g.vertices:
             problems.append(f"bundle {b!r} has unknown target {tgt!r}")
     return problems
+
+
+# -- the command line's graph and move documents -----------------------------------
+
+
+def _walk_string_fields(entry, keys, where, what, i):
+    if isinstance(entry, dict):
+        values = tuple(map(entry.get, keys))
+        if all(isinstance(x, str) for x in values):
+            return values
+    what = f"{what} #{i}"
+    quoted = ", ".join(f'"{k}"' for k in keys)
+    if not (isinstance(entry, dict) and set(keys) <= entry.keys()):
+        raise CliError(f"{where}: {what} must be an object with {quoted}")
+    raise CliError(f"{where}: {what}: {quoted} must be strings")
+
+
+def _walk_list_field(doc, key, where):
+    value = doc.get(key, [])
+    if not isinstance(value, list):
+        raise CliError(f'{where}: "{key}" must be a list')
+    return value
+
+
+def walk_graph_from_doc(doc, where):
+    """The graph of a parsed graph file, one call per edge and bundle entry."""
+    if not isinstance(doc, dict):
+        raise CliError(f"{where}: graph file must be a JSON object")
+    vertices = doc.get("vertices")
+    if not isinstance(vertices, list):
+        raise CliError(f'{where}: "vertices" must be a list')
+    if not all(isinstance(v, str) for v in vertices):
+        raise CliError(f"{where}: vertex names must be strings")
+    names = {v: v for v in vertices}
+    if len(names) < len(vertices):
+        seen = set()
+        for v in vertices:
+            if v in seen:
+                raise CliError(f"{where}: duplicate vertex {v!r}")
+            seen.add(v)
+    name = names.get
+    edges = []
+    for i, entry in enumerate(_walk_list_field(doc, "edges", where)):
+        eid, src, tgt = _walk_string_fields(entry, ("id", "src", "tgt"), where, "edge", i)
+        edges.append(Edge(eid, name(src, src), name(tgt, tgt)))
+    bundles = []
+    for i, entry in enumerate(_walk_list_field(doc, "infinite_bundles", where)):
+        src, tgt = _walk_string_fields(entry, ("src", "tgt"), where, "infinite bundle", i)
+        bundles.append((name(src, src), name(tgt, tgt)))
+    return DirectedGraph(
+        vertices=frozenset(vertices),
+        edges=tuple(edges),
+        infinite_bundles=frozenset(bundles),
+    )
+
+
+def walk_split_graph_map(g, mapping, where):
+    """A move map split into its vertex and edge parts, one step per key."""
+    if not isinstance(mapping, dict):
+        raise CliError(f"{where}: the move map must be an object")
+    edge_ids = {e.id for e in g.edges}
+    on_vertices, on_edges = {}, {}
+    for key, value in mapping.items():
+        if not (isinstance(value, int) and not isinstance(value, bool) and value >= 0):
+            raise CliError(f"{where}: value for {key!r} must be a nonnegative integer")
+        is_vertex, is_edge = key in g.vertices, key in edge_ids
+        if is_vertex and is_edge:
+            raise CliError(
+                f"{where}: key {key!r} names both a vertex and an edge of the graph"
+            )
+        if is_vertex:
+            on_vertices[key] = value
+        elif is_edge:
+            on_edges[key] = value
+        else:
+            raise CliError(f"{where}: key {key!r} matches no vertex or edge")
+    return on_vertices, on_edges
+
+
+def walk_check_totality(problems, mapping, keys, what):
+    keys = set(keys)
+    have = set(mapping)
+    for k in sorted(keys - have):
+        problems.append(f"missing value for {what} {k!r}")
+    for k in sorted(have - keys, key=repr):
+        problems.append(f"value given for unknown {what} {k!r}")
+    for k, val in mapping.items():
+        if k in keys and (not isinstance(val, int) or isinstance(val, bool) or val < 0):
+            problems.append(f"value for {what} {k!r} must be a nonnegative integer")
+
+
+def walk_check_levels(problems, g, name, on_vertices, on_edges, end):
+    for e in g.edges:
+        v = getattr(e, end)
+        if on_edges[e.id] > on_vertices[v]:
+            problems.append(
+                f"{name}({e.id})={on_edges[e.id]} exceeds {name}({v})={on_vertices[v]}"
+            )
+
+
+def incoming_in_delay_vertex_delays(g, spec):
+    """d(v) = max of d(e) over incoming edges, one `incoming` call per vertex."""
+    return {
+        v: max((spec.d_edges[e.id] for e in g.incoming(v)), default=0)
+        for v in g.sorted_vertices()
+    }
+
+
+def walk_validate_in_split(g, spec):
+    """The in-split preconditions, surjectivity read per vertex from `incoming`."""
+    problems = []
+    if g.infinite_bundles:
+        problems.append("in_split requires a graph with no infinite receivers")
+    walk_check_totality(problems, spec.p_vertices, g.vertices, "vertex")
+    walk_check_totality(problems, spec.p_edges, (e.id for e in g.edges), "edge")
+    if problems:
+        return problems
+    walk_check_levels(problems, g, "p", spec.p_vertices, spec.p_edges, "tgt")
+    srcs = frozenset(sources(g))
+    for v in g.sorted_vertices():
+        if v in srcs:
+            if spec.p_vertices[v] != 0:
+                problems.append(f"p({v})={spec.p_vertices[v]} but {v!r} is a source")
+        else:
+            seen = {spec.p_edges[e.id] for e in g.incoming(v)}
+            missing = set(range(spec.p_vertices[v] + 1)) - seen
+            if missing:
+                problems.append(
+                    f"edge values at t^-1({v}) are not surjective onto "
+                    f"0..{spec.p_vertices[v]} (missing {sorted(missing)})"
+                )
+    return problems
+
+
+def quoting_render_dot(g):
+    """DOT text, every name quoted at every use."""
+    def q(s):
+        return '"' + str(s).replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+    lines = ["digraph G {"]
+    for v in g.sorted_vertices():
+        lines.append(f"  {q(v)};")
+    for e in sorted(g.edges, key=lambda e: e.id):
+        lines.append(f"  {q(e.src)} -> {q(e.tgt)} [label={q(e.id)}];")
+    for a, b in sorted(g.infinite_bundles):
+        lines.append(f'  {q(a)} -> {q(b)} [label="∞", style=bold];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"

@@ -20,17 +20,27 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 
-from flowcat import cli, graphs, zoo
+from flowcat import cli, graphs, moves, zoo
 from flowcat.casework import CaseworkError
 from flowcat.categories import CategoryError
 from flowcat.diagrams import DiagramError
-from flowcat.functors import FunctorPairError
+from flowcat.functors import FunctorPairError, standard_verification_suite
 from flowcat.graphs import GraphError, graph
 from flowcat.leavitt import LeavittError
 from flowcat.moves import SPEC_MOVES, InDelaySpec, MoveError, in_delay
+from flowcat.sampling import random_move_spec
 from flowcat.util import FlowcatError
 
 from cli_error_samples import BUNDLE_SINK, COMMANDS, run_case
+from oracles import (
+    incoming_in_delay_vertex_delays,
+    quoting_render_dot,
+    walk_check_levels,
+    walk_check_totality,
+    walk_graph_from_doc,
+    walk_split_graph_map,
+    walk_validate_in_split,
+)
 from strategies import assert_ends_are_vertex_objects, dense_graph, sparse_graph
 
 
@@ -121,6 +131,80 @@ def test_missing_file_is_usage_error(capsys):
     code, _, err = run(capsys, ["validate", "/nonexistent/g.json"])
     assert code == 2
     assert "error:" in err
+
+
+def test_undecodable_file_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_bytes(b'{"vertices": ["\xff"]}')
+    code, out, err = run(capsys, ["validate", str(path)])
+    assert_usage_error(code, out, err)
+    assert err == (
+        f"error: {path}: 'utf-8' codec can't decode byte 0xff in position 15: "
+        "invalid start byte\n"
+    )
+
+
+@pytest.mark.parametrize("opener", ["[", '{"a": '])
+def test_json_nested_past_the_recursion_limit_is_usage_error(tmp_path, capsys, opener):
+    gp = write_graph(tmp_path / "g.json", zoo.vw_graph())
+    deep = tmp_path / "deep.json"
+    deep.write_text(opener * 100_000, encoding="utf-8")
+    for argv in (["validate", str(deep)], ["move", gp, str(deep)]):
+        code, out, err = run(capsys, argv)
+        assert_usage_error(code, out, err)
+        assert err.startswith(f"error: {deep}: maximum recursion depth exceeded")
+
+
+SURROGATE_GRAPHS = {  # (graph file, the name named): JSON's \u escapes can spell one
+    "vertex": (
+        {"vertices": ["a", "b\ud800"], "edges": [{"id": "e", "src": "a", "tgt": "a"}]},
+        "b\ud800",
+    ),
+    "edge-id": (
+        {"vertices": ["a"], "edges": [{"id": "\udfff", "src": "a", "tgt": "a"}]},
+        "\udfff",
+    ),
+    "bundle-end": (
+        {"vertices": ["a"], "infinite_bundles": [{"src": "a", "tgt": "\ud83d"}]},
+        "\ud83d",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["move", "render", "validate"])
+@pytest.mark.parametrize("case", sorted(SURROGATE_GRAPHS))
+def test_a_lone_surrogate_in_a_name_is_usage_error(tmp_path, capsys, case, command):
+    doc, name = SURROGATE_GRAPHS[case]
+    gp = write_json(tmp_path / "g.json", doc)
+    spec = write_json(tmp_path / "m.json", {"move": "add_tails", "depth": 1})
+    code, out, err = run(capsys, [command, gp, *([spec] if command == "move" else [])])
+    assert_usage_error(code, out, err)
+    assert err == f"error: {gp}: name {name!r} holds a lone surrogate\n"
+
+
+def test_a_lone_surrogate_gives_no_traceback_in_a_subprocess(tmp_path):
+    # stdout is UTF-8 text: writing the name was a UnicodeEncodeError
+    gp = write_json(tmp_path / "g.json", SURROGATE_GRAPHS["vertex"][0])
+    spec = write_json(tmp_path / "m.json", {"move": "add_tails", "depth": 1})
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "flowcat.cli", "move", gp, spec],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
+    )
+    assert_usage_error(proc.returncode, proc.stdout, proc.stderr)
+
+
+@pytest.mark.parametrize(
+    "target, reason", [("missing/out.json", "No such file or directory"), ("", "Is a directory")]
+)
+def test_move_to_an_unwritable_path_is_usage_error(tmp_path, capsys, target, reason):
+    gp = write_graph(tmp_path / "g.json", zoo.vw_graph())
+    spec = write_json(tmp_path / "m.json", {"move": "add_tails", "depth": 1})
+    out_path = os.path.join(tmp_path, target)
+    code, out, err = run(capsys, ["move", gp, spec, "-o", out_path])
+    assert_usage_error(code, out, err)
+    assert err == f"error: {out_path}: {reason}\n"
+    assert not (tmp_path / "missing").exists()
 
 
 def test_unknown_subcommand_is_usage_error(capsys):
@@ -831,6 +915,206 @@ def test_output_is_deterministic(tmp_path, capsys):
     assert out1 == out2
     parsed = json.loads(out1)
     assert list(parsed) == sorted(parsed)
+
+
+# -- graph writers and bulk-checked documents against the walks ----------------------
+
+
+def dumped(g):
+    return json.dumps(cli.graph_to_doc(g), sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
+def zoo_graphs():
+    return [
+        zoo.single_vertex(), zoo.loop1(), zoo.loop2(), zoo.loops(3), zoo.vw_graph(),
+        zoo.acyclic2(), zoo.cuntz_h(), zoo.h_graph(), zoo.edgeless(3), zoo.chain_graph(4),
+        zoo.cycle_with_sink(), zoo.loop_and_exit(),
+    ]
+
+
+def sparse500_cases():
+    """A seeded 500-vertex sparse graph and (move, spec) for its four spec moves."""
+    rng = random.Random(500)
+    g = sparse_graph(rng, 500, 1500)
+    return g, [(move, random_move_spec(rng, g, move)) for move in SPEC_MOVES]
+
+
+def written_graphs():
+    """The zoo, both sides of every suite pair, and the 500-vertex graph's images."""
+    yield from zoo_graphs()
+    for _, pair in standard_verification_suite():
+        yield pair.source
+        yield pair.target
+    g, cases = sparse500_cases()
+    yield g
+    for move, spec in cases:
+        yield SPEC_MOVES[move][0](g, spec)
+
+
+def test_graph_writers_match_json_dumps_and_the_quoting_dot_writer():
+    for g in written_graphs():
+        assert cli.graph_json(g) == dumped(g)
+        assert cli.render_dot(g) == quoting_render_dot(g)
+
+
+ODD_CHARACTERS = st.sampled_from(
+    ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "∞", "\u2028", "😀", "a", " "]
+)
+odd_names = st.text(ODD_CHARACTERS | st.characters(), max_size=4)
+
+
+@st.composite
+def odd_graphs(draw):
+    """Graphs whose names hold quotes, backslashes, control characters,
+    non-ASCII text, emoji and lone surrogates, with and without edges and
+    bundles."""
+    vs = draw(st.lists(odd_names, min_size=1, max_size=5, unique=True))
+    ids = draw(st.lists(odd_names, max_size=6, unique=True))
+    ends = st.sampled_from(vs)
+    edges = [(i, draw(ends), draw(ends)) for i in ids]
+    bundles = draw(st.lists(st.tuples(ends, ends), max_size=3))
+    return graph(vs, edges, bundles)
+
+
+def read_outcome(read, doc):
+    """read(doc, "g.json"), or the text of the error it raised."""
+    try:
+        g = read(doc, "g.json")
+    except (cli.CliError, graphs.InvalidGraphError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    assert_ends_are_vertex_objects(g)
+    return g
+
+
+@given(odd_graphs())
+@settings(max_examples=150, deadline=None)
+def test_graph_writers_and_reader_on_odd_names(g):
+    text = cli.graph_json(g)
+    assert text == dumped(g)
+    assert cli.render_dot(g) == quoting_render_dot(g)
+    doc = json.loads(text)
+    loaded = read_outcome(cli.graph_from_doc, doc)
+    if any("\ud800" <= c <= "\udfff" for c in text):  # a lone surrogate
+        assert loaded.startswith("CliError: g.json: name ")
+        assert loaded.endswith(" holds a lone surrogate")
+    else:
+        assert loaded == read_outcome(walk_graph_from_doc, doc) and loaded.labeled_eq(g)
+
+
+def entry_faults(keys):
+    """(label, fault) pairs: each fault maps a well-formed entry to a bad one."""
+    faults = [
+        ("a list", lambda entry: list(entry.values())),
+        ("a string", lambda entry: "e"),
+        ("null", lambda entry: None),
+        ("an integer", lambda entry: 3),
+    ]
+    for key in keys:
+        faults.append((f'no "{key}"', lambda entry, key=key: {k: x for k, x in entry.items() if k != key}))
+        for bad in (1, True, None, ["a"], 1.5):
+            faults.append((f'"{key}": {bad!r}', lambda entry, key=key, bad=bad: {**entry, key: bad}))
+    return faults
+
+
+def malformed_graph_docs():
+    """Graph documents with one malformed edge or bundle entry, first and last."""
+    vs = ["a", "b", "c"]
+    edges = [{"id": f"e{i}", "src": vs[i % 3], "tgt": vs[(i + 1) % 3]} for i in range(5)]
+    bundles = [{"src": "a", "tgt": "b"}, {"src": "c", "tgt": "c"}, {"src": "b", "tgt": "a"}]
+    for key, entries, keys in (
+        ("edges", edges, ("id", "src", "tgt")), ("infinite_bundles", bundles, ("src", "tgt"))
+    ):
+        for label, fault in entry_faults(keys):
+            for at in (0, len(entries) - 1):
+                bad = [fault(x) if i == at else x for i, x in enumerate(entries)]
+                yield f"{key} #{at} {label}", {"vertices": vs, "edges": edges, "infinite_bundles": bundles, key: bad}
+    yield "bad edge before a bad bundle list", {"vertices": vs, "edges": [None], "infinite_bundles": 3}
+    yield "unknown end", {"vertices": vs, "edges": [*edges, {"id": "x", "src": "a", "tgt": "z"}]}
+
+
+def test_malformed_edge_and_bundle_lists_give_the_walks_errors():
+    for label, doc in malformed_graph_docs():
+        got = read_outcome(cli.graph_from_doc, doc)
+        assert isinstance(got, str), label
+        assert got == read_outcome(walk_graph_from_doc, doc), label
+
+
+# a source s and an isolated vertex x; MAP_GRAPH_K adds a vertex named like edge k
+MAP_EDGES = [("k", "s", "a"), ("y", "a", "b"), ("z", "b", "a"), ("w", "a", "a"), ("u", "b", "a")]
+MAP_GRAPH = graph(["s", "a", "b", "x"], MAP_EDGES)
+MAP_GRAPH_K = graph(["s", "a", "b", "x", "k"], MAP_EDGES)
+MAP_SPECS = {
+    "out_delay": {"s": 0, "a": 1, "b": 2, "x": 0, "k": 0, "y": 1, "z": 2, "w": 0, "u": 1},
+    "in_delay": {"k": 1, "y": 1, "z": 2, "w": 0, "u": 1},
+    "out_split": {"s": 0, "a": 1, "b": 1, "x": 0, "k": 0, "y": 1, "z": 0, "w": 0, "u": 1},
+    "in_split": {"s": 0, "a": 2, "b": 0, "x": 0, "k": 0, "y": 0, "z": 1, "w": 0, "u": 2},
+}
+MAP_ERRORS = (
+    "matches no vertex or edge", "names both a vertex and an edge", "must be a nonnegative integer",
+    "missing value for", "exceeds", "is a source", "not surjective", "must be an object",
+    "vertex delays are derived",
+)
+
+
+def map_faults(move, mapping):
+    """(label, map) pairs for a move's valid map: each fault at the first and
+    at the last key, where it applies."""
+    keys = list(mapping)
+    for at in (keys[0], keys[-1]):
+        yield f"unknown key before {at}", {"ghost": 0, **mapping} if at == keys[0] else {**mapping, "ghost": 0}
+        for bad in (True, False, -1, 1.5, "1", None):
+            yield f"{at}: {bad!r}", {**mapping, at: bad}
+        yield f"no {at}", {k: x for k, x in mapping.items() if k != at}
+        yield f"{at} raised", {**mapping, at: mapping[at] + 2}
+    yield "source s raised", {**mapping, "s": 1}
+    yield "a raised", {**mapping, "a": 3}
+    yield "vertex x in an in-delay map", {**mapping, "x": 0}
+
+
+def cli_outcome(capsys, argv, walks=False):
+    """(exit, stdout, stderr) of the command line, with every graph and move
+    document read, and every precondition checked, by the walks when asked;
+    they then write the graph with `json.dumps`."""
+    if not walks:
+        return run(capsys, argv)
+    with mock.patch.multiple(
+        cli, graph_from_doc=walk_graph_from_doc, _split_graph_map=walk_split_graph_map,
+        graph_json=dumped,
+    ), mock.patch.multiple(
+        moves, _check_totality=walk_check_totality, _check_levels=walk_check_levels,
+        validate_in_split=walk_validate_in_split,
+        in_delay_vertex_delays=incoming_in_delay_vertex_delays,
+    ):
+        return run(capsys, argv)
+
+
+def test_move_maps_give_the_walks_errors_and_bytes(tmp_path, capsys):
+    gp = write_graph(tmp_path / "g.json", MAP_GRAPH)
+    gk = write_graph(tmp_path / "gk.json", MAP_GRAPH_K)
+    key_of = {"out_delay": "d", "in_delay": "d", "out_split": "p", "in_split": "p"}
+    errors, passed = "", 0
+    for move, mapping in MAP_SPECS.items():
+        cases = [("as given", gp, mapping), ("not a map", gp, [1]), ("k both", gk, mapping)]
+        cases.append(("k both, one unknown key", gk, {**mapping, "ghost": 0}))
+        cases += [(label, gp, bad) for label, bad in map_faults(move, mapping)]
+        for label, path, bad in cases:
+            mp = write_json(tmp_path / "m.json", {"move": move, key_of[move]: bad})
+            got = cli_outcome(capsys, ["move", path, mp])
+            assert got == cli_outcome(capsys, ["move", path, mp], walks=True), (move, label)
+            errors += got[2]
+            passed += got[0] == 0
+    assert passed >= 4 and all(what in errors for what in MAP_ERRORS)
+
+
+def test_moves_of_a_500_vertex_graph_print_the_walks_bytes(tmp_path, capsys):
+    g, cases = sparse500_cases()
+    gp = write_graph(tmp_path / "g.json", g)
+    assert run(capsys, ["render", gp]) == (0, quoting_render_dot(g), "")
+    for move, spec in cases:
+        mp = write_json(tmp_path / f"{move}.json", cli.move_doc(move, spec))
+        got = cli_outcome(capsys, ["move", gp, mp])
+        assert got[0] == 0 and got == cli_outcome(capsys, ["move", gp, mp], walks=True), move
+        assert got[1] == dumped(SPEC_MOVES[move][0](g, spec))
 
 
 # -- sample files ---------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import random
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -36,12 +37,16 @@ from flowcat.sampling import (
 from flowcat import moves as mv
 
 from oracles import (
+    incoming_in_delay_vertex_delays,
     naive_attach_chains,
     naive_in_delay,
     naive_in_split,
     naive_out_delay,
     naive_out_split,
     naive_plus_construction,
+    walk_check_levels,
+    walk_check_totality,
+    walk_validate_in_split,
 )
 from strategies import assert_ends_are_vertex_objects, small_graphs, sparse_graph
 
@@ -416,3 +421,90 @@ def test_moves_equal_their_per_endpoint_oracles():
 def test_every_image_edge_end_is_the_vertex_object():
     for _, image, _ in seeded_image_cases():
         assert_ends_are_vertex_objects(image)
+
+
+# -- the preconditions' C-level passes against the walks ---------------------------
+
+WALKS = {
+    "_check_totality": walk_check_totality,
+    "_check_levels": walk_check_levels,
+    "validate_in_split": walk_validate_in_split,
+    "in_delay_vertex_delays": incoming_in_delay_vertex_delays,
+}
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except MoveError as exc:
+        return f"MoveError: {exc}"
+
+
+def walked(fn, *args):
+    """fn(*args) with every precondition read by the walks."""
+    with mock.patch.multiple(mv, **WALKS):
+        return outcome(fn, *args)
+
+
+def _missing(rng, g, parts):
+    part = rng.choice([p for p in parts if p])
+    del part[rng.choice(sorted(part, key=repr))]
+
+
+def _unknown(rng, g, parts):
+    rng.choice(parts)[rng.choice(["ghost", 7, ("t",)])] = 0
+
+
+def _ill_typed(rng, g, parts):
+    part = rng.choice([p for p in parts if p])
+    part[rng.choice(sorted(part, key=repr))] = rng.choice([True, False, -1, 1.5, "1", None])
+
+
+def _raised(rng, g, parts):
+    # an edge above its end's level, a source with a level, or an in-split
+    # level that no incoming edge reaches
+    part = rng.choice(parts)
+    keys = sorted((k for k, x in part.items() if type(x) is int), key=repr)
+    if keys:
+        part[rng.choice(keys)] += rng.randint(1, 2)
+
+
+CORRUPTIONS = (_missing, _unknown, _ill_typed, _raised)
+
+
+def corrupted_spec_cases():
+    """(move, graph, spec) over seeded graphs: each random spec as drawn,
+    and with one or two corruptions."""
+    makers = (random_irreducible_graph, random_acyclic_graph, random_shape_graph)
+    for seed in range(90):
+        rng = random.Random(seed)
+        g = makers[seed % 3](rng, max_vertices=12)
+        if g.infinite_bundles:
+            continue
+        for move in MOVE_FNS:
+            spec = random_move_spec(rng, g, move)
+            yield move, g, spec
+            for _ in range(3):
+                parts = [dict(part) for part in spec]
+                for corrupt in rng.sample(CORRUPTIONS, rng.randint(1, 2)):
+                    if any(parts):
+                        corrupt(rng, g, parts)
+                yield move, g, type(spec)(*parts)
+
+
+def test_move_preconditions_equal_the_walks():
+    kinds = set()
+    for move, g, spec in corrupted_spec_cases():
+        got = outcome(MOVE_FNS[move], g, spec)
+        assert got == walked(MOVE_FNS[move], g, spec), (move, spec)
+        kinds.update(re.findall(r"missing value|unknown|nonnegative|exceeds|source|surjective", str(got)))
+    assert kinds == {"missing value", "unknown", "nonnegative", "exceeds", "source", "surjective"}
+
+
+def test_in_delay_vertex_delays_equal_the_incoming_walk():
+    rng = random.Random(500)
+    graphs = [sparse_graph(rng, 500, 1500), zoo.vw_graph(), zoo.loop2(), zoo.single_vertex()]
+    for g in graphs:
+        spec = random_move_spec(rng, g, "in_delay")
+        got = in_delay_vertex_delays(g, spec)
+        assert list(got.items()) == list(incoming_in_delay_vertex_delays(g, spec).items())
