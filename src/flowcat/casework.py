@@ -40,7 +40,7 @@ from .graphs import (
     sources,
     strongly_connected_components,
 )
-from .invariants import bowen_franks, franks_equivalent, parry_sullivan
+from .invariants import flow_invariants, franks_equivalent
 from .util import FlowcatError
 
 # The poset report checks monotonicity both ways on at most this many ordered
@@ -167,9 +167,9 @@ def poset_count_obstructions(cat, g):
     for x, y in itertools.combinations(objects, 2):
         if cat.supremum((x, y)) is None:
             obstructions.append(f"no supremum for the pair ({x!r}, {y!r})")
-    preds = g._neighbours.predecessors
     for comp in strongly_connected_components(g):
-        tails = {a for v in comp for a in preds.get(v, ())}
+        tails = {e.src for v in comp for e in g.incoming(v)}
+        tails.update(b[0] for v in comp for b in g.incoming_bundles(v))
         if not tails.isdisjoint(comp) and not tails <= comp:
             obstructions.append(
                 f"the cycle through {sorted(comp)} receives outside input"
@@ -308,8 +308,8 @@ def cuntz_splice_report(cat):
     if not cat.is_thin:
         raise CaseworkError("diagram counts here are taken over a thin instance")
     g, h = zoo.loop2(), zoo.cuntz_h()
-    ps = (parry_sullivan(g), parry_sullivan(h))
-    bf = (bowen_franks(g).describe(), bowen_franks(h).describe())
+    (ps_g, bf_g), (ps_h, bf_h) = flow_invariants(g), flow_invariants(h)
+    ps, bf = (ps_g, ps_h), (bf_g.describe(), bf_h.describe())
     franks = franks_equivalent(g, h)
     counts = (
         len(enumerate_diagrams(cat, g)),

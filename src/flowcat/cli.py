@@ -7,9 +7,9 @@ Rejected input has one boundary: every library error and `CliError` derive
 from `util.FlowcatError`, which `main` prints as one `error:` line, exit 2.
 Only `lpa-check` catches its own: `LeavittError` is reported as JSON
 `{"ok": false, ...}` with exit 1, and `DiagramError` names the diagram file.
-A file that is not UTF-8 text or nests JSON past the recursion limit, a name
-holding a lone surrogate (which no output could write) and an `-o` path that
-cannot be written are rejected input too.
+A file that is not UTF-8 text or nests JSON past the recursion limit, a graph
+or poset name holding a lone surrogate (which no output could write) and an
+`-o` path that cannot be written are rejected input too.
 
 Graph files are the large inputs and outputs, so they take C-level passes:
 `graph_from_doc` reads the edge and bundle lists with one `itemgetter` and one
@@ -341,6 +341,7 @@ def _load_poset_file(path):
     )
     name = doc.get("name", path)
     _require(isinstance(name, str), path, '"name" must be a string')
+    _require_text([*elements, name], path)
     return PosetCategory(elements, [tuple(p) for p in le], name=name)
 
 

@@ -315,7 +315,7 @@ def _shape(g):
     of, and the free values in vertex order (see the module docstring)."""
 
     def build():
-        pred, zero, cycles = g._neighbours.predecessors, set(), []
+        pred, zero, cycles = _in_families(g), set(), []
         for comp in strongly_connected_components(g):
             inside = sum(e.src in comp for v in comp for e in g.incoming(v))
             if inside:  # cyclic, and a simple cycle when inside == len(comp)
@@ -329,7 +329,7 @@ def _shape(g):
             stack += fresh
         lowest = {v: min(c) for c in cycles if not c & zero for v in c}
         # a free value is the sum of itself: a source or a free cycle's lowest vertex
-        sums = _in_families(g) | {v: (u,) for v, u in lowest.items()} | dict.fromkeys(zero, ())
+        sums = pred | {v: (u,) for v, u in lowest.items()} | dict.fromkeys(zero, ())
         families = {v: sums[v] for v in g.sorted_vertices() if sums.get(v, (v,)) != (v,)}
         return frozenset(zero), lowest, families, tuple(sorted(g.vertices - families.keys()))
 

@@ -11,27 +11,20 @@ Graphs are immutable values, valid by construction: building a
 re-checks a graph it is given.  All operations are pure functions; derived
 structures use canonical names so outputs are reproducible byte for byte.
 
-Every per-vertex query (`incoming`, `outgoing`, `incoming_bundles`,
-`classify_vertex`), each vertex class (`sources`, `sinks`,
-`infinite_receivers`) and `is_nontrivial` read one adjacency index: edges in
-and out of each vertex sorted by id, and bundles in and out sorted.  It is built in one pass
-over the edges on the first query and cached on the instance (a graph never
-changes, so the index never goes stale).  Caching it on the graph rather than
-building it per call makes each query O(1) and a whole-graph pass O(V + E) at
-every call site, without an index argument threaded through moves, diagrams
-and functors.  The index is the only code that knows the canonical incoming
-order (edge id) and what makes a source.
-
-Every structure question (SCCs, condensation, cohereditary subsets,
-reachability, acyclicity, irreducibility) reads a second pair of tables
-instead: each vertex's distinct successors and distinct predecessors over
-edges and bundles together, so a depth-first search visits a neighbour once
-however many parallel arrows lead there.  They are built in one pass on the
-first structure question, not with the index: one `harness` benchmark pass
-leaves its 30 live graphs (diagram shapes) with both, the `invariants` set-up
-its 1,500 spec-drawing graphs with the index alone.  Both are cached
-properties in the instance dict, not fields of the record, so equality,
-hashing and repr see only (vertices, edges, infinite_bundles).
+Every query reads one index, built in one pass over the edges and bundles
+on the first query of either kind and cached on the instance (a graph never
+changes, so the index never goes stale).  It holds the edges in and out of
+each vertex sorted by id (the canonical incoming order, for coproducts), the
+bundles into each vertex sorted, and each vertex's distinct successors and
+predecessors over edges and bundles alike.  Sources, sinks and every
+structure question (SCCs, condensation, cohereditary subsets, acyclicity,
+irreducibility) read the neighbour tables, so a depth-first search visits a
+neighbour once however many parallel arrows lead there.  Caching the index
+on the graph rather than building it per call makes each query O(1) and a
+whole-graph pass O(V + E) at every call site, without an index argument
+threaded through moves, diagrams and functors; no other module reads it.
+It is a cached property in the instance dict, not a field of the record, so
+equality, hashing and repr see only (vertices, edges, infinite_bundles).
 """
 
 from __future__ import annotations
@@ -64,20 +57,14 @@ class Edge(NamedTuple):
     tgt: str
 
 
-class _Adjacency(NamedTuple):
-    """Four dicts from a vertex to a nonempty tuple (a vertex with none is
-    absent): edges sorted by id, bundles sorted."""
+class _Index(NamedTuple):
+    """Five dicts from a vertex to a nonempty tuple (a vertex with none is
+    absent): edges in and out sorted by id, bundles in sorted, and distinct
+    successors and predecessors over edges and bundles alike."""
 
     edges_in: dict
     edges_out: dict
     bundles_in: dict
-    bundles_out: dict
-
-
-class _Neighbours(NamedTuple):
-    """Two dicts from a vertex to a nonempty tuple of distinct vertices (a
-    vertex with none is absent), over edges and bundles alike."""
-
     successors: dict
     predecessors: dict
 
@@ -92,8 +79,8 @@ class DirectedGraph(_GraphFields):
     """A graph that passed `validate` when it was built.  The NamedTuple
     `_make` and `_replace` skip that check; flowcat never calls them."""
 
-    # no __slots__: the instance dict holds the adjacency index, the neighbour
-    # tables and the memo of `util.cached_on`
+    # no __slots__: the instance dict holds the index and the memo of
+    # `util.cached_on`
     __setattr__ = refuse_assignment
 
     def __new__(cls, vertices, edges, infinite_bundles=frozenset()):
@@ -109,36 +96,30 @@ class DirectedGraph(_GraphFields):
         return sorted(self.vertices)
 
     @cached_property
-    def _adjacency(self):
-        maps = edges_in, edges_out, bundles_in, bundles_out = {}, {}, {}, {}
-        for e in sorted(self.edges, key=lambda e: e.id):
+    def _index(self):
+        maps = edges_in, edges_out, bundles_in, succ, pred = {}, {}, {}, {}, {}
+        for e in sorted(self.edges, key=attrgetter("id")):
             edges_in.setdefault(e.tgt, []).append(e)
             edges_out.setdefault(e.src, []).append(e)
         for b in sorted(self.infinite_bundles):
             bundles_in.setdefault(b[1], []).append(b)
-            bundles_out.setdefault(b[0], []).append(b)
-        return _Adjacency(*({v: tuple(xs) for v, xs in m.items()} for m in maps))
-
-    @cached_property
-    def _neighbours(self):
-        succ, pred = {}, {}
         for a, b in {*((e.src, e.tgt) for e in self.edges), *self.infinite_bundles}:
             succ.setdefault(a, []).append(b)
             pred.setdefault(b, []).append(a)
-        return _Neighbours(*({v: tuple(ws) for v, ws in m.items()} for m in (succ, pred)))
+        return _Index(*({v: tuple(xs) for v, xs in m.items()} for m in maps))
 
     def incoming(self, v):
         """Edges with target v, sorted by id (canonical order for coproducts)."""
         self._require_vertex(v)
-        return self._adjacency.edges_in.get(v, ())
+        return self._index.edges_in.get(v, ())
 
     def outgoing(self, v):
         self._require_vertex(v)
-        return self._adjacency.edges_out.get(v, ())
+        return self._index.edges_out.get(v, ())
 
     def incoming_bundles(self, v):
         self._require_vertex(v)
-        return self._adjacency.bundles_in.get(v, ())
+        return self._index.bundles_in.get(v, ())
 
     def edge_set(self):
         """Edges as a set of (id, src, tgt) triples (order-insensitive view)."""
@@ -212,51 +193,32 @@ def classify_vertex(g, v):
     """Source = no incoming edges or bundles; sink = no outgoing; receiver of a
     bundle is an infinite receiver (hence never a source)."""
     g._require_vertex(v)
-    adj = g._adjacency
+    index = g._index
     return VertexClass(
-        is_source=v not in adj.edges_in and v not in adj.bundles_in,
-        is_sink=v not in adj.edges_out and v not in adj.bundles_out,
-        is_infinite_receiver=v in adj.bundles_in,
+        is_source=v not in index.predecessors,
+        is_sink=v not in index.successors,
+        is_infinite_receiver=v in index.bundles_in,
     )
 
 
 def sources(g):
     """Vertices with no incoming edge or bundle, in sorted order."""
-    adj = g._adjacency
-    return tuple(sorted(g.vertices.difference(adj.edges_in, adj.bundles_in)))
+    return tuple(sorted(g.vertices.difference(g._index.predecessors)))
 
 
 def sinks(g):
     """Vertices with no outgoing edge or bundle, in sorted order."""
-    adj = g._adjacency
-    return tuple(sorted(g.vertices.difference(adj.edges_out, adj.bundles_out)))
+    return tuple(sorted(g.vertices.difference(g._index.successors)))
 
 
 def infinite_receivers(g):
     """Targets of a bundle, in sorted order."""
-    return tuple(sorted(g._adjacency.bundles_in))
-
-
-# -- reachability ------------------------------------------------------------
-
-
-def reachable_from(g, v):
-    """Vertices reachable from v by a nonempty directed path (bundles count)."""
-    g._require_vertex(v)
-    succ = g._neighbours.successors
-    seen = set()
-    frontier = [v]
-    while frontier:
-        for w in succ.get(frontier.pop(), ()):
-            if w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    return frozenset(seen)
+    return tuple(sorted(g._index.bundles_in))
 
 
 def is_acyclic(g):
     """No self-loop and every strongly connected component a single vertex."""
-    succ = g._neighbours.successors
+    succ = g._index.successors
     return all(v not in succ.get(v, ()) for v in g.vertices) and len(
         strongly_connected_components(g)
     ) == len(g.vertices)
@@ -275,7 +237,8 @@ def strongly_connected_components(g):
     member, so sorting by `min` gives the sorted-member-list order without
     sorting any component.
     """
-    succ, pred = g._neighbours
+    index = g._index
+    succ, pred = index.successors, index.predecessors
     seen, finished = set(), []
     for root in g.vertices:
         if root in seen:
@@ -312,7 +275,7 @@ def _entries(g, comps):
     index = {v: i for i, comp in enumerate(comps) for v in comp}
     return {
         (i, j)
-        for v, ws in g._neighbours.successors.items()
+        for v, ws in g._index.successors.items()
         for i in (index[v],)
         for j in map(index.__getitem__, ws)
         if i != j
@@ -421,5 +384,5 @@ def adjacency_matrix(g):
 def is_nontrivial(g):
     """True iff the adjacency matrix (undefined with bundles) is not a
     permutation matrix: some vertex has other than one edge out or in."""
-    degrees = (g._adjacency.edges_out, g._adjacency.edges_in)
+    degrees = (g._index.edges_out, g._index.edges_in)
     return any(len(d.get(v, ())) != 1 for v in matrix_positions(g) for d in degrees)

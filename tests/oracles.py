@@ -113,9 +113,10 @@ def closure_reachability(vertices, arrows):
 
 def scan_vertex(edges, bundles, v):
     """What a graph says about vertex v, found by scanning every edge and
-    bundle: edges in and out sorted by id, bundles in and out sorted, and
-    the (source, sink, infinite receiver) flags.  `edges` holds
-    (id, src, tgt) triples and `bundles` (src, tgt) pairs."""
+    bundle: edges in and out sorted by id, bundles in and out sorted, the
+    (source, sink, infinite receiver) flags, and the sets of successors and
+    predecessors.  `edges` holds (id, src, tgt) triples and `bundles`
+    (src, tgt) pairs."""
     edges_in = tuple(sorted((e for e in edges if e[2] == v), key=lambda e: e[0]))
     edges_out = tuple(sorted((e for e in edges if e[1] == v), key=lambda e: e[0]))
     bundles_in = tuple(sorted(b for b in bundles if b[1] == v))
@@ -125,7 +126,9 @@ def scan_vertex(edges, bundles, v):
         not edges_out and not bundles_out,
         bool(bundles_in),
     )
-    return edges_in, edges_out, bundles_in, bundles_out, flags
+    successors = {e[2] for e in edges_out} | {b[1] for b in bundles_out}
+    predecessors = {e[1] for e in edges_in} | {b[0] for b in bundles_in}
+    return edges_in, edges_out, bundles_in, bundles_out, flags, successors, predecessors
 
 
 def brute_force_cohereditary_irreducible(vertices, arrows):

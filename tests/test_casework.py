@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from flowcat import casework, graphs, zoo
+from flowcat import casework, graphs, invariants, zoo
 from flowcat.casework import (
     CaseworkError,
     cuntz_splice_report,
@@ -443,11 +443,28 @@ def test_desingularisation_counts_that_agree_are_inconclusive():
 
 
 def test_cuntz_splice_with_changed_invariants_is_a_mismatch(monkeypatch):
-    monkeypatch.setattr(casework, "parry_sullivan", lambda g: 0)
+    flow_invariants = casework.flow_invariants
+    monkeypatch.setattr(casework, "flow_invariants", lambda g: (0, flow_invariants(g)[1]))
     report = cuntz_splice_report(chain(2))
     assert report.outcome == "mismatch"
     assert report.verdict == "mismatch: invariants changed: PS (0, 0), BF ('0', '0')"
     assert report.computed["parry_sullivan"] == [0, 0]
+
+
+def test_cuntz_splice_takes_each_graphs_invariants_from_one_elimination(monkeypatch):
+    # one elimination per graph for the report's PS and BF, and one per graph
+    # inside franks_equivalent
+    calls, eliminate_rows = [], invariants.eliminate_rows
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return eliminate_rows(*args, **kwargs)
+
+    monkeypatch.setattr(invariants, "eliminate_rows", counted)
+    report = cuntz_splice_report(chain(2))
+    assert len(calls) == 4
+    assert report.computed["parry_sullivan"] == [-1, 1]
+    assert report.computed["bowen_franks"] == ["0", "0"]
 
 
 @pytest.mark.parametrize("g", [zoo.acyclic2(), zoo.loop2(), zoo.cuntz_h()])

@@ -582,6 +582,51 @@ def test_malformed_poset_file_is_usage_error(tmp_path, capsys, case, command):
     assert_usage_error(code, out, err)
 
 
+SURROGATE_POSETS = {  # (poset file, the name named, argv after the graph and spec files)
+    "element": (
+        {"elements": ["lo", "\ud800"], "le": [["lo", "\ud800"]]}, "\ud800", ["diagrams", "{g}", "--list"],
+    ),
+    "name-in-verify": (
+        {"elements": ["lo", "hi"], "le": [["lo", "hi"]], "name": "p\ud800"}, "p\ud800",
+        ["verify", "{g}", "{m}"],
+    ),
+    "name-in-report": (
+        {"elements": ["lo", "hi"], "le": [["lo", "hi"]], "name": "p\ud800"}, "p\ud800",
+        ["report", "cuntz"],
+    ),
+}
+
+
+def surrogate_poset_argv(tmp_path, case):
+    """(argv, poset path, the name named) for one SURROGATE_POSETS case."""
+    doc, name, argv = SURROGATE_POSETS[case]
+    files = {
+        "g": write_json(tmp_path / "one.json", ONE_VERTEX),
+        "m": write_json(tmp_path / "m.json", {"move": "add_tails", "depth": 1}),
+    }
+    poset = write_json(tmp_path / "p.json", doc)
+    return [a.format(**files) for a in argv] + ["--category", f"poset:{poset}"], poset, name
+
+
+@pytest.mark.parametrize("case", sorted(SURROGATE_POSETS))
+def test_a_lone_surrogate_in_a_poset_file_is_usage_error(tmp_path, capsys, case):
+    argv, poset, name = surrogate_poset_argv(tmp_path, case)
+    code, out, err = run(capsys, argv)
+    assert_usage_error(code, out, err)
+    assert err == f"error: {poset}: name {name!r} holds a lone surrogate\n"
+
+
+def test_a_lone_surrogate_in_a_poset_element_gives_no_traceback_in_a_subprocess(tmp_path):
+    # stdout is UTF-8 text: writing the listing was a UnicodeEncodeError
+    argv, _, _ = surrogate_poset_argv(tmp_path, "element")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "flowcat.cli", *argv],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
+    )
+    assert_usage_error(proc.returncode, proc.stdout, proc.stderr)
+
+
 def test_poset_violation_message_does_not_depend_on_string_hashing(tmp_path):
     # x <= y <= x: the message names the pair in element order under any hash seed
     gp = write_graph(tmp_path / "g.json", zoo.acyclic2())

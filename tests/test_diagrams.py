@@ -23,6 +23,7 @@ from flowcat.diagrams import (
     canonical_diagram,
     check_coproduct_condition,
     check_diagram_morphism,
+    compose_diagram_morphisms,
     diagram_isomorphic,
     diagram_morphisms,
     draw_dimension_vector,
@@ -513,6 +514,22 @@ def test_check_diagram_morphism_reports_problems():
     assert check_diagram_morphism(FINSET, d1, d1, {}) == ["vertex 'u' has no component"]
     bad_type = {"u": Morphism(2, 3, (0, 1))}
     assert "expected" in check_diagram_morphism(FINSET, d1, d1, bad_type)[0]
+
+
+def test_check_diagram_morphism_rejects_diagrams_of_different_shapes():
+    loop = canonical_diagram(FINSET, zoo.loop1(), {"u": 2})
+    loops = canonical_diagram(FINSET, zoo.loops(2), {"u": 0})
+    identity = identity_diagram_morphism(FINSET, loop).components
+    assert check_diagram_morphism(FINSET, loop, loops, identity) == ["diagrams have different shapes"]
+
+
+def test_compose_diagram_morphisms_rejects_a_pair_that_does_not_meet():
+    d1 = canonical_diagram(FINSET, zoo.loop1(), {"u": 1})
+    d2 = canonical_diagram(FINSET, zoo.loop1(), {"u": 2})
+    one, two = identity_diagram_morphism(FINSET, d1), identity_diagram_morphism(FINSET, d2)
+    assert compose_diagram_morphisms(FINSET, one, one) == one
+    with pytest.raises(DiagramError, match="^diagram morphisms are not composable$"):
+        compose_diagram_morphisms(FINSET, two, one)
 
 
 def test_enumerate_diagram_morphisms_poset():

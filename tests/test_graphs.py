@@ -22,7 +22,6 @@ from flowcat.graphs import (
     is_irreducible,
     is_nontrivial,
     plus_construction,
-    reachable_from,
     sinks,
     sources,
     strongly_connected_components,
@@ -194,23 +193,13 @@ def test_source_is_never_infinite_receiver(g):
             assert not c.is_infinite_receiver
 
 
-def test_path_exists_matches_closure_oracle_on_vw():
-    g = zoo.vw_graph()
-    arrows = [(e.src, e.tgt) for e in g.edges]
-    reach = closure_reachability(g.vertices, arrows)
-    for a in g.vertices:
-        for b in g.vertices:
-            assert (b in reachable_from(g, a)) == ((a, b) in reach)
-
-
 @given(small_graphs(allow_bundles=True))
 @settings(max_examples=60)
 def test_path_exists_matches_closure_oracle(g):
     arrows = [(e.src, e.tgt) for e in g.edges] + list(g.infinite_bundles)
     reach = closure_reachability(g.vertices, arrows)
-    for a in sorted(g.vertices):
-        for b in sorted(g.vertices):
-            assert (b in reachable_from(g, a)) == ((a, b) in reach)
+    joined = all((a, b) in reach for a in g.vertices for b in g.vertices if a != b)
+    assert is_irreducible(g) == joined
     assert is_acyclic(g) == all((v, v) not in reach for v in g.vertices)
 
 
@@ -333,6 +322,14 @@ def test_plus_construction_rejects_a_companion_that_exists():
         plus_construction(plus_construction(zoo.h_graph()))
 
 
+def test_plus_construction_rejects_a_copied_edge_id_that_exists():
+    # e leaves the receiver b, and the graph already has an edge named e+
+    g = graph(["a", "b", "c"], [("e", "b", "c"), ("e+", "a", "c")], [("a", "b")])
+    with pytest.raises(GraphError, match="^plus construction produced name collisions: "
+                       "duplicate edge id 'e\\+'$"):
+        plus_construction(g)
+
+
 def test_plus_construction_is_idempotent_in_effect():
     # Applying plus twice is rejected: the receivers of the output are those
     # of the input, whose v+ are already vertices.  Check instead: every
@@ -423,17 +420,18 @@ def _forward_part(g):
 
 @pytest.mark.parametrize("seed,n", REACH_CASES)
 def test_reachability_matches_breadth_first_oracle(seed, n):
-    # from 20 seeded vertices: reachable_from against a breadth-first search
-    # of the arrow list, and irreducibility against searches both ways
+    # from 20 seeded vertices: each one's component and irreducibility
+    # against breadth-first searches of the arrow list both ways
     whole = _structure_case(seed, n)
     for g in (whole, _forward_part(whole)):
         arrows = _arrows(g)
         backward = [(b, a) for a, b in arrows]
         everyone = set(g.vertices)
+        component = {v: comp for comp in strongly_connected_components(g) for v in comp}
         for v in random.Random(seed).sample(g.sorted_vertices(), 20):
             ahead = breadth_first_reach(arrows, v)
-            assert reachable_from(g, v) == ahead
             behind = breadth_first_reach(backward, v)
+            assert component[v] == {v} | (ahead & behind)
             assert is_irreducible(g) == (ahead | {v} == behind | {v} == everyone)
         assert is_acyclic(g) == acyclic_by_peeling(g.vertices, arrows)
     assert is_acyclic(_forward_part(whole)) and not is_acyclic(whole)
@@ -455,19 +453,28 @@ def test_cycle_obstructions_match_tarjan_components(seed, n):
     assert expected or seed % 5 == 0
 
 
-def test_neighbour_tables_are_built_on_the_first_structure_query_only():
-    # the per-vertex queries read the adjacency index alone; the first
-    # structure query builds the neighbour tables and later ones reuse them
-    g = _structure_case(3, 200)
-    v = g.sorted_vertices()[0]
-    sources(g)
-    g.incoming(v)
-    classify_vertex(g, v)
-    assert "_adjacency" in vars(g) and "_neighbours" not in vars(g)
-    strongly_connected_components(g)
-    tables = vars(g)["_neighbours"]
-    cohereditary_irreducible_subsets(g)
-    assert vars(g)["_neighbours"] is tables
+def test_the_first_query_of_either_kind_builds_one_index_that_later_queries_reuse():
+    # an edge query, a vertex class or a structure question first: each
+    # builds the whole index, and every query after it reads the same one
+    queries = [
+        lambda g, v: g.incoming(v),
+        lambda g, v: sources(g),
+        lambda g, v: strongly_connected_components(g),
+        lambda g, v: g.outgoing(v),
+        lambda g, v: classify_vertex(g, v),
+        lambda g, v: cohereditary_irreducible_subsets(g),
+        lambda g, v: is_acyclic(g),
+    ]
+    for first in queries[:3]:
+        g = _structure_case(3, 200)
+        v = g.sorted_vertices()[0]
+        assert "_index" not in vars(g)
+        first(g, v)
+        index = vars(g)["_index"]
+        assert set(vars(g)) == {"_index"}
+        for query in queries:
+            query(g, v)
+            assert vars(g)["_index"] is index
 
 
 def _permutation_graph(rng, n):
@@ -504,7 +511,7 @@ def test_nontrivial_matches_the_dense_permutation_check(vs, edges):
 
 def test_nontrivial_reads_degrees_on_a_large_graph():
     # a 2000 x 2000 matrix built to read its row and column sums took about
-    # 0.5 s; the degrees of the adjacency index take well under a millisecond
+    # 0.5 s; the degrees in the per-graph index take well under a millisecond
     vs, edges = _permutation_graph(random.Random(5), 2000)
     g = graph(vs, edges)
     g.incoming(vs[0])
@@ -513,7 +520,7 @@ def test_nontrivial_reads_degrees_on_a_large_graph():
     assert time.perf_counter() - start < 0.05
 
 
-# -- the adjacency index -----------------------------------------------------------
+# -- the per-graph index -----------------------------------------------------------
 
 
 def _index_test_graph(rng, n):
@@ -544,13 +551,17 @@ def test_index_matches_scan_oracle(n, seed):
     g = _index_test_graph(random.Random(1000 * n + seed), n)
     assert validate(g) == []
     expected = {v: scan_vertex(g.edges, g.infinite_bundles, v) for v in g.vertices}
+    index = g._index
     for v in g.sorted_vertices():
-        edges_in, edges_out, bundles_in, bundles_out, flags = expected[v]
+        edges_in, edges_out, bundles_in, _, flags, successors, predecessors = expected[v]
         assert g.incoming(v) == edges_in
         assert g.outgoing(v) == edges_out
         assert g.incoming_bundles(v) == bundles_in
         c = classify_vertex(g, v)
         assert (c.is_source, c.is_sink, c.is_infinite_receiver) == flags
+        # distinct: each neighbour once, however many arrows lead there
+        assert sorted(index.successors.get(v, ())) == sorted(successors)
+        assert sorted(index.predecessors.get(v, ())) == sorted(predecessors)
     for query, flag in ((sources, 0), (sinks, 1), (infinite_receivers, 2)):
         assert query(g) == tuple(v for v in sorted(g.vertices) if expected[v][4][flag])
 

@@ -420,6 +420,17 @@ def test_franks_loop2_vs_its_out_split():
     assert verdict.kind == "equivalent"
 
 
+def test_franks_equal_parry_sullivan_but_different_bowen_franks():
+    # five loops: I - A = (-4), so PS -4 and BF Z/4; two looped vertices
+    # with two edges each way: I - A = ((0, -2), (-2, 0)), so PS -4 and BF Z/2 + Z/2
+    arrows = [("a", "a"), ("b", "b"), ("a", "b"), ("a", "b"), ("b", "a"), ("b", "a")]
+    pair = graph("ab", [(f"e{i}", s, t) for i, (s, t) in enumerate(arrows)])
+    assert parry_sullivan(zoo.loops(5)) == parry_sullivan(pair) == -4
+    verdict = franks_equivalent(zoo.loops(5), pair)
+    assert verdict.kind == "not_equivalent"
+    assert verdict.reason == "Bowen-Franks groups differ: Z/4 != Z/2 + Z/2"
+
+
 def test_franks_out_of_scope_cases():
     assert franks_equivalent(zoo.acyclic2(), zoo.loop2()).kind == "out_of_scope"
     assert franks_equivalent(zoo.loop2(), zoo.loop1()).kind == "out_of_scope"

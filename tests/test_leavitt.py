@@ -25,7 +25,7 @@ from flowcat.diagrams import (
     random_diagram,
     solve_dimension_vectors,
 )
-from flowcat.graphs import classify_vertex, graph, reachable_from, strongly_connected_components
+from flowcat.graphs import classify_vertex, graph, strongly_connected_components
 from flowcat.leavitt import (
     LeavittError,
     build_module_operators,
@@ -39,7 +39,13 @@ from flowcat.sampling import random_acyclic_graph, random_shape_graph
 from flowcat.util import frozendict
 
 from lpa_samples import run_case
-from oracles import dense, dense_leavitt_reports, dense_module_operators, naive_mat_mul
+from oracles import (
+    closure_reachability,
+    dense,
+    dense_leavitt_reports,
+    dense_module_operators,
+    naive_mat_mul,
+)
 
 
 def unit_matrix(total, ones):
@@ -233,14 +239,17 @@ def feasible_dims(g, rng, top=2):
         if len(c) > 1 or any(e.src == e.tgt for v in c for e in g.incoming(v))
     ]
     cyclic = set().union(*comps)
+    ahead = {v: set() for v in g.vertices}
+    for a, b in closure_reachability(g.vertices, [(e.src, e.tgt) for e in g.edges]):
+        ahead[a].add(b)
     dims = {}
     for comp in comps:
         v = min(comp)
         closed = all(len(g.incoming(u)) == 1 and g.incoming(u)[0].src in comp for u in comp)
-        free = closed and not (reachable_from(g, v) & (cyclic - comp))
+        free = closed and not (ahead[v] & (cyclic - comp))
         dims.update(dict.fromkeys(comp, rng.randint(0, top) if free else 0))
     for v in g.sorted_vertices():
-        if v not in cyclic and reachable_from(g, v) & cyclic:
+        if v not in cyclic and ahead[v] & cyclic:
             dims[v] = 0
         elif not g.incoming(v):
             dims[v] = rng.randint(0, top)
