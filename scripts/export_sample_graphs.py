@@ -10,7 +10,7 @@ import json
 import sys
 from pathlib import Path
 
-from flowcat import zoo
+from flowcat import moves, zoo
 from flowcat.cli import graph_to_doc, move_doc
 
 GRAPHS = {
@@ -27,6 +27,7 @@ GRAPHS = {
 
 MOVE_DOCS = {
     "vw_in_delay": move_doc("in_delay", zoo.vw_in_delay_spec()),
+    "acyclic2_in_delay": move_doc("in_delay", moves.InDelaySpec(d_edges={"e1": 1, "e2": 0})),
     "vw_out_split": move_doc("out_split", zoo.vw_out_split_spec()),
     "vw_in_split": move_doc("in_split", zoo.vw_in_split_spec()),
     "loop_and_exit_out_delay": move_doc("out_delay", zoo.loop_and_exit_out_delay_spec()),

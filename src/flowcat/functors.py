@@ -61,7 +61,6 @@ from .diagrams import (
     make_diagram,
     size_vectors,
 )
-from .graphs import sources
 from .moves import chain_edge, indexed_edge, indexed_vertex
 from .util import FlowcatError, NodeBudget, SearchCapExceeded, cached_on, frozendict
 
@@ -170,6 +169,16 @@ def _identities(vertices):
     return {v: ((),) for v in vertices}
 
 
+def _into(g, v, keep=None):
+    """(s(f), (f,)) per edge f into v that `keep` accepts, in canonical order;
+    [(v, ())] at a source, which has no coproduct condition and is its own
+    only leaf."""
+    into = g.incoming(v)
+    if not into:
+        return [(v, ())]
+    return [(f.src, (f.id,)) for f in into if keep is None or keep(f)]
+
+
 def _chain(v, levels):
     """The chain edges e_{v,n} for n in `levels`, in order."""
     return tuple(chain_edge(v, n) for n in levels)
@@ -271,13 +280,13 @@ def remove_sink_pair(g, w):
             "coproduct would be infinite"
         )
     target = moves.remove_sink(g, w)
-    attach = g.incoming(w)  # edges into w, canonical order
+    attach = _into(g, w)  # w is not a source, so one leaf per edge into w
     kept = {v: (v,) for v in target.sorted_vertices()}
     legs = _copy_edges(target.edges)
-    back = {**legs, **{f.id: ((j, ()),) for j, f in enumerate(attach)}}
-    families = {**kept, w: tuple(f.src for f in attach)}
+    back = {**legs, **{f: ((j, ()),) for j, (_, (f,)) in enumerate(attach)}}
+    families = {**kept, w: tuple(x for x, _ in attach)}
     identities = _identities(kept)
-    unit = {**identities, w: tuple((f.id,) for f in attach)}
+    unit = {**identities, w: tuple(p for _, p in attach)}
     forward, backward = _Table(kept, legs), _Table(families, back)
     return FunctorPair("remove_sink", g, target, forward, backward, unit, identities)
 
@@ -309,34 +318,30 @@ def out_delay_pair(g, spec):
 
 
 def in_delay_pair(g, spec):
-    """Dgm(G) = Dgm(G_id) for source-free G: the object at (v, n) is the
-    coproduct of the incoming sources whose edge delay is at least n."""
-    if sources(g):
-        raise FunctorPairError(
-            "in-delay equivalence requires a source-free graph; sources: "
-            f"{sorted(map(repr, sources(g)))}"
-        )
+    """Dgm(G) = Dgm(G_id): the object at (v, n) is the coproduct of the
+    objects at s(f) over the edges f into v delayed by at least n.  A source
+    v has the one level (v, 0), which copies its object."""
     target = moves.in_delay(g, spec)  # validates the spec first
     de = spec.d_edges
-    levels = {  # (v, n) -> the edges into v delayed by at least n
-        (v, n): [f for f in g.incoming(v) if de[f.id] >= n]
+    levels = {  # (v, n) -> the leaves of the edges into v delayed by at least n
+        (v, n): _into(g, v, lambda f: de[f.id] >= n)
         for v, top in moves.in_delay_vertex_delays(g, spec).items()
         for n in range(top + 1)
     }
     families, legs, back, counit = {}, {}, {}, {}
     for (v, n), fam in levels.items():
-        families[indexed_vertex(v, n)] = tuple(f.src for f in fam)
+        families[indexed_vertex(v, n)] = tuple(x for x, _ in fam)
         counit[indexed_vertex(v, n)] = tuple(
-            (f.id, *_chain(v, range(de[f.id], n, -1))) for f in fam
+            (*p, *_chain(v, range(de[p[0]] if p else n, n, -1))) for _, p in fam
         )
         if n:
             below = levels[v, n - 1]
-            legs[chain_edge(v, n)] = tuple((below.index(f), ()) for f in fam)
+            legs[chain_edge(v, n)] = tuple((below.index(leaf), ()) for leaf in fam)
     for e in g.edges:
-        j = levels[e.tgt, de[e.id]].index(e)
-        legs[e.id] = tuple((j, (f.id,)) for f in g.incoming(e.src))
+        j = levels[e.tgt, de[e.id]].index((e.src, (e.id,)))
+        legs[e.id] = tuple((j, p) for _, p in levels[e.src, 0])
         back[e.id] = ((0, (e.id, *_chain(e.tgt, range(de[e.id], 0, -1)))),)
-    unit = {v: tuple((f.id,) for f in g.incoming(v)) for v in g.vertices}
+    unit = {v: tuple(p for _, p in levels[v, 0]) for v in g.vertices}
     forward, backward = _Table(families, legs), _Table(_level_zero(g), back)
     return FunctorPair("in_delay", g, target, forward, backward, unit, counit)
 
@@ -351,17 +356,6 @@ def out_split_pair(g, spec):
     that the edges f into v leave from; a source keeps its object at (v, 0)."""
     target = moves.out_split(g, spec)  # validates the spec first
     pv, pe = spec.p_vertices, spec.p_edges
-
-    def into(v, level=None):
-        """Per edge f into v, the path (f,) in G, or ((f, level),) in G_os
-        when a level is given; the empty path alone at a source, which is its
-        own only leaf."""
-        paths = [
-            (f.id if level is None else indexed_edge(f.id, level),)
-            for f in g.incoming(v)
-        ]
-        return tuple(paths) or ((),)
-
     legs = {
         indexed_edge(e.id, n): ((0, (e.id,)),)
         for e in g.edges
@@ -369,14 +363,16 @@ def out_split_pair(g, spec):
     }
     families, back, unit, counit = {}, {}, {}, {}
     for v in g.sorted_vertices():
-        arrivals = [indexed_vertex(f.src, pe[f.id]) for f in g.incoming(v)]
-        families[v] = tuple(arrivals) or (indexed_vertex(v, 0),)
-        unit[v] = into(v)
-        for n in range(pv[v] + 1):
-            counit[indexed_vertex(v, n)] = into(v, n)
+        fam = _into(g, v)
+        families[v] = tuple(indexed_vertex(x, pe[p[0]] if p else 0) for x, p in fam)
+        unit[v] = tuple(p for _, p in fam)
+        for n in range(pv[v] + 1):  # each leaf's path, lifted to level n
+            counit[indexed_vertex(v, n)] = tuple(
+                tuple(indexed_edge(f, n) for f in p) for p in unit[v]
+            )
     for e in g.edges:
         j = g.incoming(e.tgt).index(e)
-        back[e.id] = tuple((j, path) for path in into(e.src, pe[e.id]))
+        back[e.id] = tuple((j, p) for p in counit[indexed_vertex(e.src, pe[e.id])])
     forward, backward = _Table(_copies(g, pv), legs), _Table(families, back)
     return FunctorPair("out_split", g, target, forward, backward, unit, counit)
 
@@ -394,8 +390,7 @@ def in_split_pair(g, spec):
     for v, ns in levels.items():
         splits[v] = tuple(indexed_vertex(v, n) for n in ns)
         for n in ns:  # (member, path to v) per edge into v of class n
-            fam = [(f.src, (f.id,)) for f in g.incoming(v) if pe[f.id] == n]
-            classes[v, n] = fam or [(v, ())]  # a source is its own class
+            classes[v, n] = _into(g, v, lambda f: pe[f.id] == n)
         unit[v] = tuple(p for n in ns for _, p in classes[v, n])
     families, legs, back, counit = {}, {}, {}, {}
     for (v, n), fam in classes.items():
@@ -406,7 +401,7 @@ def in_split_pair(g, spec):
             for m in levels[x]
         )
     for e in g.edges:
-        j = [p for _, p in classes[e.tgt, pe[e.id]]].index((e.id,))
+        j = classes[e.tgt, pe[e.id]].index((e.src, (e.id,)))
         copies = [indexed_edge(e.id, m) for m in levels[e.src]]
         back[e.id] = tuple((pe[e.id], (copy,)) for copy in copies)
         for m, copy in enumerate(copies):
@@ -554,14 +549,14 @@ def _check_condition_preserved(cat, pair, src_pool, tgt_pool, state):
         ("forward", pair.forward, src_pool),
         ("backward", pair.backward, tgt_pool),
     ):
+        memo = {}
         for d in pool:
-            try:
-                image = apply(cat, d)
-            except DiagramError:
-                state["bounded"] += 1
+            failures = _once(
+                memo, d, state, lambda: check_coproduct_condition(cat, apply(cat, d)).failures
+            )
+            if failures is None:
                 continue
             used += 1
-            failures = check_coproduct_condition(cat, image).failures
             if failures and not details:
                 v, reason = failures[0]
                 details.append(

@@ -198,9 +198,6 @@ def _targeted():
         ("diagram-error/report-acyclic-bundle",
          ["report", "acyclic", "g.json", "--category", "finset:3", "--json"],
          bundle_sink, None),
-        ("functor-pair-error/verify-in-delay-sources",
-         ["verify", "g.json", "m.json", "--category", "poset:chain2"],
-         {"g.json": GRAPHS["acyclic2"], "m.json": _json(MOVES["in-delay-e1"])}, None),
         ("functor-pair-error/verify-remove-bundle-sink",
          ["verify", "g.json", "m.json", "--category", "poset:chain2"],
          {"g.json": _doc(graph("ab", [], [("a", "b")])),

@@ -668,14 +668,14 @@ def test_verify_out_delay_passes(tmp_path, capsys):
     }
 
 
-def test_verify_rejects_in_delay_with_sources(tmp_path, capsys):
+def test_verify_passes_in_delay_with_sources(tmp_path, capsys):
     gp = write_graph(tmp_path / "g.json", zoo.acyclic2())
     spec = write_json(
         tmp_path / "m.json", {"move": "in_delay", "d": {"e1": 1, "e2": 0}}
     )
-    code, _, err = run(capsys, ["verify", gp, spec, "--category", "poset:chain2"])
-    assert code == 2
-    assert "source-free" in err
+    code, doc, _ = run_json(capsys, ["verify", gp, spec, "--category", "poset:chain2"])
+    assert code == 0
+    assert doc["verdict"] == "pass"
 
 
 def test_verify_inconclusive_exits_1(tmp_path, capsys, monkeypatch):

@@ -165,9 +165,26 @@ def test_sink_removal_unit_inverts_the_cotuple():
 # -- construction errors ------------------------------------------------------------
 
 
-def test_in_delay_pair_requires_source_free_graph():
-    with pytest.raises(FunctorPairError, match="source-free"):
-        make_pair("in_delay", zoo.acyclic2(), moves.InDelaySpec(d_edges={"e1": 0, "e2": 0}))
+def test_in_delay_pair_builds_on_a_graph_with_sources():
+    # a source is its own leaf: its one level (a,0) copies its object
+    pair = make_pair("in_delay", zoo.acyclic2(), moves.InDelaySpec(d_edges={"e1": 0, "e2": 0}))
+    assert pair.forward_table.families["(a,0)"] == ("a",)
+    assert pair.unit_leaves["a"] == (("a", ()),)
+    assert pair.counit_leaves["(a,0)"] == (("(a,0)", ()),)
+    for cat in (CHAIN2, FINSET, MAT):
+        assert verify_equivalence(cat, pair, samples=4, seed=11).verdict == "pass"
+
+
+def test_in_delay_forward_copies_sources_and_delays_their_edges():
+    pair = make_pair("in_delay", zoo.acyclic2(), moves.InDelaySpec(d_edges={"e1": 1, "e2": 0}))
+    d = canonical_diagram(MAT, zoo.acyclic2(), {"a": 1, "b": 1, "c": 2})
+    image = pair.forward(MAT, d)
+    # (c,1) collects only the delayed edge e1, so it carries D_a
+    assert dict(image.obj) == {"(a,0)": 1, "(b,0)": 1, "(c,0)": 2, "(c,1)": 1}
+    assert image.mor["e1"].data == I1
+    assert image.mor["e2"].data == INJ1  # injection at index of e2 in {e1, e2}
+    assert image.mor["e_{c,1}"].data == INJ0  # sub-coproduct inclusion {e1} -> {e1, e2}
+    assert pair.backward(MAT, image) == d
 
 
 def test_sink_pair_rejects_bundle_receivers():
@@ -494,8 +511,9 @@ def test_each_hom_set_is_listed_once_per_run(monkeypatch):
 
 def test_each_distinct_diagram_and_morphism_is_worked_once(monkeypatch):
     # over finset:4 both vw/out-split pools are the zero diagram drawn eight
-    # times: unit, counit and the independent isomorphism search run once
-    # for it, and each morphism is mapped once per direction
+    # times: unit, counit, the independent isomorphism search and the
+    # coproduct check of each image run once for it, and each morphism is
+    # mapped once per direction
     pair = dict(standard_verification_suite())["vw/out-split"]
     calls = collections.Counter()
 
@@ -512,10 +530,13 @@ def test_each_distinct_diagram_and_morphism_is_worked_once(monkeypatch):
     counting(FunctorPair, "counit", lambda pair, cat, e: e)
     counting(FunctorPair, "_map", lambda pair, cat, m, apply, table: (id(table), m))
     counting(functors, "diagram_isomorphic", lambda cat, d1, d2, max_nodes: (d1, d2))
+    counting(functors, "check_coproduct_condition", lambda cat, image: image)
     report = verify_equivalence(FINSET, pair, samples=8)
     assert report.verdict == "pass"
     assert (report.source_samples, report.target_samples) == (8, 8)
-    assert {name for name, _ in calls} == {"unit", "counit", "_map", "diagram_isomorphic"}
+    assert {name for name, _ in calls} == {
+        "unit", "counit", "_map", "diagram_isomorphic", "check_coproduct_condition",
+    }
     assert max(calls.values()) == 1, calls
 
 
@@ -714,6 +735,41 @@ def test_harness_passes_on_random_shapes_past_the_zoo(cat):
             assert control_report.verdict == "fail", label
     assert len(pairs) > 12
     assert "remove_sink" in breakable and len(breakable) > 1
+
+
+# in-delay on acyclic2 and chain3, whose sources each keep the one level
+# (v,0), and on cycle_with_sink, which has none
+IN_DELAY_WITH_SOURCES = [
+    ("acyclic2", zoo.acyclic2(), {"e1": 1, "e2": 0}),
+    ("chain3", zoo.chain_graph(3), {"c1": 2, "c2": 1}),
+    ("cycle-with-sink", zoo.cycle_with_sink(), {"x": 1, "y": 0, "z": 2}),
+]
+
+
+@pytest.mark.parametrize("name,g,delays", IN_DELAY_WITH_SOURCES, ids=[e[0] for e in IN_DELAY_WITH_SOURCES])
+@pytest.mark.parametrize("cat", [CHAIN2, FinSetSkeleton(3), FINSET, MAT], ids=lambda c: c.name)
+def test_in_delay_pairs_on_graphs_with_sources_pass_and_controls_fail(name, g, delays, cat):
+    pair = make_pair("in_delay", g, moves.InDelaySpec(d_edges=delays))
+    report = verify_equivalence(cat, pair, samples=6, seed=11)
+    assert report.verdict == "pass", (name, report.to_dict())
+    control = verify_equivalence(cat, CorruptedPair(pair), samples=6, seed=11)
+    assert control.verdict == "fail", name
+
+
+@pytest.mark.parametrize("cat", [FinSetSkeleton(3), MAT], ids=lambda c: c.name)
+def test_in_delay_pair_passes_on_a_92_vertex_shape_with_sources(cat):
+    # the fourth n = 200 draw of the scale shapes: four each for n = 60, 120
+    # and 200 from one Random(11), with 2.88 edges per vertex expected
+    rng = random.Random(11)
+    for n in (60, 120, 200):
+        for _ in range(4):
+            g = random_shape_graph(rng, max_vertices=n, edge_prob=2.88 / n, bundle_prob=0)
+    assert (len(g.vertices), len(g.edges), len(sources(g))) == (92, 118, 31)
+    pair = make_pair("in_delay", g, random_move_spec(random.Random(0), g, "in_delay"))
+    report = verify_equivalence(cat, pair, samples=6, max_nodes=2_000_000)
+    assert report.verdict == "pass", report.to_dict()
+    control = verify_equivalence(cat, CorruptedPair(pair), samples=6, max_nodes=2_000_000)
+    assert control.verdict == "fail"
 
 
 def _runs(g, path, start, end):
