@@ -18,84 +18,71 @@ The package has four layers:
 
 `zoo` holds small named example graphs and move specs used throughout the
 tests and reports; `cli` exposes everything as the `flowcat` command.
+
+Modules load on first use.  `import flowcat` puts every submodule but `cli`
+into `sys.modules` and onto the package without running it
+(`importlib.util.LazyLoader`); a submodule runs when one of its attributes
+is first read, directly or through a package-level name (PEP 562).  So a
+`flowcat validate` process compiles only the modules that it calls.
 """
 
-from types import ModuleType as _ModuleType
-
-from .casework import (
-    CaseReport,
-    CaseworkError,
-    cuntz_splice_report,
-    desingularisation_counterexample,
-    poset_count_obstructions,
-    verify_acyclic_corollary,
-    verify_poset_corollary,
-)
-from .categories import (
-    CategoryError,
-    FinSetSkeleton,
-    MatCategory,
-    PosetCategory,
-    chain,
-    diamond,
-)
-from .diagrams import (
-    Diagram,
-    DiagramError,
-    canonical_diagram,
-    check_coproduct_condition,
-    enumerate_diagrams,
-    make_diagram,
-    random_diagram,
-)
-from .functors import (
-    CorruptedPair,
-    make_pair,
-    standard_verification_suite,
-    verify_equivalence,
-)
-from .graphs import (
-    DirectedGraph,
-    GraphError,
-    adjacency_matrix,
-    cohereditary_irreducible_subsets,
-    graph,
-    is_acyclic,
-    is_irreducible,
-    plus_construction,
-)
-from .intmat import IntMatrix, determinant, smith_normal_form
-from .invariants import bowen_franks, flow_invariants, franks_equivalent, parry_sullivan
-from .leavitt import (
-    LeavittError,
-    build_module_operators,
-    check_leavitt_relations,
-    check_unital_action,
-    intertwining_failures,
-    module_map,
-)
-from .moves import (
-    InDelaySpec,
-    InSplitSpec,
-    MoveError,
-    OutDelaySpec,
-    OutSplitSpec,
-    add_heads_truncated,
-    add_tails_truncated,
-    in_delay,
-    in_split,
-    out_delay,
-    out_split,
-    remove_sink,
-)
-from .util import FlowcatError, SearchCapExceeded
+import importlib.util as _util
+import sys as _sys
 
 __version__ = "0.1.0"
 
-# every name imported above, sorted; the submodules bound as a side effect
-# of those imports are not part of the export list
-__all__ = sorted(
-    name
-    for name, value in globals().items()
-    if not name.startswith("_") and not isinstance(value, _ModuleType)
-)
+# submodule -> the names the package exports from it
+_EXPORTS = {
+    "casework": (
+        "CaseReport", "CaseworkError", "cuntz_splice_report", "desingularisation_counterexample",
+        "poset_count_obstructions", "verify_acyclic_corollary", "verify_poset_corollary",
+    ),
+    "categories": (
+        "CategoryError", "FinSetSkeleton", "MatCategory", "PosetCategory", "chain", "diamond",
+    ),
+    "diagrams": (
+        "Diagram", "DiagramError", "canonical_diagram", "check_coproduct_condition",
+        "enumerate_diagrams", "make_diagram", "random_diagram",
+    ),
+    "functors": (
+        "CorruptedPair", "make_pair", "standard_verification_suite", "verify_equivalence",
+    ),
+    "graphs": (
+        "DirectedGraph", "GraphError", "adjacency_matrix", "cohereditary_irreducible_subsets",
+        "graph", "is_acyclic", "is_irreducible", "plus_construction",
+    ),
+    "intmat": ("IntMatrix", "determinant", "smith_normal_form"),
+    "invariants": ("bowen_franks", "flow_invariants", "franks_equivalent", "parry_sullivan"),
+    "leavitt": (
+        "LeavittError", "build_module_operators", "check_leavitt_relations", "check_unital_action",
+        "intertwining_failures", "module_map",
+    ),
+    "moves": (
+        "InDelaySpec", "InSplitSpec", "MoveError", "OutDelaySpec", "OutSplitSpec",
+        "add_heads_truncated", "add_tails_truncated", "in_delay", "in_split", "out_delay",
+        "out_split", "remove_sink",
+    ),
+    "sampling": (),
+    "util": ("FlowcatError", "SearchCapExceeded"),
+    "zoo": (),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_OWNER)
+
+for _name in _EXPORTS:
+    _spec = _util.find_spec(f"{__name__}.{_name}")
+    _spec.loader = _util.LazyLoader(_spec.loader)
+    _module = _sys.modules[_spec.name] = globals()[_name] = _util.module_from_spec(_spec)
+    _spec.loader.exec_module(_module)
+del _name, _spec, _module
+
+
+def __getattr__(name):
+    if name in _OWNER:
+        return getattr(globals()[_OWNER[name]], name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

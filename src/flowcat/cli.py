@@ -19,6 +19,9 @@ two key filters, and the ordered walks run only to word the first problem.
 indent=2, ensure_ascii=False) + "\n"` with the C string encoder (an indent
 makes `json.dumps` use its pure-Python encoder), and `render_dot` quotes each
 vertex name once.
+
+The engine modules are imported as modules and read when a subcommand calls
+them, so with `flowcat`'s lazy submodules a process runs only what it uses.
 """
 
 from __future__ import annotations
@@ -30,15 +33,7 @@ from itertools import chain, repeat
 from json.encoder import encode_basestring
 from operator import attrgetter, itemgetter
 
-from .casework import (
-    cuntz_splice_report,
-    desingularisation_counterexample,
-    verify_acyclic_corollary,
-    verify_poset_corollary,
-)
-from .categories import MatCategory, Morphism, PosetCategory, parse_category_spec
-from .diagrams import DiagramError, enumerate_diagrams, make_diagram
-from .functors import make_pair, verify_equivalence
+from . import casework, categories, diagrams, functors, invariants, leavitt
 from .graphs import (
     DirectedGraph,
     Edge,
@@ -46,14 +41,6 @@ from .graphs import (
     cohereditary_irreducible_subsets,
     is_irreducible,
     is_nontrivial,
-)
-from .invariants import flow_invariants, franks_equivalent
-from .leavitt import (
-    LeavittError,
-    LeavittReport,
-    build_module_operators,
-    check_leavitt_relations,
-    check_unital_action,
 )
 from .moves import SPEC_MOVES, add_heads_truncated, add_tails_truncated, remove_sink
 from .util import FlowcatError, SearchCapExceeded, max_nodes_cap
@@ -342,11 +329,11 @@ def _load_poset_file(path):
     name = doc.get("name", path)
     _require(isinstance(name, str), path, '"name" must be a string')
     _require_text([*elements, name], path)
-    return PosetCategory(elements, [tuple(p) for p in le], name=name)
+    return categories.PosetCategory(elements, [tuple(p) for p in le], name=name)
 
 
 def load_category(spec):
-    return parse_category_spec(spec, poset_loader=_load_poset_file)
+    return categories.parse_category_spec(spec, poset_loader=_load_poset_file)
 
 
 def render_dot(g):
@@ -379,7 +366,7 @@ def cmd_validate(args):
 
 def cmd_invariants(args):
     g = load_graph(args.graph)
-    ps, bf = flow_invariants(g)
+    ps, bf = invariants.flow_invariants(g)
     doc = {
         "ps": ps,
         "bf": {"free_rank": bf.free_rank, "torsion": list(bf.torsion)},
@@ -410,7 +397,7 @@ def cmd_move(args):
 def cmd_franks(args):
     g = load_graph(args.graph)
     h = load_graph(args.other)
-    verdict = franks_equivalent(g, h)
+    verdict = invariants.franks_equivalent(g, h)
     _emit({"verdict": verdict.kind, "reason": verdict.reason})
     return OK
 
@@ -420,7 +407,7 @@ def cmd_diagrams(args):
         raise CliError(f"--bound must be nonnegative, got {args.bound}")
     g = load_graph(args.graph)
     cat = load_category(args.category)
-    found = list(enumerate_diagrams(cat, g, bound=args.bound))
+    found = list(diagrams.enumerate_diagrams(cat, g, bound=args.bound))
     doc = {"count": len(found)}
     if args.list:
         doc["diagrams"] = [
@@ -443,8 +430,8 @@ def cmd_verify(args):
     g = load_graph(args.graph)
     move, payload = parse_move_doc(_load_json(args.spec), g, args.spec)
     cat = load_category(args.category)
-    pair = make_pair(move, g, payload)
-    report = verify_equivalence(cat, pair, samples=args.samples, seed=args.seed)
+    pair = functors.make_pair(move, g, payload)
+    report = functors.verify_equivalence(cat, pair, samples=args.samples, seed=args.seed)
     _emit(report.to_dict())
     return OK if report.verdict == "pass" else CHECK_FAILED
 
@@ -470,7 +457,7 @@ def cmd_lpa_check(args):
             raise CliError(f'{where}: "dims" is missing vertex {v!r}')
         incoming_sum = sum(dims.get(e.src, 0) for e in g.incoming(v))
         bound = max(bound, dims[v], incoming_sum)
-    cat = MatCategory(q, bound)
+    cat = categories.MatCategory(q, bound)
     mor = {}
     for e in sorted(g.edges, key=lambda e: e.id):
         if e.id not in maps:
@@ -489,18 +476,18 @@ def cmd_lpa_check(args):
                 f"{n_rows} integer rows of length {n_cols}"
             )
         data = tuple(tuple(x % q for x in r) for r in rows)
-        mor[e.id] = Morphism(dims[e.src], dims[e.tgt], data)
+        mor[e.id] = categories.Morphism(dims[e.src], dims[e.tgt], data)
     try:
-        d = make_diagram(cat, g, dims, mor)
-    except DiagramError as exc:
+        d = diagrams.make_diagram(cat, g, dims, mor)
+    except diagrams.DiagramError as exc:
         raise CliError(f"{where}: {exc}") from exc
     try:
-        ops = build_module_operators(cat, d)
-    except LeavittError as exc:
+        ops = leavitt.build_module_operators(cat, d)
+    except leavitt.LeavittError as exc:
         _emit({"ok": False, "error": str(exc)})
         return CHECK_FAILED
-    relations = check_leavitt_relations(ops)
-    report = LeavittReport((*relations.checks, check_unital_action(ops)))
+    relations = leavitt.check_leavitt_relations(ops)
+    report = leavitt.LeavittReport((*relations.checks, leavitt.check_unital_action(ops)))
     _emit({**report.to_dict(), "total_dim": ops.total_dim})
     return OK if report.ok else CHECK_FAILED
 
@@ -509,12 +496,13 @@ def cmd_report(args):
     cat = load_category(args.category or "poset:chain2")
     if args.case in ("acyclic", "poset"):
         _require(args.graph, f"report {args.case}", "a graph file is required")
-        check = verify_acyclic_corollary if args.case == "acyclic" else verify_poset_corollary
+        acyclic = args.case == "acyclic"
+        check = casework.verify_acyclic_corollary if acyclic else casework.verify_poset_corollary
         report = check(cat, load_graph(args.graph))
     elif args.case == "desing":
-        report = desingularisation_counterexample(cat)
+        report = casework.desingularisation_counterexample(cat)
     else:
-        report = cuntz_splice_report(cat)
+        report = casework.cuntz_splice_report(cat)
     if args.json:
         _emit(report.to_dict())
     else:

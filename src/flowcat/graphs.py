@@ -34,7 +34,7 @@ from itertools import chain
 from operator import attrgetter
 from typing import NamedTuple
 
-from .intmat import IntMatrix
+from . import intmat
 from .util import FlowcatError, refuse_assignment
 
 
@@ -378,7 +378,7 @@ def adjacency_matrix(g):
     rows = [[0] * len(pos) for _ in pos]
     for e in g.edges:
         rows[pos[e.src]][pos[e.tgt]] += 1
-    return IntMatrix.from_rows(rows)
+    return intmat.IntMatrix.from_rows(rows)
 
 
 def is_nontrivial(g):

@@ -20,7 +20,9 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 
-from flowcat import cli, graphs, moves, zoo
+from flowcat import (
+    casework, categories, cli, diagrams, functors, graphs, invariants, leavitt, moves, zoo,
+)
 from flowcat.casework import CaseworkError
 from flowcat.categories import CategoryError
 from flowcat.diagrams import DiagramError
@@ -272,8 +274,8 @@ ERROR_CLASSES = (
 )
 LOOP1 = cli.graph_to_doc(zoo.loop1())
 
-# (argv, the name of a library call that argv reaches: in `cli`, or else in
-# `graphs`, where building the graph calls `validate`)
+# (argv, the name of a library call that argv reaches); the test patches the
+# module that the call is read from (`owner`)
 LIBRARY_CALLS = [
     (["validate", "{g}"], "validate"),
     (["render", "{g}"], "validate"),
@@ -291,6 +293,16 @@ LIBRARY_CALLS = [
     (["report", "desing"], "desingularisation_counterexample"),
     (["report", "cuntz"], "cuntz_splice_report"),
 ]
+
+
+def owner(target):
+    """The module that the CLI reads `target` from when it calls it: `cli`
+    for a name that it imports from `graphs`, `moves` or `util`, else the
+    module that defines it (building a graph calls `graphs.validate`)."""
+    if hasattr(cli, target):
+        return cli
+    modules = (casework, categories, diagrams, functors, graphs, invariants, leavitt)
+    return next(m for m in modules if getattr(vars(m).get(target), "__module__", "") == m.__name__)
 
 
 def test_every_flowcat_error_class_is_exercised():
@@ -313,7 +325,7 @@ def test_a_library_error_from_any_subcommand_exits_2(tmp_path, capsys, monkeypat
     def fail(*args, **kwargs):
         raise error(f"injected {error.__name__} from {target}")
 
-    monkeypatch.setattr(cli if hasattr(cli, target) else graphs, target, fail)
+    monkeypatch.setattr(owner(target), target, fail)
     code, out, err = run(capsys, [a.format(**paths) for a in argv])
     assert (code, out, err) == (2, "", f"error: injected {error.__name__} from {target}\n")
 
@@ -882,7 +894,7 @@ def test_report_exit_code_reads_the_outcome_not_the_text(capsys, monkeypatch):
     from flowcat.casework import CaseReport
 
     report = CaseReport("cuntz-splice", {}, {}, "mismatch", "text only")
-    monkeypatch.setattr(cli, "cuntz_splice_report", lambda cat: report)
+    monkeypatch.setattr(casework, "cuntz_splice_report", lambda cat: report)
     code, out, _ = run(capsys, ["report", "cuntz"])
     assert code == 1
     assert "verdict: mismatch: text only" in out
@@ -1248,7 +1260,7 @@ lpa_docs = st.fixed_dictionaries(
         max_size=3,
     ))},
 )
-categories = st.sampled_from([
+category_specs = st.sampled_from([
     "poset:chain2", "poset:{p}", "finset:2", "mat:2:1", "mat:3:2",
     "mat:x:2", "mat:4:2", "finset:-1", "poset:chain0", "poset:", "bogus",
 ])
@@ -1265,7 +1277,7 @@ def cli_cases(draw):
         "validate", "render", "invariants", "franks", "move", "diagrams",
         "verify", "lpa-check", "report",
     ]))
-    category = draw(categories)
+    category = draw(category_specs)
     if "{p}" in category:
         files["p"] = draw(poset_docs)
     if command in ("validate", "render", "invariants"):

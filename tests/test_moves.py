@@ -257,6 +257,24 @@ def test_in_split_rejects_infinite_receivers():
         in_split(zoo.h_graph(), spec)
 
 
+@pytest.mark.parametrize(
+    "validate_split, spec_type",
+    [(mv.validate_out_split, OutSplitSpec), (mv.validate_in_split, InSplitSpec)],
+)
+def test_validating_a_split_leaves_the_graph_index_unbuilt(validate_split, spec_type):
+    # the sources are read off the edge targets; the index is left to the
+    # queries that need it
+    g = zoo.acyclic2()
+    spec = spec_type(p_vertices={"a": 1, "b": 2, "c": 0}, p_edges={"e1": 0, "e2": 0})
+    assert validate_split(g, spec) == [
+        "p(a)=1 but 'a' is a source", "p(b)=2 but 'b' is a source",
+    ]
+    assert "_index" not in vars(g)
+    zero = spec_type(p_vertices=dict.fromkeys(g.vertices, 0), p_edges={"e1": 0, "e2": 0})
+    assert validate_split(g, zero) == []
+    assert "_index" not in vars(g)
+
+
 # -- truncated heads and tails ----------------------------------------------------
 
 

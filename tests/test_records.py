@@ -1,10 +1,14 @@
 """The record types are NamedTuples: they hash as their field tuples, keep
 the repr and field order they had as frozen dataclasses, refuse attribute
-assignment, and importing the CLI does not load `dataclasses`."""
+assignment, and importing the CLI does not load `dataclasses`.  Importing
+`flowcat` registers every submodule and runs none; a submodule runs when it
+is first used."""
 
+import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -149,9 +153,66 @@ def test_specs_make_every_field_a_frozendict():
     assert type(spec._replace(p_edges={})[1]) is dict
 
 
-def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
-    code = "import sys, flowcat.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    # -S keeps site hooks from importing either module first
-    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
-                         env=dict(os.environ, PYTHONPATH=SRC), check=True).stdout
-    assert out == "[]\n"
+def _run_fresh(code, cwd=None):
+    """stdout of `code` in a new interpreter; -S keeps site hooks from
+    importing any module first."""
+    return subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          cwd=cwd, env=dict(os.environ, PYTHONPATH=SRC), check=True).stdout
+
+
+# A submodule that has run is a plain module; one that has not is still the
+# LazyLoader's placeholder.
+LOADED = "sorted(n for n, m in sys.modules.items() if type(m) is types.ModuleType)"
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect(tmp_path):
+    # validate, move and render run the graph layer alone: no engine module
+    # is executed, though `import flowcat` registers them all
+    graph = {"vertices": ["u", "w"], "edges": [
+        {"id": "l", "src": "u", "tgt": "u"}, {"id": "m", "src": "u", "tgt": "w"},
+    ]}
+    (tmp_path / "g.json").write_text(json.dumps(graph))
+    move = {"move": "out_split", "p": {"u": 1, "w": 0, "l": 1, "m": 0}}
+    (tmp_path / "m.json").write_text(json.dumps(move))
+    code = (
+        "import sys, types, flowcat.cli\n"
+        "for argv in (['validate', 'g.json'], ['move', 'g.json', 'm.json', '-o', 'out.json'],\n"
+        "             ['render', 'g.json']):\n"
+        "    assert flowcat.cli.main(argv) == 0\n"
+        f"print({LOADED})\n"
+    )
+    loaded = eval(_run_fresh(code, cwd=tmp_path).splitlines()[-1])
+    assert not {"dataclasses", "inspect"} & set(loaded)
+    # none of casework, categories, diagrams, functors, intmat, invariants,
+    # leavitt, sampling or zoo
+    assert [n for n in loaded if n.startswith("flowcat.")] == [
+        "flowcat.cli", "flowcat.graphs", "flowcat.moves", "flowcat.util",
+    ]
+
+
+def test_importing_flowcat_registers_every_submodule_and_runs_none():
+    # registered: in sys.modules and the same object on the package
+    code = (
+        "import sys, types, flowcat\n"
+        "print(sorted(n for n, m in sys.modules.items()\n"
+        "             if n.startswith('flowcat.') and getattr(flowcat, n[8:]) is m))\n"
+        f"print({LOADED})\n"
+    )
+    registered, loaded = map(eval, _run_fresh(code).splitlines())
+    files = sorted(p.stem for p in Path(SRC, "flowcat").glob("*.py"))
+    assert registered == [f"flowcat.{n}" for n in files if n not in ("__init__", "cli")]
+    assert [n for n in loaded if n.startswith("flowcat")] == ["flowcat"]
+
+
+def test_every_exported_name_imports_from_the_package():
+    import flowcat
+
+    assert len(flowcat.__all__) == len(set(flowcat.__all__)) == 59
+    for name in flowcat.__all__:
+        namespace = {}
+        exec(f"from flowcat import {name}", namespace)
+        module = sys.modules[f"flowcat.{flowcat._OWNER[name]}"]
+        assert namespace[name] is getattr(module, name)
+    assert {*flowcat.__all__, "graphs", "zoo", "__version__"} <= set(dir(flowcat))
+    with pytest.raises(AttributeError, match="has no attribute 'nonexistent'"):
+        flowcat.nonexistent
