@@ -431,12 +431,12 @@ def _assemble(cat, g, dims, iso_at):
     return make_diagram(cat, g, dims, chain.from_iterable(legs))
 
 
-def enumerate_diagrams(cat, g, bound=None, max_nodes=None):
+def enumerate_diagrams(cat, g, bound=None):
     """All diagrams of shape `g` satisfying the coproduct condition, in a
     deterministic order, with every object at most `bound` (default and
     upper limit: the largest object; thin instances ignore it).  Raises
     SearchCapExceeded past the node budget."""
-    budget = NodeBudget(max_nodes)
+    budget = NodeBudget()
     if cat.is_thin:
         return _thin_diagrams(cat, g, budget)
     _require_bundle_free(cat, g)
@@ -585,7 +585,7 @@ def _derivations(cat, src, dst, table, iso):
     }
 
 
-def diagram_morphisms(cat, src, dst, max_nodes=None, iso=False):
+def diagram_morphisms(cat, src, dst, iso=False):
     """Yield each diagram morphism src -> dst, or with `iso` each diagram
     isomorphism, in branching order; the one body of both searches.  Poset
     instances yield at most one.  Other instances search the hom-sets (with
@@ -604,7 +604,7 @@ def diagram_morphisms(cat, src, dst, max_nodes=None, iso=False):
     candidates = cat.isomorphisms if iso else cat.hom
     if iso and any(next(iter(candidates(a, b)), None) is None for a, b in pairs.values()):
         return
-    budget = NodeBudget(max_nodes)
+    budget = NodeBudget()
     plan, table = _morphism_plan(cat, src)
     pools = [_pool(candidates(*pairs[v]), budget, v) for v in plan.branch]
     derive = _derivations(cat, src, dst, table, iso)
@@ -614,14 +614,14 @@ def diagram_morphisms(cat, src, dst, max_nodes=None, iso=False):
         yield DiagramMorphism(src, dst, frozendict(components))
 
 
-def enumerate_diagram_morphisms(cat, src, dst, max_nodes=None):
+def enumerate_diagram_morphisms(cat, src, dst):
     """All diagram morphisms src -> dst, in product order over the sorted
     vertices (`hom` lists each hom-set in increasing `data`)."""
     vertices = src.graph.sorted_vertices()
-    found = diagram_morphisms(cat, src, dst, max_nodes)
+    found = diagram_morphisms(cat, src, dst)
     return sorted(found, key=lambda m: [m.components[v].data for v in vertices])
 
 
-def diagram_isomorphic(cat, d1, d2, max_nodes=None):
+def diagram_isomorphic(cat, d1, d2):
     """The first diagram isomorphism d1 -> d2 in branching order, else None."""
-    return next(diagram_morphisms(cat, d1, d2, max_nodes, iso=True), None)
+    return next(diagram_morphisms(cat, d1, d2, iso=True), None)

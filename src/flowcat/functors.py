@@ -474,7 +474,7 @@ class EquivalenceReport(NamedTuple):
         }
 
 
-def _sample_pool(cat, g, rng, count, max_nodes):
+def _sample_pool(cat, g, rng, count):
     """Diagrams satisfying the coproduct condition: exhaustive for thin
     instances, else canonical + random cotuples over feasible size vectors
     (largest and smallest total first, for nonzero coverage).  Above
@@ -483,8 +483,8 @@ def _sample_pool(cat, g, rng, count, max_nodes):
     iso per non-source vertex) and is built once per distinct value, so equal
     draws are one object, checked once; each still counts in the report."""
     if cat.is_thin:
-        return enumerate_diagrams(cat, g, max_nodes=max_nodes)
-    bound, budget, non_sources = max(cat.objects()), NodeBudget(max_nodes), _non_sources(g)
+        return enumerate_diagrams(cat, g)
+    bound, budget, non_sources = max(cat.objects()), NodeBudget(), _non_sources(g)
     vectors = list(itertools.islice(size_vectors(g, bound, budget), SAMPLE_VECTOR_CAP + 1))
     if len(vectors) <= SAMPLE_VECTOR_CAP:
         vectors.sort(key=lambda d: (-sum(d.values()), sorted(d.items())))
@@ -513,7 +513,7 @@ def _homs(cat, d1, d2, state):
         size = math.prod(cat.hom_size(a, d2.obj[v]) for v, a in d1.obj.items())
         if size <= HOM_PAIR_CAP:
             try:
-                table[d1, d2] = enumerate_diagram_morphisms(cat, d1, d2, state["max_nodes"])
+                table[d1, d2] = enumerate_diagram_morphisms(cat, d1, d2)
             except SearchCapExceeded:
                 pass
     return table[d1, d2]
@@ -617,7 +617,7 @@ def _round_trip(cat, label, build, d, crosses, state):
         return f"{label} component at vertex {non_iso[0]!r} is not an isomorphism", None
     ends = (iso.source, iso.target) if label == "unit" else (iso.target, iso.source)
     try:
-        if crosses and diagram_isomorphic(cat, *ends, state["max_nodes"]) is None:
+        if crosses and diagram_isomorphic(cat, *ends) is None:
             return None, (
                 f"{label} round trip is not isomorphic to the original "
                 "(independent search found no isomorphism)"
@@ -695,7 +695,7 @@ def _check_hom_bijection(cat, pair, src_pool, state):
     )
 
 
-def verify_equivalence(cat, pair, *, samples=8, seed=20260815, max_nodes=None):
+def verify_equivalence(cat, pair, *, samples=8, seed=20260815):
     """Run the four-part verification of a functor pair over sampled diagrams.
 
     Checks: (1) both functors preserve the coproduct condition, (2) they
@@ -708,10 +708,10 @@ def verify_equivalence(cat, pair, *, samples=8, seed=20260815, max_nodes=None):
     each morphism once per run; equal draws still count in the report.
     """
     rng = random.Random(seed)
-    state = {"bounded": 0, "max_nodes": max_nodes, "homs": {}, "images": {}}
+    state = {"bounded": 0, "homs": {}, "images": {}}
     try:
-        src_pool = _sample_pool(cat, pair.source, rng, samples, max_nodes)
-        tgt_pool = _sample_pool(cat, pair.target, rng, samples, max_nodes)
+        src_pool = _sample_pool(cat, pair.source, rng, samples)
+        tgt_pool = _sample_pool(cat, pair.target, rng, samples)
     except SearchCapExceeded as exc:
         note = CheckResult(
             "sampling",

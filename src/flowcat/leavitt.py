@@ -27,8 +27,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .categories import MatCategory, mat_identity, mat_mul
-from .diagrams import inverse_cotuple_at
-from .graphs import infinite_receivers, sources
+from .diagrams import _non_sources, inverse_cotuple_at
+from .graphs import infinite_receivers
 from .util import FlowcatError, frozendict
 
 
@@ -85,7 +85,7 @@ def build_module_operators(cat, diagram):
         offset += diagram.obj[v]
 
     edge_star_maps = {}
-    for v in sorted(g.vertices.difference(sources(g))):
+    for v in _non_sources(g):
         # the first failing vertex in sorted order, as check_coproduct_condition reports
         _, psi_inv, reason = inverse_cotuple_at(cat, diagram, v)
         if psi_inv is None:
@@ -225,7 +225,7 @@ def check_leavitt_relations(ops):
                 "(5) sum of A_e A_e* over t^-1(v) = P_v at every non-source",
                 [
                     f"sum over t^-1({v})"
-                    for v in sorted(g.vertices.difference(sources(g)))
+                    for v in _non_sources(g)
                     if _add(q, [_mul(q, a[e.id], star[e.id]) for e in g.incoming(v)])
                     != p[v]
                 ],

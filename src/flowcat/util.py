@@ -39,10 +39,8 @@ class SearchCapExceeded(RuntimeError):
         return f"search cap exceeded{where}: visited {self.visited} nodes, cap {self.cap}"
 
 
-def max_nodes_cap(override=None):
-    """Resolve the enumeration node cap: explicit override, else env var, else default."""
-    if override is not None:
-        return int(override)
+def max_nodes_cap():
+    """The node cap of every search: FLOWCAT_MAX_NODES, else the default."""
     raw = os.environ.get(MAX_NODES_ENV)
     if raw is None:
         return DEFAULT_MAX_NODES
@@ -56,10 +54,11 @@ def max_nodes_cap(override=None):
 
 
 class NodeBudget:
-    """Mutable counter that raises SearchCapExceeded once spent."""
+    """Mutable counter that raises SearchCapExceeded once spent past the cap
+    `max_nodes_cap` gives when the budget is made."""
 
-    def __init__(self, cap=None):
-        self.cap = max_nodes_cap(cap)
+    def __init__(self):
+        self.cap = max_nodes_cap()
         self.visited = 0
 
     def spend(self, n=1):
@@ -121,10 +120,6 @@ class frozendict(dict):
     def __repr__(self):
         inner = ", ".join(f"{k!r}: {v!r}" for k, v in sorted_items(self))
         return "frozendict({" + inner + "})"
-
-    def set(self, key, value):
-        """Return a copy with key set to value."""
-        return frozendict({**self, key: value})
 
 
 def sorted_items(mapping):

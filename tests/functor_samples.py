@@ -28,6 +28,7 @@ from flowcat.functors import (
 from flowcat.graphs import classify_vertex, sinks
 from flowcat.sampling import random_irreducible_graph, random_move_spec, random_shape_graph
 from flowcat.util import SearchCapExceeded
+from strategies import node_cap
 
 SPEC_MOVES = ("out_delay", "in_delay", "out_split", "in_split")
 DIGEST_CATEGORIES = (FinSetSkeleton(3), MatCategory(2, 2), MatCategory(2, 3), chain(3))
@@ -97,7 +98,8 @@ def pooled_morphisms(cat, pool):
     for d1 in pool[:2]:
         for d2 in pool[:2]:
             try:
-                out += enumerate_diagram_morphisms(cat, d1, d2, HOM_NODES)[:2]
+                with node_cap(HOM_NODES):
+                    out += enumerate_diagram_morphisms(cat, d1, d2)[:2]
             except SearchCapExceeded:
                 pass
     return out
@@ -105,8 +107,9 @@ def pooled_morphisms(cat, pool):
 
 def _images(cat, pair):
     rng = random.Random(5)
-    src_pool = _sample_pool(cat, pair.source, rng, 3, MAX_NODES)[:3]
-    tgt_pool = _sample_pool(cat, pair.target, rng, 3, MAX_NODES)[:3]
+    with node_cap(MAX_NODES):
+        src_pool = _sample_pool(cat, pair.source, rng, 3)[:3]
+        tgt_pool = _sample_pool(cat, pair.target, rng, 3)[:3]
     calls = [(pair.forward, d) for d in src_pool] + [(pair.unit, d) for d in src_pool]
     calls += [(pair.backward, e) for e in tgt_pool] + [(pair.counit, e) for e in tgt_pool]
     calls += [(pair.forward_map, m) for m in pooled_morphisms(cat, src_pool)]

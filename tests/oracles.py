@@ -979,9 +979,7 @@ def _check_round_trips(cat, pair, src_pool, tgt_pool, state):
                 round_tripped = iso.target if label == "unit" else iso.source
                 original = iso.source if label == "unit" else iso.target
                 try:
-                    witness = diagram_isomorphic(
-                        cat, original, round_tripped, state["max_nodes"]
-                    )
+                    witness = diagram_isomorphic(cat, original, round_tripped)
                 except SearchCapExceeded:
                     continue
                 if witness is None:
@@ -1034,14 +1032,14 @@ def _check_hom_bijection(cat, pair, src_pool, state):
     )
 
 
-def per_draw_verify_equivalence(cat, pair, *, samples=8, seed=20260815, max_nodes=None):
+def per_draw_verify_equivalence(cat, pair, *, samples=8, seed=20260815):
     """`functors.verify_equivalence` with the four checks above, which redo
     their work at every draw of a diagram and map each morphism anew."""
     rng = random.Random(seed)
-    state = {"bounded": 0, "max_nodes": max_nodes, "homs": {}}
+    state = {"bounded": 0, "homs": {}}
     try:
-        src_pool = _sample_pool(cat, pair.source, rng, samples, max_nodes)
-        tgt_pool = _sample_pool(cat, pair.target, rng, samples, max_nodes)
+        src_pool = _sample_pool(cat, pair.source, rng, samples)
+        tgt_pool = _sample_pool(cat, pair.target, rng, samples)
     except SearchCapExceeded as exc:
         note = CheckResult(
             "sampling",
@@ -1096,10 +1094,10 @@ def _assemble_diagram(cat, g, dims, iso_by_vertex):
     return make_diagram(cat, g, dims, mor)
 
 
-def per_answer_enumerate_diagrams(cat, g, bound=None, max_nodes=None):
+def per_answer_enumerate_diagrams(cat, g, bound=None):
     """Every coproduct-condition diagram of shape `g` in a category that is
     not thin, each assembled and validated on its own."""
-    budget = NodeBudget(max_nodes)
+    budget = NodeBudget()
     _require_bundle_free(cat, g)
     top = max(cat.objects())
     if bound is None:
@@ -1149,12 +1147,12 @@ def branching_size_vectors(g, bound, budget=None):
     return sorted(found, key=lambda a: [a[v] for v in vertices])
 
 
-def listing_sample_pool(cat, g, rng, count, max_nodes):
+def listing_sample_pool(cat, g, rng, count):
     """`functors._sample_pool` as it was before the shape table: list every
     size vector, then build every draw and keep one object per value."""
     if cat.is_thin:
-        return enumerate_diagrams(cat, g, max_nodes=max_nodes)
-    vectors = branching_size_vectors(g, max(cat.objects()), NodeBudget(max_nodes))
+        return enumerate_diagrams(cat, g)
+    vectors = branching_size_vectors(g, max(cat.objects()), NodeBudget())
     vectors.sort(key=lambda d: (-sum(d.values()), sorted(d.items())))
     pool = [canonical_diagram(cat, g, vectors[0])]
     if len(vectors) > 1 and count > 1:
@@ -1211,12 +1209,12 @@ def pinned_draw_dimension_vector(g, bound, rng, budget):
             return found
 
 
-def pinned_sample_pool(cat, g, rng, count, max_nodes, cap):
+def pinned_sample_pool(cat, g, rng, count, cap):
     """`functors._sample_pool` over the pinned size vectors and draws, with
     `cap` in place of SAMPLE_VECTOR_CAP."""
     if cat.is_thin:
-        return enumerate_diagrams(cat, g, max_nodes=max_nodes)
-    bound, budget, non_sources = max(cat.objects()), NodeBudget(max_nodes), _non_sources(g)
+        return enumerate_diagrams(cat, g)
+    bound, budget, non_sources = max(cat.objects()), NodeBudget(), _non_sources(g)
     vectors = list(itertools.islice(pinned_size_vectors(g, bound, budget), cap + 1))
     if len(vectors) <= cap:
         vectors.sort(key=lambda d: (-sum(d.values()), sorted(d.items())))

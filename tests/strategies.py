@@ -1,11 +1,22 @@
-"""Hypothesis strategies, seeded generators and checks shared by the tests."""
+"""Hypothesis strategies, seeded generators and checks shared by the tests,
+and the node cap they set for a search."""
 
 from __future__ import annotations
+
+import os
+from unittest import mock
 
 import hypothesis.strategies as st
 
 from flowcat.graphs import DirectedGraph, Edge
 from flowcat.intmat import IntMatrix
+from flowcat.util import MAX_NODES_ENV
+
+
+def node_cap(cap):
+    """A context in which every search started caps its nodes at `cap`:
+    FLOWCAT_MAX_NODES, the one cap of the package, set for the block."""
+    return mock.patch.dict(os.environ, {MAX_NODES_ENV: str(cap)})
 
 
 @st.composite

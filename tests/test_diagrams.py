@@ -36,7 +36,9 @@ from flowcat.diagrams import (
     size_vectors,
     solve_dimension_vectors,
 )
-from flowcat.functors import CorruptedPair, _sample_pool, standard_verification_suite
+from flowcat.functors import (
+    CorruptedPair, _sample_pool, standard_verification_suite, verify_equivalence,
+)
 from flowcat.graphs import graph, is_acyclic, sources
 from flowcat.sampling import random_shape_graph
 from flowcat.util import NodeBudget, SearchCapExceeded, cached_on
@@ -53,6 +55,7 @@ from oracles import (
     product_thin_diagrams,
     vertexwise_coproduct_failures,
 )
+from strategies import node_cap
 
 CHAIN2 = chain(2)
 FINSET = FinSetSkeleton(5)
@@ -237,10 +240,10 @@ def test_shape_table_forces_zeros_by_the_perron_argument():
     ]
 
 
-def _outcome(solve, g, bound, max_nodes=None):
+def _outcome(solve, g, bound):
     """The size vectors of `g`, or where the search hit the cap."""
     try:
-        return solve(g, bound, NodeBudget(max_nodes))
+        return solve(g, bound, NodeBudget())
     except SearchCapExceeded as exc:
         return exc.phase, exc.vertex
 
@@ -271,8 +274,9 @@ def test_size_vectors_match_the_branching_oracle_at_a_small_cap():
     # with no forced zero both searches walk the same tree
     for g in (zoo.edgeless(4), zoo.acyclic2(), zoo.chain_graph(3), zoo.loop1()):
         for cap in (1, 2, 3, 5, 8, 13, 21):
-            expected = _outcome(branching_size_vectors, g, 3, cap)
-            assert _outcome(solve_dimension_vectors, g, 3, cap) == expected, (g, cap)
+            with node_cap(cap):
+                expected = _outcome(branching_size_vectors, g, 3)
+                assert _outcome(solve_dimension_vectors, g, 3) == expected, (g, cap)
 
 
 def _roadmap_shapes():
@@ -335,8 +339,8 @@ def test_sample_pools_above_a_small_cap_match_the_pinned_oracle(monkeypatch):
     for i, (g, _) in enumerate(_pinned_oracle_shapes()[::4]):
         for cat in (FinSetSkeleton(3), MatCategory(2, 2)):
             rng, oracle_rng = random.Random(i), random.Random(i)
-            pool = _sample_pool(cat, g, rng, 6, None)
-            expected = pinned_sample_pool(cat, g, oracle_rng, 6, None, 5)
+            pool = _sample_pool(cat, g, rng, 6)
+            expected = pinned_sample_pool(cat, g, oracle_rng, 6, 5)
             assert pool == expected, (cat.name, g)
             assert [pool.index(d) for d in pool] == [expected.index(d) for d in expected]
             assert rng.getstate() == oracle_rng.getstate(), (cat.name, g)
@@ -368,12 +372,13 @@ def test_drawn_size_vectors_are_uniform_over_the_listed_ones():
     assert len(counts) == 6 and all(400 <= n <= 600 for n in counts.values())
 
 
-def test_drawing_size_vectors_honours_the_cap():
+def test_drawing_size_vectors_honours_the_cap(monkeypatch):
     # 30 sources into one vertex of size at most 1: few draws fit the bound
     sources = [f"s{i:02d}" for i in range(30)]
     g = graph(sources + ["t"], [(f"e{s}", s, "t") for s in sources])
+    monkeypatch.setenv("FLOWCAT_MAX_NODES", "3000")
     with pytest.raises(SearchCapExceeded) as excinfo:
-        draw_dimension_vector(g, 1, random.Random(1), NodeBudget(3000))
+        draw_dimension_vector(g, 1, random.Random(1), NodeBudget())
     assert excinfo.value.phase == "size draws"
 
 
@@ -419,25 +424,27 @@ def test_enumeration_is_deterministic():
     assert a == b
 
 
-def test_enumeration_respects_cap():
+def test_enumeration_respects_cap(monkeypatch):
+    monkeypatch.setenv("FLOWCAT_MAX_NODES", "10")
     with pytest.raises(SearchCapExceeded):
-        enumerate_diagrams(FinSetSkeleton(4), zoo.acyclic2(), max_nodes=10)
+        enumerate_diagrams(FinSetSkeleton(4), zoo.acyclic2())
 
 
-def test_size_vector_phase_honours_the_cap():
+def test_size_vector_phase_honours_the_cap(monkeypatch):
     # 5**8 candidate size vectors (every vertex is a source, so every vertex
     # branches); the cap must stop the search at once.
+    monkeypatch.setenv("FLOWCAT_MAX_NODES", "5")
     start = time.perf_counter()
     with pytest.raises(SearchCapExceeded) as excinfo:
-        enumerate_diagrams(MatCategory(2, 4), zoo.edgeless(8), max_nodes=5)
+        enumerate_diagrams(MatCategory(2, 4), zoo.edgeless(8))
     assert time.perf_counter() - start < 1.0
     assert excinfo.value.phase == "size vectors"
     assert excinfo.value.vertex in zoo.edgeless(8).vertices
     assert "in the size vectors phase at vertex" in str(excinfo.value)
 
 
-def _capped(search):
-    with pytest.raises(SearchCapExceeded) as excinfo:
+def _capped(search, cap):
+    with node_cap(cap), pytest.raises(SearchCapExceeded) as excinfo:
         search()
     return excinfo.value.phase, excinfo.value.vertex
 
@@ -447,14 +454,54 @@ def test_cap_names_the_phase_and_the_vertex():
     ident = canonical_diagram(FINSET, zoo.loop1(), {"u": 2})
     big = canonical_diagram(MAT23, zoo.loop1(), {"u": 3})
     # hom(3, 3) holds 512 matrices over F_2, hom(2, 2) 4 maps, S_2 2 permutations
-    assert _capped(lambda: enumerate_diagram_morphisms(MAT23, big, big, 10)) == ("pool", "u")
-    assert _capped(lambda: enumerate_diagram_morphisms(FINSET, swap, swap, 5)) == ("hom search", "u")
-    assert _capped(lambda: diagram_isomorphic(FINSET, ident, swap, 3)) == ("iso search", "u")
-    assert _capped(lambda: enumerate_diagrams(chain(3), zoo.edgeless(3), max_nodes=4)) == ("thin", "v3")
+    assert _capped(lambda: enumerate_diagram_morphisms(MAT23, big, big), 10) == ("pool", "u")
+    assert _capped(lambda: enumerate_diagram_morphisms(FINSET, swap, swap), 5) == ("hom search", "u")
+    assert _capped(lambda: diagram_isomorphic(FINSET, ident, swap), 3) == ("iso search", "u")
+    assert _capped(lambda: enumerate_diagrams(chain(3), zoo.edgeless(3)), 4) == ("thin", "v3")
     # size vectors of the loop: 4 nodes; then S_0, S_1, S_2 pools and choices
-    assert _capped(lambda: enumerate_diagrams(FinSetSkeleton(3), zoo.loop1(), max_nodes=11)) == (
+    assert _capped(lambda: enumerate_diagrams(FinSetSkeleton(3), zoo.loop1()), 11) == (
         "cotuples", "u",
     )
+
+
+def _sampling_note(cat):
+    """The note of a run of the harness whose sampling ran out of nodes."""
+    report = verify_equivalence(cat, dict(standard_verification_suite())["chain3/remove-sink"])
+    assert report.verdict == "inconclusive"
+    return report.checks[0].details[0]
+
+
+LOOP_SWAP = make_diagram(FINSET, zoo.loop1(), {"u": 2}, {"l": Morphism(2, 2, (1, 0))})
+LOOP_IDENT = canonical_diagram(FINSET, zoo.loop1(), {"u": 2})
+
+
+@pytest.mark.parametrize("cap, search, expected", [
+    (4, lambda: enumerate_diagrams(chain(3), zoo.edgeless(3)),
+     "search cap exceeded in the thin phase at vertex 'v3': visited 5 nodes, cap 4"),
+    (5, lambda: enumerate_diagrams(MatCategory(2, 4), zoo.edgeless(8)),
+     "search cap exceeded in the size vectors phase at vertex 'v6': visited 6 nodes, cap 5"),
+    (10, lambda: enumerate_diagrams(MAT23, zoo.loop1()),
+     "search cap exceeded in the pool phase at vertex 'u': visited 11 nodes, cap 10"),
+    (5, lambda: solve_dimension_vectors(zoo.acyclic2(), 4),
+     "search cap exceeded in the size vectors phase at vertex 'b': visited 6 nodes, cap 5"),
+    (5, lambda: enumerate_diagram_morphisms(FINSET, LOOP_SWAP, LOOP_SWAP),
+     "search cap exceeded in the hom search phase at vertex 'u': visited 6 nodes, cap 5"),
+    (3, lambda: diagram_isomorphic(FINSET, LOOP_IDENT, LOOP_SWAP),
+     "search cap exceeded in the iso search phase at vertex 'u': visited 4 nodes, cap 3"),
+    (2, lambda: _sampling_note(FINSET),
+     "sampling exceeded the node budget (2) in the size vectors phase"),
+], ids=[
+    "enumerate-thin", "enumerate-size-vectors", "enumerate-pool", "solve-dimension-vectors",
+    "hom-search", "iso-search", "verify-sampling",
+])
+def test_searches_obey_the_node_cap_from_the_environment(monkeypatch, cap, search, expected):
+    # FLOWCAT_MAX_NODES is the only cap of every search, read when one starts
+    monkeypatch.setenv("FLOWCAT_MAX_NODES", str(cap))
+    try:
+        outcome = search()
+    except SearchCapExceeded as exc:
+        outcome = str(exc)
+    assert outcome == expected
 
 
 @pytest.mark.parametrize("bound", [-1, True, 1.5, "2", 4])
@@ -873,7 +920,8 @@ def _additive_inputs(cat, seed):
     rng = random.Random(seed)
     for i, g in enumerate(_check_shapes(seed, bundle_prob=0.0)):
         if i < len(ZOO_SHAPES):
-            diagrams = enumerate_diagrams(cat, g, max_nodes=20_000)[:40]
+            with node_cap(20_000):
+                diagrams = enumerate_diagrams(cat, g)[:40]
         else:
             vectors = solve_dimension_vectors(g, max(cat.objects()))[:6]
             diagrams = [random_diagram(cat, g, dims, rng) for dims in vectors]
@@ -891,7 +939,7 @@ def _corrupted_images(cat):
     """The forward images of each standard-suite pair's corrupted control."""
     for _, pair in standard_verification_suite():
         control = CorruptedPair(pair)
-        for d in _sample_pool(cat, pair.source, random.Random(5), 3, None):
+        for d in _sample_pool(cat, pair.source, random.Random(5), 3):
             try:
                 yield control.forward(cat, d)
             except DiagramError:
@@ -944,11 +992,12 @@ def _generator_pairs(cat):
 def test_generator_yields_the_listed_morphisms_and_the_iso_witness(cat):
     compared, sizes = 0, set()
     for d1, d2 in _generator_pairs(cat):
-        try:
-            listed = enumerate_diagram_morphisms(cat, d1, d2, 3000)
-        except SearchCapExceeded:
-            continue
-        found = list(diagram_morphisms(cat, d1, d2, 3000))
+        with node_cap(3000):
+            try:
+                listed = enumerate_diagram_morphisms(cat, d1, d2)
+            except SearchCapExceeded:
+                continue
+            found = list(diagram_morphisms(cat, d1, d2))
         assert len(set(found)) == len(found)
         assert set(found) == set(listed)
         assert diagram_isomorphic(cat, d1, d2) == next(diagram_morphisms(cat, d1, d2, iso=True), None)
@@ -958,14 +1007,15 @@ def test_generator_yields_the_listed_morphisms_and_the_iso_witness(cat):
     assert compared >= 30 and sizes >= ({0, 1} if cat.is_thin else {1, 2})
 
 
-def test_generator_reads_only_what_it_is_asked_for():
+def test_generator_reads_only_what_it_is_asked_for(monkeypatch):
     # 512 endomorphisms (one free 3x3 matrix at the source, the rest
     # derived): listing them all passes a cap of 600 nodes, four do not
     g = zoo.chain_graph(3)
     d = canonical_diagram(MAT23, g, {v: 3 for v in g.vertices})
+    monkeypatch.setenv("FLOWCAT_MAX_NODES", "600")
     with pytest.raises(SearchCapExceeded):
-        enumerate_diagram_morphisms(MAT23, d, d, 600)
-    first = list(itertools.islice(diagram_morphisms(MAT23, d, d, 600), 4))
+        enumerate_diagram_morphisms(MAT23, d, d)
+    first = list(itertools.islice(diagram_morphisms(MAT23, d, d), 4))
     assert len(first) == len(set(first)) == 4
 
 
@@ -976,11 +1026,12 @@ ENUMERATION_CATEGORIES = [
 ]
 
 
-def _enumeration(enumerate_fn, cat, g, max_nodes):
+def _enumeration(enumerate_fn, cat, g, cap):
     """The diagrams with their hashes and key orders, or where the search hit
     the cap."""
     try:
-        found = enumerate_fn(cat, g, max_nodes=max_nodes)
+        with node_cap(cap):
+            found = enumerate_fn(cat, g)
     except SearchCapExceeded as exc:
         return exc.phase, exc.vertex, exc.visited
     return [(d, hash(d), list(d.obj.items()), list(d.mor.items())) for d in found]

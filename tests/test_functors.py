@@ -51,6 +51,7 @@ from oracles import (
     out_split_counit,
     per_draw_verify_equivalence,
 )
+from strategies import node_cap
 
 MAT = MatCategory(2, 3)
 FINSET = FinSetSkeleton(4)
@@ -359,7 +360,9 @@ def test_images_are_built_once_and_controls_stay_broken(cat):
         rng = random.Random(3)
         control = CorruptedPair(pair)
         for apply, shape in ((pair.forward, pair.source), (pair.backward, pair.target)):
-            for d in _sample_pool(cat, shape, rng, 3, 20000):
+            with node_cap(20000):
+                pool = _sample_pool(cat, shape, rng, 3)
+            for d in pool:
                 try:
                     image = apply(cat, d)
                 except DiagramError:
@@ -377,7 +380,7 @@ def test_equal_sampled_diagrams_are_one_object():
     # Over finset:4 the vw/in-delay source has only the zero diagram, drawn
     # eight times: one object, so its images are built once.
     pair = dict(standard_verification_suite())["vw/in-delay"]
-    pool = _sample_pool(FinSetSkeleton(4), pair.source, random.Random(20260815), 8, None)
+    pool = _sample_pool(FinSetSkeleton(4), pair.source, random.Random(20260815), 8)
     assert len(pool) == 8
     assert len({id(d) for d in pool}) == 1
 
@@ -392,8 +395,8 @@ def test_sample_pools_match_the_listing_oracle(cat):
         for label, pair in standard_verification_suite():
             rng, oracle_rng = random.Random(seed), random.Random(seed)
             for shape in (pair.source, pair.target):
-                pool = _sample_pool(cat, shape, rng, samples, None)
-                expected = listing_sample_pool(cat, shape, oracle_rng, samples, None)
+                pool = _sample_pool(cat, shape, rng, samples)
+                expected = listing_sample_pool(cat, shape, oracle_rng, samples)
                 assert pool == expected, (label, samples, seed)
                 assert [pool.index(d) for d in pool] == [expected.index(d) for d in expected]
                 assert len({id(d) for d in pool}) == len({id(d) for d in expected})
@@ -414,12 +417,12 @@ def test_sample_pool_builds_each_distinct_draw_once(monkeypatch):
         for _, pair in standard_verification_suite():
             for shape in (pair.source, pair.target):
                 built.clear()
-                pool = _sample_pool(cat, shape, random.Random(20260815), 8, None)
+                pool = _sample_pool(cat, shape, random.Random(20260815), 8)
                 assert len(built) == len(set(built)) == len(set(pool)), (cat.name, shape)
     # every vw/* and loop2/* pool is the zero diagram, built once
     pair = dict(standard_verification_suite())["loop2/out-delay"]
     built.clear()
-    assert len(_sample_pool(MAT, pair.source, random.Random(1), 6, None)) == 6
+    assert len(_sample_pool(MAT, pair.source, random.Random(1), 6)) == 6
     assert len(built) == 1
 
 
@@ -440,8 +443,8 @@ def test_sample_pool_draws_vectors_above_the_cap(monkeypatch):
     for g in (zoo.acyclic2(), zoo.edgeless(3), cycle_and_sum):
         listed = solve_dimension_vectors(g, 3)
         assert len(listed) > 5
-        pool = _sample_pool(cat, g, random.Random(4), 8, None)
-        assert pool == _sample_pool(cat, g, random.Random(4), 8, None) and len(pool) == 8
+        pool = _sample_pool(cat, g, random.Random(4), 8)
+        assert pool == _sample_pool(cat, g, random.Random(4), 8) and len(pool) == 8
         assert all(dict(d.obj) in listed and check_coproduct_condition(cat, d).ok for d in pool)
         # the second draw is the zero vector's; random draws give others
         assert not any(pool[1].obj.values()) and len({d.obj for d in pool}) > 2
@@ -482,7 +485,8 @@ def test_explicit_node_cap_reaches_the_hom_searches(monkeypatch):
     default = verify_equivalence(FINSET, pair, samples=6)
     # the searches branch only where a component is not forced, so the
     # largest one here needs 32 nodes; a cap of 20 must make some skip
-    capped = verify_equivalence(FINSET, pair, samples=6, max_nodes=20)
+    monkeypatch.setenv("FLOWCAT_MAX_NODES", "20")
+    capped = verify_equivalence(FINSET, pair, samples=6)
     assert capped.verdict == "pass"
     assert _skipped_hom_pairs(capped) > _skipped_hom_pairs(default)
 
@@ -493,9 +497,9 @@ def test_each_hom_set_is_listed_once_per_run(monkeypatch):
     listed = []
     enumerate_homs = functors.enumerate_diagram_morphisms
 
-    def counting(cat, d1, d2, max_nodes=None):
+    def counting(cat, d1, d2):
         listed.append((d1, d2))
-        return enumerate_homs(cat, d1, d2, max_nodes)
+        return enumerate_homs(cat, d1, d2)
 
     monkeypatch.setattr(functors, "enumerate_diagram_morphisms", counting)
     total = 0
@@ -529,7 +533,7 @@ def test_each_distinct_diagram_and_morphism_is_worked_once(monkeypatch):
     counting(FunctorPair, "unit", lambda pair, cat, d: d)
     counting(FunctorPair, "counit", lambda pair, cat, e: e)
     counting(FunctorPair, "_map", lambda pair, cat, m, apply, table: (id(table), m))
-    counting(functors, "diagram_isomorphic", lambda cat, d1, d2, max_nodes: (d1, d2))
+    counting(functors, "diagram_isomorphic", lambda cat, d1, d2: (d1, d2))
     counting(functors, "check_coproduct_condition", lambda cat, image: image)
     report = verify_equivalence(FINSET, pair, samples=8)
     assert report.verdict == "pass"
@@ -565,7 +569,7 @@ def test_reports_match_the_checks_redone_at_every_draw():
     # pools hold 5 and 4 distinct diagrams across 6 draws each
     pair = dict(standard_verification_suite())["chain3/remove-sink"]
     rng = random.Random(20260815)
-    pools = [_sample_pool(MAT, shape, rng, 6, None) for shape in (pair.source, pair.target)]
+    pools = [_sample_pool(MAT, shape, rng, 6) for shape in (pair.source, pair.target)]
     assert [len(set(map(id, pool))) for pool in pools] == [5, 4]
     details = [d for c in verify_equivalence(MAT, CorruptedPair(pair), samples=6).checks
                for d in c.details]
@@ -575,9 +579,9 @@ def test_reports_match_the_checks_redone_at_every_draw():
 @pytest.mark.parametrize("cat, phase", [(FINSET, "size vectors"), (chain(3), "thin")],
                          ids=["finset:4", "chain3"])
 def test_sampling_note_names_the_phase_that_ran_out(monkeypatch, cat, phase):
-    monkeypatch.delenv("FLOWCAT_MAX_NODES", raising=False)
+    monkeypatch.setenv("FLOWCAT_MAX_NODES", "2")
     pair = dict(standard_verification_suite())["chain3/remove-sink"]
-    report = verify_equivalence(cat, pair, samples=6, max_nodes=2)
+    report = verify_equivalence(cat, pair, samples=6)
     assert report.verdict == "inconclusive"
     assert report.checks[0].details == (
         f"sampling exceeded the node budget (2) in the {phase} phase",
@@ -612,10 +616,10 @@ def test_suite_covers_all_five_moves():
 
 def _pooled_morphisms(cat, g, seed):
     """Up to 3 morphisms between each ordered pair of 3 pooled diagrams."""
-    pool = _sample_pool(cat, g, random.Random(seed), 3, 20000)
-    for d1 in pool:
-        for d2 in pool:
-            yield from enumerate_diagram_morphisms(cat, d1, d2, 20000)[:3]
+    with node_cap(20000):
+        pool = _sample_pool(cat, g, random.Random(seed), 3)
+        homs = [enumerate_diagram_morphisms(cat, d1, d2)[:3] for d1 in pool for d2 in pool]
+    return [m for found in homs for m in found]
 
 
 def _natural_squares(cat, label, pair, source_morphisms, target_morphisms):
@@ -687,8 +691,9 @@ def test_random_pairs_pass_the_harness_and_are_natural(cat):
         report = verify_equivalence(cat, pair, samples=3, seed=1)
         assert report.verdict == "pass", (label, report.to_dict())
         rng = random.Random(5)
-        source_pool = _sample_pool(cat, pair.source, rng, 3, 20000)[:3]
-        target_pool = _sample_pool(cat, pair.target, rng, 3, 20000)[:3]
+        with node_cap(20000):
+            source_pool = _sample_pool(cat, pair.source, rng, 3)[:3]
+            target_pool = _sample_pool(cat, pair.target, rng, 3)[:3]
         squares += _natural_squares(
             cat,
             label,
@@ -728,7 +733,7 @@ def test_harness_passes_on_random_shapes_past_the_zoo(cat):
         report = verify_equivalence(cat, pair, samples=6, seed=seed)
         assert report.verdict == "pass", (label, report.to_dict())
         control = CorruptedPair(pair)
-        pool = _sample_pool(cat, pair.source, random.Random(seed), 6, None)
+        pool = _sample_pool(cat, pair.source, random.Random(seed), 6)
         if any(control.can_corrupt(cat, d) for d in pool):
             breakable.add(pair.move)
             control_report = verify_equivalence(cat, control, samples=6, seed=seed)
@@ -757,7 +762,7 @@ def test_in_delay_pairs_on_graphs_with_sources_pass_and_controls_fail(name, g, d
 
 
 @pytest.mark.parametrize("cat", [FinSetSkeleton(3), MAT], ids=lambda c: c.name)
-def test_in_delay_pair_passes_on_a_92_vertex_shape_with_sources(cat):
+def test_in_delay_pair_passes_on_a_92_vertex_shape_with_sources(monkeypatch, cat):
     # the fourth n = 200 draw of the scale shapes: four each for n = 60, 120
     # and 200 from one Random(11), with 2.88 edges per vertex expected
     rng = random.Random(11)
@@ -766,9 +771,10 @@ def test_in_delay_pair_passes_on_a_92_vertex_shape_with_sources(cat):
             g = random_shape_graph(rng, max_vertices=n, edge_prob=2.88 / n, bundle_prob=0)
     assert (len(g.vertices), len(g.edges), len(sources(g))) == (92, 118, 31)
     pair = make_pair("in_delay", g, random_move_spec(random.Random(0), g, "in_delay"))
-    report = verify_equivalence(cat, pair, samples=6, max_nodes=2_000_000)
+    monkeypatch.setenv("FLOWCAT_MAX_NODES", "2000000")
+    report = verify_equivalence(cat, pair, samples=6)
     assert report.verdict == "pass", report.to_dict()
-    control = verify_equivalence(cat, CorruptedPair(pair), samples=6, max_nodes=2_000_000)
+    control = verify_equivalence(cat, CorruptedPair(pair), samples=6)
     assert control.verdict == "fail"
 
 
@@ -841,7 +847,9 @@ def test_out_split_backward_is_the_written_out_one_up_to_iso(cat):
     compared = 0
     for label, g, spec in OUT_SPLITS:
         pair = make_pair("out_split", g, spec)
-        for e in _sample_pool(cat, pair.target, random.Random(4), 6, 20000):
+        with node_cap(20000):
+            pool = _sample_pool(cat, pair.target, random.Random(4), 6)
+        for e in pool:
             image = pair.backward(cat, e)
             obj, mor = out_split_backward(cat, g, spec, e)
             reference = make_diagram(cat, g, obj, None if cat.is_thin else mor)

@@ -184,7 +184,7 @@ def test_corrupted_ghost_map_fails_ck_relations():
 def test_corrupted_projection_breaks_unital_sum():
     _, _, ops = build(2, zoo.acyclic2(), {"a": 1, "b": 2, "c": 3})
     bad = ops._replace(
-        projections=ops.projections.set("a", blocks(ops, unit_matrix(6, set())))
+        projections=frozendict({**ops.projections, "a": blocks(ops, unit_matrix(6, set()))})
     )
     assert not check_unital_action(bad).ok
 
@@ -204,7 +204,7 @@ def test_36_dim_module_reports_match_the_oracle_product(monkeypatch):
     assert ops.total_dim == 36
     p = [list(r) for r in dense(ops.projections["a7"], ops)]
     p[0][35] = 1  # outside every block
-    bad = ops._replace(projections=ops.projections.set("a7", blocks(ops, p)))
+    bad = ops._replace(projections=frozendict({**ops.projections, "a7": blocks(ops, p)}))
     assert bad.projections["a7"][("a1", "a9")] == ((0, 0, 1), (0, 0, 0), (0, 0, 0))
     cases = (ops, bad)
     got = [_reports(x) for x in cases]
@@ -304,7 +304,7 @@ def corrupt(ops, rng, outside):
     i, j = row + rng.randrange(rows), col + rng.randrange(cols)
     m = [list(r) for r in dense(op, ops)]
     m[i][j] = 1 if outside else (m[i][j] + 1) % ops.q
-    return ops._replace(**{field: getattr(ops, field).set(name, blocks(ops, m))})
+    return ops._replace(**{field: frozendict({**getattr(ops, field), name: blocks(ops, m)})})
 
 
 @pytest.mark.parametrize("q", [2, 3])

@@ -85,6 +85,6 @@ def test_frozendict_copies_keep_type_equality_and_hash(clone):
 def test_frozendict_repr_and_set():
     a = frozendict({"y": 2, "x": 1})
     assert repr(a) == "frozendict({'x': 1, 'y': 2})"
-    b = a.set("x", 5)
+    b = frozendict({**a, "x": 5})
     assert type(b) is frozendict and b == {"x": 5, "y": 2}
     assert a == {"x": 1, "y": 2}
