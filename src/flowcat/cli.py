@@ -477,6 +477,9 @@ def cmd_lpa_check(args):
             )
         data = tuple(tuple(x % q for x in r) for r in rows)
         mor[e.id] = categories.Morphism(dims[e.src], dims[e.tgt], data)
+    unknown = sorted(maps.keys() - mor.keys())
+    if unknown:
+        raise CliError(f'{where}: "maps" has unknown edge {unknown[0]!r}')
     try:
         d = diagrams.make_diagram(cat, g, dims, mor)
     except diagrams.DiagramError as exc:

@@ -9,7 +9,8 @@ together with explicit unit (D -> backward(forward(D))) and counit
 (forward(backward(E)) -> E) components.  `verify_equivalence` checks, on
 sampled diagrams, that both functors preserve the coproduct condition, that
 they are functorial, that unit and counit are natural isomorphisms, and that
-the forward functor is bijective on hom-sets.
+the forward functor is bijective on hom-sets.  The four checks share one
+draw loop and differ only in how they fold its outcomes into details.
 
 The paper's claim is that these equivalences need nothing but coproducts.
 Here that claim is executable: each pair is a table of paths, and one
@@ -42,6 +43,7 @@ import itertools
 import math
 import random
 from functools import partial
+from operator import itemgetter
 from typing import NamedTuple
 
 from . import moves
@@ -528,47 +530,45 @@ def _image(cat, apply_map, m, state):
     return table[apply_map, m]
 
 
-def _once(memo, key, state, work):
-    """`work()` at the first draw of `key` in a check, and the outcome kept for
-    every later draw, so a check works once per distinct diagram.  None, and
-    a bounded skip at each draw, when the work left the size bound."""
-    if key not in memo:
-        try:
-            memo[key] = work()
-        except DiagramError:
-            memo[key] = None
-    if memo[key] is None:
-        state["bounded"] += 1
-    return memo[key]
+def _draws(label, items, work, state):
+    """(label, outcome) per draw of `items`, in draw order: `work(item)` runs
+    at the first draw of each distinct item and its outcome stands for every
+    later draw, so a check works once per distinct diagram.  A draw whose
+    work left the size bound yields nothing and counts as a bounded skip.
+    Lazy: the caller's fold runs between draws, and `work` sees what the
+    earlier draws left."""
+    memo = {}
+    for item in items:
+        if item not in memo:
+            try:
+                memo[item] = work(item)
+            except DiagramError:
+                memo[item] = None
+        if memo[item] is None:
+            state["bounded"] += 1
+        else:
+            yield label, memo[item]
 
 
 def _check_condition_preserved(cat, pair, src_pool, tgt_pool, state):
-    details = []
-    used = 0
-    for label, apply, pool in (
-        ("forward", pair.forward, src_pool),
-        ("backward", pair.backward, tgt_pool),
-    ):
-        memo = {}
-        for d in pool:
-            failures = _once(
-                memo, d, state, lambda: check_coproduct_condition(cat, apply(cat, d)).failures
-            )
-            if failures is None:
-                continue
-            used += 1
-            if failures and not details:
-                v, reason = failures[0]
-                details.append(
-                    f"{label} image violates the coproduct condition at "
-                    f"vertex {v!r}: {reason}"
-                )
+    def failures_under(apply):
+        return lambda d: check_coproduct_condition(cat, apply(cat, d)).failures
+
+    found = [
+        *_draws("forward", src_pool, failures_under(pair.forward), state),
+        *_draws("backward", tgt_pool, failures_under(pair.backward), state),
+    ]
+    details = [
+        f"{label} image violates the coproduct condition at vertex {v!r}: {reason}"
+        for label, failures in found
+        for v, reason in failures[:1]
+    ][:1]
     return CheckResult(
-        "preserves-coproduct-condition", not details, inconclusive=used == 0, details=tuple(details)
+        "preserves-coproduct-condition", not details, inconclusive=not found, details=tuple(details)
     )
 
 
-def _functor_faults(cat, d, apply, apply_map, state):
+def _functor_faults(cat, apply, apply_map, state, d):
     """What the functor gets wrong at d: the image of the identity, then those
     of the composites of up to four endomorphisms of d."""
     problems = []
@@ -586,22 +586,18 @@ def _functor_faults(cat, d, apply, apply_map, state):
 
 
 def _check_functorial(cat, pair, src_pool, tgt_pool, state):
-    details = []
-    used = 0
-    for label, apply, apply_map, pool in (
-        ("forward", pair.forward, pair.forward_map, src_pool),
-        ("backward", pair.backward, pair.backward_map, tgt_pool),
-    ):
-        problems, memo = [], {}
-        for d in pool[:4]:
-            found = _once(memo, d, state, lambda: _functor_faults(cat, d, apply, apply_map, state))
-            if found is not None:
-                used += 1
-                problems += found
-        details += [f"{label}: {p}" for p in problems[:3]]
-    return CheckResult(
-        "functoriality", not details, inconclusive=used == 0, details=tuple(details)
-    )
+    forward = partial(_functor_faults, cat, pair.forward, pair.forward_map, state)
+    backward = partial(_functor_faults, cat, pair.backward, pair.backward_map, state)
+    found = [
+        *_draws("forward", src_pool[:4], forward, state),
+        *_draws("backward", tgt_pool[:4], backward, state),
+    ]
+    details = [  # the first three problems per direction
+        f"{label}: {p}"
+        for label, draws in itertools.groupby(found, key=itemgetter(0))
+        for p in itertools.islice((p for _, problems in draws for p in problems), 3)
+    ]
+    return CheckResult("functoriality", not details, inconclusive=not found, details=tuple(details))
 
 
 def _round_trip(cat, label, build, d, crosses, state):
@@ -628,31 +624,18 @@ def _round_trip(cat, label, build, d, crosses, state):
 
 
 def _check_round_trips(cat, pair, src_pool, tgt_pool, state):
-    details = []
-    used = 0
-    for label, build, pool in (
-        ("unit", pair.unit, src_pool),
-        ("counit", pair.counit, tgt_pool),
-    ):
+    found = []  # per usable draw, its detail or None
+    for label, build, pool in (("unit", pair.unit, src_pool), ("counit", pair.counit, tgt_pool)):
         # the budget only falls, so a diagram's first draw settles its cross-check
         crosses = ISO_CROSS_CHECKS
-        memo = {}
-        for d in pool:
-            found = _once(memo, d, state, lambda: _round_trip(cat, label, build, d, crosses, state))
-            if found is None:
-                continue
-            used += 1
-            problem, miss = found
-            if problem:
-                details.append(problem)
-            elif crosses > 0:
-                crosses -= 1
-                details += [miss] if miss else []
+        work = lambda d: _round_trip(cat, label, build, d, crosses, state)
+        for _, (problem, miss) in _draws(label, pool, work, state):
+            spent = not problem and crosses > 0
+            crosses -= spent
+            found.append(problem or (miss if spent else None))
+    details = [detail for detail in found if detail]
     return CheckResult(
-        "round-trip-isomorphism",
-        not details,
-        inconclusive=used == 0,
-        details=tuple(details[:4]),
+        "round-trip-isomorphism", not details, inconclusive=not found, details=tuple(details[:4])
     )
 
 
@@ -676,22 +659,16 @@ def _hom_bijection(cat, pair, d1, d2, state):
 
 
 def _check_hom_bijection(cat, pair, src_pool, state):
-    details = []
-    used = 0
-    skipped = 0
-    memo = {}
-    for d1, d2 in itertools.product(src_pool[:4], repeat=2):
-        found = _once(memo, (d1, d2), state, lambda: _hom_bijection(cat, pair, d1, d2, state))
-        if found == "skipped":
-            skipped += 1
-        elif found is not None:
-            used += 1
-            details += [] if found == "ok" else [found]
+    pairs = itertools.product(src_pool[:4], repeat=2)
+    work = lambda ends: _hom_bijection(cat, pair, *ends, state)
+    found = [outcome for _, outcome in _draws("forward", pairs, work, state)]
+    details = [outcome for outcome in found if outcome not in ("ok", "skipped")]
     ok = not details
+    skipped = found.count("skipped")
     if skipped:
         details.append(f"{skipped} hom-set pairs skipped (search too large)")
     return CheckResult(
-        "hom-set-bijectivity", ok, inconclusive=used == 0, details=tuple(details[:4])
+        "hom-set-bijectivity", ok, inconclusive=skipped == len(found), details=tuple(details[:4])
     )
 
 
@@ -703,9 +680,10 @@ def verify_equivalence(cat, pair, *, samples=8, seed=20260815):
     isomorphisms (with an independent isomorphism search as cross-check),
     (4) the forward functor is bijective on enumerable hom-sets.  Samples
     whose images leave the size bound are counted, never silently dropped;
-    a check with no usable samples reports inconclusive, not pass.  Each
-    check works once per distinct diagram (pair, for bijectivity) and maps
-    each morphism once per run; equal draws still count in the report.
+    a check with no usable samples reports inconclusive, not pass.  The
+    checks share one draw loop, `_draws`: each works once per distinct
+    diagram (pair, for bijectivity) and maps each morphism once per run;
+    equal draws still count in the report.
     """
     rng = random.Random(seed)
     state = {"bounded": 0, "homs": {}, "images": {}}

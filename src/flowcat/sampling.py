@@ -96,44 +96,40 @@ def random_in_delay_spec(rng, g):
     return InDelaySpec(d_edges=de)
 
 
-def random_out_split_spec(rng, g):
-    """Spec with surjective outgoing classes (every level of v is departed
-    from), keeping outputs sink-free when the input is."""
+def _split_spec(rng, g, side):
+    """p(v) and p(e) over the edges `side(v)` on one side of each vertex v,
+    with surjective classes: each level 0..p(v) is drawn once, then the
+    other edges at random.  p(v) = 0, with every such edge at level 0, at a
+    source or a vertex with no edge on that side."""
     pv = {}
     pe = {}
     for v in g.sorted_vertices():
-        outgoing = g.outgoing(v)
-        if not outgoing or classify_vertex(g, v).is_source:
+        edges = side(v)
+        if not edges or classify_vertex(g, v).is_source:
             pv[v] = 0
-            for e in outgoing:
+            for e in edges:
                 pe[e.id] = 0
             continue
-        pv[v] = rng.randint(0, min(MAX_SPLIT, len(outgoing) - 1))
-        chosen = rng.sample(range(len(outgoing)), pv[v] + 1)
+        pv[v] = rng.randint(0, min(MAX_SPLIT, len(edges) - 1))
+        chosen = rng.sample(range(len(edges)), pv[v] + 1)
         for slot, idx in enumerate(chosen):
-            pe[outgoing[idx].id] = slot
-        for e in outgoing:
+            pe[edges[idx].id] = slot
+        for e in edges:
             if e.id not in pe:
                 pe[e.id] = rng.randint(0, pv[v])
+    return pv, pe
+
+
+def random_out_split_spec(rng, g):
+    """Spec with surjective outgoing classes (every level of v is departed
+    from), keeping outputs sink-free when the input is."""
+    pv, pe = _split_spec(rng, g, g.outgoing)
     return OutSplitSpec(p_vertices=pv, p_edges=pe)
 
 
 def random_in_split_spec(rng, g):
-    pv = {}
-    pe = {}
-    for v in g.sorted_vertices():
-        incoming = g.incoming(v)
-        if classify_vertex(g, v).is_source:
-            pv[v] = 0
-            continue
-        pv[v] = rng.randint(0, min(MAX_SPLIT, len(incoming) - 1))
-        # Surjectivity: hit every level once, then fill the rest at random.
-        chosen = rng.sample(range(len(incoming)), pv[v] + 1)
-        for slot, idx in enumerate(chosen):
-            pe[incoming[idx].id] = slot
-        for idx, e in enumerate(incoming):
-            if e.id not in pe:
-                pe[e.id] = rng.randint(0, pv[v])
+    """Spec with surjective incoming classes (every level of v is arrived at)."""
+    pv, pe = _split_spec(rng, g, g.incoming)
     return InSplitSpec(p_vertices=pv, p_edges=pe)
 
 

@@ -222,6 +222,9 @@ def _targeted():
         ("cli-error/report-acyclic-no-graph", ["report", "acyclic"], {}, None),
         ("cli-error/move-key-matches-nothing", ["move", "g.json", "m.json"],
          {**g, "m.json": _json(MOVES["in-split-unknown-key"])}, None),
+        ("cli-error/lpa-map-key-matches-nothing",
+         ["lpa-check", "g.json", "--field", "2", "--diagram", "d.json"],
+         {**g, "d.json": _json({"dims": {"u": 0}, "maps": {"l": [], "typo": [[1]]}})}, None),
         ("cli-error/render-invalid-graph", ["render", "g.json"],
          {"g.json": GRAPHS["dangling-edge"]}, None),
     ]

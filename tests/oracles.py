@@ -33,7 +33,8 @@ The graph and move documents of the command line are read, and the move
 preconditions checked, by the package's code from before those took C-level
 passes: one call per edge entry, one step per map key, and one `incoming`
 call per vertex.  The graph writers are `json.dumps` of `cli.graph_to_doc`
-and the DOT writer that quoted every name at every use.
+and the DOT writer that quoted every name at every use.  The split-spec
+drawers are the package's two loops from before they became one drawer.
 """
 
 from __future__ import annotations
@@ -73,7 +74,9 @@ from flowcat.functors import (
     _sample_pool,
 )
 from flowcat.cli import CliError
-from flowcat.graphs import DirectedGraph, Edge, sources
+from flowcat.graphs import DirectedGraph, Edge, classify_vertex, sources
+from flowcat.moves import InSplitSpec, OutSplitSpec
+from flowcat.sampling import MAX_SPLIT
 from flowcat.util import NodeBudget, SearchCapExceeded, cached_on
 
 
@@ -1407,3 +1410,48 @@ def quoting_render_dot(g):
         lines.append(f'  {q(a)} -> {q(b)} [label="∞", style=bold];')
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+# -- split specs, one drawer per side ------------------------------------------------------
+#
+# The package's out- and in-split spec drawers as they were before both became
+# calls into one drawer.  On a graph whose only inflow at some vertex is an
+# infinite bundle the in-split drawer raises a bare ValueError from randrange.
+
+
+def two_loop_random_out_split_spec(rng, g):
+    pv = {}
+    pe = {}
+    for v in g.sorted_vertices():
+        outgoing = g.outgoing(v)
+        if not outgoing or classify_vertex(g, v).is_source:
+            pv[v] = 0
+            for e in outgoing:
+                pe[e.id] = 0
+            continue
+        pv[v] = rng.randint(0, min(MAX_SPLIT, len(outgoing) - 1))
+        chosen = rng.sample(range(len(outgoing)), pv[v] + 1)
+        for slot, idx in enumerate(chosen):
+            pe[outgoing[idx].id] = slot
+        for e in outgoing:
+            if e.id not in pe:
+                pe[e.id] = rng.randint(0, pv[v])
+    return OutSplitSpec(p_vertices=pv, p_edges=pe)
+
+
+def two_loop_random_in_split_spec(rng, g):
+    pv = {}
+    pe = {}
+    for v in g.sorted_vertices():
+        incoming = g.incoming(v)
+        if classify_vertex(g, v).is_source:
+            pv[v] = 0
+            continue
+        pv[v] = rng.randint(0, min(MAX_SPLIT, len(incoming) - 1))
+        chosen = rng.sample(range(len(incoming)), pv[v] + 1)
+        for slot, idx in enumerate(chosen):
+            pe[incoming[idx].id] = slot
+        for idx, e in enumerate(incoming):
+            if e.id not in pe:
+                pe[e.id] = rng.randint(0, pv[v])
+    return InSplitSpec(p_vertices=pv, p_edges=pe)

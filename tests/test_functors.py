@@ -45,6 +45,7 @@ from functor_samples import (
     random_moves,
     random_pairs,
 )
+import oracles
 from oracles import (
     listing_sample_pool,
     out_split_backward,
@@ -310,25 +311,58 @@ def _details(pair, check):
     return found.details
 
 
-def test_harness_fails_a_unit_that_is_not_natural():
-    def unit(cat, d):  # zero at a1 only, so the square at edge c1 breaks
-        return _zero_at(cat, CHAIN3_SINK.unit(cat, d), ["a1"])
+def _unnatural_unit(cat, d):  # zero at a1 only, so the square at edge c1 breaks
+    return _zero_at(cat, CHAIN3_SINK.unit(cat, d), ["a1"])
 
-    details = _details(_Broken(unit=unit), "round-trip-isomorphism")
+
+def _zero_unit(cat, d):  # the zero transformation is natural but not invertible
+    iso = CHAIN3_SINK.unit(cat, d)
+    return _zero_at(cat, iso, iso.components)
+
+
+def _transposed_forward_map(cat, m):
+    return _transposed(CHAIN3_SINK.forward_map(cat, m))
+
+
+def _transposed_backward_map(cat, m):
+    return _transposed(CHAIN3_SINK.backward_map(cat, m))
+
+
+def _constant_forward_map(cat, m):
+    image = CHAIN3_SINK.forward_map(cat, m)
+    return _zero_at(cat, image, image.components)
+
+
+FAILING_PAIRS = {
+    "unnatural-unit": _Broken(unit=_unnatural_unit),
+    "non-iso-unit": _Broken(unit=_zero_unit),
+    "transposed-forward-map": _Broken(forward_map=_transposed_forward_map),
+    "constant-forward-map": _Broken(forward_map=_constant_forward_map),
+    "transposed-maps": _Broken(
+        forward_map=_transposed_forward_map, backward_map=_transposed_backward_map
+    ),
+}
+
+
+def _no_isomorphism(monkeypatch):
+    """Make the independent isomorphism search, the harness's and the
+    per-draw oracle's, find nothing."""
+    for module in (functors, oracles):
+        monkeypatch.setattr(module, "diagram_isomorphic", lambda *args: None)
+
+
+def test_harness_fails_a_unit_that_is_not_natural():
+    details = _details(FAILING_PAIRS["unnatural-unit"], "round-trip-isomorphism")
     assert "unit is not natural: naturality fails at edge 'c1'" in details
 
 
 def test_harness_fails_a_unit_component_that_is_not_an_isomorphism():
-    def unit(cat, d):  # the zero transformation is natural but not invertible
-        iso = CHAIN3_SINK.unit(cat, d)
-        return _zero_at(cat, iso, iso.components)
-
-    details = _details(_Broken(unit=unit), "round-trip-isomorphism")
+    details = _details(FAILING_PAIRS["non-iso-unit"], "round-trip-isomorphism")
     assert "unit component at vertex 'a1' is not an isomorphism" in details
 
 
 def test_harness_fails_a_round_trip_the_independent_search_cannot_match(monkeypatch):
-    monkeypatch.setattr(functors, "diagram_isomorphic", lambda *args: None)
+    _no_isomorphism(monkeypatch)
     details = _details(CHAIN3_SINK, "round-trip-isomorphism")
     assert details[0] == (
         "unit round trip is not isomorphic to the original "
@@ -337,19 +371,12 @@ def test_harness_fails_a_round_trip_the_independent_search_cannot_match(monkeypa
 
 
 def test_harness_fails_a_forward_map_that_reverses_composites():
-    def forward_map(cat, m):
-        return _transposed(CHAIN3_SINK.forward_map(cat, m))
-
-    details = _details(_Broken(forward_map=forward_map), "functoriality")
+    details = _details(FAILING_PAIRS["transposed-forward-map"], "functoriality")
     assert details[0] == "forward: image of a composite differs from the composite of images"
 
 
 def test_harness_fails_a_forward_map_that_is_constant_on_hom_sets():
-    def forward_map(cat, m):
-        image = CHAIN3_SINK.forward_map(cat, m)
-        return _zero_at(cat, image, image.components)
-
-    details = _details(_Broken(forward_map=forward_map), "hom-set-bijectivity")
+    details = _details(FAILING_PAIRS["constant-forward-map"], "hom-set-bijectivity")
     assert details[0] == "forward is not injective on a hom-set"
 
 
@@ -549,6 +576,18 @@ SWEEP_CATEGORIES = (
 )
 
 
+def _match_per_draw(cat, run, why):
+    """The reports of `run` at 6 and 8 samples, each asserted equal to the
+    one of the checks that redo each draw in full."""
+    reports = []
+    for samples in (6, 8):
+        expected = per_draw_verify_equivalence(cat, run, samples=samples)
+        found = verify_equivalence(cat, run, samples=samples)
+        assert json.dumps(found.to_dict()) == json.dumps(expected.to_dict()), (*why, samples)
+        reports.append(found)
+    return reports
+
+
 def test_reports_match_the_checks_redone_at_every_draw():
     # every suite pair and its corrupted control in seven categories, at 6
     # and 8 samples, against the checks that redo each draw in full
@@ -557,13 +596,7 @@ def test_reports_match_the_checks_redone_at_every_draw():
         cat = parse_category_spec(spec)
         for label, pair in standard_verification_suite():
             for run in (pair, CorruptedPair(pair)):
-                for samples in (6, 8):
-                    expected = per_draw_verify_equivalence(cat, run, samples=samples)
-                    found = verify_equivalence(cat, run, samples=samples)
-                    assert json.dumps(found.to_dict()) == json.dumps(expected.to_dict()), (
-                        spec, label, run.move, samples,
-                    )
-                    compared += 1
+                compared += len(_match_per_draw(cat, run, (spec, label, run.move)))
     assert compared == 420
     # among them, failure details replayed for repeated draws: this control's
     # pools hold 5 and 4 distinct diagrams across 6 draws each
@@ -574,6 +607,32 @@ def test_reports_match_the_checks_redone_at_every_draw():
     details = [d for c in verify_equivalence(MAT, CorruptedPair(pair), samples=6).checks
                for d in c.details]
     assert len(details) > len(set(details)) > 1
+
+
+def test_failure_reports_match_the_checks_redone_at_every_draw(monkeypatch):
+    # the failing pairs of chain3/remove-sink, so every check's fold of
+    # failures meets the oracle: the round trips' repeated problems and
+    # cross-check budget, and the per-direction cut of functoriality
+    reports = {
+        label: _match_per_draw(MAT22, pair, (label,)) for label, pair in FAILING_PAIRS.items()
+    }
+    with monkeypatch.context() as patched:
+        _no_isomorphism(patched)
+        reports["no-isomorphism"] = _match_per_draw(MAT22, CHAIN3_SINK, ("no-isomorphism",))
+    failed = {
+        label: {c.name for report in runs for c in report.checks if not c.ok}
+        for label, runs in reports.items()
+    }
+    assert failed == {
+        "unnatural-unit": {"round-trip-isomorphism"},
+        "non-iso-unit": {"round-trip-isomorphism"},
+        "transposed-forward-map": {"functoriality", "hom-set-bijectivity"},
+        "constant-forward-map": {"functoriality", "hom-set-bijectivity"},
+        "transposed-maps": {"functoriality", "hom-set-bijectivity"},
+        "no-isomorphism": {"round-trip-isomorphism"},
+    }
+    functoriality = reports["transposed-maps"][1].checks[1]
+    assert [d.split(":")[0] for d in functoriality.details] == ["forward"] * 3 + ["backward"] * 3
 
 
 @pytest.mark.parametrize("cat, phase", [(FINSET, "size vectors"), (chain(3), "thin")],

@@ -30,8 +30,10 @@ from flowcat.moves import (
 )
 from flowcat.sampling import (
     random_acyclic_graph,
+    random_in_split_spec,
     random_irreducible_graph,
     random_move_spec,
+    random_out_split_spec,
     random_shape_graph,
 )
 from flowcat import moves as mv
@@ -44,6 +46,8 @@ from oracles import (
     naive_out_delay,
     naive_out_split,
     naive_plus_construction,
+    two_loop_random_in_split_spec,
+    two_loop_random_out_split_spec,
     walk_check_levels,
     walk_check_totality,
     walk_validate_in_split,
@@ -273,6 +277,48 @@ def test_validating_a_split_leaves_the_graph_index_unbuilt(validate_split, spec_
     zero = spec_type(p_vertices=dict.fromkeys(g.vertices, 0), p_edges={"e1": 0, "e2": 0})
     assert validate_split(g, zero) == []
     assert "_index" not in vars(g)
+
+
+SPLIT_DRAWERS = [
+    (random_out_split_spec, two_loop_random_out_split_spec),
+    (random_in_split_spec, two_loop_random_in_split_spec),
+]
+
+
+@pytest.mark.parametrize(
+    "draw_graph",
+    [random_irreducible_graph, random_acyclic_graph,
+     lambda rng: random_shape_graph(rng, bundle_prob=0)],
+    ids=["irreducible", "acyclic", "shape"],
+)
+def test_split_spec_drawers_match_the_two_loops(draw_graph):
+    # 2000 bundle-free graphs per family: the same specs, in the same key
+    # order, and the same rng state after each draw
+    rng = random.Random(35)
+    for _ in range(2000):
+        g = draw_graph(rng)
+        for drawer, oracle in SPLIT_DRAWERS:
+            before = rng.getstate()
+            spec = drawer(rng, g)
+            after = rng.getstate()
+            rng.setstate(before)
+            expected = oracle(rng, g)
+            assert [list(f.items()) for f in spec] == [list(f.items()) for f in expected]
+            assert rng.getstate() == after
+
+
+def test_split_spec_drawers_leave_a_bundle_receiver_to_the_move():
+    # b's only inflow is an infinite bundle: the in-split drawer gave it
+    # randrange's bare ValueError; both drawers now give p(b) = 0 and the
+    # moves refuse the graph
+    g = graph(["a", "b"], [("e", "a", "a")], [("a", "b")])
+    with pytest.raises(ValueError, match="empty range"):
+        two_loop_random_in_split_spec(random.Random(0), g)
+    for drawer, move in ((random_out_split_spec, out_split), (random_in_split_spec, in_split)):
+        spec = drawer(random.Random(0), g)
+        assert spec.p_vertices["b"] == 0
+        with pytest.raises(MoveError, match="infinite"):
+            move(g, spec)
 
 
 # -- truncated heads and tails ----------------------------------------------------
