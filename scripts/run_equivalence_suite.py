@@ -17,9 +17,8 @@ import argparse
 import json
 import random
 import sys
-import time
 
-from flowcat.cli import USAGE, load_category
+from flowcat.cli import USAGE, CliError, load_category
 from flowcat.diagrams import (
     canonical_diagram,
     enumerate_diagrams,
@@ -70,9 +69,14 @@ def main(argv=None):
     parser.add_argument("--json", metavar="PATH", help="dump all reports as a JSON list")
     args = parser.parse_args(argv)
 
+    # rejected before any pair runs: thin pools are exhaustive at any count,
+    # and a report file that cannot be written would lose the whole run
     try:
+        if args.samples < 1:
+            raise CliError(f"--samples must be at least 1, got {args.samples}")
         cats = [load_category(spec) for spec in args.categories or DEFAULT_CATEGORIES]
-    except FlowcatError as exc:
+        out = open(args.json, "w", encoding="utf-8") if args.json else None
+    except (FlowcatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
     suite = standard_verification_suite()
@@ -80,15 +84,9 @@ def main(argv=None):
     failures = 0
     for cat in cats:
         for label, pair in suite:
-            start = time.perf_counter()
             report = verify_equivalence(cat, pair, samples=args.samples, seed=args.seed)
-            elapsed = time.perf_counter() - start
-            ok = report.verdict == "pass"
-            failures += not ok
-            print(
-                f"{report.verdict:<6} {cat.name:<12} {pair.move:<12} {label} "
-                f"({elapsed:.2f}s)"
-            )
+            failures += report.verdict != "pass"
+            print(f"{report.verdict:<6} {cat.name:<12} {pair.move:<12} {label}")
             reports.append(report.to_dict())
             if args.include_corrupted:
                 bad = CorruptedPair(pair)
@@ -110,9 +108,9 @@ def main(argv=None):
                     failures += 1
                 print(f"       corrupted control: {note}")
                 reports.append(control.to_dict())
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(reports, fh, indent=2, sort_keys=True)
+    if out:
+        with out:
+            json.dump(reports, out, indent=2, sort_keys=True)
         print(f"wrote {len(reports)} reports to {args.json}")
     print(f"{len(reports)} runs, {failures} misbehaving")
     return 1 if failures else 0

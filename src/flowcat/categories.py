@@ -249,7 +249,7 @@ class FinSetSkeleton(FiniteCategory):
         return tuple(range(self.max_size + 1))
 
     def hom(self, a, b):
-        return [Morphism(a, b, t) for t in itertools.product(range(b), repeat=a)]
+        return (Morphism(a, b, t) for t in itertools.product(range(b), repeat=a))
 
     def identity(self, a):
         return Morphism(a, a, tuple(range(a)))
@@ -287,7 +287,7 @@ class FinSetSkeleton(FiniteCategory):
     def isomorphisms(self, a, b):
         if a != b:
             return []
-        return [Morphism(a, a, p) for p in itertools.permutations(range(a))]
+        return (Morphism(a, a, p) for p in itertools.permutations(range(a)))
 
     def random_isomorphism(self, a, rng):
         perm = list(range(a))

@@ -1,13 +1,18 @@
 """Hypothesis strategies, seeded generators and checks shared by the tests,
-and the node cap they set for a search."""
+the node cap they set for a search, and the fresh-interpreter runner."""
 
 from __future__ import annotations
 
+import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import hypothesis.strategies as st
 
+from flowcat import cli
 from flowcat.graphs import DirectedGraph, Edge
 from flowcat.intmat import IntMatrix
 from flowcat.util import MAX_NODES_ENV
@@ -17,6 +22,36 @@ def node_cap(cap):
     """A context in which every search started caps its nodes at `cap`:
     FLOWCAT_MAX_NODES, the one cap of the package, set for the block."""
     return mock.patch.dict(os.environ, {MAX_NODES_ENV: str(cap)})
+
+
+def write_json(path, doc):
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def write_graph(path, g):
+    return write_json(path, cli.graph_to_doc(g))
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def two_seed_run(argv, **env):
+    """(exit code, stdout, stderr) of `python *argv` with `src` on the path,
+    run once under PYTHONHASHSEED 0 and once under 1 and asserted equal: the
+    two seeds order string sets differently, so output that follows a set's
+    iteration order differs between them.  `env` adds variables to both."""
+    runs = [
+        subprocess.run(
+            [sys.executable, *argv], capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=SRC, PYTHONHASHSEED=seed, **env),
+        )
+        for seed in ("0", "1")
+    ]
+    first, second = [(r.returncode, r.stdout, r.stderr) for r in runs]
+    differ = [part for part, a, b in zip(("code", "stdout", "stderr"), first, second) if a != b]
+    assert not differ, (argv, differ)
+    return first
 
 
 @st.composite

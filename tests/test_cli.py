@@ -9,8 +9,6 @@ import os
 import random
 import runpy
 import shlex
-import subprocess
-import sys
 import tempfile
 import time
 from pathlib import Path
@@ -30,7 +28,7 @@ from flowcat.functors import FunctorPairError, standard_verification_suite
 from flowcat.graphs import GraphError, graph
 from flowcat.leavitt import LeavittError
 from flowcat.moves import SPEC_MOVES, InDelaySpec, MoveError, in_delay
-from flowcat.sampling import random_move_spec
+from flowcat.sampling import random_move_spec, random_shape_graph
 from flowcat.util import FlowcatError
 
 from cli_error_samples import BUNDLE_SINK, COMMANDS, run_case
@@ -43,16 +41,12 @@ from oracles import (
     walk_split_graph_map,
     walk_validate_in_split,
 )
-from strategies import assert_ends_are_vertex_objects, dense_graph, sparse_graph
+from strategies import (
+    assert_ends_are_vertex_objects, dense_graph, sparse_graph, two_seed_run, write_graph,
+    write_json,
+)
 
-
-def write_json(path, doc):
-    path.write_text(json.dumps(doc), encoding="utf-8")
-    return str(path)
-
-
-def write_graph(path, g):
-    return write_json(path, cli.graph_to_doc(g))
+CLI = ["-m", "flowcat.cli"]
 
 
 def run(capsys, argv):
@@ -76,41 +70,35 @@ def test_validate_ok(tmp_path, capsys):
     assert out.strip() == "ok"
 
 
-def test_validate_reports_problems(tmp_path, capsys):
-    path = write_json(
-        tmp_path / "g.json",
-        {"vertices": ["a"], "edges": [{"id": "e", "src": "a", "tgt": "ghost"}]},
+def test_validate_reports_problems(tmp_path):
+    # an unknown endpoint and a repeated edge id: one line each on stdout, in
+    # file order
+    path = write_json(tmp_path / "g.json", {"vertices": ["a"], "edges": [
+        {"id": "e", "src": "a", "tgt": "ghost"}, {"id": "e", "src": "a", "tgt": "a"},
+    ]})
+    assert two_seed_run([*CLI, "validate", path]) == (
+        1, "edge 'e' has unknown target 'ghost'\nduplicate edge id 'e'\n", ""
     )
-    code, out, _ = run(capsys, ["validate", path])
-    assert code == 1
-    assert "ghost" in out
 
 
 def test_validate_lists_bundle_problems_in_one_order_under_any_hash_seed(tmp_path):
-    # the bundles are a frozenset: their problems are listed in repr order
-    path = write_json(
-        tmp_path / "g.json",
-        {
-            "vertices": ["a"],
-            "edges": [],
-            "infinite_bundles": [
-                {"src": "a", "tgt": "x"}, {"src": "y", "tgt": "a"}, {"src": "a", "tgt": "z"},
-            ],
-        },
-    )
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    for seed in map(str, range(6)):
-        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
-        proc = subprocess.run(
-            [sys.executable, "-m", "flowcat.cli", "validate", path],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
-        assert (proc.returncode, proc.stderr) == (1, ""), seed
-        assert proc.stdout == (
-            "bundle ('a', 'x') has unknown target 'x'\n"
-            "bundle ('a', 'z') has unknown target 'z'\n"
-            "bundle ('y', 'a') has unknown source 'y'\n"
-        ), seed
+    # the bundles are a frozenset: their problems are listed in repr order;
+    # each set iterates in a different order under the two seeds
+    for bundles, listing in (
+        ([("a", "x"), ("y", "a"), ("a", "z")], [
+            "bundle ('a', 'x') has unknown target 'x'",
+            "bundle ('a', 'z') has unknown target 'z'",
+            "bundle ('y', 'a') has unknown source 'y'",
+        ]),
+        ([("a", "u"), ("w", "a")], [
+            "bundle ('a', 'u') has unknown target 'u'",
+            "bundle ('w', 'a') has unknown source 'w'",
+        ]),
+    ):
+        doc = {"vertices": ["a"], "edges": [],
+               "infinite_bundles": [{"src": a, "tgt": b} for a, b in bundles]}
+        path = write_json(tmp_path / "g.json", doc)
+        assert two_seed_run([*CLI, "validate", path]) == (1, "".join(f"{x}\n" for x in listing), "")
 
 
 def test_loaded_edge_ends_are_the_vertex_objects(tmp_path):
@@ -188,12 +176,7 @@ def test_a_lone_surrogate_gives_no_traceback_in_a_subprocess(tmp_path):
     # stdout is UTF-8 text: writing the name was a UnicodeEncodeError
     gp = write_json(tmp_path / "g.json", SURROGATE_GRAPHS["vertex"][0])
     spec = write_json(tmp_path / "m.json", {"move": "add_tails", "depth": 1})
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    proc = subprocess.run(
-        [sys.executable, "-m", "flowcat.cli", "move", gp, spec],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
-    )
-    assert_usage_error(proc.returncode, proc.stdout, proc.stderr)
+    assert_usage_error(*two_seed_run([*CLI, "move", gp, spec]))
 
 
 @pytest.mark.parametrize(
@@ -352,14 +335,8 @@ def test_rejection_golden_covers_every_subcommand_and_error_class():
 
 def test_malformed_input_gives_no_traceback_in_a_subprocess(tmp_path):
     path = write_json(tmp_path / "g.json", MALFORMED_GRAPHS["mixed-edge-ids"])
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     for command, cap in (("render", "1000"), ("validate", "abc")):
-        env = dict(os.environ, PYTHONPATH=src, FLOWCAT_MAX_NODES=cap)
-        proc = subprocess.run(
-            [sys.executable, "-m", "flowcat.cli", command, path],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
-        assert_usage_error(proc.returncode, proc.stdout, proc.stderr)
+        assert_usage_error(*two_seed_run([*CLI, command, path], FLOWCAT_MAX_NODES=cap))
 
 
 # -- invariants and franks ---------------------------------------------------------
@@ -385,6 +362,40 @@ def test_invariants_on_64_dense_vertices(tmp_path, capsys):
     assert code == 0
     assert doc["bf"]["free_rank"] == 0
     assert math.prod(doc["bf"]["torsion"]) == abs(doc["ps"]) > 0
+
+
+def test_invariants_read_the_nontriviality_of_a_3_cycle(tmp_path):
+    # a 3-cycle's adjacency matrix is a permutation matrix, so the cycle is
+    # trivial; one parallel edge makes it nontrivial and keeps it irreducible
+    cycle = [("x", "a", "b"), ("y", "b", "c"), ("z", "c", "a")]
+    for edges, want in ((cycle, (False, True, 1)), (cycle + [("w", "a", "b")], (True, True))):
+        gp = write_graph(tmp_path / "g.json", graph("abc", edges))
+        code, out, _ = two_seed_run([*CLI, "invariants", gp])
+        doc = json.loads(out)
+        got = (doc["nontrivial"], doc["irreducible"], doc["cohereditary_irreducible_count"])
+        assert (code, got[:len(want)]) == (0, want), edges
+
+
+def five_rings():
+    """Five rings of 100 vertices with chords, fed from rings 0 and 1."""
+    rng = random.Random(500)
+    vs = [f"v{i:03d}" for i in range(500)]
+    rings = [vs[i:i + 100] for i in range(0, 500, 100)]
+    pairs = [(r[i - 1], r[i]) for r in rings for i in range(100)]
+    pairs += [(rng.choice(r), rng.choice(r)) for r in rings for _ in range(40)]
+    links = ((0, 2), (1, 2), (2, 3), (1, 4), (3, 4))
+    pairs += [(rng.choice(rings[i]), rng.choice(rings[j])) for i, j in links]
+    return graph(vs, [(f"e{k}", a, b) for k, (a, b) in enumerate(pairs)])
+
+
+def test_invariants_read_one_structure_of_five_rings_under_any_hash_seed(tmp_path):
+    # the neighbour tables are built from sets, so the depth-first order of
+    # the strongly connected components follows the hash seed; the output
+    # must not
+    gp = write_graph(tmp_path / "g.json", five_rings())
+    code, out, _ = two_seed_run([*CLI, "invariants", gp])
+    doc = json.loads(out)
+    assert (code, doc["irreducible"], doc["cohereditary_irreducible_count"]) == (0, False, 2)
 
 
 def test_invariants_rejects_bundles(tmp_path, capsys):
@@ -508,13 +519,30 @@ def test_move_add_heads_silent_when_exact(tmp_path, capsys):
     assert doc["vertices"] == ["u"]
 
 
-def test_move_add_heads_rejects_a_name_collision(tmp_path, capsys):
+def test_move_add_heads_rejects_a_name_collision(tmp_path):
+    # the chain vertex at source u is "(u,1)", which the graph already has:
+    # the move must refuse, not merge the two vertices
     g = graph(["u", "(u,1)", "w"], [("x", "u", "w"), ("y", "(u,1)", "w")])
     gp = write_graph(tmp_path / "g.json", g)
     spec = write_json(tmp_path / "m.json", {"move": "add_heads", "depth": 1})
-    code, out, err = run(capsys, ["move", gp, spec])
+    code, out, err = two_seed_run([*CLI, "move", gp, spec])
     assert_usage_error(code, out, err)
     assert "duplicate vertex '(u,1)'" in err
+
+
+def test_move_writes_a_2000_vertex_out_split_in_json_dumps_bytes(tmp_path):
+    # the moved graph is written straight from the graph with the C string
+    # encoder; its bytes are json.dumps's, on stdout and with -o
+    rng = random.Random(2000)
+    g = sparse_graph(rng, 2000, 6000)
+    spec = random_move_spec(rng, g, "out_split")
+    gp = write_graph(tmp_path / "g.json", g)
+    mp = write_json(tmp_path / "m.json", cli.move_doc("out_split", spec))
+    want = dumped(moves.out_split(g, spec))
+    assert two_seed_run([*CLI, "move", gp, mp]) == (0, want, "")
+    moved = tmp_path / "moved.json"
+    assert two_seed_run([*CLI, "move", gp, mp, "-o", str(moved)]) == (0, "", "")
+    assert moved.read_text(encoding="utf-8") == want
 
 
 # -- diagrams ------------------------------------------------------------------------
@@ -527,16 +555,23 @@ def test_diagrams_counts(tmp_path, capsys):
     assert doc == {"count": 2}
 
 
-def test_diagrams_listing_is_canonical(tmp_path, capsys):
-    gp = write_graph(tmp_path / "g.json", zoo.acyclic2())
-    argv = ["diagrams", gp, "--category", "finset:2", "--list"]
-    code, out1, _ = run(capsys, argv)
-    assert code == 0
-    doc = json.loads(out1)
-    assert doc["count"] == 9
-    assert len(doc["diagrams"]) == 9
-    _, out2, _ = run(capsys, argv)
-    assert out1 == out2
+def test_diagrams_listing_is_canonical(tmp_path):
+    # each enumerated diagram's maps are tabulated once per size vector
+    for g, category, count in (
+        (zoo.acyclic2(), "finset:2", 9), (zoo.cycle_with_sink(), "mat:2:2", 218),
+    ):
+        gp = write_graph(tmp_path / "g.json", g)
+        code, out, _ = two_seed_run([*CLI, "diagrams", gp, "--category", category, "--list"])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["count"] == len(doc["diagrams"]) == count
+
+
+def test_diagrams_counts_a_5_chain_in_time(tmp_path):
+    # sum over s <= 4 of (s!)**4 diagrams: one per size and cotuple choice
+    gp = write_graph(tmp_path / "g.json", zoo.chain_graph(5))
+    code, out, _ = two_seed_run([*CLI, "diagrams", gp, "--category", "finset:4"])
+    assert (code, json.loads(out)) == (0, {"count": 333090})
 
 
 def test_diagrams_poset_file(tmp_path, capsys):
@@ -549,15 +584,16 @@ def test_diagrams_poset_file(tmp_path, capsys):
     assert doc == {"count": 2}
 
 
-def test_diagrams_exit_3_on_cap(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("FLOWCAT_MAX_NODES", "2")
+def test_diagrams_exit_3_on_cap(tmp_path):
+    # the size-vector search spends the node past the cap at b; the one error
+    # line names the phase, the vertex and the cap
     gp = write_graph(tmp_path / "g.json", zoo.acyclic2())
-    code, _, err = run(capsys, ["diagrams", gp, "--category", "finset:3"])
-    assert code == 3
-    assert err == (
-        "error: search cap exceeded in the size vectors phase at vertex 'b': "
-        "visited 3 nodes, cap 2\n"
-    )
+    for cap, category in ((2, "finset:3"), (5, "finset:4")):
+        argv = [*CLI, "diagrams", gp, "--category", category]
+        assert two_seed_run(argv, FLOWCAT_MAX_NODES=str(cap)) == (3, "", (
+            "error: search cap exceeded in the size vectors phase at vertex 'b': "
+            f"visited {cap + 1} nodes, cap {cap}\n"
+        ))
 
 
 def test_bad_category_spec(tmp_path, capsys):
@@ -631,30 +667,16 @@ def test_a_lone_surrogate_in_a_poset_file_is_usage_error(tmp_path, capsys, case)
 def test_a_lone_surrogate_in_a_poset_element_gives_no_traceback_in_a_subprocess(tmp_path):
     # stdout is UTF-8 text: writing the listing was a UnicodeEncodeError
     argv, _, _ = surrogate_poset_argv(tmp_path, "element")
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    proc = subprocess.run(
-        [sys.executable, "-m", "flowcat.cli", *argv],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
-    )
-    assert_usage_error(proc.returncode, proc.stdout, proc.stderr)
+    assert_usage_error(*two_seed_run([*CLI, *argv]))
 
 
 def test_poset_violation_message_does_not_depend_on_string_hashing(tmp_path):
     # x <= y <= x: the message names the pair in element order under any hash seed
     gp = write_graph(tmp_path / "g.json", zoo.acyclic2())
     poset = write_json(tmp_path / "p.json", {"elements": ["x", "y"], "le": [["x", "y"], ["y", "x"]]})
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    errors = []
-    for seed in ("1", "11"):
-        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
-        proc = subprocess.run(
-            [sys.executable, "-m", "flowcat.cli", "diagrams", gp, "--category", f"poset:{poset}"],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
-        assert_usage_error(proc.returncode, proc.stdout, proc.stderr)
-        errors.append(proc.stderr)
-    assert errors[0] == errors[1]
-    assert "antisymmetry fails on 'x', 'y'" in errors[0]
+    code, out, err = two_seed_run([*CLI, "diagrams", gp, "--category", f"poset:{poset}"])
+    assert_usage_error(code, out, err)
+    assert "antisymmetry fails on 'x', 'y'" in err
 
 
 # -- verify ----------------------------------------------------------------------------
@@ -688,6 +710,28 @@ def test_verify_passes_in_delay_with_sources(tmp_path, capsys):
     code, doc, _ = run_json(capsys, ["verify", gp, spec, "--category", "poset:chain2"])
     assert code == 0
     assert doc["verdict"] == "pass"
+
+
+SHAPE58 = random_shape_graph(random.Random(11), 120, 2.88 / 120, 0.0)
+
+
+# the harness keeps its per-run tables by diagram and morphism value, so a
+# report that followed their hash order would differ by seed
+@pytest.mark.parametrize("g, move, spec, options", [
+    (zoo.loop_and_exit(), "out_delay", zoo.loop_and_exit_out_delay_spec(), ["--samples", "8"]),
+    # acyclic2's sources have no coproduct condition: each keeps the one
+    # level (v,0), which copies its object, and e1 is delayed by 1
+    (zoo.acyclic2(), "in_delay", InDelaySpec(d_edges={"e1": 1, "e2": 0}), []),
+    # 58 vertices and 71 edges: a size-vector search that branched on every
+    # source and closed each free cycle last spent 222,410 nodes reading the
+    # 4,097 vectors that choose the sample pool's path
+    (SHAPE58, "out_delay", random_move_spec(random.Random(0), SHAPE58, "out_delay"), []),
+], ids=["loop-and-exit-out-delay", "acyclic2-in-delay", "shape58-out-delay"])
+def test_verify_passes_in_one_report_under_any_hash_seed(tmp_path, g, move, spec, options):
+    gp = write_graph(tmp_path / "g.json", g)
+    mp = write_json(tmp_path / "m.json", cli.move_doc(move, spec))
+    code, out, _ = two_seed_run([*CLI, "verify", gp, mp, "--category", "mat:2:3", *options])
+    assert (code, json.loads(out)["verdict"]) == (0, "pass")
 
 
 def test_verify_inconclusive_exits_1(tmp_path, capsys, monkeypatch):
@@ -865,6 +909,19 @@ def test_report_poset_outside_hypothesis_is_inconclusive(tmp_path, capsys):
     assert code == 0
     assert doc["verdict"].startswith("inconclusive — outside the counting hypothesis")
     assert doc["computed"]["diagram_count"] == 2
+
+
+def test_report_poset_names_a_cycle_fed_from_outside(tmp_path):
+    # x -> a and the cycle a <-> b: the cycle receives input from x, so the
+    # |P| ** m count need not hold and the verdict names the cycle
+    g = graph(["x", "a", "b"], [("e", "x", "a"), ("f", "a", "b"), ("g", "b", "a")])
+    gp = write_graph(tmp_path / "g.json", g)
+    code, out, _ = two_seed_run([*CLI, "report", "poset", gp, "--category", "poset:chain2"])
+    assert code == 0
+    assert [line for line in out.splitlines() if line.startswith("  verdict: ")] == [
+        "  verdict: inconclusive — outside the counting hypothesis: "
+        "the cycle through ['a', 'b'] receives outside input"
+    ]
 
 
 def test_report_acyclic_without_suprema_is_inconclusive(tmp_path, capsys):

@@ -458,6 +458,17 @@ def test_cap_names_the_phase_and_the_vertex():
     assert _capped(lambda: enumerate_diagram_morphisms(FINSET, swap, swap), 5) == ("hom search", "u")
     assert _capped(lambda: diagram_isomorphic(FINSET, ident, swap), 3) == ("iso search", "u")
     assert _capped(lambda: enumerate_diagrams(chain(3), zoo.edgeless(3)), 4) == ("thin", "v3")
+
+
+def test_finset_pools_stop_at_the_cap_without_listing_a_hom_set():
+    # 12**12 maps and 12! permutations: a hom-set listed whole before the
+    # search spent a node ran out of memory at finset:11
+    cat = FinSetSkeleton(12)
+    d = canonical_diagram(cat, zoo.chain_graph(2), {"a1": 12, "a2": 12})
+    start = time.perf_counter()
+    assert _capped(lambda: enumerate_diagram_morphisms(cat, d, d), 1000) == ("pool", "a1")
+    assert _capped(lambda: diagram_isomorphic(cat, d, d), 1000) == ("pool", "a1")
+    assert time.perf_counter() - start < 0.5
     # size vectors of the loop: 4 nodes; then S_0, S_1, S_2 pools and choices
     assert _capped(lambda: enumerate_diagrams(FinSetSkeleton(3), zoo.loop1()), 11) == (
         "cotuples", "u",

@@ -4,7 +4,6 @@ import collections
 import hashlib
 import json
 import random
-import runpy
 import time
 from pathlib import Path
 
@@ -52,7 +51,7 @@ from oracles import (
     out_split_counit,
     per_draw_verify_equivalence,
 )
-from strategies import node_cap
+from strategies import node_cap, two_seed_run, write_graph, write_json
 
 MAT = MatCategory(2, 3)
 FINSET = FinSetSkeleton(4)
@@ -477,15 +476,17 @@ def test_sample_pool_draws_vectors_above_the_cap(monkeypatch):
         assert not any(pool[1].obj.values()) and len({d.obj for d in pool}) > 2
 
 
-def test_ten_source_remove_sink_pair_passes_at_the_default_cap(monkeypatch):
+def test_ten_source_remove_sink_pair_passes_at_the_default_cap(tmp_path, monkeypatch):
     # listing both sides' 4**10 vectors ran past the default node cap
     monkeypatch.delenv("FLOWCAT_MAX_NODES", raising=False)
-    pair = make_pair("remove_sink", _ten_sources(), "w")
+    gp = write_graph(tmp_path / "g.json", _ten_sources())
+    mp = write_json(tmp_path / "m.json", {"move": "remove_sink", "vertex": "w"})
     start = time.perf_counter()
-    report = verify_equivalence(MAT, pair)
-    assert time.perf_counter() - start < 2.0
-    assert report.verdict == "pass", report.to_dict()
-    assert (report.source_samples, report.target_samples) == (8, 8)
+    code, out, _ = two_seed_run(["-m", "flowcat.cli", "verify", gp, mp, "--category", "mat:2:3"])
+    assert time.perf_counter() - start < 2.0  # both runs, start-up included
+    report = json.loads(out)
+    assert (code, report["verdict"]) == (0, "pass"), report
+    assert (report["source_samples"], report["target_samples"]) == (8, 8)
 
 
 def test_harness_report_is_serializable():
@@ -932,40 +933,49 @@ def test_out_split_backward_is_the_written_out_one_up_to_iso(cat):
 # -- golden harness reports -----------------------------------------------------------------
 
 ROOT = Path(__file__).resolve().parent.parent
+SUITE = str(ROOT / "scripts" / "run_equivalence_suite.py")
 
 
-def test_suite_reports_match_the_golden_digests(tmp_path, monkeypatch, capsys):
+def test_suite_reports_match_the_golden_digests(monkeypatch):
     # the standard suite and its corrupted controls over finset:4 and mat:2:3,
     # as scripts/run_equivalence_suite.py writes them: every report dict must
-    # stay byte-identical to the committed digests
+    # stay byte-identical to the committed digests.  The reports are written
+    # to stderr, so the two seeds' bytes are compared too.
     monkeypatch.delenv("FLOWCAT_MAX_NODES", raising=False)
     golden = json.loads((ROOT / "tests" / "harness_golden.json").read_text())["reports"]
-    script = runpy.run_path(str(ROOT / "scripts" / "run_equivalence_suite.py"))
-    out = tmp_path / "reports.json"
     argv = ["--category", "finset:4", "--category", "mat:2:3", "--include-corrupted"]
-    assert script["main"]([*argv, "--json", str(out)]) == 0
-    capsys.readouterr()
+    code, _, written = two_seed_run([SUITE, *argv, "--json", "/dev/stderr"])
+    assert code == 0
     found = []
-    for r in json.loads(out.read_text()):
+    for r in json.loads(written):
         digest = hashlib.sha256(json.dumps(r, sort_keys=True).encode()).hexdigest()
         found.append([r["category"], r["move"], digest])
     assert found == golden
 
 
-def test_suite_script_rejects_a_bad_category_with_exit_2(capsys):
-    script = runpy.run_path(str(ROOT / "scripts" / "run_equivalence_suite.py"))
-    assert script["main"](["--category", "finset:2", "--category", "bogus"]) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and err == "error: bad category spec 'bogus'\n"
+def test_suite_script_rejects_a_bad_category_with_exit_2():
+    argv = [SUITE, "--category", "finset:2", "--category", "bogus"]
+    assert two_seed_run(argv) == (2, "", "error: bad category spec 'bogus'\n")
 
 
-def test_suite_script_runs_in_categories_below_its_probe_sizes(capsys):
+def test_suite_script_rejects_bad_arguments_before_any_pair_runs(tmp_path):
+    # thin pools are exhaustive whatever the count, so no samples passed over
+    # poset:chain2; an unwritable report file lost the whole run
+    argv = [SUITE, "--category", "poset:chain2", "--samples", "0"]
+    assert two_seed_run(argv) == (2, "", "error: --samples must be at least 1, got 0\n")
+    missing = tmp_path / "missing" / "x.json"
+    assert two_seed_run([SUITE, "--json", str(missing)]) == (
+        2, "", f"error: [Errno 2] No such file or directory: '{missing}'\n"
+    )
+
+
+def test_suite_script_runs_in_categories_below_its_probe_sizes():
     # the vacuity probe sizes its diagrams by the category's largest object,
     # so a category whose objects stop below 3 cannot make it raise
-    script = runpy.run_path(str(ROOT / "scripts" / "run_equivalence_suite.py"))
-    argv = ["--category", "mat:3:2", "--category", "finset:2", "--include-corrupted"]
-    assert script["main"](argv) == 0
-    assert "NOT CAUGHT" not in capsys.readouterr().out
+    argv = [SUITE, "--category", "mat:3:2", "--category", "finset:2", "--include-corrupted"]
+    code, out, err = two_seed_run(argv)
+    assert (code, err) == (0, "")
+    assert "NOT CAUGHT" not in out
 
 
 def test_direct_images_match_the_golden_digests():
