@@ -42,7 +42,7 @@ def probe_pool(cat, g, rng):
     if cat.is_thin:
         return list(enumerate_diagrams(cat, g))
     pool = []
-    for dims in solve_dimension_vectors(g, max(cat.objects())):
+    for dims in solve_dimension_vectors(g, cat.objects()[-1]):
         pool.append(canonical_diagram(cat, g, dims))
         pool.append(random_diagram(cat, g, dims, rng))
     return pool

@@ -113,7 +113,7 @@ def verify_acyclic_corollary(cat, g):
         count = len(enumerate_diagrams(cat, g))
         details.append("thin instance: diagrams enumerated directly")
     else:
-        bound = max(cat.objects())
+        bound = cat.objects()[-1]
         count = len(solve_dimension_vectors(g, bound))
         details.append(
             "additive instance: isomorphism classes counted via size vectors"

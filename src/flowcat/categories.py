@@ -48,7 +48,9 @@ class FiniteCategory(ABC):
 
     @abstractmethod
     def objects(self):
-        """All object handles, in canonical enumeration order."""
+        """All object handles, in canonical enumeration order; the non-thin
+        instances give their sizes as `range(bound + 1)`, so `[-1]` is the
+        largest."""
 
     @abstractmethod
     def hom(self, a, b):
@@ -130,12 +132,20 @@ def _block_coproduct(cat, family, bound, block):
 
 
 def _transitive_reflexive_closure(elements, pairs):
-    """Warshall: for each k in turn, add a <= b for every a <= k <= b."""
-    le = {(x, x) for x in elements} | {tuple(p) for p in pairs}
-    for k in elements:
-        below = [a for a, b in le if b == k]
-        above = [b for a, b in le if a == k]
-        le.update(itertools.product(below, above))
+    """x <= y for every y reached from x along the pairs: one depth-first
+    search from each element."""
+    above = {}
+    for a, b in pairs:
+        above.setdefault(a, []).append(b)
+    le = set()
+    for x in elements:
+        seen, stack = {x}, [x]
+        while stack:
+            for y in above.get(stack.pop(), ()):
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        le.update((x, y) for y in seen)
     return le
 
 
@@ -246,7 +256,7 @@ class FinSetSkeleton(FiniteCategory):
         self.name = f"finset:{max_size}"
 
     def objects(self):
-        return tuple(range(self.max_size + 1))
+        return range(self.max_size + 1)
 
     def hom(self, a, b):
         return (Morphism(a, b, t) for t in itertools.product(range(b), repeat=a))
@@ -403,7 +413,7 @@ class MatCategory(FiniteCategory):
         self._general_linear = {}
 
     def objects(self):
-        return tuple(range(self.max_dim + 1))
+        return range(self.max_dim + 1)
 
     def hom(self, a, b):
         q = self.q

@@ -129,9 +129,9 @@ def make_diagram(cat, g, obj, mor=None):
         raise DiagramError(
             f"object assignment mismatch: missing {missing}, unknown {extra}"
         )
-    known = set(cat.objects())
+    objects = cat.objects()
     for v in g.sorted_vertices():
-        if obj[v] not in known:
+        if obj[v] not in objects:
             raise DiagramError(f"object {obj[v]!r} at vertex {v!r} is not in the category")
     if cat.is_thin:
         filled = {}
@@ -440,7 +440,7 @@ def enumerate_diagrams(cat, g, bound=None):
     if cat.is_thin:
         return _thin_diagrams(cat, g, budget)
     _require_bundle_free(cat, g)
-    top = max(cat.objects())
+    top = cat.objects()[-1]
     if bound is None:
         bound = top
     elif isinstance(bound, bool) or not isinstance(bound, int) or bound < 0:

@@ -486,7 +486,7 @@ def _sample_pool(cat, g, rng, count):
     draws are one object, checked once; each still counts in the report."""
     if cat.is_thin:
         return enumerate_diagrams(cat, g)
-    bound, budget, non_sources = max(cat.objects()), NodeBudget(), _non_sources(g)
+    bound, budget, non_sources = cat.objects()[-1], NodeBudget(), _non_sources(g)
     vectors = list(itertools.islice(size_vectors(g, bound, budget), SAMPLE_VECTOR_CAP + 1))
     if len(vectors) <= SAMPLE_VECTOR_CAP:
         vectors.sort(key=lambda d: (-sum(d.values()), sorted(d.items())))
@@ -770,9 +770,10 @@ class CorruptedPair:
         return cached_on(d, (self.forward, cat), lambda: _broken_variant(cat, image) or image)
 
     def can_corrupt(self, cat, d):
-        """Whether this source diagram has a breakable forward image; when no
-        sampled diagram does, the control is vacuous and cannot fail."""
-        return _broken_variant(cat, self._pair.forward(cat, d)) is not None
+        """Whether this source diagram has a breakable forward image (read
+        from the cached corruption); when no sampled diagram does, the
+        control is vacuous and cannot fail."""
+        return self.forward(cat, d) is not self._pair.forward(cat, d)
 
     def __getattr__(self, name):
         return getattr(self._pair, name)

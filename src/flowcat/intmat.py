@@ -5,9 +5,12 @@ One row kernel, `eliminate_rows`, reduces a list of integer rows in place:
 `_unit_reduce` pivots only on entries +-1 and brings them to `I_t (+) S` by
 unimodular row and column operations; S is the Schur complement that has no
 unit entry left.  One fraction-free Bareiss pass on S then gives its rank r
-and a nonzero r x r minor N (N = |det S| when S is square and nonsingular).
-`determinant` and `smith_normal_form` copy an `IntMatrix` into rows, the
-invariants pass I - A as rows; only `smith_normal_form` logs the operations.
+and a nonzero r x r minor N (N = |det S| when S is square and nonsingular);
+a square input's determinant is det S times the sign that `_unit_reduce`
+tracks.  Each result has one path: `determinant` gives the determinant and
+`smith_normal_form` the divisors with their witness, both from an `IntMatrix`
+(whose entries `from_rows` checks as `IntMatrix(...)` does); the invariants
+pass I - A as rows.  Only `smith_normal_form` logs the operations.
 
 The Smith form of S is computed modulo N, so its entries stay below N.  This
 is exact because coker(S) (x) Z/N is the sum of the Z/gcd(d_i, N) over S's
@@ -15,8 +18,8 @@ divisors d_i, and d_1 ... d_r divides every r x r minor, so d_i | N for
 i <= r; the divisors past the rank are 0 (Cohen, *A Course in Computational
 Algebraic Number Theory*, Alg. 2.4.14).
 
-What the witness certifies: replaying `SmithDecomposition.operations` on the
-input reproduces `reduced = I_t (+) S` exactly, so the input and `reduced`
+What the witness certifies: `SmithDecomposition.replay` of the operations on
+the input reproduces `reduced = I_t (+) S` exactly, so the input and `reduced`
 present the same cokernel.  S's divisors are not replayed: when S is square
 and nonsingular their product is checked against N at run time, and the
 tests compare them with independent oracles.
@@ -47,7 +50,7 @@ class IntMatrix(_MatrixFields):
 
     @staticmethod
     def from_rows(rows):
-        return IntMatrix(tuple(tuple(int(x) for x in row) for row in rows))
+        return IntMatrix(tuple(map(tuple, rows)))
 
     @staticmethod
     def identity(n):
@@ -82,37 +85,6 @@ class IntMatrix(_MatrixFields):
 #   ("rneg", i)            negate row i
 # All are unimodular (determinant +-1): swaps and negations flip the sign of a
 # determinant, additions keep it.
-
-
-def apply_operations(m, ops):
-    """Replay an operation log against a matrix; the witness check for SNF."""
-    a = [list(row) for row in m.entries]
-    rows = len(a)
-    cols = len(a[0]) if a else 0
-    for op in ops:
-        kind = op[0]
-        if kind == "rswap":
-            _, i, j = op
-            a[i], a[j] = a[j], a[i]
-        elif kind == "cswap":
-            _, i, j = op
-            for row in a:
-                row[i], row[j] = row[j], row[i]
-        elif kind == "radd":
-            _, dst, src, c = op
-            for j in range(cols):
-                a[dst][j] += c * a[src][j]
-        elif kind == "cadd":
-            _, dst, src, c = op
-            for i in range(rows):
-                a[i][dst] += c * a[i][src]
-        elif kind == "rneg":
-            _, i = op
-            for j in range(cols):
-                a[i][j] = -a[i][j]
-        else:
-            raise ValueError(f"unknown operation {op!r}")
-    return IntMatrix.from_rows(a)
 
 
 def _unit_reduce(a, ops=None):
@@ -213,15 +185,15 @@ def eliminate_rows(a, smith=True, ops=None):
 
     Unit pivots bring `a` to I_t (+) S, appending their operations to `ops`
     when it is a list; Bareiss then runs on a copy of S.  Returns (divisors,
-    det, minor): all min(rows, cols) Smith divisors (None unless `smith`),
-    the determinant when `a` is square, and S's signed maximal minor."""
+    det): all min(rows, cols) Smith divisors (None unless `smith`) and the
+    determinant when `a` is square."""
     t, sign = _unit_reduce(a, ops)
     s = [row[t:] for row in a[t:]]
     rank, minor = _bareiss([row[:] for row in s] if smith else s)
     det = sign * minor if rank == len(s) else 0
     if not smith:
-        return None, det, minor
-    return (1,) * t + _schur_divisors(s, rank, minor), det, minor
+        return None, det
+    return (1,) * t + _schur_divisors(s, rank, minor), det
 
 
 def determinant(m):
@@ -231,12 +203,6 @@ def determinant(m):
     return eliminate_rows([list(row) for row in m.entries], smith=False)[1]
 
 
-def _signed(minor, ops):
-    """minor times the determinant (+-1) of the logged operations."""
-    flips = sum(1 for op in ops if op[0] in ("rswap", "cswap", "rneg"))
-    return -minor if flips % 2 else minor
-
-
 # -- Smith normal form --------------------------------------------------------
 
 
@@ -244,30 +210,44 @@ class SmithDecomposition(NamedTuple):
     divisors: tuple  # all min(rows, cols) of them, d_i | d_{i+1}
     operations: tuple
     reduced: IntMatrix  # I_t (+) S, what the operations make of the input
-    schur_minor: int  # S's signed maximal minor from Bareiss: det S when S is square of full rank
 
     def replay(self, m):
-        """Apply the recorded operations to m; equals `reduced` iff m was the input."""
-        return apply_operations(m, self.operations)
-
-    def determinant(self):
-        """det of the square input, equal to `determinant(input)`: 0 when a
-        divisor is 0, else the sign of the log times det S."""
-        if self.reduced.rows != self.reduced.cols:
-            raise ValueError("determinant requires a square matrix")
-        return 0 if 0 in self.divisors else _signed(self.schur_minor, self.operations)
+        """Apply the recorded operations to m; equals `reduced` iff m was the
+        input.  This is the witness check."""
+        a = [list(row) for row in m.entries]
+        for op in self.operations:
+            kind = op[0]
+            if kind == "rswap":
+                _, i, j = op
+                a[i], a[j] = a[j], a[i]
+            elif kind == "cswap":
+                _, i, j = op
+                for row in a:
+                    row[i], row[j] = row[j], row[i]
+            elif kind == "radd":
+                _, dst, src, c = op
+                a[dst] = [x + c * y for x, y in zip(a[dst], a[src])]
+            elif kind == "cadd":
+                _, dst, src, c = op
+                for row in a:
+                    row[dst] += c * row[src]
+            elif kind == "rneg":
+                a[op[1]] = [-x for x in a[op[1]]]
+            else:
+                raise ValueError(f"unknown operation {op!r}")
+        return IntMatrix.from_rows(a)
 
 
 def smith_normal_form(m):
     """Smith divisors of m, with the unit-pivot operation log as a witness.
 
     The divisors are nonnegative and satisfy d_1 | d_2 | ...: t ones for the
-    unit pivots, then the divisors of the remainder S, then zeros.  The same
-    pass gives the determinant of a square input (`determinant()`)."""
+    unit pivots, then the divisors of the remainder S, then zeros.  The
+    determinant comes from `determinant`."""
     a = [list(row) for row in m.entries]
     ops = []
-    divisors, _, minor = eliminate_rows(a, ops=ops)
-    return SmithDecomposition(divisors, tuple(ops), IntMatrix(tuple(map(tuple, a))), minor)
+    divisors, _ = eliminate_rows(a, ops=ops)
+    return SmithDecomposition(divisors, tuple(ops), IntMatrix.from_rows(a))
 
 
 def _schur_divisors(s, rank, minor):

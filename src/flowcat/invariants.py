@@ -54,19 +54,14 @@ class BowenFranksGroup(NamedTuple):
 
 def bowen_franks(g):
     """Cokernel of I - A as a BowenFranksGroup, via Smith normal form."""
-    return _cokernel(eliminate_rows(_ps_rows(g))[0])
+    return flow_invariants(g)[1]
 
 
 def flow_invariants(g):
     """(parry_sullivan(g), bowen_franks(g)) from one Smith normal form of I - A."""
-    divisors, det, _ = eliminate_rows(_ps_rows(g))
-    return det, _cokernel(divisors)
-
-
-def _cokernel(divisors):
-    free_rank = divisors.count(0)
+    divisors, det = eliminate_rows(_ps_rows(g))
     torsion = tuple(d for d in divisors if d > 1)
-    return BowenFranksGroup(free_rank=free_rank, torsion=torsion)
+    return det, BowenFranksGroup(free_rank=divisors.count(0), torsion=torsion)
 
 
 class FranksVerdict(NamedTuple):

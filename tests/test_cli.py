@@ -9,6 +9,8 @@ import os
 import random
 import runpy
 import shlex
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -42,7 +44,7 @@ from oracles import (
     walk_validate_in_split,
 )
 from strategies import (
-    assert_ends_are_vertex_objects, dense_graph, sparse_graph, two_seed_run, write_graph,
+    SRC, assert_ends_are_vertex_objects, dense_graph, sparse_graph, two_seed_run, write_graph,
     write_json,
 )
 
@@ -594,6 +596,33 @@ def test_diagrams_exit_3_on_cap(tmp_path):
             "error: search cap exceeded in the size vectors phase at vertex 'b': "
             f"visited {cap + 1} nodes, cap {cap}\n"
         ))
+
+
+def test_diagrams_over_a_billion_objects_exits_3_in_little_memory(tmp_path):
+    # the objects of FinSet and Mat are a range, never a tuple or set of
+    # every size: the tuple took about 39 MB per million sizes before the
+    # search ran.  The child caps its address space, so a regression fails
+    # with a MemoryError instead of filling the machine, and reports its peak
+    # RSS as VmHWM: getrusage's ru_maxrss keeps the spawning process's peak
+    # across exec, which is pytest's.
+    gp = write_graph(tmp_path / "g.json", zoo.chain_graph(2))
+    child = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+        "from flowcat.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(next(line for line in open('/proc/self/status') if line.startswith('VmHWM:')))\n"
+        "sys.exit(code)\n"
+    )
+    for category in ("finset:1000000000", "mat:2:1000000000"):
+        run = subprocess.run(
+            [sys.executable, "-c", child, "diagrams", gp, "--category", category],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=SRC, FLOWCAT_MAX_NODES="1000"),
+        )
+        assert run.returncode == 3, run.stderr
+        assert run.stderr.startswith("error: search cap exceeded in the size vectors phase")
+        assert int(run.stdout.split()[1]) < 100 * 1024  # "VmHWM:  <n> kB"
 
 
 def test_bad_category_spec(tmp_path, capsys):

@@ -60,9 +60,9 @@ RECORDS = [
      "VertexClass(is_source=True, is_sink=False, is_infinite_receiver=False)"),
     (Condensation((frozenset({"a"}),), LOOP),
      f"Condensation(components=(frozenset({{'a'}}),), quotient={LOOP_REPR})"),
-    (SmithDecomposition((1, 0), (("rswap", 0, 1),), IDENTITY, 1),
+    (SmithDecomposition((1, 0), (("rswap", 0, 1),), IDENTITY),
      "SmithDecomposition(divisors=(1, 0), operations=(('rswap', 0, 1),), "
-     "reduced=IntMatrix(entries=((1, 0), (0, 1))), schur_minor=1)"),
+     "reduced=IntMatrix(entries=((1, 0), (0, 1))))"),
     (BowenFranksGroup(1, (2,)), "BowenFranksGroup(free_rank=1, torsion=(2,))"),
     (FranksVerdict("equivalent", "equal PS and BF"),
      "FranksVerdict(kind='equivalent', reason='equal PS and BF')"),
