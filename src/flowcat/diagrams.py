@@ -29,7 +29,8 @@ reads have values.  A derivation implies the constraints of its vertex, so
 only the constraints of branching vertices are checked (a naturality square
 into one, the equation at a feedback vertex), each as soon as its vertices
 have values.  Search time so follows the pools of the branching vertices and
-the answers, not the vertex names.
+the answers, not the vertex names.  The kernel is one loop over a stack of
+candidate iterators, so a search reaches any depth.
 
 Sizes add under the coproduct condition in FinSet and Mat, so on a strongly
 connected component C with inner edge matrix M and inflow b, s_C = M s_C + b.
@@ -56,6 +57,7 @@ are also the failures that the coproduct check returns.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import chain
 from operator import eq
 from typing import NamedTuple
@@ -131,7 +133,7 @@ def make_diagram(cat, g, obj, mor=None):
         )
     objects = cat.objects()
     for v in g.sorted_vertices():
-        if obj[v] not in objects:
+        if (type(obj[v]) is not int and not cat.is_thin) or obj[v] not in objects:
             raise DiagramError(f"object {obj[v]!r} at vertex {v!r} is not in the category")
     if cat.is_thin:
         filled = {}
@@ -242,7 +244,8 @@ def _plan(vertices, reads, needs):
         if free:
             b = free.pop(0)
         else:
-            b = max(pending, key=lambda v: sum(v in reads[u] for u in pending))
+            readers = Counter(w for u in pending for w in set(reads[u]))
+            b = max(pending, key=readers.__getitem__)
             pending.remove(b)
         branch.append(b)
         known.add(b)
@@ -274,19 +277,20 @@ def _search(plan, pools, derive, checks, budget, phase):
     not the product order over all vertices: a caller that returns a whole
     list sorts it.  Every candidate tried at a branching vertex spends one
     node of `budget`; a derived value costs none.  Past the cap, the
-    SearchCapExceeded names `phase` and the vertex."""
+    SearchCapExceeded names `phase` and the vertex.  One loop runs the
+    search over `stack`, the candidate iterator of each depth reached, so
+    no depth meets the recursion limit; an empty plan yields {} once."""
     vertices, branch, steps = plan
-    assignment = {}
-
-    def extend(depth):
-        if depth == len(branch):
-            yield {v: assignment[v] for v in vertices}
-            return
-        v = branch[depth]
-        try:
-            for value in pools[depth]:
+    if not branch:
+        yield {}
+        return
+    assignment, stack, last = {}, [iter(pools[0])], len(branch) - 1
+    try:
+        while stack:
+            depth = len(stack) - 1
+            for value in stack[-1]:
                 budget.spend()
-                assignment[v] = value
+                assignment[branch[depth]] = value
                 for u, k in steps[depth]:
                     if u is None:
                         if not checks[k](assignment):
@@ -297,12 +301,16 @@ def _search(plan, pools, derive, checks, budget, phase):
                             break
                         assignment[u] = derived
                 else:
-                    yield from extend(depth + 1)
-        except SearchCapExceeded as exc:
-            exc.locate(phase, v)
-            raise
-
-    return extend(0)
+                    if depth == last:
+                        yield {v: assignment[v] for v in vertices}
+                    else:
+                        stack.append(iter(pools[depth + 1]))
+                        break
+            else:
+                stack.pop()
+    except SearchCapExceeded as exc:
+        exc.phase, exc.vertex = phase, branch[len(stack) - 1]
+        raise
 
 
 def _non_sources(g):
@@ -405,7 +413,7 @@ def _pool(morphisms, budget, vertex):
             budget.spend()
             pool.append(f)
     except SearchCapExceeded as exc:
-        exc.locate("pool", vertex)
+        exc.phase, exc.vertex = "pool", vertex
         raise
     return pool
 

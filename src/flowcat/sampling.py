@@ -8,7 +8,7 @@ sprinkles extra edges; it never returns a bare permutation graph.
 from __future__ import annotations
 
 from .graphs import DirectedGraph, Edge, classify_vertex
-from .moves import InDelaySpec, InSplitSpec, MoveError, OutDelaySpec, OutSplitSpec
+from .moves import SPEC_MOVES, InDelaySpec, MoveError, OutDelaySpec
 
 # The largest edge multiplicity, delay and split class index the draws take.
 MAX_MULTIPLICITY = 2
@@ -80,27 +80,27 @@ def random_shape_graph(rng, max_vertices=5, edge_prob=0.35, bundle_prob=0.15):
     )
 
 
-def random_out_delay_spec(rng, g):
-    """Saturated spec: d(v) is the max of d(e) over outgoing edges, so every
-    delay level gets exited and irreducibility survives the move."""
-    de = {e.id: rng.randint(0, MAX_DELAY) for e in g.edges}
-    dv = {}
-    for v in g.sorted_vertices():
-        outgoing = g.outgoing(v)
-        dv[v] = max((de[e.id] for e in outgoing), default=0)
-    return OutDelaySpec(d_vertices=dv, d_edges=de)
+def random_move_spec(rng, g, move):
+    """A random spec for `move`, one of the four moves of `moves.SPEC_MOVES`.
 
-
-def random_in_delay_spec(rng, g):
-    de = {e.id: rng.randint(0, MAX_DELAY) for e in g.edges}
-    return InDelaySpec(d_edges=de)
-
-
-def _split_spec(rng, g, side):
-    """p(v) and p(e) over the edges `side(v)` on one side of each vertex v,
-    with surjective classes: each level 0..p(v) is drawn once, then the
-    other edges at random.  p(v) = 0, with every such edge at level 0, at a
-    source or a vertex with no edge on that side."""
+    Delays are drawn per edge from 0..MAX_DELAY.  An out-delay is saturated:
+    d(v) is the max of d(e) over outgoing edges, so every delay level gets
+    exited and irreducibility survives the move.  A split draws p(v) and
+    p(e) over the edges on its side of each vertex v with surjective
+    classes: each level 0..p(v) is drawn once, then the other edges at
+    random, so every level of v is departed from (out) or arrived at (in)
+    and an out-split keeps outputs sink-free when the input is.  p(v) = 0,
+    with every such edge at level 0, at a source or a vertex with no edge on
+    that side."""
+    if move in ("out_delay", "in_delay"):
+        de = {e.id: rng.randint(0, MAX_DELAY) for e in g.edges}
+        if move == "in_delay":
+            return InDelaySpec(d_edges=de)
+        dv = {v: max((de[e.id] for e in g.outgoing(v)), default=0) for v in g.sorted_vertices()}
+        return OutDelaySpec(d_vertices=dv, d_edges=de)
+    if move not in ("out_split", "in_split"):
+        raise MoveError(f"unknown move {move!r}")
+    side = g.outgoing if move == "out_split" else g.incoming
     pv = {}
     pe = {}
     for v in g.sorted_vertices():
@@ -117,29 +117,4 @@ def _split_spec(rng, g, side):
         for e in edges:
             if e.id not in pe:
                 pe[e.id] = rng.randint(0, pv[v])
-    return pv, pe
-
-
-def random_out_split_spec(rng, g):
-    """Spec with surjective outgoing classes (every level of v is departed
-    from), keeping outputs sink-free when the input is."""
-    pv, pe = _split_spec(rng, g, g.outgoing)
-    return OutSplitSpec(p_vertices=pv, p_edges=pe)
-
-
-def random_in_split_spec(rng, g):
-    """Spec with surjective incoming classes (every level of v is arrived at)."""
-    pv, pe = _split_spec(rng, g, g.incoming)
-    return InSplitSpec(p_vertices=pv, p_edges=pe)
-
-
-def random_move_spec(rng, g, move):
-    if move == "out_delay":
-        return random_out_delay_spec(rng, g)
-    if move == "in_delay":
-        return random_in_delay_spec(rng, g)
-    if move == "out_split":
-        return random_out_split_spec(rng, g)
-    if move == "in_split":
-        return random_in_split_spec(rng, g)
-    raise MoveError(f"unknown move {move!r}")
+    return SPEC_MOVES[move][1](p_vertices=pv, p_edges=pe)

@@ -19,8 +19,10 @@ class SearchCapExceeded(RuntimeError):
 
     `phase` names the search that ran out ("pool", "hom search", "iso search",
     "thin", "size vectors", "size draws" or "cotuples") and `vertex` the
-    vertex it was filling; both stay None until the search that spent the
-    last node sets them.
+    vertex it was filling.  Both are None as raised by `NodeBudget.spend`;
+    the pool builder or the search kernel that spent the last node sets
+    them as the error passes.  No search runs inside another's candidate
+    loop, so the error passes exactly one of them.
     """
 
     def __init__(self, visited, cap):
@@ -28,11 +30,6 @@ class SearchCapExceeded(RuntimeError):
         self.visited = visited
         self.cap = cap
         self.phase = self.vertex = None
-
-    def locate(self, phase, vertex):
-        """Record where the cap was hit, unless an inner search already did."""
-        if self.phase is None:
-            self.phase, self.vertex = phase, vertex
 
     def __str__(self):
         where = f" in the {self.phase} phase at vertex {self.vertex!r}" if self.phase else ""

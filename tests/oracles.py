@@ -35,6 +35,8 @@ passes: one call per edge entry, one step per map key, and one `incoming`
 call per vertex.  The graph writers are `json.dumps` of `cli.graph_to_doc`
 and the DOT writer that quoted every name at every use.  The split-spec
 drawers are the package's two loops from before they became one drawer.
+The search planner is the package's code from before its greedy feedback
+pick counted each vertex's readers once per pick.
 """
 
 from __future__ import annotations
@@ -1455,3 +1457,39 @@ def two_loop_random_in_split_spec(rng, g):
             if e.id not in pe:
                 pe[e.id] = rng.randint(0, pv[v])
     return InSplitSpec(p_vertices=pv, p_edges=pe)
+
+
+# -- the search planner, recounting its readers -----------------------------------------
+#
+# `diagrams._plan` as it was before each greedy feedback pick counted the
+# readers of every pending vertex once: this one recounts them for every
+# candidate, which is cubic in the pending vertices.
+
+
+def recounting_plan(vertices, reads, needs):
+    free = [v for v in vertices if v not in reads]
+    pending = [v for v in vertices if v in reads]
+    unchecked = list(range(len(needs)))
+    known, branch, steps = set(), [], []
+    while free or pending:
+        if free:
+            b = free.pop(0)
+        else:
+            b = max(pending, key=lambda v: sum(v in reads[u] for u in pending))
+            pending.remove(b)
+        branch.append(b)
+        known.add(b)
+        step = []
+        while True:
+            ready = [k for k in unchecked if known.issuperset(needs[k])]
+            step += [(None, k) for k in ready]
+            unchecked = [k for k in unchecked if k not in ready]
+            u = next((u for u in pending if known.issuperset(reads[u])), None)
+            if u is None:
+                break
+            pending.remove(u)
+            known.add(u)
+            step.append((u, None))
+            unchecked = [k for k in unchecked if needs[k][0] != u]
+        steps.append(tuple(step))
+    return tuple(vertices), tuple(branch), tuple(steps)

@@ -763,6 +763,17 @@ def test_verify_passes_in_one_report_under_any_hash_seed(tmp_path, g, move, spec
     assert (code, json.loads(out)["verdict"]) == (0, "pass")
 
 
+def test_verify_passes_on_1200_sources(tmp_path, capsys):
+    # the sample pools branch on 1200 vertices: a search that nested one
+    # generator per branching vertex raised RecursionError, a traceback
+    g = zoo.edgeless(1200)
+    gp = write_graph(tmp_path / "g.json", g)
+    spec = moves.OutDelaySpec({v: 0 for v in g.vertices}, {})
+    mp = write_json(tmp_path / "m.json", cli.move_doc("out_delay", spec))
+    code, doc, _ = run_json(capsys, ["verify", gp, mp, "--category", "finset:1"])
+    assert (code, doc["verdict"]) == (0, "pass")
+
+
 def test_verify_inconclusive_exits_1(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("FLOWCAT_MAX_NODES", "1")
     gp = write_graph(tmp_path / "g.json", zoo.vw_graph())

@@ -19,6 +19,8 @@ from flowcat.diagrams import (
     Diagram,
     DiagramError,
     DiagramMorphism,
+    _in_families,
+    _plan,
     _shape,
     canonical_diagram,
     check_coproduct_condition,
@@ -53,9 +55,10 @@ from oracles import (
     product_diagram_morphisms,
     product_size_vectors,
     product_thin_diagrams,
+    recounting_plan,
     vertexwise_coproduct_failures,
 )
-from strategies import node_cap
+from strategies import node_cap, sparse_graph
 
 CHAIN2 = chain(2)
 FINSET = FinSetSkeleton(5)
@@ -95,6 +98,24 @@ def test_make_diagram_requires_matching_objects():
         make_diagram(CHAIN2, SINGLE_EDGE, {"a": 0})
     with pytest.raises(DiagramError, match="not in the category"):
         make_diagram(CHAIN2, SINGLE_EDGE, {"a": 0, "b": 9})
+
+
+@pytest.mark.parametrize(
+    "cat, huge",
+    [(FINSET, FinSetSkeleton(10**7)), (MAT23, MatCategory(2, 10**7))],
+    ids=["finset", "mat"],
+)
+@pytest.mark.parametrize("size", [1.5, True], ids=["float", "bool"])
+def test_make_diagram_takes_only_int_sizes(cat, huge, size):
+    # True is in the range of sizes, and 1.5 was compared with every size in
+    # turn (0.5 s over 10^7 sizes): both are refused before the range is read
+    message = f"object {size!r} at vertex 'a1' is not in the category"
+    with pytest.raises(DiagramError, match=message):
+        canonical_diagram(cat, zoo.chain_graph(2), {"a1": size, "a2": size})
+    start = time.perf_counter()
+    with pytest.raises(DiagramError, match="not in the category"):
+        make_diagram(huge, zoo.chain_graph(2), {"a1": size, "a2": 0}, {})
+    assert time.perf_counter() - start < 0.05
 
 
 def test_make_diagram_checks_edge_types():
@@ -1070,6 +1091,56 @@ def test_enumeration_hits_a_small_cap_where_the_oracle_does(cat):
         for cap in (1, 2, 3, 5, 8, 13, 21, 34, 55, 89):
             expected = _enumeration(per_answer_enumerate_diagrams, cat, g, cap)
             assert _enumeration(enumerate_diagrams, cat, g, cap) == expected, (g, cap)
+
+
+# -- searches at any depth and the planner at scale ---------------------------------------
+
+
+@pytest.mark.parametrize(
+    "cat, g, count",
+    [(FinSetSkeleton(1), zoo.chain_graph(1200), 2), (chain(1), zoo.edgeless(1200), 1)],
+    ids=["chain-over-finset1", "edgeless-over-chain1"],
+)
+def test_searches_branch_on_1200_vertices(cat, g, count):
+    # a search that nested one generator per branching vertex raised
+    # RecursionError past about 1000 of them: the cotuple search of the
+    # chain branches on its 1199 non-sources, the thin one on 1200 sources
+    assert len(enumerate_diagrams(cat, g)) == count
+
+
+def test_a_deep_search_names_the_vertex_at_the_depth_of_the_cap():
+    # 2 nodes of size vectors and 1 of the size-0 pool; the 998th cotuple
+    # choice, in sorted vertex order, spends node 1001
+    g = zoo.chain_graph(1200)
+    vertex = sorted(g.vertices - {"a1"})[997]
+    assert _capped(lambda: enumerate_diagrams(FinSetSkeleton(1), g), 1000) == ("cotuples", vertex)
+
+
+def _plan_kinds(g):
+    """The arguments of a thin or size plan and of a morphism plan of `g`."""
+    families = _in_families(g)
+    reads = {v: tuple(e.src for e in g.incoming(v)) for v in families}
+    return [
+        (g.sorted_vertices(), families, [(v, *f) for v, f in families.items()]),
+        (g.sorted_vertices(), reads, [(e.tgt, e.src) for e in g.edges]),
+    ]
+
+
+def test_plans_match_the_recounting_oracle():
+    for n, m in ((60, 180), (120, 360), (250, 750), (500, 750)):
+        for args in _plan_kinds(sparse_graph(random.Random(n), n, m)):
+            assert _plan(*args) == recounting_plan(*args), n
+
+
+def test_a_2000_vertex_plan_builds_in_seconds():
+    # the greedy feedback pick recounted every pending vertex's readers for
+    # each candidate: 118 s for this plan on a 2-core x86-64 VM
+    args = _plan_kinds(sparse_graph(random.Random(7), 2000, 6000))[0]
+    start = time.perf_counter()
+    plan = _plan(*args)
+    assert time.perf_counter() - start < 5
+    derived = tuple(u for step in plan.steps for u, _ in step if u is not None)
+    assert sorted(plan.branch + derived) == list(args[0])
 
 
 # -- diagram values -----------------------------------------------------------------------

@@ -1,5 +1,7 @@
+import hashlib
 import random
 import re
+from functools import partial
 from unittest import mock
 
 import pytest
@@ -30,10 +32,8 @@ from flowcat.moves import (
 )
 from flowcat.sampling import (
     random_acyclic_graph,
-    random_in_split_spec,
     random_irreducible_graph,
     random_move_spec,
-    random_out_split_spec,
     random_shape_graph,
 )
 from flowcat import moves as mv
@@ -280,8 +280,8 @@ def test_validating_a_split_leaves_the_graph_index_unbuilt(validate_split, spec_
 
 
 SPLIT_DRAWERS = [
-    (random_out_split_spec, two_loop_random_out_split_spec),
-    (random_in_split_spec, two_loop_random_in_split_spec),
+    (partial(random_move_spec, move="out_split"), two_loop_random_out_split_spec),
+    (partial(random_move_spec, move="in_split"), two_loop_random_in_split_spec),
 ]
 
 
@@ -307,6 +307,21 @@ def test_split_spec_drawers_match_the_two_loops(draw_graph):
             assert rng.getstate() == after
 
 
+def test_move_spec_draws_are_pinned():
+    # 400 rounds of an irreducible and an acyclic graph with their four
+    # specs, each: the digest of the four drawers that preceded the one
+    rng = random.Random(5)
+    specs = []
+    for _ in range(400):
+        for draw_graph in (random_irreducible_graph, random_acyclic_graph):
+            g = draw_graph(rng)
+            specs += [random_move_spec(rng, g, move) for move in mv.SPEC_MOVES]
+    digest = hashlib.sha256("\n".join(map(repr, specs)).encode()).hexdigest()
+    assert digest == "726286c8301d0596a0a4e10c6f616553061a57e5735b20cfc8e8b2fa11ec7c1b"
+    with pytest.raises(MoveError, match="unknown move 'remove_sink'"):
+        random_move_spec(rng, zoo.loop2(), "remove_sink")
+
+
 def test_split_spec_drawers_leave_a_bundle_receiver_to_the_move():
     # b's only inflow is an infinite bundle: the in-split drawer gave it
     # randrange's bare ValueError; both drawers now give p(b) = 0 and the
@@ -314,7 +329,7 @@ def test_split_spec_drawers_leave_a_bundle_receiver_to_the_move():
     g = graph(["a", "b"], [("e", "a", "a")], [("a", "b")])
     with pytest.raises(ValueError, match="empty range"):
         two_loop_random_in_split_spec(random.Random(0), g)
-    for drawer, move in ((random_out_split_spec, out_split), (random_in_split_spec, in_split)):
+    for (drawer, _), move in zip(SPLIT_DRAWERS, (out_split, in_split)):
         spec = drawer(random.Random(0), g)
         assert spec.p_vertices["b"] == 0
         with pytest.raises(MoveError, match="infinite"):
