@@ -1,8 +1,9 @@
 """Finite categories with (partial) coproducts.
 
-Three instances: finite posets (coproduct = supremum), a bounded skeleton of
-finite sets (objects are sizes, coproduct = sum with block injections), and a
-bounded category of matrices over a prime field (coproduct = direct sum).
+Three instances: finite posets kept as each element's up-set (coproduct =
+supremum), a bounded skeleton of finite sets (objects are sizes, coproduct =
+sum with block injections), and a bounded category of matrices over a prime
+field (coproduct = direct sum).
 
 Morphism handles are concrete data (nothing, function tables, matrices) with
 structural equality, so commuting squares are checked exactly.  Coproducts are
@@ -131,13 +132,13 @@ def _block_coproduct(cat, family, bound, block):
 # -- posets ---------------------------------------------------------------------
 
 
-def _transitive_reflexive_closure(elements, pairs):
-    """x <= y for every y reached from x along the pairs: one depth-first
-    search from each element."""
+def _up_sets(elements, pairs):
+    """Each element x -> the frozenset of every y reached from x along the
+    pairs, x included: one depth-first search from each element."""
     above = {}
     for a, b in pairs:
         above.setdefault(a, []).append(b)
-    le = set()
+    up = {}
     for x in elements:
         seen, stack = {x}, [x]
         while stack:
@@ -145,8 +146,8 @@ def _transitive_reflexive_closure(elements, pairs):
                 if y not in seen:
                     seen.add(y)
                     stack.append(y)
-        le.update((x, y) for y in seen)
-    return le
+        up[x] = frozenset(seen)
+    return up
 
 
 class PosetCategory(FiniteCategory):
@@ -164,13 +165,13 @@ class PosetCategory(FiniteCategory):
         for a, b in le_pairs:
             if a not in self.elements or b not in self.elements:
                 raise CategoryError(f"relation pair {(a, b)!r} mentions unknown element")
-        self._le = _transitive_reflexive_closure(self.elements, le_pairs)
+        self._up = _up_sets(self.elements, le_pairs)
         for a, b in itertools.combinations(self.elements, 2):
-            if (a, b) in self._le and (b, a) in self._le:
+            if b in self._up[a] and a in self._up[b]:
                 raise CategoryError(f"antisymmetry fails on {a!r}, {b!r}")
 
     def leq(self, a, b):
-        return (a, b) in self._le
+        return b in self._up.get(a, ())
 
     def objects(self):
         return self.elements
@@ -194,11 +195,12 @@ class PosetCategory(FiniteCategory):
         return f
 
     def supremum(self, family):
-        uppers = [u for u in self.elements if all(self.leq(x, u) for x in family)]
-        for u in uppers:
-            if all(self.leq(u, v) for v in uppers):
-                return u
-        return None
+        """The upper bound whose up-set is the intersection of the family's."""
+        ups = [self._up.get(x) for x in family]
+        if None in ups:
+            return None
+        uppers = ups[0].intersection(*ups[1:]) if ups else frozenset(self.elements)
+        return next((u for u in uppers if self._up[u] == uppers), None)
 
     def coproduct(self, family):
         family = list(family)

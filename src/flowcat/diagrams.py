@@ -50,9 +50,9 @@ order over the sorted vertices, the order of a product-then-filter search;
 One budget node is one candidate tried at a branching vertex or one element
 put into a candidate pool; a derived value costs none.  A search past the
 cap raises SearchCapExceeded naming its phase and vertex.  The plan of a
-search (which vertices branch, what follows each) is cached on the shape,
-and the inverted cotuples on the source diagram, in one table whose reasons
-are also the failures that the coproduct check returns.
+search (which vertices branch, what follows each) is cached on the shape by
+what it derives, and the inverted cotuples on the source diagram, in one
+table whose reasons are also the failures that the coproduct check returns.
 """
 
 from __future__ import annotations
@@ -396,10 +396,11 @@ def _family_search(g, phase, families, value, budget):
     under which each vertex v of `families` has value(v, the values of its
     family), yielded in branching order; a branching vertex v takes the
     values of pool(v).  Each such vertex is derived, unless it must branch
-    to break a cycle; then that equation is its constraint.  The plan and
-    the derivations are built once, for every pool."""
+    to break a cycle; then that equation is its constraint.  The plan is
+    built once per families table (`phase` only names a search past the
+    cap), the derivations once for every pool."""
     needs = [(v, *family) for v, family in families.items()]
-    plan = cached_on(g, phase, lambda: _plan(g.sorted_vertices(), families, needs))
+    plan = cached_on(g, tuple(families.items()), lambda: _plan(g.sorted_vertices(), families, needs))
     derive = {v: lambda a, v=v, f=f: value(v, [a[u] for u in f]) for v, f in families.items()}
     checks = [lambda a, v=v, f=f: f(a) == a[v] for v, f in derive.items()]
     return lambda pool: _search(plan, list(map(pool, plan.branch)), derive, checks, budget, phase)

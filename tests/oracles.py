@@ -36,7 +36,9 @@ call per vertex.  The graph writers are `json.dumps` of `cli.graph_to_doc`
 and the DOT writer that quoted every name at every use.  The split-spec
 drawers are the package's two loops from before they became one drawer.
 The search planner is the package's code from before its greedy feedback
-pick counted each vertex's readers once per pick.
+pick counted each vertex's readers once per pick.  The poset report's order
+check is the package's loop over every ordered pair of diagrams from before
+it checked one-coordinate steps, without the cap that loop had.
 """
 
 from __future__ import annotations
@@ -1493,3 +1495,22 @@ def recounting_plan(vertices, reads, needs):
             unchecked = [k for k in unchecked if needs[k][0] != u]
         steps.append(tuple(step))
     return tuple(vertices), tuple(branch), tuple(steps)
+
+
+# -- the poset report's order check, pair by pair -------------------------------------
+#
+# `casework._order_check` as it was before it checked one-coordinate steps:
+# both directions of the order on every ordered pair of diagrams, here with
+# no cap on the pairs.
+
+
+def pair_loop_order_check(cat, g, diagrams, keys):
+    """Whether the pointwise order of the diagrams agrees with the order of
+    their `keys` on every ordered pair."""
+    vertices = g.sorted_vertices()
+    for i, j in itertools.product(range(len(diagrams)), repeat=2):
+        d_le = all(cat.leq(diagrams[i].obj[v], diagrams[j].obj[v]) for v in vertices)
+        k_le = all(cat.leq(a, b) for a, b in zip(keys[i], keys[j]))
+        if d_le != k_le:
+            return False
+    return True

@@ -5,7 +5,9 @@ free exactly at its sources; a thin diagram is constant on strongly connected
 pieces and determined by the source components of the condensation.
 """
 
+import itertools
 import random
+import time
 
 import pytest
 
@@ -24,7 +26,7 @@ from flowcat.graphs import graph
 from flowcat.sampling import random_shape_graph
 from flowcat.util import SearchCapExceeded, frozendict
 
-from oracles import brute_force_cohereditary_irreducible, tarjan_components
+from oracles import brute_force_cohereditary_irreducible, pair_loop_order_check, tarjan_components
 
 
 # -- acyclic counts -------------------------------------------------------------
@@ -407,20 +409,68 @@ def test_thin_restriction_that_breaks_the_order_is_a_mismatch(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "cap,note",
+    "cat,g,steps,pairs",
     [
-        (3, "monotonicity sampled on the first 3 ordered pairs"),
-        (255, "monotonicity sampled on the first 255 ordered pairs"),
-        # 16 diagrams make 256 ordered pairs: a cap of 256 checks them all
-        (256, "restriction to representatives is an order isomorphism "
-              "(checked 256 ordered pairs both ways)"),
+        (diamond(), zoo.acyclic2(), 40, 256),
+        # more than 250,000 ordered pairs each, all decided by the steps
+        (diamond(), zoo.edgeless(5), 6400, 1_048_576),
+        (chain(3), zoo.edgeless(6), 4374, 531_441),
+        (chain(2), zoo.edgeless(9), 2304, 262_144),
     ],
+    ids=["diamond-acyclic2", "diamond-5", "chain3-6", "chain2-9"],
 )
-def test_thin_monotonicity_past_the_pair_cap_is_sampled(monkeypatch, cap, note):
-    monkeypatch.setattr(casework, "MONOTONE_PAIR_CAP", cap)
-    report = verify_poset_corollary(diamond(), zoo.acyclic2())
+def test_thin_order_isomorphism_is_checked_whole(cat, g, steps, pairs):
+    start = time.perf_counter()
+    report = verify_poset_corollary(cat, g)
+    assert time.perf_counter() - start < 0.5
     assert report.outcome == "confirmed"
-    assert report.details[-1] == note
+    assert report.details[-1] == (
+        "restriction to representatives is an order isomorphism, checked whole: "
+        f"{steps} one-coordinate steps decide all {pairs} ordered pairs both ways"
+    )
+
+
+def _order_check_cases(rng, cat, g):
+    """The restrictions of the diagrams of `g` to the representatives, as the
+    report takes them, when they are a bijection onto P ** m and at most 64;
+    then the diagrams in their own order, under a random shuffle, under a
+    swap of two, and under an automorphism of P ** m that swaps two
+    coordinates, each against the same keys."""
+    reps = [sorted(c)[0] for c in graphs.cohereditary_irreducible_subsets(g)]
+    objects = cat.objects()
+    diagrams = enumerate_diagrams(cat, g)
+    keys = [tuple(d.obj[r] for r in reps) for d in diagrams]
+    product = set(itertools.product(objects, repeat=len(reps)))
+    if len(keys) > 64 or len(keys) != len(product) or set(keys) != product:
+        return []
+    shuffled = rng.sample(diagrams, len(diagrams))
+    swapped = list(diagrams)
+    i, j = rng.randrange(len(keys)), rng.randrange(len(keys))
+    swapped[i], swapped[j] = swapped[j], swapped[i]
+    cases = [diagrams, shuffled, swapped]
+    if len(reps) > 1:
+        a, b = rng.sample(range(len(reps)), 2)
+        by_key = dict(zip(keys, diagrams))
+        flip = lambda k: tuple(k[b] if c == a else k[a] if c == b else x for c, x in enumerate(k))
+        cases.append([by_key[flip(k)] for k in keys])
+    return [(cat, g, case, keys) for case in cases]
+
+
+def test_order_steps_match_the_pair_loop_oracle():
+    rng = random.Random(20261021)
+    agreed = not_monotone = shapes = 0
+    while shapes < 320:
+        cat = rng.choice([chain(2), chain(3), diamond()])
+        g = random_shape_graph(rng, max_vertices=5, edge_prob=0.25, bundle_prob=0.05)
+        cases = _order_check_cases(rng, cat, g)
+        shapes += bool(cases)
+        for case in cases:
+            monotone = pair_loop_order_check(*case)
+            assert casework._order_check(*case)[0] == monotone, (cat.name, case[1])
+            agreed += 1
+            not_monotone += not monotone
+    # 1111 cases, 512 of them not monotone
+    assert agreed >= 1000 and 400 <= not_monotone <= agreed - 400, (agreed, not_monotone)
 
 
 def test_desingularisation_miscount_is_a_mismatch(monkeypatch):
@@ -475,8 +525,8 @@ def test_thin_count_over_the_empty_order(g):
     assert report.expected == {"diagram_count": 0}
     assert report.outcome == "confirmed"
     assert report.details[-1] == (
-        "restriction to representatives is an order isomorphism "
-        "(checked 0 ordered pairs both ways)"
+        "restriction to representatives is an order isomorphism, checked whole: "
+        "0 one-coordinate steps decide all 0 ordered pairs both ways"
     )
 
 

@@ -12,7 +12,7 @@ from flowcat.categories import (
     MatCategory,
     Morphism,
     PosetCategory,
-    _transitive_reflexive_closure,
+    _up_sets,
     chain,
     diamond,
     mat_identity,
@@ -111,7 +111,8 @@ def test_poset_closure_matches_the_iterated_oracle():
     for _ in range(2000):
         elements, pairs = _random_relation(rng)
         le = iterated_closure(elements, pairs)
-        assert _transitive_reflexive_closure(elements, pairs) == le
+        up = {x: frozenset(b for a, b in le if a == x) for x in elements}
+        assert _up_sets(elements, pairs) == up
         clash = next(
             ((a, b) for a, b in itertools.combinations(elements, 2)
              if (a, b) in le and (b, a) in le),
@@ -120,6 +121,11 @@ def test_poset_closure_matches_the_iterated_oracle():
         if clash is None:
             p = PosetCategory(elements, pairs)
             assert all(p.leq(a, b) == ((a, b) in le) for a in elements for b in elements)
+            families = [(), ("y",), (*elements[:1], "y"), *itertools.product(elements, repeat=2)]
+            for family in families:
+                assert p.supremum(family) == brute_force_supremum(
+                    elements, lambda a, b: (a, b) in le, family
+                ), (elements, pairs, family)
             continue
         refused += 1
         with pytest.raises(CategoryError) as info:
@@ -171,11 +177,14 @@ SMALL_POSETS = [
 
 @pytest.mark.parametrize("p", SMALL_POSETS, ids=lambda p: p.name)
 def test_supremum_matches_brute_force(p):
-    for size in (1, 2, 3):
+    for size in (0, 1, 2, 3):
         for family in itertools.product(p.elements, repeat=size):
             expected = brute_force_supremum(p.elements, p.leq, family)
             assert p.supremum(family) == expected
-
+    # a name outside P has no morphism into any element
+    for family in (["z"], [p.elements[0], "z"]):
+        assert p.supremum(family) is None
+        assert brute_force_supremum(p.elements, p.leq, family) is None
 
 def test_diamond_suprema():
     d = diamond()

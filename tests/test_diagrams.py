@@ -342,8 +342,8 @@ def test_size_vectors_and_draws_match_the_pinned_oracle():
         zero_sources += bool(zero & set(sources(g)))
         expected = sorted(pinned_size_vectors(g, bound), key=lambda a: list(a.values()))
         assert solve_dimension_vectors(g, bound) == expected, (g, bound)
-        if free:  # the size plan branches on the free values alone
-            assert cached_on(g, "size vectors", None).branch == free, g
+        if free:  # the size plan, cached by its families table, branches on the free values alone
+            assert cached_on(g, tuple(_shape(g)[2].items()), None).branch == free, g
         rng, oracle_rng = random.Random(i), random.Random(i)
         for _ in range(5):
             drawn = draw_dimension_vector(g, bound, rng, NodeBudget())
@@ -401,6 +401,22 @@ def test_drawing_size_vectors_honours_the_cap(monkeypatch):
     with pytest.raises(SearchCapExceeded) as excinfo:
         draw_dimension_vector(g, 1, random.Random(1), NodeBudget())
     assert excinfo.value.phase == "size draws"
+
+
+def test_size_vectors_and_draws_build_one_plan(monkeypatch):
+    # ten sources, one feeding a sink: a sample pool above SAMPLE_VECTOR_CAP
+    # lists vectors and then draws them, two phases of one plan
+    calls = []
+    monkeypatch.setattr("flowcat.diagrams._plan", lambda *args: calls.append(args) or _plan(*args))
+    monkeypatch.setattr(functors, "SAMPLE_VECTOR_CAP", 5)
+    g = graph([f"s{i}" for i in range(10)] + ["w"], [("e", "s0", "w")])
+    assert len(_sample_pool(MatCategory(2, 3), g, random.Random(3), 4)) == 4
+    assert len(calls) == 1
+    # the phase still names each search past the cap
+    draw = lambda: draw_dimension_vector(g, 3, random.Random(1), NodeBudget())
+    assert _capped(lambda: list(size_vectors(g, 3)), 5)[0] == "size vectors"
+    assert _capped(draw, 5)[0] == "size draws"
+    assert len(calls) == 1
 
 
 # -- enumeration ---------------------------------------------------------------------
