@@ -226,6 +226,8 @@ class PosetCategory(FiniteCategory):
 
 def chain(k):
     """The k-element chain 0 < 1 < ... < k-1."""
+    if type(k) is not int:
+        raise CategoryError(f"chain length must be an integer, got {k!r}")
     if k < 1:
         raise CategoryError("chain needs at least one element")
     return PosetCategory(
@@ -252,6 +254,8 @@ class FinSetSkeleton(FiniteCategory):
     """
 
     def __init__(self, max_size):
+        if type(max_size) is not int:
+            raise CategoryError(f"max_size must be an integer, got {max_size!r}")
         if max_size < 0:
             raise CategoryError("max_size must be nonnegative")
         self.max_size = max_size
@@ -405,8 +409,10 @@ class MatCategory(FiniteCategory):
     over F_q (column-vector convention, so compose(g, f) = g . f)."""
 
     def __init__(self, q, max_dim):
-        if q not in _SMALL_PRIMES:
-            raise CategoryError(f"q must be a prime <= 7, got {q}")
+        if type(q) is not int or q not in _SMALL_PRIMES:
+            raise CategoryError(f"q must be a prime <= 7, got {q!r}")
+        if type(max_dim) is not int:
+            raise CategoryError(f"max_dim must be an integer, got {max_dim!r}")
         if max_dim < 0:
             raise CategoryError("max_dim must be nonnegative")
         self.q = q

@@ -6,10 +6,14 @@ string ids so parallel edges are distinguishable.  An "infinite bundle"
 that is the target of a bundle is an *infinite receiver*.
 
 Graphs are immutable values, valid by construction: building a
-`DirectedGraph` runs `validate` and raises `InvalidGraphError` (a
-`GraphError` listing the problems) on a malformed one, so no function
-re-checks a graph it is given.  All operations are pure functions; derived
-structures use canonical names so outputs are reproducible byte for byte.
+`DirectedGraph` from any iterables stores frozenset vertices, tuple edges
+and frozenset bundles, runs `validate`, adds one problem per vertex name
+given more than once, and raises `InvalidGraphError` (a `GraphError`
+listing the problems) on a malformed one.  So no function re-checks a graph
+it is given, and a construction that adds named vertices (the moves, the
+plus construction) finds a name collision by building its image.  All
+operations are pure functions; derived structures use canonical names so
+outputs are reproducible byte for byte.
 
 Every query reads one index, built in one pass over the edges and bundles
 on the first query of either kind and cached on the instance (a graph never
@@ -29,6 +33,8 @@ equality, hashing and repr see only (vertices, edges, infinite_bundles).
 
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Sized
 from functools import cached_property
 from itertools import chain
 from operator import attrgetter
@@ -76,16 +82,25 @@ class _GraphFields(NamedTuple):
 
 
 class DirectedGraph(_GraphFields):
-    """A graph that passed `validate` when it was built.  The NamedTuple
-    `_make` and `_replace` skip that check; flowcat never calls them."""
+    """A graph that passed its checks when it was built: `validate`'s
+    problems, then one `duplicate vertex` problem per repeated name, in
+    sorted order.  The fields may be given as any iterables (a generator is
+    read once).  The NamedTuple `_make` and `_replace` skip the checks and
+    the conversion; flowcat never calls them."""
 
     # no __slots__: the instance dict holds the index and the memo of
     # `util.cached_on`
     __setattr__ = refuse_assignment
 
     def __new__(cls, vertices, edges, infinite_bundles=frozenset()):
-        g = super().__new__(cls, vertices, edges, infinite_bundles)
+        if not isinstance(vertices, Sized):  # a generator is read once
+            vertices = list(vertices)
+        names = frozenset(vertices)
+        g = super().__new__(cls, names, tuple(edges), frozenset(infinite_bundles))
         problems = validate(g)
+        if len(names) < len(vertices):  # some name is given more than once
+            counts = Counter(vertices)
+            problems += [f"duplicate vertex {v!r}" for v in sorted(counts) if counts[v] > 1]
         if problems:
             raise InvalidGraphError(problems)
         return g
@@ -139,12 +154,9 @@ class DirectedGraph(_GraphFields):
 
 
 def graph(vertices, edges=(), bundles=()):
-    """Build a DirectedGraph from vertex names and (id, src, tgt) triples."""
-    return DirectedGraph(
-        vertices=frozenset(vertices),
-        edges=tuple(Edge(*t) for t in edges),
-        infinite_bundles=frozenset(tuple(b) for b in bundles),
-    )
+    """Build a DirectedGraph from vertex names, (id, src, tgt) triples and
+    (src, tgt) pairs; raises `InvalidGraphError` as the constructor does."""
+    return DirectedGraph(vertices, (Edge(*t) for t in edges), (tuple(b) for b in bundles))
 
 
 def validate(g):
@@ -330,33 +342,17 @@ def cohereditary_irreducible_subsets(g):
 def plus_construction(g):
     """Adjoin a vertex v+ for each infinite receiver v, and for every edge e
     leaving such a v a copy e+ : v+ -> t(e); bundles leaving v beget bundles
-    leaving v+.  Returns g itself when there are no infinite receivers."""
+    leaving v+.  Returns g itself when there are no infinite receivers, and
+    raises `GraphError` when a new name (v+ or e+) is already taken."""
     plus = {v: f"{v}+" for v in infinite_receivers(g)}
     if not plus:
         return g
-    companions = set(plus.values())
-    edges = list(g.edges)
-    for e in g.edges:
-        if e.src in plus:
-            edges.append(Edge(f"{e.id}+", plus[e.src], e.tgt))
-    bundles = set(g.infinite_bundles)
-    for a, b in g.infinite_bundles:
-        if a in plus:
-            bundles.add((plus[a], b))
-    problems = [f"vertex {c!r} already exists" for c in sorted(companions & g.vertices)]
+    edges = [*g.edges, *(Edge(f"{e.id}+", plus[e.src], e.tgt) for e in g.edges if e.src in plus)]
+    bundles = [*g.infinite_bundles, *((plus[a], b) for a, b in g.infinite_bundles if a in plus)]
     try:
-        out = DirectedGraph(
-            vertices=frozenset(g.vertices | companions),
-            edges=tuple(edges),
-            infinite_bundles=frozenset(bundles),
-        )
+        return DirectedGraph([*g.vertices, *plus.values()], edges, bundles)
     except InvalidGraphError as err:
-        problems += err.problems
-    if problems:
-        raise GraphError(
-            "plus construction produced name collisions: " + "; ".join(problems)
-        )
-    return out
+        raise GraphError(f"plus construction produced name collisions: {err}") from err
 
 
 # -- adjacency ----------------------------------------------------------------

@@ -1,7 +1,8 @@
 """The six flow-equivalence graph constructions, with precondition validation.
 
 A `DirectedGraph` is checked when it is built, so a move checks only its
-own preconditions; `_finish` reports a malformed image as a `MoveError`.
+own preconditions; `_finish` builds the image and reports the constructor's
+problems, a new name equal to an existing one among them, as a `MoveError`.
 
 Derived vertices and edges follow a fixed naming scheme so outputs are
 reproducible exactly:
@@ -17,7 +18,6 @@ one copy of each name however many edges meet the vertex.
 
 from __future__ import annotations
 
-from collections import Counter
 from operator import attrgetter, itemgetter, le
 from typing import NamedTuple
 
@@ -111,18 +111,10 @@ def _edge_sources(g):
 
 
 def _finish(vertices, edges, move, bundles=frozenset()):
-    names = frozenset(vertices)
-    problems = []
-    if len(names) < len(vertices):  # a new name equals an existing one
-        counts = Counter(vertices)
-        problems = [f"duplicate vertex {v!r}" for v in sorted(counts) if counts[v] > 1]
     try:
-        out = DirectedGraph(names, tuple(edges), bundles)
+        return DirectedGraph(vertices, edges, bundles)
     except InvalidGraphError as err:
-        problems = err.problems + problems
-    if problems:
-        raise MoveError(f"{move} produced an invalid graph: " + "; ".join(problems))
-    return out
+        raise MoveError(f"{move} produced an invalid graph: {err}") from err
 
 
 # -- sink removal --------------------------------------------------------------
@@ -137,9 +129,9 @@ def remove_sink(g, w):
     if cls.is_source:
         raise MoveError(f"vertex {w!r} is a sink but also a source")
     return DirectedGraph(
-        vertices=frozenset(v for v in g.vertices if v != w),
-        edges=tuple(e for e in g.edges if e.tgt != w),
-        infinite_bundles=frozenset(b for b in g.infinite_bundles if b[1] != w),
+        g.vertices - {w},
+        (e for e in g.edges if e.tgt != w),
+        (b for b in g.infinite_bundles if b[1] != w),
     )
 
 
@@ -352,6 +344,8 @@ class TruncatedMove(NamedTuple):
 def _attach_chains(g, depth, pick, move, inward):
     """Attach a depth-long chain of new vertices (v,1)..(v,depth) at each
     vertex v in pick(g), its edges pointing towards v when inward."""
+    if type(depth) is not int:
+        raise MoveError(f"depth must be an integer, got {depth!r}")
     if depth < 1:
         raise MoveError("depth must be >= 1")
     ends = pick(g)

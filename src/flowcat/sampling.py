@@ -40,7 +40,7 @@ def random_irreducible_graph(rng, max_vertices=8, max_entry=3):
         for _ in range(c):
             edges.append(Edge(f"e{k}", a, b))
             k += 1
-    return DirectedGraph(vertices=frozenset(vs), edges=tuple(edges))
+    return DirectedGraph(vs, edges)
 
 
 def random_acyclic_graph(rng, max_vertices=6, edge_prob=0.45):
@@ -57,7 +57,7 @@ def random_acyclic_graph(rng, max_vertices=6, edge_prob=0.45):
                 for _ in range(rng.randint(1, MAX_MULTIPLICITY)):
                     edges.append(Edge(f"e{k}", order[i], order[j]))
                     k += 1
-    return DirectedGraph(vertices=frozenset(vs), edges=tuple(edges))
+    return DirectedGraph(vs, edges)
 
 
 def random_shape_graph(rng, max_vertices=5, edge_prob=0.35, bundle_prob=0.15):
@@ -75,9 +75,7 @@ def random_shape_graph(rng, max_vertices=5, edge_prob=0.35, bundle_prob=0.15):
                 k += 1
             if rng.random() < bundle_prob:
                 bundles.add((a, b))
-    return DirectedGraph(
-        vertices=frozenset(vs), edges=tuple(edges), infinite_bundles=frozenset(bundles)
-    )
+    return DirectedGraph(vs, edges, bundles)
 
 
 def random_move_spec(rng, g, move):

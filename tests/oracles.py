@@ -38,7 +38,9 @@ drawers are the package's two loops from before they became one drawer.
 The search planner is the package's code from before its greedy feedback
 pick counted each vertex's readers once per pick.  The poset report's order
 check is the package's loop over every ordered pair of diagrams from before
-it checked one-coordinate steps, without the cap that loop had.
+it checked one-coordinate steps, without the cap that loop had.  The poset
+report's supremum scan is the package's loop from before it skipped the
+comparable pairs: one `supremum` per pair of elements.
 """
 
 from __future__ import annotations
@@ -1514,3 +1516,19 @@ def pair_loop_order_check(cat, g, diagrams, keys):
         if d_le != k_le:
             return False
     return True
+
+
+# -- the poset report's supremum scan, every pair -------------------------------------
+#
+# The pair loop of `casework.poset_count_obstructions` as it was before it
+# skipped comparable pairs: one `supremum` call for each pair of elements.
+
+
+def every_pair_supremum_obstructions(cat):
+    """One obstruction per pair of elements, in repr order, without a supremum."""
+    objects = sorted(cat.objects(), key=repr)
+    return [
+        f"no supremum for the pair ({x!r}, {y!r})"
+        for x, y in itertools.combinations(objects, 2)
+        if cat.supremum((x, y)) is None
+    ]

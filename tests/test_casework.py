@@ -26,7 +26,12 @@ from flowcat.graphs import graph
 from flowcat.sampling import random_shape_graph
 from flowcat.util import SearchCapExceeded, frozendict
 
-from oracles import brute_force_cohereditary_irreducible, pair_loop_order_check, tarjan_components
+from oracles import (
+    brute_force_cohereditary_irreducible,
+    every_pair_supremum_obstructions,
+    pair_loop_order_check,
+    tarjan_components,
+)
 
 
 # -- acyclic counts -------------------------------------------------------------
@@ -173,6 +178,44 @@ def test_obstruction_scan_accepts_cohereditary_cycles():
     assert poset_count_obstructions(chain(2), zoo.loop2()) == ()
     assert poset_count_obstructions(diamond(), zoo.acyclic2()) == ()
     assert poset_count_obstructions(chain(2), zoo.cycle_with_sink()) == ()
+
+
+def _random_poset(rng):
+    """Up to 9 elements listed in an order unlike their names', and up to 2n
+    pairs that point forward in that order, so their closure is a poset."""
+    n = rng.randint(0, 9)
+    elements = [f"x{i}" for i in range(n)]
+    rng.shuffle(elements)
+    pairs = []
+    for _ in range(rng.randint(0, 2 * n) if n else 0):
+        i, j = sorted(rng.sample(range(n), 2)) if n > 1 else (0, 0)
+        pairs.append((elements[i], elements[j]))
+    return PosetCategory(elements, pairs)
+
+
+def test_supremum_scan_matches_the_every_pair_oracle():
+    # comparable pairs are skipped, and the list and its order stay the same
+    rng = random.Random(20261022)
+    flagged = comparable = 0
+    for _ in range(600):
+        cat = _random_poset(rng)
+        expected = tuple(every_pair_supremum_obstructions(cat))
+        assert poset_count_obstructions(cat, zoo.loop1()) == expected, (cat.elements, cat._up)
+        flagged += bool(expected)
+        comparable += any(
+            cat.leq(x, y) for x, y in itertools.permutations(cat.objects(), 2)
+        )
+    # 356 of the 600 flag a pair, and 430 have a comparable pair
+    assert 150 <= flagged <= 450 and comparable >= 300, (flagged, comparable)
+
+
+def test_supremum_scan_of_a_long_chain_skips_its_comparable_pairs():
+    # every pair of a chain is comparable: 499,500 pairs, each two lookups,
+    # where one supremum per pair took about 7 s
+    cat = chain(1000)
+    start = time.perf_counter()
+    assert poset_count_obstructions(cat, zoo.loop1()) == ()
+    assert time.perf_counter() - start < 1.5
 
 
 def test_obstruction_scan_sees_bundles_as_cycle_input():

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 import time
 
 import pytest
@@ -353,6 +354,25 @@ def test_mat_requires_small_prime():
         MatCategory(4, 2)
     with pytest.raises(CategoryError, match="prime"):
         MatCategory(11, 2)
+
+
+SIZED_CONSTRUCTORS = {
+    "finset": (FinSetSkeleton, "max_size must be an integer"),
+    "mat-q": (lambda n: MatCategory(n, 2), "q must be a prime <= 7"),
+    "mat-dim": (lambda n: MatCategory(2, n), "max_dim must be an integer"),
+    "chain": (chain, "chain length must be an integer"),
+}
+
+
+@pytest.mark.parametrize("size", [1.5, 2.0, True, "3"], ids=repr)
+@pytest.mark.parametrize("name", sorted(SIZED_CONSTRUCTORS))
+def test_sized_constructors_take_only_int_sizes(name, size):
+    # the sizes are used as range bounds and in names: a float, a bool or a
+    # string would build "finset:True" or fail at the first enumeration
+    build, message = SIZED_CONSTRUCTORS[name]
+    with pytest.raises(CategoryError, match=f"^{re.escape(message)}, got {re.escape(repr(size))}$"):
+        build(size)
+    build(3)  # an int of the same size builds
 
 
 def test_mat_hom_enumeration():

@@ -4,9 +4,11 @@ import time
 import pytest
 from hypothesis import given, settings
 
+import flowcat as fc
 from flowcat import moves, zoo
 from flowcat.casework import poset_count_obstructions
 from flowcat.categories import chain
+from flowcat.diagrams import enumerate_diagrams
 from flowcat.graphs import (
     DirectedGraph,
     Edge,
@@ -135,6 +137,51 @@ def test_building_an_invalid_graph_raises_the_problems_validate_finds(fields):
     assert isinstance(info.value, GraphError)
     with pytest.raises(InvalidGraphError):
         graph(fields[0], fields[1], fields[2])
+
+
+COLLECTIONS = {
+    "list": list,
+    "tuple": tuple,
+    "set": set,
+    "frozenset": frozenset,
+    "generator": lambda xs: (x for x in xs),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(COLLECTIONS))
+def test_a_graph_keeps_frozenset_tuple_frozenset_fields_whatever_it_is_given(kind):
+    make = COLLECTIONS[kind]
+    vertices, triples, bundles = "abc", [("e", "a", "b"), ("f", "b", "c")], [("a", "c"), ("c", "c")]
+    edges = [Edge(*t) for t in triples]
+    # the edges are a sequence: a set of them would have no order to keep
+    ordered = list if kind in ("set", "frozenset") else make
+    expected = DirectedGraph(frozenset(vertices), tuple(edges), frozenset(bundles))
+    for g in (
+        DirectedGraph(make(vertices), ordered(edges), make(bundles)),
+        graph(make(vertices), ordered(triples), make(bundles)),
+    ):
+        assert g == expected and hash(g) == hash(expected)
+        assert [type(field) for field in g] == [frozenset, tuple, frozenset]
+
+
+def test_repeated_vertex_names_are_listed_once_each_sorted_after_the_other_problems():
+    problems = refused(["b", "a", "b", "c", "a", "b"], [Edge("e", "a", "zz")])
+    assert problems == [
+        "edge 'e' has unknown target 'zz'",
+        "duplicate vertex 'a'",
+        "duplicate vertex 'b'",
+    ]
+    # a generator is read once, and its repeats are still counted
+    assert refused((v for v in "aab"), ()) == ["duplicate vertex 'a'"]
+    with pytest.raises(GraphError, match=r"^duplicate vertex 'a'$"):
+        fc.graph(["a", "a"])
+
+
+def test_a_diagram_over_a_graph_built_from_lists_hashes():
+    g = DirectedGraph(["a", "b"], [Edge("e", "a", "b")], [("b", "b")])
+    d = enumerate_diagrams(chain(2), g)[0]
+    twin = enumerate_diagrams(chain(2), graph("ab", [("e", "a", "b")], [("b", "b")]))[0]
+    assert hash(d) == hash(twin) and d == twin
 
 
 GRAPH_FUNCTIONS = {
@@ -315,10 +362,12 @@ def test_plus_construction_copies_edges_and_bundles_leaving_receivers():
 
 def test_plus_construction_rejects_a_companion_that_exists():
     g = graph(["a", "b", "b+"], [("e", "b", "b+")], [("a", "b")])
-    with pytest.raises(GraphError, match="vertex 'b\\+' already exists"):
+    prefix = "^plus construction produced name collisions: "
+    with pytest.raises(GraphError, match=prefix + "duplicate vertex 'b\\+'$") as info:
         plus_construction(g)
+    assert isinstance(info.value.__cause__, InvalidGraphError)
     # the receivers of g+ are those of g, and their companions are taken
-    with pytest.raises(GraphError, match="vertex 'hi\\+' already exists"):
+    with pytest.raises(GraphError, match=prefix + "duplicate vertex 'hi\\+'$"):
         plus_construction(plus_construction(zoo.h_graph()))
 
 

@@ -375,13 +375,24 @@ def test_add_tails_depth1():
     ],
 )
 def test_heads_and_tails_reject_a_chain_vertex_that_exists(move, vertices, edges, depth, taken):
-    with pytest.raises(MoveError, match=re.escape(f"duplicate vertex {taken!r}")):
+    # the constructor finds the collision, and the move words it under its prefix
+    name = move.__name__.removesuffix("_truncated")
+    message = f"{name} produced an invalid graph: duplicate vertex {taken!r}"
+    with pytest.raises(MoveError, match=f"^{re.escape(message)}$"):
         move(graph(vertices, edges), depth)
 
 
 def test_truncations_reject_bad_depth():
     with pytest.raises(MoveError):
         add_heads_truncated(zoo.acyclic2(), 0)
+
+
+@pytest.mark.parametrize("depth", [1.5, True, "2"], ids=repr)
+@pytest.mark.parametrize("move", [add_heads_truncated, add_tails_truncated])
+def test_truncations_take_only_an_int_depth(move, depth):
+    # True once attached chains of depth 1, and "2" raised TypeError
+    with pytest.raises(MoveError, match=f"^depth must be an integer, got {re.escape(repr(depth))}$"):
+        move(zoo.acyclic2(), depth)
 
 
 # -- closed-form counts and structural properties ---------------------------------
